@@ -6,6 +6,7 @@ __version__ = "0.1.0"
 from .bounds import (
     Certificate,
     QBound,
+    SelfCheckError,
     classify_q,
     classify_text,
     lb_compare1,

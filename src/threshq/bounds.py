@@ -37,6 +37,14 @@ from .sequences import (
 from .spectra import in_pattern, pattern_matrix, q_of_matrix
 
 
+class SelfCheckError(AssertionError):
+    """A certificate failed the re-check made where it is built.
+
+    Raised explicitly rather than by `assert`, so the checks also run under
+    `python -O`.
+    """
+
+
 @dataclass(frozen=True)
 class Certificate:
     """Machine-checkable witness for one side of a bound.
@@ -154,7 +162,8 @@ def q2_certificate(G: ThresholdGraph, gate_result=None, seed: int = 0) -> Certif
     if not isinstance(gate_result, Feasible):
         return None
     A = gramlib.orthogonal_certificate(gate_result.matrix, G, seed=seed)
-    assert q_of_matrix(A) == 2
+    if q_of_matrix(A) != 2:
+        raise SelfCheckError("orthogonal completion does not have two eigenvalues")
     return Certificate("OrthoUB", 2, "column-orthogonal completion",
                        {"matrix": A, "block": gate_result.matrix})
 
@@ -275,16 +284,21 @@ def _star_chain(bf) -> tuple[np.ndarray, list[str]] | None:
     return A, steps
 
 
+def _chain_steps(plan: ChainPlan) -> tuple[str, ...]:
+    """A plan's step labels, as a certificate's `chain` records them; they
+    name the seed and every duplication, so they determine the matrix."""
+    return ((f"seed:{plan.seed.construction_id}{plan.seed.params or ''}",)
+            + tuple(f"dup({v},{lam:g})" for v, lam in plan.dup_steps)
+            + tuple(f"jdup({v})" for v in plan.jdup_steps))
+
+
 def run_chain(plan: ChainPlan) -> tuple[np.ndarray, list[str]]:
     A = gramlib.gram(plan.seed)
-    steps = [f"seed:{plan.seed.construction_id}{plan.seed.params or ''}"]
     for v, lam in plan.dup_steps:
         A = gramlib.dup_realization(A, v, lam)
-        steps.append(f"dup({v},{lam:g})")
     for v in plan.jdup_steps:
         A = gramlib.jdup_realization(A, v)
-        steps.append(f"jdup({v})")
-    return A, steps
+    return A, list(_chain_steps(plan))
 
 
 def chain_certificate(G: ThresholdGraph) -> Certificate | None:
@@ -305,12 +319,13 @@ def chain_certificate(G: ThresholdGraph) -> Certificate | None:
         seed_q = q_of_matrix(gramlib.gram(plan.seed))
     bits, order = creation_order_of(pattern_matrix(A))
     if bits != G.creation.bits:
-        raise AssertionError(f"chain landed on {bits}, wanted {G.creation.bits}")
+        raise SelfCheckError(f"chain landed on {bits}, wanted {G.creation.bits}")
     Ac = A[np.ix_(order, order)]
     if not in_pattern(Ac, G):
-        raise AssertionError("chain certificate left the pattern")
+        raise SelfCheckError("chain certificate left the pattern")
     value = q_of_matrix(Ac)
-    assert value == seed_q
+    if value != seed_q:
+        raise SelfCheckError(f"chain reached q = {value}, its seed has q = {seed_q}")
     kind = "ConstructionUB" if len(steps) == 1 else "DupChainUB"
     return Certificate(kind, value, "duplication chain", {"matrix": Ac, "chain": tuple(steps)})
 
@@ -320,12 +335,16 @@ def chain_certificate(G: ThresholdGraph) -> Certificate | None:
 # ---------------------------------------------------------------------------
 
 
+# Order-8 targets whose q <= 3 comes from a verified matrix with the strong
+# spectral property whose pattern embeds in the target.
+_TRANSFER_BASES = ("00100101", "00010011")
+
+
 def _transfer_seeds() -> list[tuple[ThresholdGraph, gramlib.GramFactor, list[int]]]:
-    """Order-8 targets whose q <= 3 comes from a verified matrix with the
-    strong spectral property whose pattern embeds in the target."""
+    """The transfer bases with the factor and the embedding behind each."""
     f = gramlib.construct_library("prop_a15a19")
     out = []
-    for bits in ("00100101", "00010011"):
+    for bits in _TRANSFER_BASES:
         H = graph_from_text(bits)
         emb = _find_embedding(f.target, H.adjacency)
         if emb is not None:
@@ -370,6 +389,8 @@ def _find_embedding(sub: np.ndarray, sup: np.ndarray) -> list[int] | None:
 def transfer_certificate(G: ThresholdGraph) -> Certificate | None:
     """q <= 3 for the transfer seeds themselves; joined-duplication images
     inherit the bound through the reduction lift in classify_q."""
+    if G.creation.text not in _TRANSFER_BASES:
+        return None
     for H, f, emb in _transfer_seeds():
         if G.creation.bits == H.creation.bits:
             A = gramlib.gram(f)
@@ -387,29 +408,42 @@ def transfer_certificate(G: ThresholdGraph) -> Certificate | None:
 # ---------------------------------------------------------------------------
 
 
-def ub_section12(G: ThresholdGraph) -> tuple[int, Certificate]:
+def ub_section12(G: ThresholdGraph, chain: Certificate | None = None) -> tuple[int, Certificate]:
     """floor((s+9)/2) with a construction-backed certificate.
 
     For block forms with a zero-run of length >= 2 the certificate matrix is
     the paired-column seed grown by duplication; otherwise the alternating
     or complete-split chain (q <= 3) witnesses the bound a fortiori.
+
+    `chain` is G's chain_certificate when the caller already has one.  Its
+    matrix and value are reused when it ran the same steps as the
+    paired-column plan (so the chain is realized once), and it stands in for
+    the alternating-family chain.
     """
     bf = block_form(G.creation)
     bound = (bf.s + 9) // 2
     plan = _section12_plan(bf) if bf.s >= 2 else None
     if plan is not None:
-        A, steps = run_chain(plan)
-        bits, order = creation_order_of(pattern_matrix(A))
-        Ac = A[np.ix_(order, order)]
-        value = q_of_matrix(Ac)
+        steps = _chain_steps(plan)
+        if chain is not None and chain.payload.get("chain") == steps:
+            Ac, value = chain.payload["matrix"], chain.value
+        else:
+            A, _ = run_chain(plan)
+            bits, order = creation_order_of(pattern_matrix(A))
+            Ac = A[np.ix_(order, order)]
+            value = q_of_matrix(Ac)
         parity_even = plan.seed.params["p1"] % 2 == 0 and plan.seed.params["p2"] % 2 == 0
         kind = "ConstructionUB" if parity_even else "DupChainUB"
         cert = Certificate(kind, bound, "paired-column construction",
-                           {"matrix": Ac, "chain": tuple(steps), "achieved": value})
-        assert value <= bound
+                           {"matrix": Ac, "chain": steps, "achieved": value})
+        if value > bound:
+            raise SelfCheckError(f"paired-column chain reached q = {value} > {bound}")
         return bound, cert
-    cert = chain_certificate(G)
-    assert cert is not None and cert.value <= bound
+    cert = chain if chain is not None else chain_certificate(G)
+    if cert is None:
+        raise SelfCheckError("no alternating-family chain for the general bound")
+    if cert.value > bound:
+        raise SelfCheckError(f"alternating-family chain reached q = {cert.value} > {bound}")
     return bound, Certificate("DupChainUB", bound, "alternating-family chain",
                               {"matrix": cert.payload["matrix"], "achieved": cert.value})
 
@@ -497,7 +531,7 @@ def _classify_bits(bits: tuple[int, ...], seed: int) -> QBound:
             upper_certs.append(transfer)
         bf = block_form(G.creation)
         if bf.s >= 2 and any(k >= 2 for k in bf.ks):
-            bound, cert = ub_section12(G)
+            bound, cert = ub_section12(G, chain)
             upper_certs.append(cert)
         best = min(c.value for c in upper_certs)
         for rbits, v in jdup_reductions(bits):
@@ -523,8 +557,7 @@ def verify_certificate(G: ThresholdGraph, cert: Certificate) -> bool:
     if cert.kind == "ConnectedLB":
         return G.connected and cert.value == 2
     if cert.kind == "DiameterLB":
-        hit = unique_path_bound(G)
-        return hit is not None and hit[0] + 1 >= cert.value
+        return cert.value == 3 and _is_unique_path_pair(G, cert.payload.get("pair"))
     if cert.kind == "TraceLB":
         return G.trace < math.ceil(G.n / 2) and cert.value == 3
     if cert.kind == "Compare1LB":
@@ -556,6 +589,17 @@ def verify_certificate(G: ThresholdGraph, cert: Certificate) -> bool:
         return (cert.value == 4 and G.n >= 5 and bf.s == 2 and bf.ts == (1, 1)
                 and bf.ks[0] >= 3 and bf.ks[1] >= 2)
     return False
+
+
+def _is_unique_path_pair(G: ThresholdGraph, pair) -> bool:
+    """Two distinct, non-adjacent vertices with exactly one common
+    neighbour: they are at distance 2, joined by a unique shortest path."""
+    if not (isinstance(pair, (tuple, list)) and len(pair) == 2
+            and all(isinstance(x, (int, np.integer)) and 0 <= x < G.n for x in pair)):
+        return False
+    u, v = pair
+    A = G.adjacency
+    return bool(u != v and not A[u, v] and np.count_nonzero(A[u] & A[v]) == 1)
 
 
 @functools.lru_cache(maxsize=65536)

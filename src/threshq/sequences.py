@@ -345,17 +345,25 @@ def unique_path_bound(G: ThresholdGraph) -> tuple[int, tuple[int, int]] | None:
     """Largest d such that some vertex pair at distance d >= 2 is joined by a
     unique shortest path, with a witness pair; None when no such pair exists.
 
-    Connected threshold graphs have diameter <= 2, so d is always 2 here.
+    Read off the creation sequence in O(n).  Trailing 0s are isolated
+    vertices and join no path, so only the prefix up to the last 1 counts;
+    it is a connected threshold graph, of diameter <= 2.  Two non-adjacent
+    vertices u < v there have b_v = 0, and their common neighbours are
+    exactly the dominating vertices added after v.  The fewest, t_s, belong
+    to v in the last zero-run, so a unique shortest path exists iff the
+    last ones-run has length 1 and the prefix has order >= 3.  The witness
+    is the first such pair in (u, v) order: (0, v) with v the first vertex
+    of the last zero-run, or v = 1 when that run starts at vertex 0.
+    `count_shortest_paths` is the reference this rule is tested against.
     """
-    best = None
-    n = G.n
-    for u in range(n):
-        dist, cnt = count_shortest_paths(G.adjacency, u)
-        for v in range(u + 1, n):
-            if dist[v] >= 2 and cnt[v] == 1:
-                if best is None or dist[v] > best[0]:
-                    best = (int(dist[v]), (u, v))
-    return best
+    bits = G.creation.bits
+    last_one = max((i for i, b in enumerate(bits) if b == 1), default=-1)
+    if last_one < 2 or bits[last_one - 1] == 1:
+        return None
+    v = last_one - 1
+    while v > 0 and bits[v - 1] == 0:
+        v -= 1
+    return 2, (0, max(v, 1))
 
 
 def to_edge_list(G: ThresholdGraph) -> str:

@@ -1,6 +1,16 @@
+import itertools
+from collections import Counter
+
+import numpy as np
 import pytest
 
+from threshq import bounds
 from threshq.bounds import (
+    Certificate,
+    SelfCheckError,
+    _chain_plan,
+    _chain_steps,
+    _section12_plan,
     chain_certificate,
     classify_q,
     classify_text,
@@ -10,14 +20,26 @@ from threshq.bounds import (
     lb_diameter,
     lb_trace,
     ortho_gate,
+    q2_certificate,
+    run_chain,
     transfer_certificate,
     ub_section12,
     verify_certificate,
     verify_qbound,
 )
 from threshq.orthosearch import Feasible
-from threshq.sequences import NotThreshold, block_form, build_graph, enumerate_connected, graph_from_text, jdup_graph
-from threshq.spectra import in_pattern, q_of_matrix
+from threshq.sequences import (
+    CreationSequence,
+    NotThreshold,
+    block_form,
+    build_graph,
+    creation_order_of,
+    enumerate_connected,
+    graph_from_text,
+    jdup_graph,
+    unique_path_bound,
+)
+from threshq.spectra import in_pattern, pattern_matrix, q_of_matrix
 from threshq.tables import TABLES
 
 
@@ -35,6 +57,34 @@ def test_lb_examples():
     assert lb_connected(K5) == 2 and lb_diameter(K5) == 2
     assert lb_trace(K5) == 2 and lb_compare1(K5) == 2
     assert lb_trace(G("0010011")) == 3  # trace 3 below ceil(7/2)
+
+
+def diameter_cert(pair, value=3):
+    return Certificate("DiameterLB", value, "unique shortest path", {"distance": 2, "pair": pair})
+
+
+def test_diameter_witness_verifies():
+    for text in ("001", "0001", "0101", "0011001", "0000001"):
+        g = G(text)
+        cert = next(c for c in classify_text(text).lower_certs if c.kind == "DiameterLB")
+        assert cert.payload["pair"] == unique_path_bound(g)[1]
+        assert verify_certificate(g, cert), text
+
+
+@pytest.mark.parametrize("text,cert", [
+    ("0001", diameter_cert((0, 3))),         # adjacent pair
+    ("0011", diameter_cert((0, 1))),         # two common neighbours, 2 and 3
+    ("0001001", diameter_cert((0, 1))),      # two common neighbours, 3 and 6
+    ("0001", diameter_cert((1, 1))),         # a vertex paired with itself
+    ("0001", diameter_cert((0, 4))),         # index out of range
+    ("0001", diameter_cert((-1, 1))),        # negative index
+    ("0001", diameter_cert((0,))),           # not a pair
+    ("0001", diameter_cert(None)),           # no pair at all
+    ("0001", diameter_cert((0, 1), value=4)),  # value other than 3
+    ("0001", diameter_cert((0, 1), value=2)),
+])
+def test_diameter_forged_witness_rejected(text, cert):
+    assert verify_certificate(G(text), cert) is False
 
 
 def test_q2_iff_gate_on_catalog():
@@ -169,6 +219,66 @@ def test_ub_section12_case1_s5():
     f = construct_library("ub_case1", p1=2, p2=2)
     A = gram(f)
     assert q_of_matrix(A) <= 7 and in_pattern(A, f.target)
+
+
+def test_self_checks_raise_named_error(monkeypatch):
+    # explicit raises, not asserts, so `python -O` keeps the checks; every
+    # eigenvalue count differs from the last, so no count matches its claim
+    counts = itertools.count(90)
+    monkeypatch.setattr(bounds, "q_of_matrix", lambda A: next(counts))
+    with pytest.raises(SelfCheckError):
+        q2_certificate(G("0101011"))
+    with pytest.raises(SelfCheckError):
+        chain_certificate(G("0001001"))
+    with pytest.raises(SelfCheckError):
+        ub_section12(G("0101001"))
+
+
+def test_classify_runs_each_chain_once(monkeypatch):
+    # the section-12 certificate reuses the chain certificate's realization
+    # when both follow the same plan, so no lattice node realizes a plan
+    # twice, and a node whose chain plan is the section-12 plan (s >= 4, and
+    # the s = 3 fallback) runs one chain in all
+    runs = []
+
+    def counting(plan):
+        A, steps = run_chain(plan)
+        runs.append((creation_order_of(pattern_matrix(A))[0], tuple(steps)))
+        return A, steps
+
+    monkeypatch.setattr(bounds, "run_chain", counting)
+    bounds._classify_bits.cache_clear()
+    for seq in enumerate_connected(10):
+        classify_q(build_graph(seq))
+    nodes = bounds._classify_bits.cache_info().misses
+    bounds._classify_bits.cache_clear()
+    assert runs and len(set(runs)) == len(runs)
+    per_node = Counter(bits for bits, _ in runs)
+    assert len(per_node) <= nodes
+    shared = 0
+    for bits, count in per_node.items():
+        bf = block_form(build_graph(CreationSequence(bits)).creation)
+        section12 = _section12_plan(bf)
+        if section12 and _chain_steps(_chain_plan(bf)) == _chain_steps(section12):
+            assert count == 1, bits
+            shared += 1
+    assert shared
+
+
+def test_section12_certificate_matches_fresh_chain():
+    checked = 0
+    for n in range(2, 11):
+        for seq in enumerate_connected(n):
+            for cert in classify_q(build_graph(seq)).upper_certs:
+                if cert.provenance != "paired-column construction":
+                    continue
+                A, steps = run_chain(_section12_plan(block_form(seq)))
+                _, order = creation_order_of(pattern_matrix(A))
+                assert np.array_equal(cert.payload["matrix"], A[np.ix_(order, order)]), seq.text
+                assert cert.payload["chain"] == tuple(steps)
+                assert cert.payload["achieved"] == q_of_matrix(cert.payload["matrix"])
+                checked += 1
+    assert checked
 
 
 @pytest.mark.parametrize("n", range(2, 11))

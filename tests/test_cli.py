@@ -114,9 +114,17 @@ def test_usage_error_exit_code(capsys):
 
 
 def test_console_script_entry_point():
+    import os
     import subprocess
     import sys
+    from pathlib import Path
 
+    import threshq
+
+    # the child imports the same threshq as this process, however pytest
+    # found it (installed, PYTHONPATH, or the pythonpath setting)
+    src = str(Path(threshq.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     out = subprocess.run([sys.executable, "-m", "threshq.cli", "bounds", "0101011"],
-                         capture_output=True, text=True)
+                         capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path})
     assert out.returncode == 0 and "q = 2 (exact)" in out.stdout

@@ -10,6 +10,7 @@ from threshq.sequences import (
     NotThreshold,
     block_form,
     build_graph,
+    count_shortest_paths,
     creation_order_of,
     dup_graph,
     enumerate_connected,
@@ -229,6 +230,34 @@ def test_unique_path_matches_networkx(n):
         assert (hit[0] if hit else None) == best
         if hit:
             assert hit[0] <= 2  # connected threshold graphs have diameter <= 2
+
+
+def bfs_unique_path(G):
+    # the all-pairs search the closed form replaces: the first (u, v) pair
+    # in order at the largest distance >= 2 with a single shortest path
+    best = None
+    for u in range(G.n):
+        dist, cnt = count_shortest_paths(G.adjacency, u)
+        for v in range(u + 1, G.n):
+            if dist[v] >= 2 and cnt[v] == 1 and (best is None or dist[v] > best[0]):
+                best = (int(dist[v]), (u, v))
+    return best
+
+
+@pytest.mark.parametrize("n", range(2, 15))
+def test_unique_path_closed_form_matches_bfs(n):
+    # same distance and same witness pair as the BFS, on every connected
+    # sequence of order n
+    for seq in enumerate_connected(n):
+        G = build_graph(seq)
+        assert unique_path_bound(G) == bfs_unique_path(G), seq.text
+
+
+def test_unique_path_closed_form_disconnected():
+    # trailing isolated vertices join no path; the rule reads the prefix
+    for text in ("0", "00", "010", "0010", "00100", "0110", "01010", "0001000"):
+        G = graph_from_text(text)
+        assert unique_path_bound(G) == bfs_unique_path(G), text
 
 
 def test_edge_list_export():
