@@ -24,9 +24,9 @@ EXAMPLES = ["0011", "0101011", "00101011", "00001111", "010101", "01001011"]
 for text in EXAMPLES:
     G = graph_from_text(text)
     P = SupportPattern.from_graph(G)
-    out = decide_column_orthogonal(P, seed=0)
+    out = decide_column_orthogonal(P)
     if isinstance(out, Feasible):
-        A = orthogonal_certificate(out.matrix, G, seed=0)
+        A = orthogonal_certificate(out.matrix, G)
         print(f"{text}: FEASIBLE -> certificate with q={q_of_matrix(A)}, "
               f"in-pattern={bool(in_pattern(A, G))}")
     elif isinstance(out, Infeasible):
@@ -40,6 +40,6 @@ print("to each other, which would knock the Gram out of S(G); rescaling the")
 print("columns fixes every dominating product while preserving orthogonality.")
 
 G = graph_from_text("00001111")
-out = decide_column_orthogonal(SupportPattern.from_graph(G), seed=0)
-A = orthogonal_certificate(out.matrix, G, seed=0)
+out = decide_column_orthogonal(SupportPattern.from_graph(G))
+A = orthogonal_certificate(out.matrix, G)
 print("certificate spectrum:", np.round(np.linalg.eigvalsh(A), 6))

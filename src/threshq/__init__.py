@@ -32,7 +32,6 @@ from .orthosearch import (
     Infeasible,
     SSPReport,
     SupportPattern,
-    Unknown,
     decide_column_orthogonal,
     low_q_search,
     ssp_check,

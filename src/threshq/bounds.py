@@ -152,16 +152,16 @@ def _trace_two_exact4(G: ThresholdGraph) -> Certificate | None:
 # ---------------------------------------------------------------------------
 
 
-def ortho_gate(G: ThresholdGraph, seed: int = 0):
-    return decide_column_orthogonal(SupportPattern.from_graph(G), seed=seed)
+def ortho_gate(G: ThresholdGraph):
+    return decide_column_orthogonal(SupportPattern.from_graph(G))
 
 
-def q2_certificate(G: ThresholdGraph, gate_result=None, seed: int = 0) -> Certificate | None:
+def q2_certificate(G: ThresholdGraph, gate_result=None) -> Certificate | None:
     if gate_result is None:
-        gate_result = ortho_gate(G, seed)
+        gate_result = ortho_gate(G)
     if not isinstance(gate_result, Feasible):
         return None
-    A = gramlib.orthogonal_certificate(gate_result.matrix, G, seed=seed)
+    A = gramlib.orthogonal_certificate(gate_result.matrix, G)
     if q_of_matrix(A) != 2:
         raise SelfCheckError("orthogonal completion does not have two eigenvalues")
     return Certificate("OrthoUB", 2, "column-orthogonal completion",
@@ -499,7 +499,7 @@ def _lift_jdup(cert: Certificate, v: int, G: ThresholdGraph) -> Certificate | No
     return None  # pragma: no cover
 
 
-def classify_q(G: ThresholdGraph, seed: int = 0) -> QBound:
+def classify_q(G: ThresholdGraph) -> QBound:
     """Certified interval for q(G); exact when the sides meet.
 
     The upper side is closed under joined-duplication reductions: a
@@ -508,18 +508,18 @@ def classify_q(G: ThresholdGraph, seed: int = 0) -> QBound:
     """
     if not G.connected:
         raise ValueError("classify_q needs a connected graph")
-    return _classify_bits(G.creation.bits, seed)
+    return _classify_bits(G.creation.bits)
 
 
 @functools.lru_cache(maxsize=8192)
-def _classify_bits(bits: tuple[int, ...], seed: int) -> QBound:
+def _classify_bits(bits: tuple[int, ...]) -> QBound:
     G = build_graph(CreationSequence(bits))
-    gate = ortho_gate(G, seed)
+    gate = ortho_gate(G)
     lower_certs = _lower_certificates(G, gate)
     lower = max(c.value for c in lower_certs)
 
     upper_certs: list[Certificate] = []
-    c2 = q2_certificate(G, gate, seed)
+    c2 = q2_certificate(G, gate)
     if c2 is not None:
         upper_certs.append(c2)
     else:
@@ -535,7 +535,7 @@ def _classify_bits(bits: tuple[int, ...], seed: int) -> QBound:
             upper_certs.append(cert)
         best = min(c.value for c in upper_certs)
         for rbits, v in jdup_reductions(bits):
-            sub = _classify_bits(rbits, seed)
+            sub = _classify_bits(rbits)
             if sub.upper >= best:
                 continue
             sub_best = min(sub.upper_certs, key=lambda c: c.value)
@@ -622,5 +622,5 @@ def verify_qbound(G: ThresholdGraph, qb: QBound) -> bool:
     return certs_ok and sides_ok
 
 
-def classify_text(text: str, seed: int = 0) -> QBound:
-    return classify_q(graph_from_text(text), seed=seed)
+def classify_text(text: str) -> QBound:
+    return classify_q(graph_from_text(text))

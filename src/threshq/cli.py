@@ -54,7 +54,7 @@ def cmd_bounds(args) -> int:
         return 2
     t0 = time.time()
     G = build_graph(seq)
-    qb = classify_q(G, seed=args.seed)
+    qb = classify_q(G)
     verified = verify_qbound(G, qb)
     certs = []
     for side, cs in (("lower", qb.lower_certs), ("upper", qb.upper_certs)):
@@ -89,7 +89,7 @@ def cmd_bounds(args) -> int:
 
 
 def cmd_table(args) -> int:
-    rep = reproduce_table(args.n, seed=args.seed)
+    rep = reproduce_table(args.n)
     d = rep.to_dict()
     d["command"] = f"table {args.n}"
     d["version"] = __version__
@@ -173,9 +173,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = p.add_subparsers(dest="command", required=True)
 
     def common(sp):
-        sp.add_argument("--seed", type=int, default=0)
         sp.add_argument("--tol", type=float, default=None)
-        sp.add_argument("--budget", type=int, default=500)
         sp.add_argument("--format", choices=("text", "json", "csv"), default="text")
 
     sp = sub.add_parser("bounds", help="classify one creation sequence")

@@ -266,7 +266,7 @@ def _prop37() -> GramFactor:
 
 def _prop38() -> GramFactor:
     G = graph_from_text("00100111")
-    out = decide_column_orthogonal(SupportPattern.from_graph(G), seed=38)
+    out = decide_column_orthogonal(SupportPattern.from_graph(G))
     if not isinstance(out, Feasible):
         raise InfeasibleRepair("prop38 staircase unexpectedly infeasible")
     M = _certificate_factor(out.matrix, G)
@@ -527,20 +527,19 @@ def jdup_realization(A: np.ndarray, v: int, theta: float = math.pi / 4,
 # ---------------------------------------------------------------------------
 
 
-def _repair_scales(B: np.ndarray, budget: int, seed: int) -> np.ndarray:
+def _repair_scales(B: np.ndarray) -> np.ndarray:
     """Column rescaling making every dominating pair product nonzero.
 
-    Every pair shares the first isolated column's support, so the products
-    are nonzero polynomials in the scales and a random draw repairs them;
-    failure within the budget raises InfeasibleRepair.
+    Scaling columns keeps them orthogonal.  With scales d_j = sqrt(1 + a j/k)
+    each pair product is linear in a, so it vanishes for at most one a
+    unless it vanishes for all; a = 0, 1, ... tries one more value than
+    there are pairs and raises InfeasibleRepair if none repairs them all.
     """
-    T = B.shape[0]
+    T, k = B.shape
     if T <= 1:
         return B
-    rng = np.random.default_rng(seed)
-    for attempt in range(budget):
-        d = np.ones(B.shape[1]) if attempt == 0 else rng.uniform(0.5, 1.5, B.shape[1])
-        BD = B * d
+    for a in range(T * (T - 1) // 2 + 1):
+        BD = B * np.sqrt(1.0 + a * np.arange(k) / k)
         Gd = BD @ BD.T
         off = np.abs(Gd[~np.eye(T, dtype=bool)])
         if off.min() > 1e-6 * max(1.0, float(np.abs(Gd).max())):
@@ -548,9 +547,8 @@ def _repair_scales(B: np.ndarray, budget: int, seed: int) -> np.ndarray:
     raise InfeasibleRepair("no diagonal rescaling repaired the dominating products")
 
 
-def _certificate_factor(B: np.ndarray, G: ThresholdGraph, budget: int = 200,
-                        seed: int = 0) -> np.ndarray:
-    BD = _repair_scales(np.asarray(B, dtype=float), budget, seed)
+def _certificate_factor(B: np.ndarray, G: ThresholdGraph) -> np.ndarray:
+    BD = _repair_scales(np.asarray(B, dtype=float))
     norms = (BD * BD).sum(axis=0)
     C2 = float(norms.max()) + 1.0
     y = np.sqrt(C2 - norms)
@@ -563,8 +561,7 @@ def _certificate_factor(B: np.ndarray, G: ThresholdGraph, budget: int = 200,
     return M
 
 
-def orthogonal_certificate(B: np.ndarray, G: ThresholdGraph, budget: int = 200,
-                           seed: int = 0) -> np.ndarray:
+def orthogonal_certificate(B: np.ndarray, G: ThresholdGraph) -> np.ndarray:
     """Two-eigenvalue realization of S(G) from a column-orthogonal
     dominating-by-isolated block B.
 
@@ -585,7 +582,7 @@ def orthogonal_certificate(B: np.ndarray, G: ThresholdGraph, budget: int = 200,
     off = (U.T @ U) - np.eye(B.shape[1])
     if float(np.abs(off).max(initial=0.0)) > 1e-8:
         raise BadParams("columns are not orthogonal")
-    M = _certificate_factor(B, G, budget, seed)
+    M = _certificate_factor(B, G)
     A = M @ M.T
     A = (A + A.T) / 2
     if not in_pattern(A, G):

@@ -27,9 +27,13 @@ from .spectra import cluster_spectrum, eigen_sym, eigen_sym_vectors, in_pattern,
 @dataclass(frozen=True)
 class SupportPattern:
     """Dominating-by-isolated support of S(G): support[i, j] is True iff
-    dominating vertex i (creation order) is adjacent to isolated vertex j."""
+    dominating vertex i (creation order) is adjacent to isolated vertex j.
+
+    starts[j], when given, is column j's first supported row.
+    """
 
     support: np.ndarray
+    starts: tuple[int, ...] | None = None
 
     @property
     def rows(self) -> int:
@@ -41,16 +45,19 @@ class SupportPattern:
 
     @classmethod
     def from_graph(cls, G: ThresholdGraph) -> "SupportPattern":
-        dom, iso = G.dominating, G.isolated
-        S = np.zeros((len(dom), len(iso)), dtype=bool)
-        for r, d in enumerate(dom):
-            for c, z in enumerate(iso):
-                S[r, c] = d > z  # dominating vertex added later covers z
+        bits = np.array(G.creation.bits)
+        dom, iso = np.flatnonzero(bits == 1), np.flatnonzero(bits == 0)
+        S = np.greater.outer(dom, iso)  # covers the isolated vertices added before it
         S.setflags(write=False)
-        return cls(S)
+        # a column starts after the dominating vertices before its vertex
+        return cls(S, tuple(np.cumsum(bits)[iso].tolist()))
 
     def suffix_starts(self) -> list[int]:
         """First supported row per column; columns are suffix-supported."""
+        if self.starts is not None:
+            if any(a >= self.rows for a in self.starts):
+                raise ValueError("an isolated vertex has no dominating neighbour")
+            return list(self.starts)
         starts = []
         for j in range(self.cols):
             col = self.support[:, j]
@@ -78,30 +85,18 @@ class Infeasible:
     rows: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class Unknown:
-    attempts: int
-
-
-def _column_groups(starts: list[int], T: int) -> list[tuple[int, list[int]]]:
-    """Groups of columns by support size, smallest support first."""
-    by_size: dict[int, list[int]] = {}
-    for j, a in enumerate(starts):
-        by_size.setdefault(T - a, []).append(j)
-    return sorted(by_size.items())
-
-
-def decide_column_orthogonal(P: SupportPattern, budget: int = 200, seed: int = 0):
+def decide_column_orthogonal(P: SupportPattern):
     """Decide whether the staircase admits a column-orthogonal completion.
 
     Feasible(B): B has the exact support, unit columns, pairwise inner
-    products below 1e-9.  Infeasible(witness): counting obstruction.
-    Unknown only if the randomized completion exhausts its budget, which
-    the counting criterion makes unreachable in practice.
+    products below 1e-9.  Infeasible(witness): counting obstruction.  One
+    of the two is returned for every staircase.
     """
     T = P.rows
-    starts = P.suffix_starts()
-    groups = _column_groups(starts, T)
+    by_size: dict[int, list[int]] = {}
+    for j, a in enumerate(P.suffix_starts()):
+        by_size.setdefault(T - a, []).append(j)
+    groups = sorted(by_size.items())  # column groups, smallest support first
     cum = 0
     for idx, (size, cols) in enumerate(groups):
         cum += len(cols)
@@ -114,47 +109,56 @@ def decide_column_orthogonal(P: SupportPattern, budget: int = 200, seed: int = 0
                 witness_cols.append(groups[idx + 1][1][0])
             rows = tuple(range(T - size, T))
             return Infeasible(tuple(witness_cols), rows)
-    B = _complete_orthogonal(P, starts, budget, seed)
-    if B is None:
-        return Unknown(budget)
-    return Feasible(B)
+    return Feasible(_complete_orthogonal(groups, T))
 
 
-def _complete_orthogonal(P: SupportPattern, starts, budget: int, seed: int):
-    """Sequential completion, smallest support first: each new column is a
-    random unit null-space vector of the previous columns restricted to its
-    support, rejected until every support entry clears a floor."""
-    T, k = P.rows, P.cols
-    rng = np.random.default_rng(seed)
-    order = sorted(range(k), key=lambda j: T - starts[j])
-    B = np.zeros((T, k))
-    placed: list[int] = []
-    for j in order:
-        supp = np.arange(starts[j], T)
-        m = len(supp)
-        prev = B[np.ix_(supp, placed)].T if placed else np.zeros((0, m))
-        ok = False
-        for _ in range(budget):
-            if prev.shape[0]:
-                _, sv, Vt = np.linalg.svd(prev, full_matrices=True)
-                rank = int((sv > 1e-12 * sv[0]).sum()) if sv.size else 0
-                N = Vt[rank:].T
-            else:
-                N = np.eye(m)
-            if N.shape[1] == 0:
-                return None
-            v = N @ rng.normal(size=N.shape[1])
-            nrm = np.linalg.norm(v)
-            if nrm < 1e-12:
-                continue
-            v /= nrm
-            if np.abs(v).min() > 1e-3:
-                ok = True
-                break
-        if not ok:
-            return None
-        B[supp, j] = v
-        placed.append(j)
+_ENTRY_FLOOR = 1e-3  # smallest support entry a completion column should keep
+_MIX_STEPS = 64
+
+
+def _helmert(W: int, m: int) -> np.ndarray:
+    """Unit reversed Helmert vector h_m of R^W: all ones for m = 1,
+    otherwise -(m-1) on row W-m and 1 on the m-1 rows below it."""
+    h = np.ones(W)
+    if m > 1:
+        h[: W - m] = 0.0
+        h[W - m] = 1.0 - m
+    return h / np.linalg.norm(h)
+
+
+def _mix(H: np.ndarray, m: int) -> np.ndarray:
+    """H's columns mixed by the reflection I - 2uu^T/u^Tu, u = (1..c) + a,
+    for the first a = 1, 2, ... whose entries on the last m rows clear the
+    floor (else the a whose smallest such entry is largest).  The
+    reflection has no zero entry, so every column keeps a share of h_m."""
+    best, best_low = H, -1.0
+    for a in range(1, _MIX_STEPS + 1):
+        u = np.arange(1.0, H.shape[1] + 1) + a
+        V = H - np.outer(H @ u, 2 * u / (u @ u))
+        low = float(np.abs(V[-m:]).min())
+        if low > best_low:
+            best, best_low = V, low
+        if low > _ENTRY_FLOOR:
+            break
+    return best
+
+
+def _complete_orthogonal(groups: list[tuple[int, list[int]]], T: int) -> np.ndarray:
+    """Column-orthogonal completion from the reversed Helmert basis of the
+    widest support's W rows, whose h_m (m >= 2) live on exactly the last m.
+    A group of c columns of support size m takes h_m and the c-1 largest
+    unused smaller indices (h_1 only when m = W): the counting criterion
+    is exactly the condition that they exist, so every staircase that
+    passes it is completed.  No index is shared between groups."""
+    W = groups[-1][0] if groups else 0
+    B = np.zeros((T, sum(len(cols) for _, cols in groups)))
+    used: set[int] = set()
+    for m, cols in groups:
+        lowest = 1 if m == W else 2
+        picks = [m] + [i for i in range(m - 1, lowest - 1, -1) if i not in used][: len(cols) - 1]
+        used.update(picks)
+        H = np.stack([_helmert(W, i) for i in picks], axis=1)
+        B[T - W:, cols] = _mix(H, m)
     return B
 
 

@@ -226,7 +226,7 @@ class TableReport:
         return "\n".join(lines) + "\n"
 
 
-def reproduce_table(n: int, seed: int = 0) -> TableReport:
+def reproduce_table(n: int) -> TableReport:
     """Classify every connected sequence of order n and compare with the
     catalog; unlisted sequences are reported, never matched by guesswork."""
     if n not in TABLES:
@@ -237,7 +237,7 @@ def reproduce_table(n: int, seed: int = 0) -> TableReport:
     results = []
     extras = []
     for row in table:
-        qb = classify_q(graph_from_text(row.sequence), seed=seed)
+        qb = classify_q(graph_from_text(row.sequence))
         match = qb.lower == row.q_low and qb.upper == row.q_high
         note = ""
         if row.printed_q is not None:
@@ -249,7 +249,7 @@ def reproduce_table(n: int, seed: int = 0) -> TableReport:
     for seq in enumerate_connected(n, order="table"):
         if seq.text in by_seq:
             continue
-        qb = classify_q(graph_from_text(seq.text), seed=seed)
+        qb = classify_q(graph_from_text(seq.text))
         extras.append(RowResult(
             0, seq.text, 0, 0, qb.lower, qb.upper, False,
             tuple(c.kind for c in qb.lower_certs + qb.upper_certs),

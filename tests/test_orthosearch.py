@@ -12,14 +12,41 @@ from threshq.orthosearch import (
     verify_feasible,
     verify_infeasible,
 )
-from threshq.sequences import enumerate_connected, graph_from_text
+from threshq.sequences import block_form, enumerate_connected, graph_from_text
 from threshq.spectra import cluster_spectrum, eigen_sym, in_pattern
 
 rng = np.random.default_rng(7)
 
 
-def gate(text, seed=0):
-    return decide_column_orthogonal(SupportPattern.from_graph(graph_from_text(text)), seed=seed)
+def gate(text):
+    return decide_column_orthogonal(SupportPattern.from_graph(graph_from_text(text)))
+
+
+def counting_criterion(text):
+    """q = 2 by column counting, from the block form: counting from the
+    last block, isolated columns never outnumber the dominating rows they
+    live in, and only the first block may fill them exactly."""
+    bf = block_form(graph_from_text(text).creation)
+    cols = rows = 0
+    for i in reversed(range(bf.s)):
+        cols += bf.ks[i]
+        rows += bf.ts[i]
+        if cols > rows or (i > 0 and cols == rows):
+            return False
+    return True
+
+
+def check_gate_is_total(n):
+    # Feasible exactly when the counting criterion holds, and every answer
+    # carries a witness that re-verifies
+    for seq in enumerate_connected(n):
+        P = SupportPattern.from_graph(graph_from_text(seq.text))
+        out = decide_column_orthogonal(P)
+        if isinstance(out, Feasible):
+            assert verify_feasible(P, out.matrix), seq.text
+        else:
+            assert isinstance(out, Infeasible) and verify_infeasible(P, out), seq.text
+        assert isinstance(out, Feasible) == counting_criterion(seq.text), seq.text
 
 
 # ---------------------------------------------------------------- the gate
@@ -57,15 +84,16 @@ def test_pendant_tail_infeasible():
 
 @pytest.mark.parametrize("n", range(2, 9))
 def test_gate_outputs_always_verify(n):
-    for seq in enumerate_connected(n):
+    check_gate_is_total(n)
+
+
+def test_support_pattern_from_bits_matches_definition():
+    for seq in (seq for n in range(2, 11) for seq in enumerate_connected(n)):
         G = graph_from_text(seq.text)
         P = SupportPattern.from_graph(G)
-        out = decide_column_orthogonal(P, seed=3)
-        if isinstance(out, Feasible):
-            assert verify_feasible(P, out.matrix), seq.text
-        else:
-            assert isinstance(out, Infeasible), seq.text
-            assert verify_infeasible(P, out), seq.text
+        S = np.array([[d > z for z in G.isolated] for d in G.dominating], dtype=bool)
+        assert np.array_equal(P.support, S.reshape(P.support.shape)), seq.text
+        assert P.suffix_starts() == SupportPattern(P.support).suffix_starts(), seq.text
 
 
 def test_staircase_structure_enforced():
@@ -74,26 +102,9 @@ def test_staircase_structure_enforced():
         SupportPattern(S).suffix_starts()
 
 
-def test_budget_exhaustion_reports_unknown():
-    from threshq.orthosearch import Unknown
-
-    P = SupportPattern.from_graph(graph_from_text("0011"))
-    out = decide_column_orthogonal(P, budget=0)
-    assert isinstance(out, Unknown) and out.attempts == 0
-
-
-@pytest.mark.parametrize("n", [10, 12])
+@pytest.mark.parametrize("n", range(9, 17))
 def test_gate_completions_scale_to_larger_orders(n):
-    rng_local = np.random.default_rng(n)
-    seqs = list(enumerate_connected(n))
-    for idx in rng_local.choice(len(seqs), size=40, replace=False):
-        G = graph_from_text(seqs[idx].text)
-        P = SupportPattern.from_graph(G)
-        out = decide_column_orthogonal(P, seed=5)
-        if isinstance(out, Feasible):
-            assert verify_feasible(P, out.matrix), seqs[idx].text
-        else:
-            assert isinstance(out, Infeasible) and verify_infeasible(P, out), seqs[idx].text
+    check_gate_is_total(n)
 
 
 # ---------------------------------------------------------------- ssp
