@@ -1,4 +1,5 @@
 import itertools
+import random
 from collections import Counter
 
 import numpy as np
@@ -299,6 +300,25 @@ def _census_snapshot(seqs):
                        for key, v in sorted(c.payload.items()) if isinstance(v, np.ndarray))
         snap[seq.text] = (qb.lower, qb.upper, arrays)
     return snap
+
+
+@pytest.mark.parametrize("seed", [1, 17, 99])
+def test_classify_values_independent_of_seed(seed):
+    # classify_q takes no seed: seeding the global generators and shuffling
+    # the run order from a cold memo must leave every answer as it was
+    seqs = list(enumerate_connected(7))
+    bounds._classify_bits.cache_clear()
+    base = _census_snapshot(seqs)
+    random.seed(seed)
+    np.random.seed(seed)
+    order = np.random.default_rng(seed).permutation(len(seqs))
+    bounds._classify_bits.cache_clear()
+    shuffled = _census_snapshot([seqs[i] for i in order])
+    bounds._classify_bits.cache_clear()
+    assert shuffled == base
+    for seq in seqs:
+        g = build_graph(seq)
+        assert verify_qbound(g, classify_q(g)), seq.text
 
 
 def test_classify_independent_of_run_order():
