@@ -530,16 +530,19 @@ def jdup_realization(A: np.ndarray, v: int, theta: float = math.pi / 4,
 def _repair_scales(B: np.ndarray) -> np.ndarray:
     """Column rescaling making every dominating pair product nonzero.
 
-    Scaling columns keeps them orthogonal.  With scales d_j = sqrt(1 + a j/k)
-    each pair product is linear in a, so it vanishes for at most one a
-    unless it vanishes for all; a = 0, 1, ... tries one more value than
-    there are pairs and raises InfeasibleRepair if none repairs them all.
+    Scaling columns keeps them orthogonal.  Column 0 (the first vertex of
+    the creation sequence) meets every dominating row, so scaling it by
+    sqrt(1 + a) turns the product of rows p, q into alpha + a c with
+    c = B[p, 0] B[q, 0] != 0: it vanishes for at most one a.  Of the
+    T(T-1)/2 + 1 values a = 0, 1, ... one therefore repairs every pair;
+    InfeasibleRepair is raised only if rounding defeats them all.
     """
     T, k = B.shape
     if T <= 1:
         return B
     for a in range(T * (T - 1) // 2 + 1):
-        BD = B * np.sqrt(1.0 + a * np.arange(k) / k)
+        BD = B.copy()
+        BD[:, 0] *= math.sqrt(1.0 + a)
         Gd = BD @ BD.T
         off = np.abs(Gd[~np.eye(T, dtype=bool)])
         if off.min() > 1e-6 * max(1.0, float(np.abs(Gd).max())):

@@ -27,13 +27,9 @@ from .spectra import cluster_spectrum, eigen_sym, eigen_sym_vectors, in_pattern,
 @dataclass(frozen=True)
 class SupportPattern:
     """Dominating-by-isolated support of S(G): support[i, j] is True iff
-    dominating vertex i (creation order) is adjacent to isolated vertex j.
-
-    starts[j], when given, is column j's first supported row.
-    """
+    dominating vertex i (creation order) is adjacent to isolated vertex j."""
 
     support: np.ndarray
-    starts: tuple[int, ...] | None = None
 
     @property
     def rows(self) -> int:
@@ -49,15 +45,10 @@ class SupportPattern:
         dom, iso = np.flatnonzero(bits == 1), np.flatnonzero(bits == 0)
         S = np.greater.outer(dom, iso)  # covers the isolated vertices added before it
         S.setflags(write=False)
-        # a column starts after the dominating vertices before its vertex
-        return cls(S, tuple(np.cumsum(bits)[iso].tolist()))
+        return cls(S)
 
     def suffix_starts(self) -> list[int]:
         """First supported row per column; columns are suffix-supported."""
-        if self.starts is not None:
-            if any(a >= self.rows for a in self.starts):
-                raise ValueError("an isolated vertex has no dominating neighbour")
-            return list(self.starts)
         starts = []
         for j in range(self.cols):
             col = self.support[:, j]

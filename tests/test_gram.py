@@ -278,3 +278,18 @@ def test_orthogonal_certificate_rejects_bad_block():
         orthogonal_certificate(np.array([[1.0]]), G)  # wrong shape
     with pytest.raises(BadParams):
         orthogonal_certificate(np.array([[1.0, 1.0]]), G)  # cannot be orthogonal
+
+
+def test_repair_scales_fixes_pairs_blind_to_graded_scales():
+    from threshq.gram import _repair_scales
+
+    # rows 0 and 1 of this Hadamard block have products c = (1, -1, -1, 1)/4:
+    # sum c_j = sum j c_j = 0, so graded scales d_j^2 = 1 + a j/k never
+    # repair them, while scaling the full column 0 does
+    H = np.array([[1, 1, 1, 1], [1, -1, -1, 1], [1, 1, -1, -1], [1, -1, 1, -1]]) / 2.0
+    c = H[0] * H[1]
+    assert c.sum() == 0 and (np.arange(4) * c).sum() == 0
+    BD = _repair_scales(H)
+    assert np.array_equal(BD[:, 1:], H[:, 1:]) and np.all(np.abs(BD @ BD.T) > 1e-6)
+    A = orthogonal_certificate(H, graph_from_text("00001111"))
+    assert in_pattern(A, graph_from_text("00001111")) and q_of_matrix(A) == 2
