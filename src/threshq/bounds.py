@@ -10,7 +10,6 @@ Every certificate re-verifies independently of the search that found it.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
 
@@ -32,6 +31,7 @@ from .sequences import (
     build_graph,
     creation_order_of,
     graph_from_text,
+    parse_creation_sequence,
     unique_path_bound,
 )
 from .spectra import in_pattern, pattern_matrix, q_of_matrix
@@ -336,71 +336,46 @@ def chain_certificate(G: ThresholdGraph) -> Certificate | None:
 
 
 # Order-8 targets whose q <= 3 comes from a verified matrix with the strong
-# spectral property whose pattern embeds in the target.
-_TRANSFER_BASES = ("00100101", "00010011")
-
-
-def _transfer_seeds() -> list[tuple[ThresholdGraph, gramlib.GramFactor, list[int]]]:
-    """The transfer bases with the factor and the embedding behind each."""
-    f = gramlib.construct_library("prop_a15a19")
-    out = []
-    for bits in _TRANSFER_BASES:
-        H = graph_from_text(bits)
-        emb = _find_embedding(f.target, H.adjacency)
-        if emb is not None:
-            out.append((H, f, emb))
-    return out
-
-
-def _find_embedding(sub: np.ndarray, sup: np.ndarray) -> list[int] | None:
-    """Permutation mapping every edge of `sub` onto an edge of `sup`
-    (degree-pruned backtracking; both graphs here have 8 vertices)."""
-    n = sub.shape[0]
-    sub_deg = sub.sum(axis=1)
-    sup_deg = sup.sum(axis=1)
-    order = sorted(range(n), key=lambda v: -sub_deg[v])
-    assign: list[int] = [-1] * n
-    used = [False] * n
-
-    def place(k: int) -> bool:
-        if k == n:
-            return True
-        v = order[k]
-        for w in range(n):
-            if used[w] or sup_deg[w] < sub_deg[v]:
-                continue
-            ok = True
-            for v2 in order[:k]:
-                if sub[v, v2] and not sup[w, assign[v2]]:
-                    ok = False
-                    break
-            if ok:
-                assign[v] = w
-                used[w] = True
-                if place(k + 1):
-                    return True
-                used[w] = False
-                assign[v] = -1
-        return False
-
-    return assign if place(0) else None
+# spectral property whose pattern embeds in the target: vertex i of the
+# matrix goes to vertex embedding[i] of the base.
+_TRANSFER_BASES = {
+    "00100101": (2, 0, 1, 5, 3, 4, 7, 6),
+    "00010011": (3, 0, 1, 7, 2, 4, 6, 5),
+}
 
 
 def transfer_certificate(G: ThresholdGraph) -> Certificate | None:
-    """q <= 3 for the transfer seeds themselves; joined-duplication images
-    inherit the bound through the reduction lift in classify_q."""
-    if G.creation.text not in _TRANSFER_BASES:
-        return None
-    for H, f, emb in _transfer_seeds():
-        if G.creation.bits == H.creation.bits:
-            A = gramlib.gram(f)
-            rep = ssp_check(A)
-            if not rep.is_ssp or q_of_matrix(A) != 3:
-                continue  # pragma: no cover - seed is fixed
+    """q <= 3 when a transfer base reaches G by joined duplications, which
+    preserve q."""
+    for base, emb in _TRANSFER_BASES.items():
+        if _reaches_by_jdup(parse_creation_sequence(base).bits, G.creation.bits):
+            A = gramlib.gram(gramlib.construct_library("prop_a15a19"))
+            if not ssp_check(A).is_ssp or q_of_matrix(A) != 3:
+                raise SelfCheckError("transfer matrix lost the strong spectral property")
             return Certificate(
                 "TableCitation", 3, "spectral transfer across supergraphs",
-                {"matrix": A, "embedding": tuple(emb), "base": H.creation.text})
+                {"matrix": A, "embedding": emb, "base": base})
     return None
+
+
+def _reaches_by_jdup(base: tuple[int, ...], target: tuple[int, ...]) -> bool:
+    """Is target obtainable from base by joined duplications only?
+
+    A joined copy of a dominating vertex lengthens its ones-run, and a
+    joined copy of the first vertex, when a zero follows it, splits
+    (0^(1+k), ...) into (0, 1, 0^k, ...).  So target is reached exactly when
+    its block form covers base's run by run (the same zero-runs, every
+    ones-run at least as long), as it stands or after folding a leading
+    (1, t) into the next zero-run.
+    """
+    want = block_form(CreationSequence(base)).blocks
+    have = block_form(CreationSequence(target)).blocks
+    forms = [have]
+    if len(have) >= 2 and have[0][0] == 1:
+        forms.append(((1 + have[1][0], have[1][1]),) + have[2:])
+    return any(len(f) == len(want)
+               and all(k == kb and t >= tb for (k, t), (kb, tb) in zip(f, want))
+               for f in forms)
 
 
 # ---------------------------------------------------------------------------
@@ -453,96 +428,69 @@ def ub_section12(G: ThresholdGraph, chain: Certificate | None = None) -> tuple[i
 # ---------------------------------------------------------------------------
 
 
-def jdup_reductions(bits: tuple[int, ...]) -> list[tuple[tuple[int, ...], int]]:
-    """Ways of writing the sequence as a joined duplication of something
-    smaller: (reduced bits, vertex of the reduced graph to re-duplicate).
+def _direct_upper(G: ThresholdGraph) -> list[Certificate]:
+    """The duplication chain and the general bound; both read only the
+    zero-runs and s, so shortening a ones-run never improves them."""
+    chain = chain_certificate(G)
+    certs = [chain] if chain is not None else []
+    bf = block_form(G.creation)
+    if bf.s >= 2 and any(k >= 2 for k in bf.ks):
+        certs.append(ub_section12(G, chain)[1])
+    return certs
 
-    Removing a 1 from a run of length >= 2 undoes a joined copy of that
-    run's dominating vertex; when the sequence starts (0, 1, 0...), the
-    lone leading 1 is a joined copy of the first isolated vertex of the
-    merged graph.
+
+def _leading_merge_lift(G: ThresholdGraph) -> Certificate | None:
+    """G = (0, 1^t, 0^k, ...) is t joined copies of vertex 0 away from its
+    merge form M = (0^(1+k), ...); M's best direct certificate, grown back.
+
+    Joined copies of vertex 0 are its twins, so the copies need no
+    reordering between steps; the landed sequence is checked once.
     """
-    blocks = block_form(CreationSequence(bits)).blocks
-    out = []
-    pos = 0
-    for i, (k, t) in enumerate(blocks):
-        if t >= 2:
-            reduced = []
-            for j, (kj, tj) in enumerate(blocks):
-                reduced += [0] * kj + [1] * (tj - 1 if j == i else tj)
-            out.append((tuple(reduced), pos + k))
-        pos += k + t
-    if len(blocks) >= 2 and blocks[0] == (1, 1):
-        reduced = [0] * (1 + blocks[1][0])
-        for j, (kj, tj) in enumerate(blocks[1:], start=1):
-            reduced += ([1] * tj) if j == 1 else ([0] * kj + [1] * tj)
-        out.append((tuple(reduced), 0))
-    return out
-
-
-def _lift_jdup(cert: Certificate, v: int, G: ThresholdGraph) -> Certificate | None:
-    """Push an upper certificate of a reduced graph through one joined
-    duplication; matrix payloads are rebuilt, citations extend their chain."""
-    if "matrix" in cert.payload and cert.kind in ("OrthoUB", "ConstructionUB", "DupChainUB"):
-        A = gramlib.jdup_realization(cert.payload["matrix"], v)
-        bits, order = creation_order_of(pattern_matrix(A))
-        if bits != G.creation.bits:  # pragma: no cover - reductions are exact
-            return None
-        Ac = A[np.ix_(order, order)]
-        chain = tuple(cert.payload.get("chain", ())) + (f"jdup({v})",)
-        payload = {"matrix": Ac, "chain": chain}
-        if "achieved" in cert.payload:  # joined duplication preserves q
-            payload["achieved"] = cert.payload["achieved"]
-        return Certificate("DupChainUB", cert.value, "duplication chain", payload)
-    if cert.kind == "TableCitation" and "base" in cert.payload:
-        return Certificate("TableCitation", cert.value, cert.provenance, dict(cert.payload))
-    return None  # pragma: no cover
+    blocks = block_form(G.creation).blocks
+    if len(blocks) < 2 or blocks[0][0] != 1:
+        return None
+    t, k = blocks[0][1], blocks[1][0]
+    M = build_graph(CreationSequence((0,) * (1 + k) + G.creation.bits[1 + t + k:]))
+    cert = min(_direct_upper(M), key=lambda c: c.value)
+    A = cert.payload["matrix"]
+    for _ in range(t):
+        A = gramlib.jdup_realization(A, 0)
+    bits, order = creation_order_of(pattern_matrix(A))
+    if bits != G.creation.bits:
+        raise SelfCheckError(f"merge lift landed on {bits}, wanted {G.creation.bits}")
+    payload = {"matrix": A[np.ix_(order, order)],
+               "chain": tuple(cert.payload.get("chain", ())) + ("jdup(0)",) * t}
+    if "achieved" in cert.payload:  # joined duplication preserves q
+        payload["achieved"] = cert.payload["achieved"]
+    return Certificate("DupChainUB", cert.value, "duplication chain", payload)
 
 
 def classify_q(G: ThresholdGraph) -> QBound:
     """Certified interval for q(G); exact when the sides meet.
 
-    The upper side is closed under joined-duplication reductions: a
-    certificate for any reduced form lifts to one for G, so bounds are
-    monotone along joined duplications by construction.
+    The upper side is the orthogonal completion when the gate is feasible,
+    else the direct rules plus at most one lift, tried only while they stay
+    above the lower side: a transfer citation whose base reaches G, or
+    failing that the leading-merge lift, whichever beats them.
     """
     if not G.connected:
         raise ValueError("classify_q needs a connected graph")
-    return _classify_bits(G.creation.bits)
-
-
-@functools.lru_cache(maxsize=8192)
-def _classify_bits(bits: tuple[int, ...]) -> QBound:
-    G = build_graph(CreationSequence(bits))
     gate = ortho_gate(G)
     lower_certs = _lower_certificates(G, gate)
     lower = max(c.value for c in lower_certs)
 
-    upper_certs: list[Certificate] = []
     c2 = q2_certificate(G, gate)
     if c2 is not None:
-        upper_certs.append(c2)
+        upper_certs = [c2]
     else:
-        chain = chain_certificate(G)
-        if chain is not None:
-            upper_certs.append(chain)
-        transfer = transfer_certificate(G)
-        if transfer is not None:
-            upper_certs.append(transfer)
-        bf = block_form(G.creation)
-        if bf.s >= 2 and any(k >= 2 for k in bf.ks):
-            bound, cert = ub_section12(G, chain)
-            upper_certs.append(cert)
+        upper_certs = _direct_upper(G)
         best = min(c.value for c in upper_certs)
-        for rbits, v in jdup_reductions(bits):
-            sub = _classify_bits(rbits)
-            if sub.upper >= best:
-                continue
-            sub_best = min(sub.upper_certs, key=lambda c: c.value)
-            lifted = _lift_jdup(sub_best, v, G)
-            if lifted is not None:
-                upper_certs.append(lifted)
-                best = lifted.value
+        if best > lower:
+            lift = transfer_certificate(G)
+            if lift is None or lift.value >= best:
+                lift = _leading_merge_lift(G)
+            if lift is not None and lift.value < best:
+                upper_certs.append(lift)
     upper = min(c.value for c in upper_certs)
     return QBound(lower, upper, tuple(lower_certs), tuple(upper_certs))
 
@@ -600,16 +548,6 @@ def _is_unique_path_pair(G: ThresholdGraph, pair) -> bool:
     u, v = pair
     A = G.adjacency
     return bool(u != v and not A[u, v] and np.count_nonzero(A[u] & A[v]) == 1)
-
-
-@functools.lru_cache(maxsize=65536)
-def _reaches_by_jdup(base: tuple[int, ...], target: tuple[int, ...]) -> bool:
-    """Is target obtainable from base by joined duplications only?"""
-    if base == target:
-        return True
-    if len(target) <= len(base):
-        return False
-    return any(_reaches_by_jdup(base, r) for r, _ in jdup_reductions(target))
 
 
 def verify_qbound(G: ThresholdGraph, qb: QBound) -> bool:

@@ -257,21 +257,23 @@ def creation_order_of(adjacency: np.ndarray) -> tuple[tuple[int, ...], list[int]
     """
     n = adjacency.shape[0]
     alive = list(range(n))
+    deg = adjacency.sum(axis=1).tolist()
     bits = [0] * n
     order = [0] * n
     for pos in range(n - 1, 0, -1):
-        sub = adjacency[np.ix_(alive, alive)]
-        deg = sub.sum(axis=1)
         m = len(alive)
-        idx = next((i for i in range(m) if deg[i] == m - 1), None)
+        idx = next((i for i in range(m) if deg[alive[i]] == m - 1), None)
         if idx is not None:
             bits[pos] = 1
         else:
-            idx = next((i for i in range(m) if deg[i] == 0), None)
+            idx = next((i for i in range(m) if deg[alive[i]] == 0), None)
             if idx is None:
                 raise NotThreshold("no universal or isolated vertex while peeling")
             bits[pos] = 0
-        order[pos] = alive.pop(idx)
+        v = alive.pop(idx)
+        order[pos] = v
+        for u, a in zip(alive, adjacency[v, alive].tolist()):
+            deg[u] -= a
     order[0] = alive[0]
     return tuple(bits), order
 

@@ -1,5 +1,7 @@
+import functools
 import itertools
 import random
+import time
 from collections import Counter
 
 import numpy as np
@@ -15,7 +17,6 @@ from threshq.bounds import (
     chain_certificate,
     classify_q,
     classify_text,
-    jdup_reductions,
     lb_compare1,
     lb_connected,
     lb_diameter,
@@ -171,11 +172,68 @@ def test_chain_certificates_match_expected_values():
 
 
 def test_transfer_certificates():
-    for text in ("00100101", "00010011"):
+    # the two bases, a base with longer ones-runs, and one whose leading
+    # (0, 1) folds into the next zero-run
+    for text in ("00100101", "00010011", "001001011", "010100101"):
         cert = transfer_certificate(G(text))
-        assert cert is not None and cert.value == 3
-        assert verify_certificate(G(text), cert)
+        assert cert is not None and cert.value == 3, text
+        assert verify_certificate(G(text), cert), text
     assert transfer_certificate(G("0101")) is None
+    assert transfer_certificate(G("01010101")) is None
+
+
+@functools.lru_cache(maxsize=None)
+def jdup_reductions(bits):
+    """Ways of writing the sequence as a joined duplication of something
+    smaller: (reduced bits, vertex of the reduced graph to re-duplicate).
+
+    Removing a 1 from a run of length >= 2 undoes a joined copy of that
+    run's dominating vertex; when the sequence starts (0, 1, 0...), the
+    lone leading 1 is a joined copy of the first isolated vertex of the
+    merged graph.
+    """
+    blocks = block_form(CreationSequence(bits)).blocks
+    out = []
+    pos = 0
+    for i, (k, t) in enumerate(blocks):
+        if t >= 2:
+            reduced = []
+            for j, (kj, tj) in enumerate(blocks):
+                reduced += [0] * kj + [1] * (tj - 1 if j == i else tj)
+            out.append((tuple(reduced), pos + k))
+        pos += k + t
+    if len(blocks) >= 2 and blocks[0] == (1, 1):
+        reduced = [0] * (1 + blocks[1][0])
+        for j, (kj, tj) in enumerate(blocks[1:], start=1):
+            reduced += ([1] * tj) if j == 1 else ([0] * kj + [1] * tj)
+        out.append((tuple(reduced), 0))
+    return out
+
+
+@functools.lru_cache(maxsize=None)
+def reaches_by_jdup_reference(base, target):
+    """Is target obtainable from base by joined duplications?  Searched
+    down every joined-duplication reduction of target."""
+    if base == target:
+        return True
+    if len(target) <= len(base):
+        return False
+    return any(reaches_by_jdup_reference(base, r) for r, _ in jdup_reductions(target))
+
+
+def test_reach_closed_form_matches_reduction_search():
+    bases = {G(text).creation.bits for text in bounds._TRANSFER_BASES}
+    bases |= {seq.bits for n in range(2, 7) for seq in enumerate_connected(n)}
+    targets = [seq.bits for n in range(2, 15) for seq in enumerate_connected(n)]
+    positives = 0
+    for base in sorted(bases):
+        for target in targets:
+            want = reaches_by_jdup_reference(base, target)
+            assert bounds._reaches_by_jdup(base, target) == want, (base, target)
+            positives += want
+    reaches_by_jdup_reference.cache_clear()
+    jdup_reductions.cache_clear()
+    assert positives > len(bases)
 
 
 def test_jdup_reductions_shapes():
@@ -235,11 +293,21 @@ def test_self_checks_raise_named_error(monkeypatch):
         ub_section12(G("0101001"))
 
 
+def merge_form(bits):
+    """(0^(1+k), rest) for bits = (0, 1^t, 0^k, rest), else None."""
+    blocks = block_form(CreationSequence(bits)).blocks
+    if len(blocks) < 2 or blocks[0][0] != 1:
+        return None
+    t, k = blocks[0][1], blocks[1][0]
+    return (0,) * (1 + k) + bits[1 + t + k:]
+
+
 def test_classify_runs_each_chain_once(monkeypatch):
-    # the section-12 certificate reuses the chain certificate's realization
-    # when both follow the same plan, so no lattice node realizes a plan
-    # twice, and a node whose chain plan is the section-12 plan (s >= 4, and
-    # the s = 3 fallback) runs one chain in all
+    # one classify_q call realizes no plan twice, only on G and on its
+    # leading-merge form M; the section-12 certificate reuses the chain
+    # certificate's realization when both follow the same plan, so a graph
+    # whose chain plan is the section-12 plan (s >= 4, and the s = 3
+    # fallback) runs one chain in all
     runs = []
 
     def counting(plan):
@@ -248,21 +316,18 @@ def test_classify_runs_each_chain_once(monkeypatch):
         return A, steps
 
     monkeypatch.setattr(bounds, "run_chain", counting)
-    bounds._classify_bits.cache_clear()
-    for seq in enumerate_connected(10):
-        classify_q(build_graph(seq))
-    nodes = bounds._classify_bits.cache_info().misses
-    bounds._classify_bits.cache_clear()
-    assert runs and len(set(runs)) == len(runs)
-    per_node = Counter(bits for bits, _ in runs)
-    assert len(per_node) <= nodes
     shared = 0
-    for bits, count in per_node.items():
-        bf = block_form(build_graph(CreationSequence(bits)).creation)
-        section12 = _section12_plan(bf)
-        if section12 and _chain_steps(_chain_plan(bf)) == _chain_steps(section12):
-            assert count == 1, bits
-            shared += 1
+    for seq in enumerate_connected(10):
+        runs.clear()
+        classify_q(build_graph(seq))
+        assert len(set(runs)) == len(runs), seq.text
+        assert {bits for bits, _ in runs} <= {seq.bits, merge_form(seq.bits)}, seq.text
+        for bits, count in Counter(bits for bits, _ in runs).items():
+            bf = block_form(CreationSequence(bits))
+            section12 = _section12_plan(bf)
+            if section12 and _chain_steps(_chain_plan(bf)) == _chain_steps(section12):
+                assert count == 1, (seq.text, bits)
+                shared += 1
     assert shared
 
 
@@ -305,16 +370,39 @@ def _census_snapshot(seqs):
 @pytest.mark.parametrize("seed", [1, 17, 99])
 def test_classify_values_independent_of_seed(seed):
     # classify_q takes no seed: seeding the global generators and running
-    # the n <= 9 census in a shuffled order from a cold memo must agree
-    # with an in-order run byte for byte
+    # the n <= 9 census in a shuffled order must agree with an in-order run
+    # byte for byte
     seqs = [seq for n in range(2, 10) for seq in enumerate_connected(n)]
-    bounds._classify_bits.cache_clear()
     forward = _census_snapshot(seqs)
     random.seed(seed)
     np.random.seed(seed)
     order = np.random.default_rng(seed).permutation(len(seqs))
-    bounds._classify_bits.cache_clear()
     shuffled = _census_snapshot([seqs[i] for i in order])
-    bounds._classify_bits.cache_clear()
     assert shuffled == forward
     assert all(arrays for _, _, arrays in forward.values())
+
+
+def _random_connected(rng, n):
+    return CreationSequence((0,) + tuple(rng.randint(0, 1) for _ in range(n - 2)) + (1,))
+
+
+@pytest.mark.parametrize("n", [32, 48, 64])
+def test_classify_scales_past_the_census(n):
+    # past the census orders the classifier still answers fast and sound,
+    # and at n = 64 joined duplication still never raises the upper side
+    rng = random.Random(n)
+    for i in range(10):
+        seq = _random_connected(rng, n)
+        g = build_graph(seq)
+        start = time.perf_counter()
+        qb = classify_q(g)
+        assert time.perf_counter() - start < 1.0, seq.text
+        assert verify_qbound(g, qb), seq.text
+        assert qb.upper <= (block_form(seq).s + 9) // 2, seq.text
+        if n == 64 and i < 2:
+            for v in range(n):
+                try:
+                    h = jdup_graph(g, v)
+                except NotThreshold:
+                    continue
+                assert classify_q(h).upper <= qb.upper, (seq.text, v)

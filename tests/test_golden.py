@@ -27,9 +27,7 @@ def census_rows():
 
 def test_golden_census_unchanged():
     expected = GOLDEN.read_text().splitlines()
-    bounds._classify_bits.cache_clear()
     got = list(census_rows())
-    bounds._classify_bits.cache_clear()
     assert len(got) == len(expected) == 2 ** (MAX_ORDER - 1) - 1
     changed = [(e, g) for e, g in zip(expected, got) if e != g]
     assert not changed, changed[:10]

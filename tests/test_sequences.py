@@ -183,6 +183,18 @@ def test_from_adjacency_round_trip():
         assert np.array_equal(P, H.adjacency)
 
 
+@pytest.mark.parametrize("n", range(2, 12))
+def test_creation_order_recovers_permuted_graphs(n):
+    rng = np.random.default_rng(n)
+    for seq in enumerate_connected(n):
+        A = build_graph(seq).adjacency
+        p = rng.permutation(n)
+        shuffled = A[np.ix_(p, p)]
+        bits, order = creation_order_of(shuffled)
+        assert bits == seq.bits
+        assert np.array_equal(shuffled[np.ix_(order, order)], A), seq.text
+
+
 def test_creation_order_rejects_non_threshold():
     C4 = np.zeros((4, 4), dtype=bool)
     for i, j in [(0, 1), (1, 2), (2, 3), (3, 0)]:
