@@ -9,10 +9,6 @@ from .bounds import (
     SelfCheckError,
     classify_q,
     classify_text,
-    lb_compare1,
-    lb_connected,
-    lb_diameter,
-    lb_trace,
     ub_section12,
     verify_certificate,
     verify_qbound,

@@ -1,8 +1,9 @@
 """Certified lower/upper bounds and exact values of q(G) for threshold graphs.
 
-Lower bounds: connectivity, unique shortest paths, the trace bound, the
-column-counting bound, and the full column-orthogonality gate (an exact
-characterization of q = 2).  Upper bounds: explicit two-eigenvalue
+Lower bounds, one `_LOWER_RULES` row each: connectivity, unique shortest
+paths, the trace bound, the column-counting bound, the full
+column-orthogonality gate (an exact characterization of q = 2), and a cited
+exact value for a trace-two family.  Upper bounds: explicit two-eigenvalue
 certificates, duplication chains from the catalog constructions, one
 spectral-transfer citation family, and the general floor((s+9)/2) bound.
 Every certificate re-verifies independently of the search that found it.
@@ -21,6 +22,7 @@ from .orthosearch import (
     Infeasible,
     SupportPattern,
     decide_column_orthogonal,
+    distinct_indices,
     ssp_check,
     verify_infeasible,
 )
@@ -85,66 +87,83 @@ class QBound:
 # ---------------------------------------------------------------------------
 
 
-def lb_connected(G: ThresholdGraph) -> int:
-    return 2 if G.connected and G.n >= 2 else 1
+def _connected(G: ThresholdGraph, gate) -> dict | None:
+    return {} if G.connected else None
 
 
-def lb_diameter(G: ThresholdGraph) -> int:
-    """d+1 for the longest unique shortest path (d <= 2 here), else 2."""
+def _unique_path(G: ThresholdGraph, gate) -> dict | None:
     hit = unique_path_bound(G)
-    return hit[0] + 1 if hit else 2
+    return {"distance": hit[0], "pair": hit[1]} if hit else None
 
 
-def lb_trace(G: ThresholdGraph) -> int:
+def _is_unique_path_pair(G: ThresholdGraph, payload: dict) -> bool:
+    """Two distinct, non-adjacent vertices with exactly one common
+    neighbour: they are at distance 2, joined by a unique shortest path."""
+    pair = payload.get("pair")
+    if not (distinct_indices(pair, G.n) and len(pair) == 2):
+        return False
+    A = G.adjacency
+    return bool(not A[pair[0], pair[1]] and np.count_nonzero(A[pair[0]] & A[pair[1]]) == 1)
+
+
+def _trace_below_half(G: ThresholdGraph, gate) -> dict | None:
     """Trace below ceil(n/2) rules out two distinct eigenvalues."""
-    return 3 if G.trace < math.ceil(G.n / 2) else 2
+    return {"trace": G.trace, "n": G.n} if G.trace < math.ceil(G.n / 2) else None
 
 
-def lb_compare1(G: ThresholdGraph) -> int:
-    """Zero-run at least as long as the remaining trace rules out q = 2."""
+def _zero_run_covers(bf, i) -> bool:
+    """Zero-run i >= 1 has at least as many columns as there are dominating
+    vertices after it, so their columns cannot be orthogonal: q > 2."""
+    return isinstance(i, (int, np.integer)) and 1 <= i < bf.s and bf.ks[i] >= sum(bf.ts[i:])
+
+
+def _zero_run(G: ThresholdGraph, gate) -> dict | None:
     bf = block_form(G.creation)
-    ks, ts = bf.ks, bf.ts
-    for i in range(1, bf.s):
-        if ks[i] >= sum(ts[i:]):
-            return 3
-    return 2
+    i = next((i for i in range(1, bf.s) if _zero_run_covers(bf, i)), None)
+    return None if i is None else {"block": i, "k": bf.ks[i], "tail_trace": sum(bf.ts[i:])}
 
 
-def _lower_certificates(G: ThresholdGraph, gate_result) -> list[Certificate]:
-    certs = [Certificate("ConnectedLB", 2, "connected graph")]
-    hit = unique_path_bound(G)
-    if hit:
-        d, pair = hit
-        certs.append(Certificate("DiameterLB", d + 1, "unique shortest path",
-                                 {"distance": d, "pair": pair}))
-    if lb_trace(G) == 3:
-        certs.append(Certificate("TraceLB", 3, "trace below half the order",
-                                 {"trace": G.trace, "n": G.n}))
-    bf = block_form(G.creation)
-    for i in range(1, bf.s):
-        if bf.ks[i] >= sum(bf.ts[i:]):
-            certs.append(Certificate("Compare1LB", 3, "zero-run column count",
-                                     {"block": i, "k": bf.ks[i], "tail_trace": sum(bf.ts[i:])}))
-            break
-    if isinstance(gate_result, Infeasible):
-        certs.append(Certificate(
-            "Compare1LB", 3, "orthogonality gate counting witness",
-            {"columns": gate_result.columns, "rows": gate_result.rows}))
-    exact4 = _trace_two_exact4(G)
-    if exact4:
-        certs.append(exact4)
-    return certs
+def _gate_witness(G: ThresholdGraph, gate) -> dict | None:
+    return {"columns": gate.columns, "rows": gate.rows} if isinstance(gate, Infeasible) else None
 
 
-def _trace_two_exact4(G: ThresholdGraph) -> Certificate | None:
+def _trace_two(G: ThresholdGraph, gate) -> dict | None:
     """Exact value 4 for the trace-2 family (0^k1, 1, 0^k2, 1) with k1 >= 3
     and k2 >= 2; the supporting argument is cited, so the certificate's
     checkable content is the block shape itself."""
     bf = block_form(G.creation)
-    if G.n >= 5 and bf.s == 2 and bf.ts == (1, 1) and bf.ks[0] >= 3 and bf.ks[1] >= 2:
-        return Certificate("TableCitation", 4, "trace-two family exact value",
-                           {"ks": bf.ks, "ts": bf.ts})
-    return None
+    fires = bf.s == 2 and bf.ts == (1, 1) and bf.ks[0] >= 3 and bf.ks[1] >= 2
+    return {"ks": bf.ks, "ts": bf.ts} if fires else None
+
+
+def _fires(find):
+    """The check of a rule whose payload only restates G: the rule fires."""
+    return lambda G, payload: find(G, None) is not None
+
+
+# Every lower-bound rule, in certificate order: (kind, value, provenance,
+# find, check).  find(G, gate) returns a certificate payload, or None when
+# the rule does not fire; check(G, payload) re-validates a payload, and is
+# False, never an error, on a malformed one.
+_LOWER_RULES = (
+    ("ConnectedLB", 2, "connected graph", _connected, _fires(_connected)),
+    ("DiameterLB", 3, "unique shortest path", _unique_path, _is_unique_path_pair),
+    ("TraceLB", 3, "trace below half the order", _trace_below_half, _fires(_trace_below_half)),
+    ("Compare1LB", 3, "zero-run column count", _zero_run,
+     lambda G, payload: _zero_run_covers(block_form(G.creation), payload.get("block"))),
+    ("Compare1LB", 3, "orthogonality gate counting witness", _gate_witness,
+     lambda G, payload: verify_infeasible(SupportPattern.from_graph(G), Infeasible(
+         payload.get("columns"), payload.get("rows")))),
+    ("TableCitation", 4, "trace-two family exact value", _trace_two, _fires(_trace_two)),
+)
+_LOWER_CHECKS = {(kind, provenance): (value, check)
+                 for kind, value, provenance, _, check in _LOWER_RULES}
+
+
+def _lower_certificates(G: ThresholdGraph, gate) -> list[Certificate]:
+    return [Certificate(kind, value, provenance, payload)
+            for kind, value, provenance, find, _ in _LOWER_RULES
+            if (payload := find(G, gate)) is not None]
 
 
 # ---------------------------------------------------------------------------
@@ -268,11 +287,9 @@ def _section12_plan(bf) -> ChainPlan | None:
     return ChainPlan(seed, tuple(dup), tuple(jd))
 
 
-def _star_chain(bf) -> tuple[np.ndarray, list[str]] | None:
+def _star_chain(bf) -> tuple[np.ndarray, list[str]]:
     """Complete split graphs with k > t: adjacency of the star, then joined
     duplications of the dominating vertex."""
-    if bf.s != 1:
-        return None
     k, t = bf.ks[0], bf.ts[0]
     A = np.zeros((k + 1, k + 1))
     A[k, :k] = 1.0
@@ -301,15 +318,20 @@ def run_chain(plan: ChainPlan) -> tuple[np.ndarray, list[str]]:
     return A, list(_chain_steps(plan))
 
 
+def _landed(A: np.ndarray, G: ThresholdGraph, what: str) -> np.ndarray:
+    """A chain matrix in creation order; SelfCheckError unless it landed on G."""
+    bits, order = creation_order_of(pattern_matrix(A))
+    if bits != G.creation.bits:
+        raise SelfCheckError(f"{what} landed on {bits}, wanted {G.creation.bits}")
+    return A[np.ix_(order, order)]
+
+
 def chain_certificate(G: ThresholdGraph) -> Certificate | None:
     """Upper bound from a duplication chain, with the final matrix permuted
     to creation order and re-verified."""
     bf = block_form(G.creation)
     if bf.s == 1:
-        out = _star_chain(bf)
-        if out is None:
-            return None
-        A, steps = out
+        A, steps = _star_chain(bf)
         seed_q = 3 if bf.ks[0] >= 2 else 2
     else:
         plan = _chain_plan(bf)
@@ -317,10 +339,7 @@ def chain_certificate(G: ThresholdGraph) -> Certificate | None:
             return None
         A, steps = run_chain(plan)
         seed_q = q_of_matrix(gramlib.gram(plan.seed))
-    bits, order = creation_order_of(pattern_matrix(A))
-    if bits != G.creation.bits:
-        raise SelfCheckError(f"chain landed on {bits}, wanted {G.creation.bits}")
-    Ac = A[np.ix_(order, order)]
+    Ac = _landed(A, G, "chain")
     if not in_pattern(Ac, G):
         raise SelfCheckError("chain certificate left the pattern")
     value = q_of_matrix(Ac)
@@ -342,6 +361,7 @@ _TRANSFER_BASES = {
     "00100101": (2, 0, 1, 5, 3, 4, 7, 6),
     "00010011": (3, 0, 1, 7, 2, 4, 6, 5),
 }
+_TRANSFER = "spectral transfer across supergraphs"
 
 
 def transfer_certificate(G: ThresholdGraph) -> Certificate | None:
@@ -353,7 +373,7 @@ def transfer_certificate(G: ThresholdGraph) -> Certificate | None:
             if not ssp_check(A).is_ssp or q_of_matrix(A) != 3:
                 raise SelfCheckError("transfer matrix lost the strong spectral property")
             return Certificate(
-                "TableCitation", 3, "spectral transfer across supergraphs",
+                "TableCitation", 3, _TRANSFER,
                 {"matrix": A, "embedding": emb, "base": base})
     return None
 
@@ -403,9 +423,7 @@ def ub_section12(G: ThresholdGraph, chain: Certificate | None = None) -> tuple[i
         if chain is not None and chain.payload.get("chain") == steps:
             Ac, value = chain.payload["matrix"], chain.value
         else:
-            A, _ = run_chain(plan)
-            bits, order = creation_order_of(pattern_matrix(A))
-            Ac = A[np.ix_(order, order)]
+            Ac = _landed(run_chain(plan)[0], G, "paired-column chain")
             value = q_of_matrix(Ac)
         parity_even = plan.seed.params["p1"] % 2 == 0 and plan.seed.params["p2"] % 2 == 0
         kind = "ConstructionUB" if parity_even else "DupChainUB"
@@ -439,9 +457,10 @@ def _direct_upper(G: ThresholdGraph) -> list[Certificate]:
     return certs
 
 
-def _leading_merge_lift(G: ThresholdGraph) -> Certificate | None:
+def _leading_merge_lift(G: ThresholdGraph, best: int) -> Certificate | None:
     """G = (0, 1^t, 0^k, ...) is t joined copies of vertex 0 away from its
-    merge form M = (0^(1+k), ...); M's best direct certificate, grown back.
+    merge form M = (0^(1+k), ...); M's best direct certificate, grown back,
+    or None when that certificate's value is not below `best`.
 
     Joined copies of vertex 0 are its twins, so the copies need no
     reordering between steps; the landed sequence is checked once.
@@ -452,13 +471,12 @@ def _leading_merge_lift(G: ThresholdGraph) -> Certificate | None:
     t, k = blocks[0][1], blocks[1][0]
     M = build_graph(CreationSequence((0,) * (1 + k) + G.creation.bits[1 + t + k:]))
     cert = min(_direct_upper(M), key=lambda c: c.value)
+    if cert.value >= best:
+        return None
     A = cert.payload["matrix"]
     for _ in range(t):
         A = gramlib.jdup_realization(A, 0)
-    bits, order = creation_order_of(pattern_matrix(A))
-    if bits != G.creation.bits:
-        raise SelfCheckError(f"merge lift landed on {bits}, wanted {G.creation.bits}")
-    payload = {"matrix": A[np.ix_(order, order)],
+    payload = {"matrix": _landed(A, G, "merge lift"),
                "chain": tuple(cert.payload.get("chain", ())) + ("jdup(0)",) * t}
     if "achieved" in cert.payload:  # joined duplication preserves q
         payload["achieved"] = cert.payload["achieved"]
@@ -488,7 +506,7 @@ def classify_q(G: ThresholdGraph) -> QBound:
         if best > lower:
             lift = transfer_certificate(G)
             if lift is None or lift.value >= best:
-                lift = _leading_merge_lift(G)
+                lift = _leading_merge_lift(G, best)
             if lift is not None and lift.value < best:
                 upper_certs.append(lift)
     upper = min(c.value for c in upper_certs)
@@ -502,52 +520,25 @@ def classify_q(G: ThresholdGraph) -> QBound:
 
 def verify_certificate(G: ThresholdGraph, cert: Certificate) -> bool:
     """Re-validate a certificate from its payload alone."""
-    if cert.kind == "ConnectedLB":
-        return G.connected and cert.value == 2
-    if cert.kind == "DiameterLB":
-        return cert.value == 3 and _is_unique_path_pair(G, cert.payload.get("pair"))
-    if cert.kind == "TraceLB":
-        return G.trace < math.ceil(G.n / 2) and cert.value == 3
-    if cert.kind == "Compare1LB":
-        if "columns" in cert.payload:
-            w = Infeasible(tuple(cert.payload["columns"]), tuple(cert.payload["rows"]))
-            return verify_infeasible(SupportPattern.from_graph(G), w) and cert.value == 3
-        bf = block_form(G.creation)
-        i = cert.payload["block"]
-        return bf.ks[i] >= sum(bf.ts[i:]) and cert.value == 3
-    if cert.kind == "OrthoUB":
-        A = cert.payload["matrix"]
-        return bool(in_pattern(A, G)) and q_of_matrix(A) == 2 == cert.value
-    if cert.kind in ("ConstructionUB", "DupChainUB"):
+    rule = _LOWER_CHECKS.get((cert.kind, cert.provenance))
+    if rule is not None:
+        value, check = rule
+        return cert.value == value and isinstance(cert.payload, dict) and check(G, cert.payload)
+    if cert.kind in ("OrthoUB", "ConstructionUB", "DupChainUB"):
         A = cert.payload["matrix"]
         achieved = cert.payload.get("achieved", cert.value)
-        return bool(in_pattern(A, G)) and q_of_matrix(A) == achieved and achieved <= cert.value
-    if cert.kind == "TableCitation":
-        if "matrix" in cert.payload:  # spectral transfer
-            A = cert.payload["matrix"]
-            emb = list(cert.payload["embedding"])
-            base = graph_from_text(cert.payload["base"])
-            P = pattern_matrix(A)
-            edges_ok = all(
-                base.adjacency[emb[i], emb[j]]
-                for i in range(A.shape[0]) for j in range(i + 1, A.shape[0]) if P[i, j])
-            chain_ok = _reaches_by_jdup(base.creation.bits, G.creation.bits)
-            return edges_ok and chain_ok and ssp_check(A).is_ssp and q_of_matrix(A) == cert.value
-        bf = block_form(G.creation)  # trace-two exact-4 family shape
-        return (cert.value == 4 and G.n >= 5 and bf.s == 2 and bf.ts == (1, 1)
-                and bf.ks[0] >= 3 and bf.ks[1] >= 2)
+        return bool(in_pattern(A, G)) and q_of_matrix(A) == achieved <= cert.value
+    if (cert.kind, cert.provenance) == ("TableCitation", _TRANSFER):
+        A = cert.payload["matrix"]
+        emb = list(cert.payload["embedding"])
+        base = graph_from_text(cert.payload["base"])
+        P = pattern_matrix(A)
+        edges_ok = all(
+            base.adjacency[emb[i], emb[j]]
+            for i in range(A.shape[0]) for j in range(i + 1, A.shape[0]) if P[i, j])
+        chain_ok = _reaches_by_jdup(base.creation.bits, G.creation.bits)
+        return edges_ok and chain_ok and ssp_check(A).is_ssp and q_of_matrix(A) == cert.value
     return False
-
-
-def _is_unique_path_pair(G: ThresholdGraph, pair) -> bool:
-    """Two distinct, non-adjacent vertices with exactly one common
-    neighbour: they are at distance 2, joined by a unique shortest path."""
-    if not (isinstance(pair, (tuple, list)) and len(pair) == 2
-            and all(isinstance(x, (int, np.integer)) and 0 <= x < G.n for x in pair)):
-        return False
-    u, v = pair
-    A = G.adjacency
-    return bool(u != v and not A[u, v] and np.count_nonzero(A[u] & A[v]) == 1)
 
 
 def verify_qbound(G: ThresholdGraph, qb: QBound) -> bool:

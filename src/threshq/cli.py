@@ -173,7 +173,6 @@ def build_parser() -> argparse.ArgumentParser:
     sub = p.add_subparsers(dest="command", required=True)
 
     def common(sp):
-        sp.add_argument("--tol", type=float, default=None)
         sp.add_argument("--format", choices=("text", "json", "csv"), default="text")
 
     sp = sub.add_parser("bounds", help="classify one creation sequence")
@@ -195,6 +194,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("sequence")
     sp.add_argument("q", type=int)
     sp.add_argument("file")
+    sp.add_argument("--tol", type=float, default=None)
     common(sp)
     sp.set_defaults(func=cmd_certify)
 

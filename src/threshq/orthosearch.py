@@ -169,13 +169,15 @@ def verify_feasible(P: SupportPattern, B: np.ndarray, tol: float = 1e-9) -> bool
 
 
 def verify_infeasible(P: SupportPattern, w: Infeasible) -> bool:
-    """Re-check the counting witness: pairwise overlaps confined to w.rows,
-    every column meets w.rows, and there are more columns than rows."""
+    """Re-check the counting witness: more distinct columns than distinct
+    rows, all inside the staircase, pairwise overlaps confined to w.rows,
+    every column meets w.rows.  A malformed witness fails the check."""
+    if not (distinct_indices(w.columns, P.cols) and distinct_indices(w.rows, P.rows)
+            and len(w.columns) > len(w.rows)):
+        return False
     S = P.support
     rows = set(w.rows)
     cols = list(w.columns)
-    if len(cols) <= len(rows):
-        return False
     for a in range(len(cols)):
         if not any(S[r, cols[a]] for r in rows):
             return False
@@ -184,6 +186,13 @@ def verify_infeasible(P: SupportPattern, w: Infeasible) -> bool:
             if any(r not in rows for r in overlap):
                 return False
     return True
+
+
+def distinct_indices(xs, bound: int) -> bool:
+    """xs is a tuple or list of distinct ints in range(bound)."""
+    return (isinstance(xs, (tuple, list))
+            and all(isinstance(x, (int, np.integer)) and 0 <= x < bound for x in xs)
+            and len(set(xs)) == len(xs))
 
 
 # ---------------------------------------------------------------------------

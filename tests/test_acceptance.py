@@ -10,7 +10,7 @@ import time
 
 import numpy as np
 
-from threshq.bounds import classify_q, lb_compare1, lb_connected, lb_diameter, lb_trace, verify_certificate
+from threshq.bounds import _LOWER_RULES, classify_q, verify_certificate
 from threshq.gram import construct_library, dup_realization, gram, jdup_realization, section12_factor
 from threshq.orthosearch import low_q_search, ssp_check
 from threshq.sequences import block_form, build_graph, enumerate_connected, graph_from_text
@@ -167,13 +167,20 @@ def test_criterion_4_duplication_contracts():
 # ---------------------------------------------------------------- 5
 
 
+# the lower rules that read the sequence alone: connectivity, unique
+# shortest path, trace and zero-run column count
+COMBINATORIAL = ("connected graph", "unique shortest path", "trace below half the order",
+                 "zero-run column count")
+
+
 def test_criterion_5_lower_bound_soundness():
     for n, table in TABLES.items():
         for row in table:
             if row.q_low != row.q_high:
                 continue
             g = graph_from_text(row.sequence)
-            combinatorial = max(lb_connected(g), lb_diameter(g), lb_trace(g), lb_compare1(g))
+            combinatorial = max(value for _, value, provenance, find, _ in _LOWER_RULES
+                                if provenance in COMBINATORIAL and find(g, None) is not None)
             assert combinatorial <= row.q_low, row.sequence
     for n in range(2, 9):
         for seq in enumerate_connected(n):

@@ -10,6 +10,7 @@ import pytest
 from threshq import bounds
 from threshq.bounds import (
     Certificate,
+    QBound,
     SelfCheckError,
     _chain_plan,
     _chain_steps,
@@ -17,10 +18,6 @@ from threshq.bounds import (
     chain_certificate,
     classify_q,
     classify_text,
-    lb_compare1,
-    lb_connected,
-    lb_diameter,
-    lb_trace,
     ortho_gate,
     q2_certificate,
     run_chain,
@@ -29,7 +26,7 @@ from threshq.bounds import (
     verify_certificate,
     verify_qbound,
 )
-from threshq.orthosearch import Feasible
+from threshq.orthosearch import Feasible, Infeasible
 from threshq.sequences import (
     CreationSequence,
     NotThreshold,
@@ -52,13 +49,29 @@ def G(text):
 # ---------------------------------------------------------------- lower bounds
 
 
+CONNECTED, UNIQUE_PATH, TRACE, ZERO_RUN, GATE, TRACE_TWO = (
+    provenance for _, _, provenance, _, _ in bounds._LOWER_RULES)
+COMBINATORIAL = (CONNECTED, UNIQUE_PATH, TRACE, ZERO_RUN)
+
+
+def lower_value(g, provenance):
+    """The value one lower rule certifies on g, or the connected floor 2
+    when it does not fire."""
+    _, value, _, find, _ = next(r for r in bounds._LOWER_RULES if r[2] == provenance)
+    return value if find(g, None) is not None else 2
+
+
+def combinatorial_lower(g):
+    return max(lower_value(g, provenance) for provenance in COMBINATORIAL)
+
+
 def test_lb_examples():
-    assert lb_diameter(G("0000001")) == 3
-    assert lb_compare1(G("0110001")) == 3  # second zero-run covers the tail trace
+    assert lower_value(G("0000001"), UNIQUE_PATH) == 3
+    assert lower_value(G("0110001"), ZERO_RUN) == 3  # second zero-run covers the tail trace
     K5 = G("01111")
-    assert lb_connected(K5) == 2 and lb_diameter(K5) == 2
-    assert lb_trace(K5) == 2 and lb_compare1(K5) == 2
-    assert lb_trace(G("0010011")) == 3  # trace 3 below ceil(7/2)
+    assert lower_value(K5, CONNECTED) == 2 and lower_value(K5, UNIQUE_PATH) == 2
+    assert lower_value(K5, TRACE) == 2 and lower_value(K5, ZERO_RUN) == 2
+    assert lower_value(G("0010011"), TRACE) == 3  # trace 3 below ceil(7/2)
 
 
 def diameter_cert(pair, value=3):
@@ -87,6 +100,61 @@ def test_diameter_witness_verifies():
 ])
 def test_diameter_forged_witness_rejected(text, cert):
     assert verify_certificate(G(text), cert) is False
+
+
+def zero_run_cert(payload, value=3):
+    return Certificate("Compare1LB", value, ZERO_RUN, payload)
+
+
+def gate_cert(columns, rows):
+    return Certificate("Compare1LB", 3, GATE, {"columns": columns, "rows": rows})
+
+
+@pytest.mark.parametrize("text,cert", [
+    ("0011", zero_run_cert({"block": 0})),          # the first zero-run never counts
+    ("0011", zero_run_cert({"block": -1})),         # negative block
+    ("0011", zero_run_cert({"block": 1})),          # block out of range
+    ("0011", zero_run_cert({})),                    # no block at all
+    ("0011", zero_run_cert({"block": "1"})),        # not an int
+    ("0110001", zero_run_cert({"block": 1}, value=4)),  # value other than 3
+    ("0001001", gate_cert((0, 1), (2,))),           # row outside the staircase
+    ("0001001", gate_cert((0, 5), (0,))),           # column outside the staircase
+    ("0011", gate_cert((0, 0, 1), (0, 1))),         # a column counted twice
+    ("0011", gate_cert((-1, 0, 1), (0, 1))),        # a negative column
+    ("0011", gate_cert(None, (0, 1))),              # no columns
+    ("0011", gate_cert((0, 1), None)),              # no rows
+    ("0011", Certificate("Compare1LB", 3, "made-up rule", {"block": 1})),  # unknown rule
+    ("0011", Certificate("ConnectedLB", 3, CONNECTED)),  # value other than 2
+    ("01111", Certificate("TraceLB", 3, TRACE, {"trace": 4, "n": 5})),  # trace not low
+    ("0011001", Certificate("TableCitation", 4, TRACE_TWO, {"ks": (2, 2), "ts": (1, 1)})),
+    ("0001001", Certificate("TableCitation", 5, TRACE_TWO, {"ks": (3, 2), "ts": (1, 1)})),
+    ("0011", Certificate("TraceLB", 3, TRACE, "not a dict")),  # payload of the wrong type
+])
+def test_lower_forged_witness_rejected(text, cert):
+    assert verify_certificate(G(text), cert) is False
+
+
+def test_forged_qbound_on_q2_graph_rejected():
+    # q(0011) = 2: a made-up zero-run count must not lift the lower side to 3
+    g = G("0011")
+    forged = QBound(3, 3, (Certificate("ConnectedLB", 2, CONNECTED), zero_run_cert({"block": 0})),
+                    (chain_certificate(g),))
+    assert verify_qbound(g, forged) is False
+
+
+def test_lower_rules_agree_with_the_gate():
+    # every rule that certifies q >= 3 on its own, and the trace-two
+    # citation, fires only where the exact q = 2 gate finds no completion
+    fired = 0
+    for n in range(2, 15):
+        for seq in enumerate_connected(n):
+            g = build_graph(seq)
+            gate = ortho_gate(g)
+            for _, value, provenance, find, _ in bounds._LOWER_RULES:
+                if value >= 3 and provenance != GATE and find(g, gate) is not None:
+                    assert isinstance(gate, Infeasible), (seq.text, provenance)
+                    fired += 1
+    assert fired
 
 
 def test_q2_iff_gate_on_catalog():
@@ -144,8 +212,7 @@ def test_lower_bounds_below_catalog_values():
             if row.q_low != row.q_high:
                 continue
             g = G(row.sequence)
-            combinatorial = max(lb_connected(g), lb_diameter(g), lb_trace(g), lb_compare1(g))
-            assert combinatorial <= row.q_low, row.sequence
+            assert combinatorial_lower(g) <= row.q_low, row.sequence
 
 
 def test_q2_rows_have_matrix_certificates():
@@ -290,6 +357,11 @@ def test_self_checks_raise_named_error(monkeypatch):
     with pytest.raises(SelfCheckError):
         chain_certificate(G("0001001"))
     with pytest.raises(SelfCheckError):
+        ub_section12(G("0101001"))
+    # a paired-column chain that lands on another sequence
+    elsewhere = _section12_plan(block_form(G("0001001").creation))
+    monkeypatch.setattr(bounds, "run_chain", lambda plan: run_chain(elsewhere))
+    with pytest.raises(SelfCheckError, match="landed on"):
         ub_section12(G("0101001"))
 
 

@@ -86,6 +86,15 @@ def test_certify_pass_and_fail(tmp_path, capsys):
     assert code == 1
 
 
+def test_tol_only_on_certify(tmp_path, capsys):
+    code, _, err = run(capsys, "bounds", "0001001", "--tol", "1e-6")
+    assert code == 2 and "--tol" in err
+    p = tmp_path / "prop37.mat"
+    save_matrix(p, gram(construct_library("prop37")))
+    code, out, _ = run(capsys, "certify", "00101011", "2", str(p), "--tol", "1e-6")
+    assert code == 0 and "PASS" in out
+
+
 def test_certify_factor_file(tmp_path, capsys):
     from threshq.spectra import save_factor
 

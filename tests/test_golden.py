@@ -1,5 +1,6 @@
-"""The golden census: interval and upper-certificate kinds of every
-connected sequence of order n <= 13, frozen in data/golden_census.txt.
+"""The golden census: interval, upper-certificate kinds and lower-certificate
+kinds of every connected sequence of order n <= 13, frozen in
+data/golden_census.txt.
 
 Regenerate (only for a change meant to alter answers, and list every
 changed row with the change):
@@ -17,12 +18,14 @@ MAX_ORDER = 13
 
 
 def census_rows():
-    """One line per sequence: bits, lower, upper, sorted upper kinds."""
+    """One line per sequence: bits, lower, upper, sorted upper kinds, sorted
+    lower kinds."""
     for n in range(2, MAX_ORDER + 1):
         for seq in enumerate_connected(n):
             qb = bounds.classify_q(build_graph(seq))
-            kinds = "+".join(sorted(c.kind for c in qb.upper_certs))
-            yield f"{seq.text} {qb.lower} {qb.upper} {kinds}"
+            upper = "+".join(sorted(c.kind for c in qb.upper_certs))
+            lower = "+".join(sorted(c.kind for c in qb.lower_certs))
+            yield f"{seq.text} {qb.lower} {qb.upper} {upper} {lower}"
 
 
 def test_golden_census_unchanged():
