@@ -10,34 +10,35 @@ engineer.
 
 import numpy as np
 
-from threshq import cluster_spectrum, cogram, construct_library, eigen_sym, gram, in_pattern
+from threshq import (
+    cluster_spectrum,
+    cogram,
+    construct_library,
+    eigen_sym,
+    gram,
+    in_pattern,
+    section12_factor,
+)
 from threshq.gram import CONSTRUCTIONS
 
 INSTANCES = [
     ("thm00", {"t": 3}),
-    ("salter", {"s": 3}),
-    ("thm060", {}),
     ("thm061", {}),
     ("thm01", {}),
     ("thm10", {}),
     ("thm05", {}),
     ("thm06", {}),
     ("qlt4", {}),
-    ("Tn2", {}),
-    ("Tn3_mid", {}),
     ("prop_a15a19", {}),
-    ("prop37", {}),
-    ("prop38", {}),
-    ("prop40", {}),
-    ("prop41", {}),
-    ("ub_case1", {"p1": 2, "p2": 0}),
-    ("c4hub", {"n": 7}),
 ]
 
 assert {cid for cid, _ in INSTANCES} == set(CONSTRUCTIONS)
 
-for cid, params in INSTANCES:
-    f = construct_library(cid, **params)
+FACTORS = [construct_library(cid, **params) for cid, params in INSTANCES]
+FACTORS.append(section12_factor(3, 3))  # the general bound's seed, built directly
+
+for f in FACTORS:
+    cid, params = f.construction_id, f.params
     A = gram(f)
     spec = cluster_spectrum(eigen_sym(A))
     target = f.target.creation.text if hasattr(f.target, "creation") else "raw pattern"

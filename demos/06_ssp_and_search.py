@@ -20,7 +20,7 @@ from threshq import (
 )
 
 print("== SSP checks ==")
-for cid, params in [("thm00", {"t": 3}), ("prop_a15a19", {}), ("Tn2", {})]:
+for cid, params in [("thm00", {"t": 3}), ("prop_a15a19", {}), ("thm10", {})]:
     A = gram(construct_library(cid, **params))
     rep = ssp_check(A)
     print(f"{cid:12s} SSP={rep.is_ssp}  nullity={rep.nullity}  "

@@ -28,6 +28,7 @@ from .orthosearch import (
 )
 from .sequences import (
     CreationSequence,
+    SequenceError,
     ThresholdGraph,
     block_form,
     build_graph,
@@ -36,7 +37,13 @@ from .sequences import (
     parse_creation_sequence,
     unique_path_bound,
 )
-from .spectra import in_pattern, pattern_matrix, q_of_matrix
+from .spectra import (
+    DimensionMismatch,
+    NoConvergence,
+    in_pattern,
+    pattern_matrix,
+    q_of_matrix,
+)
 
 
 class SelfCheckError(AssertionError):
@@ -205,86 +212,63 @@ class ChainPlan:
     jdup_steps: tuple[int, ...]
 
 
-def _chain_plan(bf) -> ChainPlan | None:
-    """Choose a catalog seed and duplication schedule for the block form."""
-    ks, ts, s = bf.ks, bf.ts, bf.s
-    dup: list[tuple[int, float]] = []
-
-    if s == 1:
-        return None  # handled by the star chain, which is not Gram-seeded
-    if all(k == 1 for k in ks):
-        seed = gramlib.construct_library("thm00", t=s)
-        dom = [2 * i + 1 for i in range(s)]
-    elif s == 2:
-        k1, k2 = ks
-        if k1 == 1:
-            seed = gramlib.construct_library("thm061")
-            dup += [(2, 2.0)] * (k2 - 1)
-            dom = [1, 3]
-        elif k1 == 2:
-            seed = gramlib.construct_library("thm01")
-            dup += [(3, 7.0)] * (k2 - 1)
-            dom = [2, 4]
-        elif k2 == 1:
-            seed = gramlib.construct_library("thm060")
-            dup += [(0, 3.0)] * (k1 - 1)
-            dom = [1, 3]
-        else:
-            seed = gramlib.construct_library("thm10")
-            dup += [(0, 1.0)] * (k1 - 1) + [(3, 1.0)] * (k2 - 2)
-            dom = [1, 4]
-    elif s == 3:
-        k1, k2, k3 = ks
-        if k2 == 1:
-            seed = gramlib.construct_library("thm05")
-            dup += [(0, 7.0)] * (k1 - 1) + [(4, 7.0)] * (k3 - 1)
-            dom = [1, 3, 5]
-        elif k1 == 1 and k3 == 1:
-            seed = gramlib.construct_library("thm06")
-            dup += [(2, 3.0)] * (k2 - 1)
-            dom = [1, 3, 5]
-        elif k3 >= 2:
-            seed = gramlib.construct_library("qlt4")
-            dup += [(0, 1.0)] * (k1 - 1) + [(2, 2.0)] * (k2 - 1) + [(5, 1.0)] * (k3 - 2)
-            dom = [1, 3, 6]
-        else:
-            return _section12_plan(bf)
-    else:
-        return _section12_plan(bf)
-
-    jd: list[int] = []
-    for i in range(s):
-        jd += [dom[i]] * (ts[i] - 1)
-    return ChainPlan(seed, tuple(dup), tuple(jd))
+# Catalog seeds for block forms with a zero-run longer than 1, grouped by
+# their block count s, in the order the planner tries them.
+_CATALOG_SEEDS = {
+    2: (("thm061", {}), ("thm01", {}), ("thm00", {"t": 2}), ("thm10", {})),
+    3: (("thm05", {}), ("thm06", {}), ("qlt4", {})),
+}
 
 
-def _section12_plan(bf) -> ChainPlan | None:
-    """General seed: needs some zero-run of length >= 2."""
-    ks, ts, s = bf.ks, bf.ts, bf.s
-    candidates = [m for m in range(1, s + 1) if ks[m - 1] >= 2]
-    if not candidates:
+def _fit(seed: gramlib.GramFactor, bf) -> ChainPlan | None:
+    """The duplications growing seed to block form bf, or None when seed
+    does not fit: it must have bf's s, no run longer than bf's, and a dup
+    slot inside every zero-run that has to grow.  A zero-run grows by
+    copies of its first listed slot, a ones-run by joined copies of its
+    first dominating vertex."""
+    have = block_form(seed.target.creation).blocks
+    if len(have) != bf.s:
         return None
-    # prefer even parities on both sides (most column pairs), then smallest m
-    def badness(m):
-        return ((m - 1) % 2) + ((s - m) % 2)
-
-    m = min(candidates, key=lambda x: (badness(x), x))
-    seed = gramlib.section12_factor(s, m)
-    sbits = seed.target.creation.bits
-    dom = [i for i, b in enumerate(sbits) if b == 1]
-    zeros = [i for i, b in enumerate(sbits) if b == 0]
-    slots = dict(seed.dup_slots)
     dup: list[tuple[int, float]] = []
-    zi = 0
-    for j in range(1, s + 1):
-        base = 2 if j == m else 1
-        v = zeros[zi]  # grow the block by duplicating its first zero vertex
-        dup += [(v, slots[v])] * (ks[j - 1] - base)
-        zi += base
-    jd: list[int] = []
-    for i in range(s):
-        jd += [dom[i]] * (ts[i] - 1)
-    return ChainPlan(seed, tuple(dup), tuple(jd))
+    jdup: list[int] = []
+    start = 0
+    for (k0, t0), (k, t) in zip(have, bf.blocks):
+        if k0 > k or t0 > t:
+            return None
+        if k > k0:
+            slot = next((sl for sl in seed.dup_slots if start <= sl[0] < start + k0), None)
+            if slot is None:
+                return None
+            dup += [slot] * (k - k0)
+        jdup += [start + k0] * (t - t0)
+        start += k0 + t0
+    return ChainPlan(seed, tuple(dup), tuple(jdup))
+
+
+def _section12_seeds(bf):
+    """The paired-column seeds for each zero-run m of length >= 2: even
+    parities on both sides of m first (most column pairs), then smallest m."""
+    s = bf.s
+    ms = sorted((m for m in range(1, s + 1) if bf.ks[m - 1] >= 2),
+                key=lambda m: ((m - 1) % 2 + (s - m) % 2, m))
+    return (gramlib.section12_factor(s, m) for m in ms)
+
+
+def _chain_seeds(bf):
+    """The duplication chain's seeds in the order they are tried: the
+    alternating seed when every zero-run has length 1, else the catalog
+    seeds with bf's s, then the paired-column seeds."""
+    if all(k == 1 for k in bf.ks):
+        yield gramlib.construct_library("thm00", t=bf.s)
+    else:
+        for cid, params in _CATALOG_SEEDS.get(bf.s, ()):
+            yield gramlib.construct_library(cid, **params)
+    yield from _section12_seeds(bf)
+
+
+def _plan(bf, seeds) -> ChainPlan | None:
+    """The plan of the first seed that fits bf; seeds are built lazily."""
+    return next(filter(None, (_fit(seed, bf) for seed in seeds)), None)
 
 
 def _star_chain(bf) -> tuple[np.ndarray, list[str]]:
@@ -334,7 +318,7 @@ def chain_certificate(G: ThresholdGraph) -> Certificate | None:
         A, steps = _star_chain(bf)
         seed_q = 3 if bf.ks[0] >= 2 else 2
     else:
-        plan = _chain_plan(bf)
+        plan = _plan(bf, _chain_seeds(bf))
         if plan is None:
             return None
         A, steps = run_chain(plan)
@@ -417,7 +401,7 @@ def ub_section12(G: ThresholdGraph, chain: Certificate | None = None) -> tuple[i
     """
     bf = block_form(G.creation)
     bound = (bf.s + 9) // 2
-    plan = _section12_plan(bf) if bf.s >= 2 else None
+    plan = _plan(bf, _section12_seeds(bf)) if bf.s >= 2 else None
     if plan is not None:
         steps = _chain_steps(plan)
         if chain is not None and chain.payload.get("chain") == steps:
@@ -518,27 +502,67 @@ def classify_q(G: ThresholdGraph) -> QBound:
 # ---------------------------------------------------------------------------
 
 
-def verify_certificate(G: ThresholdGraph, cert: Certificate) -> bool:
-    """Re-validate a certificate from its payload alone."""
-    rule = _LOWER_CHECKS.get((cert.kind, cert.provenance))
-    if rule is not None:
-        value, check = rule
-        return cert.value == value and isinstance(cert.payload, dict) and check(G, cert.payload)
+def _is_int(x) -> bool:
+    return isinstance(x, (int, np.integer))
+
+
+def _payload_matrix(payload: dict, n: int) -> np.ndarray | None:
+    """The payload's matrix when it is an n x n array of numbers."""
+    try:
+        A = np.asarray(payload["matrix"], dtype=float)
+    except (KeyError, TypeError, ValueError):
+        return None
+    return A if A.shape == (n, n) else None
+
+
+def _transfer_base(payload: dict) -> ThresholdGraph | None:
+    """The connected graph the payload's `base` sequence names."""
+    try:
+        base = graph_from_text(payload.get("base"))
+    except (TypeError, SequenceError):
+        return None
+    return base if base.connected else None
+
+
+def _upper_ok(G: ThresholdGraph, cert: Certificate) -> bool:
+    """The check of an upper certificate.  A matrix that is not symmetric or
+    not finite raises DimensionMismatch or NoConvergence in `in_pattern` or
+    `q_of_matrix`, before `ssp_check` sees it."""
     if cert.kind in ("OrthoUB", "ConstructionUB", "DupChainUB"):
-        A = cert.payload["matrix"]
+        A = _payload_matrix(cert.payload, G.n)
         achieved = cert.payload.get("achieved", cert.value)
-        return bool(in_pattern(A, G)) and q_of_matrix(A) == achieved <= cert.value
+        return (A is not None and _is_int(achieved) and bool(in_pattern(A, G))
+                and q_of_matrix(A) == achieved <= cert.value)
     if (cert.kind, cert.provenance) == ("TableCitation", _TRANSFER):
-        A = cert.payload["matrix"]
-        emb = list(cert.payload["embedding"])
-        base = graph_from_text(cert.payload["base"])
+        base = _transfer_base(cert.payload)
+        if base is None:
+            return False
+        A = _payload_matrix(cert.payload, base.n)
+        emb = cert.payload.get("embedding")
+        if A is None or not (distinct_indices(emb, base.n) and len(emb) == base.n):
+            return False
         P = pattern_matrix(A)
         edges_ok = all(
             base.adjacency[emb[i], emb[j]]
-            for i in range(A.shape[0]) for j in range(i + 1, A.shape[0]) if P[i, j])
+            for i in range(base.n) for j in range(i + 1, base.n) if P[i, j])
         chain_ok = _reaches_by_jdup(base.creation.bits, G.creation.bits)
-        return edges_ok and chain_ok and ssp_check(A).is_ssp and q_of_matrix(A) == cert.value
+        return edges_ok and chain_ok and q_of_matrix(A) == cert.value and ssp_check(A).is_ssp
     return False
+
+
+def verify_certificate(G: ThresholdGraph, cert: Certificate) -> bool:
+    """Re-validate a certificate from its payload alone; False, never an
+    error, when the payload is malformed."""
+    if not (isinstance(cert.payload, dict) and _is_int(cert.value)):
+        return False
+    rule = _LOWER_CHECKS.get((cert.kind, cert.provenance))
+    if rule is not None:
+        value, check = rule
+        return cert.value == value and check(G, cert.payload)
+    try:
+        return _upper_ok(G, cert)
+    except (DimensionMismatch, NoConvergence):
+        return False
 
 
 def verify_qbound(G: ThresholdGraph, qb: QBound) -> bool:

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .orthosearch import Feasible, SupportPattern, decide_column_orthogonal
+from .orthosearch import SupportPattern
 from .sequences import CreationSequence, ThresholdGraph, build_graph, graph_from_text
 from .spectra import eigen_sym, in_pattern, pattern_matrix
 
@@ -46,9 +46,9 @@ class GramFactor:
     """Rectangular factor with its target pattern and catalog metadata.
 
     expected_spectrum lists (eigenvalue, multiplicity) of M M^T when the
-    catalog pins it; spectrum_atol is the comparison tolerance (loose only
-    for thm10, whose reference values are printed as 4-digit decimals).
-    dup_slots lists (vertex, eigenvalue) pairs valid for dup_realization.
+    catalog pins it.  dup_slots lists (vertex, eigenvalue) pairs valid for
+    dup_realization; the chain planner grows a zero-run from the first slot
+    listed inside it.
     """
 
     M: np.ndarray
@@ -56,7 +56,6 @@ class GramFactor:
     construction_id: str
     params: dict = field(default_factory=dict)
     expected_spectrum: tuple[tuple[float, int], ...] | None = None
-    spectrum_atol: float = 1e-8
     dup_slots: tuple[tuple[int, float], ...] = ()
 
     @property
@@ -84,7 +83,7 @@ def _frozen(M) -> np.ndarray:
 
 
 def _thm00(t: int) -> GramFactor:
-    """Alternating sequence (0,1)^t: cogram is (t^2-t+1) I + t (J - I)."""
+    """Alternating sequence (0,1)^t: cogram is (t^2-t+1) I + t J."""
     if t < 2:
         raise BadParams("thm00 needs t >= 2")
     M = np.zeros((2 * t, t))
@@ -114,68 +113,16 @@ def _thm00(t: int) -> GramFactor:
     )
 
 
-def _salter(s: int) -> GramFactor:
-    """(0,1)^s followed by an extra 1: cogram is (s^2-s+1) I_s.
-
-    Dominating block is a reversed Helmert frame; column scales avoid zero
-    dominating pair products, then columns are unit-normalized and scaled so
-    every factor column has squared norm s^2-s+1 with unit isolated tails.
-    """
-    if s < 2:
-        raise BadParams("salter needs s >= 2")
-    D = np.zeros((s + 1, s))
-    D[0, 0] = 1.0
-    for i in range(1, s):
-        D[i, :i] = 1.0
-        D[i, i] = -(s - i)
-    D[s, :] = 1.0
-    c2 = np.ones(s)
-    for i in range(1, s):
-        if abs(c2[:i].sum() - c2[i] * (s - i)) < 1e-9:
-            c2[i] = 2.0
-    D = D * np.sqrt(c2)
-    c = float(s * s - s + 1)
-    D = D / np.linalg.norm(D, axis=0) * math.sqrt(c - 1.0)
-    n = 2 * s + 1
-    M = np.zeros((n, s))
-    for i in range(s):
-        M[2 * i, i] = 1.0
-        M[2 * i + 1] = D[i]
-    M[2 * s] = D[s]
-    bits = tuple([0, 1] * s + [1])
-    return GramFactor(
-        _frozen(M),
-        build_graph(CreationSequence(bits)),
-        "salter",
-        {"s": s},
-        expected_spectrum=((0.0, s + 1), (c, s)),
-    )
-
-
-def _fixed(cid, rows, perm, bits, spec, dup_slots=(), atol=1e-8, params=None):
+def _fixed(cid, rows, perm, bits, spec, dup_slots=()):
     M = np.array(rows, dtype=float)[perm]
-    return GramFactor(
-        _frozen(M),
-        graph_from_text(bits),
-        cid,
-        params or {},
-        expected_spectrum=spec,
-        spectrum_atol=atol,
-        dup_slots=dup_slots,
-    )
+    return GramFactor(_frozen(M), graph_from_text(bits), cid,
+                      expected_spectrum=spec, dup_slots=dup_slots)
 
 
 R2 = math.sqrt(2)
 R3 = math.sqrt(3)
-R5 = math.sqrt(5)
 R7 = math.sqrt(7)
 R8 = math.sqrt(8)
-
-
-def _thm060() -> GramFactor:
-    rows = [[R3, 0], [1, 0], [1, 2], [0, 1]]
-    return _fixed("thm060", rows, [0, 1, 3, 2], "0101",
-                  ((0.0, 2), (3.0, 1), (7.0, 1)), dup_slots=((0, 3.0),))
 
 
 def _thm061() -> GramFactor:
@@ -192,10 +139,9 @@ def _thm01() -> GramFactor:
 
 def _thm10() -> GramFactor:
     rows = [[1, 0, 0], [1, 0, 0], [1, 1, 1], [0, 1, 0], [0, 0, 1]]
-    # reference spectrum printed to 4 decimals; compared at 1e-3
     return _fixed("thm10", rows, [0, 1, 3, 4, 2], "01001",
-                  ((0.0, 2), (1.0, 1), (1.5857, 1), (4.4142, 1)),
-                  dup_slots=((0, 1.0), (3, 1.0), (2, 1.0)), atol=1e-3)
+                  ((0.0, 2), (1.0, 1), (3 - R2, 1), (3 + R2, 1)),
+                  dup_slots=((0, 1.0), (3, 1.0), (2, 1.0)))
 
 
 def _thm05() -> GramFactor:
@@ -216,19 +162,7 @@ def _qlt4() -> GramFactor:
             [0, R2, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]
     return _fixed("qlt4", rows, [0, 1, 4, 2, 5, 6, 3], "0101001",
                   ((0.0, 3), (1.0, 1), (2.0, 2), (7.0, 1)),
-                  dup_slots=((0, 1.0), (2, 2.0), (4, 1.0), (5, 1.0)))
-
-
-def _Tn2() -> GramFactor:
-    rows = [[1, 0], [2, 1], [-2, 1], [1, 0], [0, R8]]
-    return _fixed("Tn2", rows, [0, 3, 4, 1, 2], "01011",
-                  ((0.0, 3), (10.0, 2)))
-
-
-def _Tn3_mid() -> GramFactor:
-    rows = [[1, -2, 0], [1, 1, -1], [1, 1, 1], [2, 0, 0], [0, 1, 0], [0, 0, R5]]
-    return _fixed("Tn3_mid", rows, [3, 4, 0, 5, 1, 2], "001011",
-                  ((0.0, 3), (7.0, 3)))
+                  dup_slots=((0, 1.0), (2, 2.0), (5, 1.0), (4, 1.0)))
 
 
 def _prop_a15a19() -> GramFactor:
@@ -251,71 +185,6 @@ def _prop_a15a19() -> GramFactor:
     )
 
 
-PROP37_BLOCK = np.array(
-    [[1, -3, 0, 0], [1, 1, -2, 0], [1, 1, 1, -1], [1, 1, 1, 1]], dtype=float)
-
-PROP40_BLOCK = np.array(
-    [[1, 1.5, 4.5, 0], [2, 0.5, -3.5, 0], [0.5, -1, 1, 2], [-1, 2, -2, 1]], dtype=float)
-
-
-def _prop37() -> GramFactor:
-    G = graph_from_text("00101011")
-    M = _certificate_factor(PROP37_BLOCK, G)
-    return GramFactor(_frozen(M), G, "prop37", {})
-
-
-def _prop38() -> GramFactor:
-    G = graph_from_text("00100111")
-    out = decide_column_orthogonal(SupportPattern.from_graph(G))
-    if not isinstance(out, Feasible):
-        raise InfeasibleRepair("prop38 staircase unexpectedly infeasible")
-    M = _certificate_factor(out.matrix, G)
-    return GramFactor(_frozen(M), G, "prop38", {})
-
-
-def _prop40() -> GramFactor:
-    G = graph_from_text("00011011")
-    M = _certificate_factor(PROP40_BLOCK, G)
-    return GramFactor(_frozen(M), G, "prop40", {})
-
-
-def _prop41() -> GramFactor:
-    tails = [math.sqrt(129) / 2, math.sqrt(31), 1.0, math.sqrt(67 / 2)]
-    M = np.zeros((8, 4))
-    M[0, 0] = tails[0]
-    M[1, 1] = tails[1]
-    M[2, 2] = tails[2]
-    M[3] = PROP40_BLOCK[0]
-    M[4] = PROP40_BLOCK[1]
-    M[5, 3] = tails[3]
-    M[6] = PROP40_BLOCK[2]
-    M[7] = PROP40_BLOCK[3]
-    return GramFactor(
-        _frozen(M), graph_from_text("00011011"), "prop41", {},
-        expected_spectrum=((0.0, 4), (38.5, 4)),
-    )
-
-
-def _c4hub(n: int) -> GramFactor:
-    """Four-cycle with every extra vertex attached to one hub of the cycle."""
-    if n < 5:
-        raise BadParams("c4hub needs n >= 5")
-    M = np.zeros((n, n - 2))
-    M[0, 0] = math.sqrt(n - 3)
-    M[1, 0] = -1.0
-    M[1, 1] = 1.0
-    M[2, 0] = 1.0
-    M[2, 1] = 1.0
-    M[3, 1] = 1.0
-    M[3, 2:] = 1.0
-    for j in range(3, n - 1):
-        M[j + 1, j - 1] = R2
-    target = pattern_matrix(M @ M.T)
-    target.setflags(write=False)
-    spec = ((0.0, 2), (2.0, n - 4), (float(n - 1), 2))
-    return GramFactor(_frozen(M), target, "c4hub", {"n": n}, expected_spectrum=spec)
-
-
 def section12_factor(s: int, m: int) -> GramFactor:
     """Seed for the general upper bound: blocks all (0,1) except block m,
     which is (0,0,1).  Columns pair greedily; each pair's two tails solve
@@ -323,7 +192,9 @@ def section12_factor(s: int, m: int) -> GramFactor:
     eigenvalue 1 from the middle pair, so q is at most 3 plus the number of
     unpaired-or-pair leftovers, within floor((s+9)/2) for every parity.
     Every isolated diagonal entry (1 or 3) is an eigenvalue, so all zero
-    blocks may be grown by duplication.
+    blocks may be grown by duplication.  Chain step labels name the factor
+    by its construction_id, "ub_case1", though construct_library does not
+    build it.
     """
     if s < 2 or not (1 <= m <= s):
         raise BadParams("need s >= 2 and 1 <= m <= s")
@@ -416,37 +287,15 @@ def section12_factor(s: int, m: int) -> GramFactor:
     )
 
 
-def _ub_case1(s: int | None = None, p1: int | None = None, p2: int | None = None,
-              m: int | None = None) -> GramFactor:
-    if p1 is not None and p2 is not None:
-        s = p1 + p2 + 1
-        m = p1 + 1
-    elif s is not None:
-        m = m if m is not None else (s + 1) // 2
-    else:
-        raise BadParams("give s (and optionally m), or p1 and p2")
-    return section12_factor(s, m)
-
-
 CONSTRUCTIONS = {
     "thm00": _thm00,
-    "salter": _salter,
-    "thm060": _thm060,
     "thm061": _thm061,
     "thm01": _thm01,
     "thm10": _thm10,
     "thm05": _thm05,
     "thm06": _thm06,
     "qlt4": _qlt4,
-    "Tn2": _Tn2,
-    "Tn3_mid": _Tn3_mid,
     "prop_a15a19": _prop_a15a19,
-    "prop37": _prop37,
-    "prop38": _prop38,
-    "prop40": _prop40,
-    "prop41": _prop41,
-    "ub_case1": _ub_case1,
-    "c4hub": _c4hub,
 }
 
 

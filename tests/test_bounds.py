@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import itertools
 import random
@@ -12,9 +13,10 @@ from threshq.bounds import (
     Certificate,
     QBound,
     SelfCheckError,
-    _chain_plan,
+    _chain_seeds,
     _chain_steps,
-    _section12_plan,
+    _plan,
+    _section12_seeds,
     chain_certificate,
     classify_q,
     classify_text,
@@ -26,6 +28,7 @@ from threshq.bounds import (
     verify_certificate,
     verify_qbound,
 )
+from threshq.gram import CONSTRUCTIONS, construct_library, gram, section12_factor
 from threshq.orthosearch import Feasible, Infeasible
 from threshq.sequences import (
     CreationSequence,
@@ -38,12 +41,20 @@ from threshq.sequences import (
     jdup_graph,
     unique_path_bound,
 )
-from threshq.spectra import in_pattern, pattern_matrix, q_of_matrix
+from threshq.spectra import cluster_spectrum, eigen_sym, in_pattern, pattern_matrix, q_of_matrix
 from threshq.tables import TABLES
 
 
 def G(text):
     return graph_from_text(text)
+
+
+def chain_plan(bf):
+    return _plan(bf, _chain_seeds(bf))
+
+
+def section12_plan(bf):
+    return _plan(bf, _section12_seeds(bf))
 
 
 # ---------------------------------------------------------------- lower bounds
@@ -142,6 +153,47 @@ def test_forged_qbound_on_q2_graph_rejected():
     assert verify_qbound(g, forged) is False
 
 
+Q2_0011 = q2_certificate(G("0011")).payload["matrix"]
+TRANSFER = transfer_certificate(G("00100101"))
+
+
+def ortho_cert(payload, value=2):
+    return Certificate("OrthoUB", value, "column-orthogonal completion", payload)
+
+
+def transfer_cert(**changes):
+    """The transfer citation of 00100101 with some payload entries replaced
+    (None deletes one)."""
+    payload = {k: v for k, v in {**TRANSFER.payload, **changes}.items() if v is not None}
+    return dataclasses.replace(TRANSFER, payload=payload)
+
+
+@pytest.mark.parametrize("text,cert", [
+    ("0011", Certificate("OrthoUB", 2, "x", {})),                   # no matrix
+    ("0011", ortho_cert({"matrix": [["a", "b"], ["c", "d"]]})),   # not numeric
+    ("0011", ortho_cert({"matrix": [[1.0, 2.0], [3.0]]})),        # ragged
+    ("0011", ortho_cert({"matrix": np.eye(3)})),                  # wrong order
+    ("0011", ortho_cert({"matrix": np.triu(np.ones((4, 4)))})),   # not symmetric
+    ("0011", ortho_cert({"matrix": np.full((4, 4), np.nan)})),    # not finite
+    ("0011", ortho_cert({"matrix": Q2_0011 + np.diag([np.nan, 0, 0, 0])})),  # NaN diagonal
+    ("0011", ortho_cert({"matrix": Q2_0011, "achieved": np.array([2, 2])})),  # not an int
+    ("0011", ortho_cert({"matrix": Q2_0011, "achieved": 2}, value="2")),  # value not an int
+    ("0011", ortho_cert("not a dict")),
+    ("00100101", transfer_cert(embedding=None)),                  # no embedding
+    ("00100101", transfer_cert(embedding=(0, 1, 2, 3, 4, 5, 6, 8))),  # out of range
+    ("00100101", transfer_cert(embedding=(0, 1, 2, 3, 4, 5, 6))),     # too short
+    ("00100101", transfer_cert(embedding=(0, 0, 1, 2, 3, 4, 5, 6))),  # not distinct
+    ("00100101", transfer_cert(base=None)),                       # no base
+    ("00100101", transfer_cert(base="10x")),                      # unparsable base
+    ("00100101", transfer_cert(base=100101)),                     # base not a string
+    ("00100101", transfer_cert(base="00100100")),                 # disconnected base
+    ("00100101", transfer_cert(matrix=np.eye(7))),                # matrix of another order
+    ("00100101", transfer_cert(matrix=np.triu(TRANSFER.payload["matrix"]))),  # not symmetric
+])
+def test_upper_forged_certificate_rejected(text, cert):
+    assert verify_certificate(G(text), cert) is False
+
+
 def test_lower_rules_agree_with_the_gate():
     # every rule that certifies q >= 3 on its own, and the trace-two
     # citation, fires only where the exact q = 2 gate finds no completion
@@ -225,6 +277,68 @@ def test_q2_rows_have_matrix_certificates():
             assert ortho, row.sequence
             A = ortho[0].payload["matrix"]
             assert in_pattern(A, G(row.sequence)) and q_of_matrix(A) == 2
+
+
+# Targets of the paper's hand-made two-eigenvalue matrices (Tn2, Tn3_mid,
+# Propositions 37, 38 and 40/41, and (0,1)^s 1 for s = 2..8): the gate's
+# orthogonal completion stands in for each of them.
+HAND_MADE_Q2 = ["01011", "001011", "00101011", "00100111", "00011011"] + [
+    "01" * s + "1" for s in range(2, 9)]
+
+
+@pytest.mark.parametrize("text", HAND_MADE_Q2)
+def test_gate_certifies_the_hand_made_q2_targets(text):
+    qb = classify_text(text)
+    assert (qb.lower, qb.upper) == (2, 2)
+    (cert,) = qb.upper_certs
+    assert cert.kind == "OrthoUB" and verify_certificate(G(text), cert)
+    assert cluster_spectrum(eigen_sym(cert.payload["matrix"])).q == 2
+
+
+def chain_seed_ids(qb):
+    """Catalog ids whose factor seeds a chain or a transfer among the upper
+    certificates."""
+    transfer = gram(construct_library("prop_a15a19"))
+    ids = set()
+    for cert in qb.upper_certs:
+        for step in cert.payload.get("chain", ()):
+            if step.startswith("seed:"):
+                ids.add(step[5:].split("{")[0])
+        if cert.provenance == bounds._TRANSFER and np.array_equal(cert.payload["matrix"], transfer):
+            ids.add("prop_a15a19")
+    return ids
+
+
+def test_every_catalog_entry_seeds_the_classifier():
+    # no construction may stay in the catalog that classify_q never grows
+    unused = set(CONSTRUCTIONS)
+    for n in range(2, 11):
+        for seq in enumerate_connected(n):
+            unused -= chain_seed_ids(classify_q(build_graph(seq)))
+        if not unused:
+            break
+    assert not unused
+
+
+@pytest.mark.parametrize("text,steps", [
+    ("0101", ("seed:thm00{'t': 2}",)),
+    ("010101", ("seed:thm00{'t': 3}",)),
+    ("0101011", ("seed:thm00{'t': 3}", "jdup(5)")),
+    ("01001", ("seed:thm061", "dup(2,2)")),
+    ("01100011", ("seed:thm061", "dup(2,2)", "dup(2,2)", "jdup(1)", "jdup(3)")),
+    ("0010001", ("seed:thm01", "dup(3,7)", "dup(3,7)")),
+    ("000101", ("seed:thm00{'t': 2}", "dup(0,3)", "dup(0,3)")),
+    ("000010001", ("seed:thm10", "dup(0,1)", "dup(0,1)", "dup(0,1)", "dup(3,1)")),
+    ("00101001", ("seed:thm05", "dup(0,7)", "dup(4,7)")),
+    ("0010100111", ("seed:thm05", "dup(0,7)", "dup(4,7)", "jdup(5)", "jdup(5)")),
+    ("0100101", ("seed:thm06", "dup(2,3)")),
+    ("01001001", ("seed:qlt4", "dup(2,2)")),
+    ("0010010001", ("seed:qlt4", "dup(0,1)", "dup(2,2)", "dup(5,1)")),
+    ("001001011", ("seed:ub_case1{'s': 3, 'm': 1, 'p1': 0, 'p2': 2}", "dup(3,3)", "jdup(6)")),
+    ("0101010001", ("seed:ub_case1{'s': 4, 'm': 4, 'p1': 3, 'p2': 0}", "dup(6,1)")),
+])
+def test_chain_plan_takes_the_first_fitting_seed(text, steps):
+    assert _chain_steps(chain_plan(block_form(G(text).creation))) == steps
 
 
 def test_chain_certificates_match_expected_values():
@@ -340,9 +454,7 @@ def test_ub_section12_values():
 
 
 def test_ub_section12_case1_s5():
-    from threshq.gram import construct_library, gram
-
-    f = construct_library("ub_case1", p1=2, p2=2)
+    f = section12_factor(5, 3)
     A = gram(f)
     assert q_of_matrix(A) <= 7 and in_pattern(A, f.target)
 
@@ -359,7 +471,7 @@ def test_self_checks_raise_named_error(monkeypatch):
     with pytest.raises(SelfCheckError):
         ub_section12(G("0101001"))
     # a paired-column chain that lands on another sequence
-    elsewhere = _section12_plan(block_form(G("0001001").creation))
+    elsewhere = section12_plan(block_form(G("0001001").creation))
     monkeypatch.setattr(bounds, "run_chain", lambda plan: run_chain(elsewhere))
     with pytest.raises(SelfCheckError, match="landed on"):
         ub_section12(G("0101001"))
@@ -396,8 +508,8 @@ def test_classify_runs_each_chain_once(monkeypatch):
         assert {bits for bits, _ in runs} <= {seq.bits, merge_form(seq.bits)}, seq.text
         for bits, count in Counter(bits for bits, _ in runs).items():
             bf = block_form(CreationSequence(bits))
-            section12 = _section12_plan(bf)
-            if section12 and _chain_steps(_chain_plan(bf)) == _chain_steps(section12):
+            section12 = section12_plan(bf)
+            if section12 and _chain_steps(chain_plan(bf)) == _chain_steps(section12):
                 assert count == 1, (seq.text, bits)
                 shared += 1
     assert shared
@@ -410,7 +522,7 @@ def test_section12_certificate_matches_fresh_chain():
             for cert in classify_q(build_graph(seq)).upper_certs:
                 if cert.provenance != "paired-column construction":
                     continue
-                A, steps = run_chain(_section12_plan(block_form(seq)))
+                A, steps = run_chain(section12_plan(block_form(seq)))
                 _, order = creation_order_of(pattern_matrix(A))
                 assert np.array_equal(cert.payload["matrix"], A[np.ix_(order, order)]), seq.text
                 assert cert.payload["chain"] == tuple(steps)

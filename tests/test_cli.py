@@ -74,34 +74,34 @@ def test_enumerate(capsys):
 
 
 def test_certify_pass_and_fail(tmp_path, capsys):
-    A = gram(construct_library("prop37"))
-    p = tmp_path / "prop37.mat"
+    A = gram(construct_library("thm05"))
+    p = tmp_path / "thm05.mat"
     save_matrix(p, A)
-    code, out, _ = run(capsys, "certify", "00101011", "2", str(p))
+    code, out, _ = run(capsys, "certify", "010101", "3", str(p))
     assert code == 0 and "PASS" in out
-    code, out, _ = run(capsys, "certify", "00101011", "3", str(p))
+    code, out, _ = run(capsys, "certify", "010101", "2", str(p))
     assert code == 1 and "FAIL" in out
     # wrong pattern
-    code, out, _ = run(capsys, "certify", "00110011", "2", str(p))
+    code, out, _ = run(capsys, "certify", "001101", "3", str(p))
     assert code == 1
 
 
 def test_tol_only_on_certify(tmp_path, capsys):
     code, _, err = run(capsys, "bounds", "0001001", "--tol", "1e-6")
     assert code == 2 and "--tol" in err
-    p = tmp_path / "prop37.mat"
-    save_matrix(p, gram(construct_library("prop37")))
-    code, out, _ = run(capsys, "certify", "00101011", "2", str(p), "--tol", "1e-6")
+    p = tmp_path / "thm05.mat"
+    save_matrix(p, gram(construct_library("thm05")))
+    code, out, _ = run(capsys, "certify", "010101", "3", str(p), "--tol", "1e-6")
     assert code == 0 and "PASS" in out
 
 
 def test_certify_factor_file(tmp_path, capsys):
     from threshq.spectra import save_factor
 
-    f = construct_library("prop37")
-    p = tmp_path / "prop37_factor.mat"
-    save_factor(p, f.M, "prop37")
-    code, out, _ = run(capsys, "certify", "00101011", "2", str(p))
+    f = construct_library("thm05")
+    p = tmp_path / "thm05_factor.mat"
+    save_factor(p, f.M, "thm05")
+    code, out, _ = run(capsys, "certify", "010101", "3", str(p))
     assert code == 0 and "PASS" in out
 
 

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from threshq.bounds import q2_certificate
 from threshq.gram import (
     BadAngle,
     BadParams,
@@ -20,17 +21,20 @@ from threshq.gram import (
 from threshq.sequences import creation_order_of, dup_graph, graph_from_text, jdup_graph
 from threshq.spectra import assert_spectrum, eigen_sym, in_pattern, pattern_matrix, q_of_matrix
 
-ALL_IDS_NO_PARAMS = ["thm060", "thm061", "thm01", "thm10", "thm05", "thm06",
-                     "qlt4", "Tn2", "Tn3_mid", "prop_a15a19", "prop37",
-                     "prop38", "prop40", "prop41"]
+ALL_IDS_NO_PARAMS = ["thm061", "thm01", "thm10", "thm05", "thm06", "qlt4", "prop_a15a19"]
+
+# Column-orthogonal dominating-by-isolated blocks printed in the paper for
+# 00101011 (Proposition 37) and 00011011 (Proposition 40).
+PROP37_BLOCK = np.array(
+    [[1, -3, 0, 0], [1, 1, -2, 0], [1, 1, 1, -1], [1, 1, 1, 1]], dtype=float)
+PROP40_BLOCK = np.array(
+    [[1, 1.5, 4.5, 0], [2, 0.5, -3.5, 0], [0.5, -1, 1, 2], [-1, 2, -2, 1]], dtype=float)
 
 
 def catalog_instances():
     out = [construct_library(cid) for cid in ALL_IDS_NO_PARAMS]
     out += [construct_library("thm00", t=t) for t in (2, 3, 4, 5)]
-    out += [construct_library("salter", s=s) for s in (2, 3, 4)]
-    out += [construct_library("c4hub", n=n) for n in (5, 6, 8, 10)]
-    out += [construct_library("ub_case1", p1=2, p2=0), construct_library("ub_case1", p1=2, p2=2)]
+    out += [section12_factor(3, 3), section12_factor(5, 3)]
     return out
 
 
@@ -39,8 +43,7 @@ def test_every_construction_verifies():
         A = gram(f)
         assert in_pattern(A, f.target), f.construction_id
         if f.expected_spectrum is not None:
-            assert assert_spectrum(A, list(f.expected_spectrum), atol=f.spectrum_atol), \
-                f.construction_id
+            assert assert_spectrum(A, list(f.expected_spectrum)), f.construction_id
         # nonzero spectra of gram and cogram agree
         wg = eigen_sym(A)
         wc = eigen_sym(cogram(f))
@@ -64,16 +67,13 @@ def test_factors_cover_every_edge():
                     assert cover.max() > 1e-9, (f.construction_id, i, j)
 
 
-def test_salter_cogram_is_scaled_identity():
-    for s in (2, 3, 4):
-        f = construct_library("salter", s=s)
-        assert np.allclose(cogram(f), (s * s - s + 1) * np.eye(s), atol=1e-9)
-
-
-def test_thm060_cogram():
-    f = construct_library("thm060")
+def test_thm00_cogram():
+    f = construct_library("thm00", t=2)
     assert np.allclose(cogram(f), [[5, 2], [2, 5]], atol=1e-12)
     assert sorted(np.round(eigen_sym(cogram(f)), 9)) == [3, 7]
+    for t in (3, 4, 5):
+        f = construct_library("thm00", t=t)
+        assert np.allclose(cogram(f), (t * t - t + 1) * np.eye(t) + t, atol=1e-9)
 
 
 def test_thm05_cogram():
@@ -94,15 +94,15 @@ def test_bad_construction_params():
     with pytest.raises(BadParams):
         construct_library("thm00", t=1)
     with pytest.raises(BadParams):
-        construct_library("c4hub", n=4)
-    with pytest.raises(BadParams):
         construct_library("thm00", bogus=3)
+    with pytest.raises(BadParams):
+        section12_factor(1, 1)
 
 
 def test_ub_case1_even_parity_instances():
     for p1, p2 in [(2, 0), (0, 2), (2, 2), (4, 0)]:
-        f = construct_library("ub_case1", p1=p1, p2=p2)
         s = p1 + p2 + 1
+        f = section12_factor(s, p1 + 1)
         A = gram(f)
         assert in_pattern(A, f.target)
         assert q_of_matrix(A) <= (s + 9) // 2
@@ -135,8 +135,8 @@ def dup_pattern_ok(A, C, v):
     return np.array_equal(pattern_matrix(C), Q)
 
 
-def test_dup_thm060_example():
-    f = construct_library("thm060")
+def test_dup_thm00_example():
+    f = construct_library("thm00", t=2)
     A = gram(f)
     C = dup_realization(A, 0, 3.0, theta=math.pi / 4)
     assert assert_spectrum(C, [(0.0, 2), (3.0, 2), (7.0, 1)])
@@ -160,7 +160,7 @@ def test_dup_thm01_pendant():
 
 
 def test_dup_theta_grid():
-    f = construct_library("thm060")
+    f = construct_library("thm00", t=2)
     A = gram(f)
     for theta in (math.pi / 6, math.pi / 4, math.pi / 3):
         C = dup_realization(A, 0, 3.0, theta=theta)
@@ -169,7 +169,7 @@ def test_dup_theta_grid():
 
 
 def test_dup_errors():
-    A = gram(construct_library("thm060"))
+    A = gram(construct_library("thm00", t=2))
     with pytest.raises(DiagonalNotEigenvalue):
         dup_realization(A, 1, 3.0)  # a_11 = 1 != 3
     with pytest.raises(DiagonalNotEigenvalue):
@@ -190,9 +190,8 @@ def test_jdup_k2():
     assert pattern_matrix(C).sum() == 6
 
 
-def test_jdup_salter_keeps_q2():
-    f = construct_library("salter", s=2)
-    A = gram(f)
+def test_jdup_keeps_q2():
+    A = q2_certificate(graph_from_text("01011")).payload["matrix"]
     C = jdup_realization(A, 4)  # a vertex of the final clique
     assert q_of_matrix(C) == 2
     bits, _ = creation_order_of(pattern_matrix(C))
@@ -246,24 +245,18 @@ def test_graph_level_duplication_agrees_with_matrix_level():
 
 
 def test_orthogonal_certificate_prop37():
-    from threshq.gram import PROP37_BLOCK
-
     G = graph_from_text("00101011")
     A = orthogonal_certificate(PROP37_BLOCK, G)
     assert in_pattern(A, G) and q_of_matrix(A) == 2
 
 
 def test_orthogonal_certificate_prop40():
-    from threshq.gram import PROP40_BLOCK
-
     G = graph_from_text("00011011")
     A = orthogonal_certificate(PROP40_BLOCK, G)
     assert in_pattern(A, G) and q_of_matrix(A) == 2
 
 
 def test_orthogonal_certificate_two_eigenvalues_psd():
-    from threshq.gram import PROP40_BLOCK
-
     G = graph_from_text("00011011")
     A = orthogonal_certificate(PROP40_BLOCK, G)
     w = eigen_sym(A)

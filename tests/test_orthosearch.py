@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from threshq.gram import construct_library, gram
+from threshq.gram import construct_library, dup_realization, gram
 from threshq.orthosearch import (
     Feasible,
     Infeasible,
@@ -144,15 +144,17 @@ def test_ssp_invariance_under_signature_and_scaling():
 
 
 def test_ssp_witness_satisfies_constraints():
-    A = gram(construct_library("Tn2"))  # plenty of zero pattern
+    # thm10 grown to 0001001 by two duplications has no SSP, so a witness exists
+    A = gram(construct_library("thm10"))
+    A = dup_realization(dup_realization(A, 0, 1.0), 0, 1.0)
     rep = ssp_check(A)
-    if rep.witness is not None:
-        X = rep.witness
-        P = np.abs(A) > 1e-8 * np.abs(A).max()
-        np.fill_diagonal(P, False)
-        assert np.abs(X[P]).max(initial=0.0) < 1e-9
-        assert np.abs(np.diag(X)).max() < 1e-12
-        assert np.abs(A @ X - X @ A).max() < 1e-7
+    X = rep.witness
+    assert X is not None
+    P = np.abs(A) > 1e-8 * np.abs(A).max()
+    np.fill_diagonal(P, False)
+    assert np.abs(X[P]).max(initial=0.0) < 1e-9
+    assert np.abs(np.diag(X)).max() < 1e-12
+    assert np.abs(A @ X - X @ A).max() < 1e-7
 
 
 # ---------------------------------------------------------------- search

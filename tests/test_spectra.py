@@ -135,11 +135,6 @@ def test_default_tol_scales():
 # ---------------------------------------------------------------- patterns
 
 
-def test_salter_gram_in_pattern():
-    f = construct_library("salter", s=2)
-    assert in_pattern(gram(f), f.target)
-
-
 def test_zero_matrix_not_k2():
     rep = in_pattern(np.zeros((2, 2)), graph_from_text("01"))
     assert not rep and rep.violations == ((0, 1, "edge entry is zero"),)
@@ -176,10 +171,6 @@ def test_q_of_thm00_t3():
 
 def test_q_of_scaled_identity():
     assert q_of_matrix(2.5 * np.eye(6)) == 1
-
-
-def test_q_of_prop41():
-    assert q_of_matrix(gram(construct_library("prop41"))) == 2
 
 
 # ---------------------------------------------------------------- file io
