@@ -27,12 +27,11 @@ from .orthosearch import (
     verify_infeasible,
 )
 from .sequences import (
+    BlockForm,
     CreationSequence,
     SequenceError,
     ThresholdGraph,
     block_form,
-    build_graph,
-    creation_order_of,
     graph_from_text,
     parse_creation_sequence,
     unique_path_bound,
@@ -294,43 +293,48 @@ def _chain_steps(plan: ChainPlan) -> tuple[str, ...]:
 
 
 def run_chain(plan: ChainPlan) -> tuple[np.ndarray, list[str]]:
+    """Realize a plan, with its step labels.  Each copy is appended, so plan
+    indices keep naming seed vertices, and belongs right after the vertex it
+    copies, inside that vertex's run (a joined copy of vertex 0 opens
+    (0, 1, ...)); one permutation at the end puts the matrix in the creation
+    order of the sequence the plan fits."""
     A = gramlib.gram(plan.seed)
+    order = list(range(A.shape[0]))
     for v, lam in plan.dup_steps:
         A = gramlib.dup_realization(A, v, lam)
+        order.insert(order.index(v) + 1, len(order))
     for v in plan.jdup_steps:
         A = gramlib.jdup_realization(A, v)
-    return A, list(_chain_steps(plan))
+        order.insert(order.index(v) + 1, len(order))
+    return A[np.ix_(order, order)], list(_chain_steps(plan))
 
 
-def _landed(A: np.ndarray, G: ThresholdGraph, what: str) -> np.ndarray:
-    """A chain matrix in creation order; SelfCheckError unless it landed on G."""
-    bits, order = creation_order_of(pattern_matrix(A))
-    if bits != G.creation.bits:
-        raise SelfCheckError(f"{what} landed on {bits}, wanted {G.creation.bits}")
-    return A[np.ix_(order, order)]
+def _checked(A: np.ndarray, G: ThresholdGraph, seed_q: int, what: str) -> np.ndarray:
+    """A, once checked to lie in S(G) with its seed's q, which a chain keeps:
+    dup adds an eigenvalue A already has, jdup adds lambda_min."""
+    if not in_pattern(A, G):
+        raise SelfCheckError(f"{what} landed on another graph than {G.creation.text}")
+    value = q_of_matrix(A)
+    if value != seed_q:
+        raise SelfCheckError(f"{what} reached q = {value}, its seed has q = {seed_q}")
+    return A
 
 
-def chain_certificate(G: ThresholdGraph) -> Certificate | None:
-    """Upper bound from a duplication chain, with the final matrix permuted
-    to creation order and re-verified."""
+def chain_certificate(G: ThresholdGraph) -> Certificate:
+    """Upper bound from a duplication chain: the star's for s = 1, else the
+    first fitting seed's.  The chain lands in G's creation order by
+    construction; it is checked once, for pattern and for its seed's q."""
     bf = block_form(G.creation)
     if bf.s == 1:
         A, steps = _star_chain(bf)
         seed_q = 3 if bf.ks[0] >= 2 else 2
     else:
         plan = _plan(bf, _chain_seeds(bf))
-        if plan is None:
-            return None
         A, steps = run_chain(plan)
         seed_q = q_of_matrix(gramlib.gram(plan.seed))
-    Ac = _landed(A, G, "chain")
-    if not in_pattern(Ac, G):
-        raise SelfCheckError("chain certificate left the pattern")
-    value = q_of_matrix(Ac)
-    if value != seed_q:
-        raise SelfCheckError(f"chain reached q = {value}, its seed has q = {seed_q}")
+    A = _checked(A, G, seed_q, "chain")
     kind = "ConstructionUB" if len(steps) == 1 else "DupChainUB"
-    return Certificate(kind, value, "duplication chain", {"matrix": Ac, "chain": tuple(steps)})
+    return Certificate(kind, seed_q, "duplication chain", {"matrix": A, "chain": tuple(steps)})
 
 
 # ---------------------------------------------------------------------------
@@ -391,8 +395,9 @@ def ub_section12(G: ThresholdGraph, chain: Certificate | None = None) -> tuple[i
     """floor((s+9)/2) with a construction-backed certificate.
 
     For block forms with a zero-run of length >= 2 the certificate matrix is
-    the paired-column seed grown by duplication; otherwise the alternating
-    or complete-split chain (q <= 3) witnesses the bound a fortiori.
+    the paired-column seed grown by duplication, realized by `run_chain` in
+    G's creation order and checked once; otherwise the alternating or
+    complete-split chain (q <= 3) witnesses the bound a fortiori.
 
     `chain` is G's chain_certificate when the caller already has one.  Its
     matrix and value are reused when it ran the same steps as the
@@ -407,8 +412,8 @@ def ub_section12(G: ThresholdGraph, chain: Certificate | None = None) -> tuple[i
         if chain is not None and chain.payload.get("chain") == steps:
             Ac, value = chain.payload["matrix"], chain.value
         else:
-            Ac = _landed(run_chain(plan)[0], G, "paired-column chain")
-            value = q_of_matrix(Ac)
+            value = q_of_matrix(gramlib.gram(plan.seed))
+            Ac = _checked(run_chain(plan)[0], G, value, "paired-column chain")
         parity_even = plan.seed.params["p1"] % 2 == 0 and plan.seed.params["p2"] % 2 == 0
         kind = "ConstructionUB" if parity_even else "DupChainUB"
         cert = Certificate(kind, bound, "paired-column construction",
@@ -417,8 +422,6 @@ def ub_section12(G: ThresholdGraph, chain: Certificate | None = None) -> tuple[i
             raise SelfCheckError(f"paired-column chain reached q = {value} > {bound}")
         return bound, cert
     cert = chain if chain is not None else chain_certificate(G)
-    if cert is None:
-        raise SelfCheckError("no alternating-family chain for the general bound")
     if cert.value > bound:
         raise SelfCheckError(f"alternating-family chain reached q = {cert.value} > {bound}")
     return bound, Certificate("DupChainUB", bound, "alternating-family chain",
@@ -434,37 +437,36 @@ def _direct_upper(G: ThresholdGraph) -> list[Certificate]:
     """The duplication chain and the general bound; both read only the
     zero-runs and s, so shortening a ones-run never improves them."""
     chain = chain_certificate(G)
-    certs = [chain] if chain is not None else []
+    certs = [chain]
     bf = block_form(G.creation)
     if bf.s >= 2 and any(k >= 2 for k in bf.ks):
         certs.append(ub_section12(G, chain)[1])
     return certs
 
 
-def _leading_merge_lift(G: ThresholdGraph, best: int) -> Certificate | None:
-    """G = (0, 1^t, 0^k, ...) is t joined copies of vertex 0 away from its
-    merge form M = (0^(1+k), ...); M's best direct certificate, grown back,
-    or None when that certificate's value is not below `best`.
+def _merge_plan(bf) -> ChainPlan | None:
+    """The chain plan of the merge form M = (0^(1+k), ...) of bf = (0, 1^t,
+    0^k, ...), which is M's best direct certificate, plus the t joined
+    copies of vertex 0 that reach bf from M.  None unless bf opens with a
+    lone 0 and M has s >= 2: when M has s = 1, bf has s = 2 and k_1 = 1, so
+    `thm061` fits bf at q = 3, the star's value, and no lift beats it."""
+    if bf.s < 3 or bf.ks[0] != 1:
+        return None
+    (_, t), (k, t2) = bf.blocks[:2]
+    merged = BlockForm(((1 + k, t2),) + bf.blocks[2:])
+    plan = _plan(merged, _chain_seeds(merged))
+    return ChainPlan(plan.seed, plan.dup_steps, plan.jdup_steps + (0,) * t)
 
-    Joined copies of vertex 0 are its twins, so the copies need no
-    reordering between steps; the landed sequence is checked once.
-    """
-    blocks = block_form(G.creation).blocks
-    if len(blocks) < 2 or blocks[0][0] != 1:
+
+def _leading_merge_lift(G: ThresholdGraph, best: int) -> Certificate | None:
+    """The leading-merge plan as a certificate, or None when there is none
+    or its seed's q is not below `best`; it is realized only when it wins."""
+    plan = _merge_plan(block_form(G.creation))
+    if plan is None or (seed_q := q_of_matrix(gramlib.gram(plan.seed))) >= best:
         return None
-    t, k = blocks[0][1], blocks[1][0]
-    M = build_graph(CreationSequence((0,) * (1 + k) + G.creation.bits[1 + t + k:]))
-    cert = min(_direct_upper(M), key=lambda c: c.value)
-    if cert.value >= best:
-        return None
-    A = cert.payload["matrix"]
-    for _ in range(t):
-        A = gramlib.jdup_realization(A, 0)
-    payload = {"matrix": _landed(A, G, "merge lift"),
-               "chain": tuple(cert.payload.get("chain", ())) + ("jdup(0)",) * t}
-    if "achieved" in cert.payload:  # joined duplication preserves q
-        payload["achieved"] = cert.payload["achieved"]
-    return Certificate("DupChainUB", cert.value, "duplication chain", payload)
+    A, steps = run_chain(plan)
+    return Certificate("DupChainUB", seed_q, "duplication chain",
+                       {"matrix": _checked(A, G, seed_q, "merge lift"), "chain": tuple(steps)})
 
 
 def classify_q(G: ThresholdGraph) -> QBound:
@@ -473,7 +475,9 @@ def classify_q(G: ThresholdGraph) -> QBound:
     The upper side is the orthogonal completion when the gate is feasible,
     else the direct rules plus at most one lift, tried only while they stay
     above the lower side: a transfer citation whose base reaches G, or
-    failing that the leading-merge lift, whichever beats them.
+    failing that the leading-merge lift, whichever beats them.  Every chain
+    is realized at most once and lands on G by construction; the lift's
+    value is its seed's q, so it is realized only when it wins.
     """
     if not G.connected:
         raise ValueError("classify_q needs a connected graph")

@@ -1,9 +1,10 @@
 import dataclasses
 import functools
 import itertools
+import math
 import random
+import sys
 import time
-from collections import Counter
 
 import numpy as np
 import pytest
@@ -41,7 +42,7 @@ from threshq.sequences import (
     jdup_graph,
     unique_path_bound,
 )
-from threshq.spectra import cluster_spectrum, eigen_sym, in_pattern, pattern_matrix, q_of_matrix
+from threshq.spectra import cluster_spectrum, eigen_sym, in_pattern, q_of_matrix
 from threshq.tables import TABLES
 
 
@@ -477,42 +478,72 @@ def test_self_checks_raise_named_error(monkeypatch):
         ub_section12(G("0101001"))
 
 
-def merge_form(bits):
-    """(0^(1+k), rest) for bits = (0, 1^t, 0^k, rest), else None."""
-    blocks = block_form(CreationSequence(bits)).blocks
-    if len(blocks) < 2 or blocks[0][0] != 1:
-        return None
-    t, k = blocks[0][1], blocks[1][0]
-    return (0,) * (1 + k) + bits[1 + t + k:]
+def test_chains_land_in_creation_order():
+    # every chain matrix comes back in the creation order of the sequence
+    # its plan fits, with no peeling: the star chain, the chain plan and the
+    # leading-merge plan alike
+    merged = 0
+    for n in range(2, 12):
+        for seq in enumerate_connected(n):
+            g, bf = build_graph(seq), block_form(seq)
+            if bf.s == 1:
+                assert in_pattern(bounds._star_chain(bf)[0], g), seq.text
+                continue
+            for plan in filter(None, (chain_plan(bf), bounds._merge_plan(bf))):
+                assert in_pattern(run_chain(plan)[0], g), (seq.text, _chain_steps(plan))
+            merged += bounds._merge_plan(bf) is not None
+    assert merged
+
+
+def test_lone_zero_s2_forms_need_no_lift():
+    # (0, 1^t, 0^k, 1^u) merges to a star, whose value 3 its own chain
+    # already reaches, so it gets no leading-merge plan
+    checked = 0
+    for n in range(4, 13):
+        for seq in enumerate_connected(n):
+            bf = block_form(seq)
+            if bf.s == 2 and bf.ks[0] == 1:
+                assert chain_certificate(build_graph(seq)).value == 3, seq.text
+                assert bounds._merge_plan(bf) is None, seq.text
+                checked += 1
+    assert checked == sum(math.comb(n - 2, 2) for n in range(4, 13))
 
 
 def test_classify_runs_each_chain_once(monkeypatch):
-    # one classify_q call realizes no plan twice, only on G and on its
-    # leading-merge form M; the section-12 certificate reuses the chain
-    # certificate's realization when both follow the same plan, so a graph
-    # whose chain plan is the section-12 plan (s >= 4, and the s = 3
-    # fallback) runs one chain in all
-    runs = []
+    # one classify_q call realizes no plan twice, every chain it realizes
+    # lands on G itself, and no matrix is peeled to find its creation
+    # order; the section-12 certificate reuses the chain certificate's
+    # realization when both follow the same plan, so such a plan (s >= 4,
+    # and the s = 3 fallback) runs once
+    runs, peels = [], []
 
     def counting(plan):
         A, steps = run_chain(plan)
-        runs.append((creation_order_of(pattern_matrix(A))[0], tuple(steps)))
+        runs.append((A, tuple(steps)))
         return A, steps
 
+    def peeling(adjacency):
+        peels.append(adjacency)
+        return creation_order_of(adjacency)
+
     monkeypatch.setattr(bounds, "run_chain", counting)
+    for mod in list(sys.modules.values()):
+        if mod.__name__.startswith("threshq") and hasattr(mod, "creation_order_of"):
+            monkeypatch.setattr(mod, "creation_order_of", peeling)
     shared = 0
     for seq in enumerate_connected(10):
         runs.clear()
-        classify_q(build_graph(seq))
-        assert len(set(runs)) == len(runs), seq.text
-        assert {bits for bits, _ in runs} <= {seq.bits, merge_form(seq.bits)}, seq.text
-        for bits, count in Counter(bits for bits, _ in runs).items():
-            bf = block_form(CreationSequence(bits))
-            section12 = section12_plan(bf)
-            if section12 and _chain_steps(chain_plan(bf)) == _chain_steps(section12):
-                assert count == 1, (seq.text, bits)
-                shared += 1
+        g, bf = build_graph(seq), block_form(seq)
+        classify_q(g)
+        steps = [st for _, st in runs]
+        assert len(set(steps)) == len(steps), seq.text
+        assert all(in_pattern(A, g) for A, _ in runs), seq.text
+        section12 = section12_plan(bf) if runs and bf.s >= 2 else None
+        if section12 and _chain_steps(chain_plan(bf)) == _chain_steps(section12):
+            assert steps.count(_chain_steps(section12)) == 1, seq.text
+            shared += 1
     assert shared
+    assert not peels
 
 
 def test_section12_certificate_matches_fresh_chain():
@@ -523,8 +554,7 @@ def test_section12_certificate_matches_fresh_chain():
                 if cert.provenance != "paired-column construction":
                     continue
                 A, steps = run_chain(section12_plan(block_form(seq)))
-                _, order = creation_order_of(pattern_matrix(A))
-                assert np.array_equal(cert.payload["matrix"], A[np.ix_(order, order)]), seq.text
+                assert np.array_equal(cert.payload["matrix"], A), seq.text
                 assert cert.payload["chain"] == tuple(steps)
                 assert cert.payload["achieved"] == q_of_matrix(cert.payload["matrix"])
                 checked += 1
