@@ -211,11 +211,13 @@ class ChainPlan:
     jdup_steps: tuple[int, ...]
 
 
-# Catalog seeds for block forms with a zero-run longer than 1, grouped by
-# their block count s, in the order the planner tries them.
+# The fixed catalog seeds for block forms with a zero-run longer than 1,
+# grouped by their block count s, in the order the planner tries them; built
+# once, since GramFactor matrices are read-only.
 _CATALOG_SEEDS = {
-    2: (("thm061", {}), ("thm01", {}), ("thm00", {"t": 2}), ("thm10", {})),
-    3: (("thm05", {}), ("thm06", {}), ("qlt4", {})),
+    s: tuple(gramlib.construct_library(cid, **params) for cid, params in seeds)
+    for s, seeds in {2: (("thm061", {}), ("thm01", {}), ("thm00", {"t": 2}), ("thm10", {})),
+                     3: (("thm05", {}), ("thm06", {}), ("qlt4", {}))}.items()
 }
 
 
@@ -260,8 +262,7 @@ def _chain_seeds(bf):
     if all(k == 1 for k in bf.ks):
         yield gramlib.construct_library("thm00", t=bf.s)
     else:
-        for cid, params in _CATALOG_SEEDS.get(bf.s, ()):
-            yield gramlib.construct_library(cid, **params)
+        yield from _CATALOG_SEEDS.get(bf.s, ())
     yield from _section12_seeds(bf)
 
 

@@ -153,15 +153,10 @@ def in_pattern(A: np.ndarray, G, zero_tol: float = 1e-8) -> PatternReport:
     n = adj.shape[0]
     if A.shape[0] != n:
         raise DimensionMismatch(f"matrix is {A.shape[0]}x{A.shape[0]}, graph has {n} vertices")
-    P = pattern_matrix(A, zero_tol)
-    violations = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            if adj[i, j] and not P[i, j]:
-                violations.append((i, j, "edge entry is zero"))
-            elif not adj[i, j] and P[i, j]:
-                violations.append((i, j, "non-edge entry is nonzero"))
-    return PatternReport(not violations, tuple(violations))
+    rows, cols = np.nonzero(np.triu(pattern_matrix(A, zero_tol) != adj, 1))
+    violations = tuple((i, j, "edge entry is zero" if adj[i, j] else "non-edge entry is nonzero")
+                       for i, j in zip(rows.tolist(), cols.tolist()))
+    return PatternReport(not violations, violations)
 
 
 def spectrum_multiset(A: np.ndarray, tol: float | None = None) -> tuple[tuple[float, int], ...]:

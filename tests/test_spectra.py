@@ -140,6 +140,26 @@ def test_zero_matrix_not_k2():
     assert not rep and rep.violations == ((0, 1, "edge entry is zero"),)
 
 
+def test_in_pattern_matches_entrywise_loop():
+    # reference: the pairwise loop in row-major order; indices stay Python
+    # ints so a report serializes to JSON
+    g = graph_from_text("0010110101")
+    for _ in range(20):
+        A = rand_sym(g.n) * (rng.random((g.n, g.n)) < 0.6)
+        A = (A + A.T) / 2
+        P = np.abs(A) > 1e-8 * max(1.0, float(np.abs(A).max()))
+        want = []
+        for i in range(g.n):
+            for j in range(i + 1, g.n):
+                if g.adjacency[i, j] and not P[i, j]:
+                    want.append((i, j, "edge entry is zero"))
+                elif not g.adjacency[i, j] and P[i, j]:
+                    want.append((i, j, "non-edge entry is nonzero"))
+        rep = in_pattern(A, g)
+        assert rep.violations == tuple(want) and bool(rep) == (not want)
+        assert all(type(i) is int and type(j) is int for i, j, _ in rep.violations)
+
+
 def test_prop_a15a19_pattern_entrywise():
     # oracle: check M M^T against the graph entry by entry
     f = construct_library("prop_a15a19")
