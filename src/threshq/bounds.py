@@ -273,12 +273,13 @@ def _plan(bf, seeds) -> ChainPlan | None:
 
 def _star_chain(bf) -> tuple[np.ndarray, list[str]]:
     """Complete split graphs with k > t: adjacency of the star, then joined
-    duplications of the dominating vertex."""
+    duplications of the dominating vertex.  The steps open with a seed
+    label, as a plan's do."""
     k, t = bf.ks[0], bf.ts[0]
     A = np.zeros((k + 1, k + 1))
     A[k, :k] = 1.0
     A[:k, k] = 1.0
-    steps = []
+    steps = [f"seed:star{ {'k': k} }"]
     for _ in range(t - 1):
         A = gramlib.jdup_realization(A, k)
         steps.append(f"jdup({k})")
