@@ -203,7 +203,8 @@ class ChainPlan:
     """Seed factor plus duplication schedule reaching a target sequence.
 
     dup_steps: (vertex index in the seed matrix, eigenvalue) repeated per
-    extra zero; jdup_steps: dominating seed index repeated per extra one.
+    extra zero; jdup_steps: seed index repeated per joined copy, of a
+    ones-run's dominating vertex, or of vertex 0 in a leading-merge plan.
     """
 
     seed: gramlib.GramFactor
@@ -211,9 +212,8 @@ class ChainPlan:
     jdup_steps: tuple[int, ...]
 
 
-# The fixed catalog seeds for block forms with a zero-run longer than 1,
-# grouped by their block count s, in the order the planner tries them; built
-# once, since GramFactor matrices are read-only.
+# The fixed catalog seeds for block forms with a zero-run longer than 1, by
+# block count s, in the order the planner tries them; built once at import.
 _CATALOG_SEEDS = {
     s: tuple(gramlib.construct_library(cid, **params) for cid, params in seeds)
     for s, seeds in {2: (("thm061", {}), ("thm01", {}), ("thm00", {"t": 2}), ("thm10", {})),
@@ -273,8 +273,7 @@ def _plan(bf, seeds) -> ChainPlan | None:
 
 def _star_chain(bf) -> tuple[np.ndarray, list[str]]:
     """Complete split graphs with k > t: adjacency of the star, then joined
-    duplications of the dominating vertex.  The steps open with a seed
-    label, as a plan's do."""
+    duplications of the dominating vertex."""
     k, t = bf.ks[0], bf.ts[0]
     A = np.zeros((k + 1, k + 1))
     A[k, :k] = 1.0
@@ -397,9 +396,8 @@ def ub_section12(G: ThresholdGraph, chain: Certificate | None = None) -> tuple[i
     """floor((s+9)/2) with a construction-backed certificate.
 
     For block forms with a zero-run of length >= 2 the certificate matrix is
-    the paired-column seed grown by duplication, realized by `run_chain` in
-    G's creation order and checked once; otherwise the alternating or
-    complete-split chain (q <= 3) witnesses the bound a fortiori.
+    the paired-column chain, checked once like any chain; otherwise the
+    alternating or complete-split chain (q <= 3) witnesses it a fortiori.
 
     `chain` is G's chain_certificate when the caller already has one.  Its
     matrix and value are reused when it ran the same steps as the
@@ -447,11 +445,10 @@ def _direct_upper(G: ThresholdGraph) -> list[Certificate]:
 
 
 def _merge_plan(bf) -> ChainPlan | None:
-    """The chain plan of the merge form M = (0^(1+k), ...) of bf = (0, 1^t,
-    0^k, ...), which is M's best direct certificate, plus the t joined
-    copies of vertex 0 that reach bf from M.  None unless bf opens with a
-    lone 0 and M has s >= 2: when M has s = 1, bf has s = 2 and k_1 = 1, so
-    `thm061` fits bf at q = 3, the star's value, and no lift beats it."""
+    """M's chain plan (always M's best), plus the t joined copies of vertex 0
+    that reach bf = (0, 1^t, 0^k, ...) from its merge form M = (0^(1+k), ...).
+    None unless bf opens with a lone 0 and M has s >= 2: if M has s = 1, bf
+    has s = 2 and k_1 = 1, and `thm061` fits bf at the star's value 3."""
     if bf.s < 3 or bf.ks[0] != 1:
         return None
     (_, t), (k, t2) = bf.blocks[:2]
