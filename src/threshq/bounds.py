@@ -215,9 +215,9 @@ class ChainPlan:
 # The fixed catalog seeds for block forms with a zero-run longer than 1, by
 # block count s, in the order the planner tries them; built once at import.
 _CATALOG_SEEDS = {
-    s: tuple(gramlib.construct_library(cid, **params) for cid, params in seeds)
-    for s, seeds in {2: (("thm061", {}), ("thm01", {}), ("thm00", {"t": 2}), ("thm10", {})),
-                     3: (("thm05", {}), ("thm06", {}), ("qlt4", {}))}.items()
+    2: tuple(gramlib.construct_library(cid, **params) for cid, params in
+             (("thm061", {}), ("thm01", {}), ("thm00", {"t": 2}), ("thm10", {}))),
+    3: tuple(gramlib.construct_library(cid) for cid in ("thm05", "thm06", "qlt4")),
 }
 
 
@@ -267,7 +267,7 @@ def _chain_seeds(bf):
 
 
 def _plan(bf, seeds) -> ChainPlan | None:
-    """The plan of the first seed that fits bf; seeds are built lazily."""
+    """The plan of the first seed that fits bf; the seeds after it are not built."""
     return next(filter(None, (_fit(seed, bf) for seed in seeds)), None)
 
 

@@ -489,9 +489,10 @@ def test_chains_land_in_creation_order():
             if bf.s == 1:
                 assert in_pattern(bounds._star_chain(bf)[0], g), seq.text
                 continue
-            for plan in filter(None, (chain_plan(bf), bounds._merge_plan(bf))):
+            merge = bounds._merge_plan(bf)
+            for plan in filter(None, (chain_plan(bf), merge)):
                 assert in_pattern(run_chain(plan)[0], g), (seq.text, _chain_steps(plan))
-            merged += bounds._merge_plan(bf) is not None
+            merged += merge is not None
     assert merged
 
 
