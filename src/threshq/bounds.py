@@ -39,9 +39,13 @@ from .sequences import (
 from .spectra import (
     DimensionMismatch,
     NoConvergence,
+    cluster_spectrum,
+    eigen_sym,
     in_pattern,
     pattern_matrix,
     q_of_matrix,
+    spectra_agree,
+    spectrum_values,
 )
 
 
@@ -271,18 +275,22 @@ def _plan(bf, seeds) -> ChainPlan | None:
     return next(filter(None, (_fit(seed, bf) for seed in seeds)), None)
 
 
-def _star_chain(bf) -> tuple[np.ndarray, list[str]]:
+def _star_chain(bf) -> tuple[np.ndarray, np.ndarray, list[str]]:
     """Complete split graphs with k > t: adjacency of the star, then joined
-    duplications of the dominating vertex."""
+    duplications of the dominating vertex, with the spectrum they carry:
+    the star's +-sqrt(k) and 0^(k-1), then one -sqrt(k) per copy."""
     k, t = bf.ks[0], bf.ts[0]
     A = np.zeros((k + 1, k + 1))
     A[k, :k] = 1.0
     A[:k, k] = 1.0
+    r = math.sqrt(k)
+    spectrum = np.array([-r] + [0.0] * (k - 1) + [r])
     steps = [f"seed:star{ {'k': k} }"]
     for _ in range(t - 1):
-        A = gramlib.jdup_realization(A, k)
+        A = gramlib.jdup_realization(A, k, spectrum)
+        spectrum = np.append(spectrum, -r)
         steps.append(f"jdup({k})")
-    return A, steps
+    return A, spectrum, steps
 
 
 def _chain_steps(plan: ChainPlan) -> tuple[str, ...]:
@@ -293,49 +301,51 @@ def _chain_steps(plan: ChainPlan) -> tuple[str, ...]:
             + tuple(f"jdup({v})" for v in plan.jdup_steps))
 
 
-def run_chain(plan: ChainPlan) -> tuple[np.ndarray, list[str]]:
-    """Realize a plan, with its step labels.  Each copy is appended, so plan
-    indices keep naming seed vertices, and belongs right after the vertex it
-    copies, inside that vertex's run (a joined copy of vertex 0 opens
-    (0, 1, ...)); one permutation at the end puts the matrix in the creation
-    order of the sequence the plan fits."""
+def run_chain(plan: ChainPlan) -> tuple[np.ndarray, np.ndarray, list[str]]:
+    """Realize a plan, with the spectrum it carries and its step labels.
+
+    Each copy is appended, so plan indices keep naming seed vertices, and
+    belongs right after the vertex it copies, inside that vertex's run (a
+    joined copy of vertex 0 opens (0, 1, ...)); one permutation at the end
+    puts the matrix in the creation order of the sequence the plan fits.
+    The spectrum starts as the seed's and gains lam per dup step and
+    lambda_min per jdup step, so no step eigensolves."""
     A = gramlib.gram(plan.seed)
+    spectrum = spectrum_values(plan.seed.expected_spectrum)
     order = list(range(A.shape[0]))
     for v, lam in plan.dup_steps:
-        A = gramlib.dup_realization(A, v, lam)
+        A = gramlib.dup_realization(A, v, lam, spectrum)
+        spectrum = np.append(spectrum, lam)
         order.insert(order.index(v) + 1, len(order))
     for v in plan.jdup_steps:
-        A = gramlib.jdup_realization(A, v)
+        A = gramlib.jdup_realization(A, v, spectrum)
+        spectrum = np.append(spectrum, spectrum.min())
         order.insert(order.index(v) + 1, len(order))
-    return A[np.ix_(order, order)], list(_chain_steps(plan))
+    return A[np.ix_(order, order)], spectrum, list(_chain_steps(plan))
 
 
-def _checked(A: np.ndarray, G: ThresholdGraph, seed_q: int, what: str) -> np.ndarray:
-    """A, once checked to lie in S(G) with its seed's q, which a chain keeps:
-    dup adds an eigenvalue A already has, jdup adds lambda_min."""
+def _checked(A: np.ndarray, spectrum: np.ndarray, G: ThresholdGraph, what: str) -> int:
+    """q of a chain matrix A, once checked to lie in S(G) and to have the
+    spectrum its chain carried.  This is the chain's one eigensolve: every
+    step is an exact similarity, so the match proves each intermediate
+    spectrum, and with it every step's check against the carried one."""
     if not in_pattern(A, G):
         raise SelfCheckError(f"{what} landed on another graph than {G.creation.text}")
-    value = q_of_matrix(A)
-    if value != seed_q:
-        raise SelfCheckError(f"{what} reached q = {value}, its seed has q = {seed_q}")
-    return A
+    eigs = eigen_sym(A)
+    if not spectra_agree(eigs, spectrum):
+        raise SelfCheckError(f"{what} lost the spectrum its chain carried")
+    return cluster_spectrum(eigs).q
 
 
 def chain_certificate(G: ThresholdGraph) -> Certificate:
     """Upper bound from a duplication chain: the star's for s = 1, else the
     first fitting seed's.  The chain lands in G's creation order by
-    construction; it is checked once, for pattern and for its seed's q."""
+    construction; it is checked once, for pattern and spectrum."""
     bf = block_form(G.creation)
-    if bf.s == 1:
-        A, steps = _star_chain(bf)
-        seed_q = 3 if bf.ks[0] >= 2 else 2
-    else:
-        plan = _plan(bf, _chain_seeds(bf))
-        A, steps = run_chain(plan)
-        seed_q = q_of_matrix(gramlib.gram(plan.seed))
-    A = _checked(A, G, seed_q, "chain")
+    A, spectrum, steps = _star_chain(bf) if bf.s == 1 else run_chain(_plan(bf, _chain_seeds(bf)))
+    value = _checked(A, spectrum, G, "chain")
     kind = "ConstructionUB" if len(steps) == 1 else "DupChainUB"
-    return Certificate(kind, seed_q, "duplication chain", {"matrix": A, "chain": tuple(steps)})
+    return Certificate(kind, value, "duplication chain", {"matrix": A, "chain": tuple(steps)})
 
 
 # ---------------------------------------------------------------------------
@@ -412,8 +422,8 @@ def ub_section12(G: ThresholdGraph, chain: Certificate | None = None) -> tuple[i
         if chain is not None and chain.payload.get("chain") == steps:
             Ac, value = chain.payload["matrix"], chain.value
         else:
-            value = q_of_matrix(gramlib.gram(plan.seed))
-            Ac = _checked(run_chain(plan)[0], G, value, "paired-column chain")
+            Ac, spectrum, _ = run_chain(plan)
+            value = _checked(Ac, spectrum, G, "paired-column chain")
         parity_even = plan.seed.params["p1"] % 2 == 0 and plan.seed.params["p2"] % 2 == 0
         kind = "ConstructionUB" if parity_even else "DupChainUB"
         cert = Certificate(kind, bound, "paired-column construction",
@@ -459,13 +469,15 @@ def _merge_plan(bf) -> ChainPlan | None:
 
 def _leading_merge_lift(G: ThresholdGraph, best: int) -> Certificate | None:
     """The leading-merge plan as a certificate, or None when there is none
-    or its seed's q is not below `best`; it is realized only when it wins."""
+    or its seed's q, the count of distinct values in the seed's
+    expected_spectrum, is not below `best`; it is realized only when it
+    wins."""
     plan = _merge_plan(block_form(G.creation))
-    if plan is None or (seed_q := q_of_matrix(gramlib.gram(plan.seed))) >= best:
+    if plan is None or len(plan.seed.expected_spectrum) >= best:
         return None
-    A, steps = run_chain(plan)
-    return Certificate("DupChainUB", seed_q, "duplication chain",
-                       {"matrix": _checked(A, G, seed_q, "merge lift"), "chain": tuple(steps)})
+    A, spectrum, steps = run_chain(plan)
+    return Certificate("DupChainUB", _checked(A, spectrum, G, "merge lift"), "duplication chain",
+                       {"matrix": A, "chain": tuple(steps)})
 
 
 def classify_q(G: ThresholdGraph) -> QBound:

@@ -18,7 +18,7 @@ import numpy as np
 
 from .orthosearch import SupportPattern
 from .sequences import CreationSequence, ThresholdGraph, build_graph, graph_from_text
-from .spectra import eigen_sym, in_pattern, pattern_matrix
+from .spectra import cluster_spectrum, eigen_sym, in_pattern, pattern_matrix
 
 
 class BadParams(ValueError):
@@ -45,10 +45,11 @@ class InfeasibleRepair(RuntimeError):
 class GramFactor:
     """Rectangular factor with its target pattern and catalog metadata.
 
-    expected_spectrum lists (eigenvalue, multiplicity) of M M^T when the
-    catalog pins it.  dup_slots lists (vertex, eigenvalue) pairs valid for
-    dup_realization; the chain planner grows a zero-run from the first slot
-    listed inside it.
+    expected_spectrum lists the distinct eigenvalues of M M^T with their
+    multiplicities; every catalog factor and every section12_factor seed
+    has one, so a chain starts from a known spectrum.  dup_slots lists
+    (vertex, eigenvalue) pairs valid for dup_realization; the chain planner
+    grows a zero-run from the first slot listed inside it.
     """
 
     M: np.ndarray
@@ -192,9 +193,11 @@ def section12_factor(s: int, m: int) -> GramFactor:
     eigenvalue 1 from the middle pair, so q is at most 3 plus the number of
     unpaired-or-pair leftovers, within floor((s+9)/2) for every parity.
     Every isolated diagonal entry (1 or 3) is an eigenvalue, so all zero
-    blocks may be grown by duplication.  Chain step labels name the factor
-    by its construction_id, "ub_case1", though construct_library does not
-    build it.
+    blocks may be grown by duplication.  expected_spectrum is the clustered
+    spectrum of the (s+1) x (s+1) cogram M^T M plus n-s-1 zeros, which is
+    Spec(M M^T) without solving the n x n gram.  Chain step labels name the
+    factor by its construction_id, "ub_case1", though construct_library
+    does not build it.
     """
     if s < 2 or not (1 <= m <= s):
         raise BadParams("need s >= 2 and 1 <= m <= s")
@@ -278,11 +281,13 @@ def section12_factor(s: int, m: int) -> GramFactor:
             M[pos, c - 1] = math.sqrt(f2[c - 1])
             slots.append((pos, float(f2[c - 1])))
             zi += 1
+    spec = cluster_spectrum(np.concatenate((eigen_sym(M.T @ M), np.zeros(n - cols))))
     return GramFactor(
         _frozen(M),
         build_graph(CreationSequence(tuple(bits))),
         "ub_case1",
         {"s": s, "m": m, "p1": p1, "p2": s - m},
+        expected_spectrum=spec.distinct,
         dup_slots=tuple(slots),
     )
 
@@ -317,46 +322,53 @@ def construct_library(construction_id: str, **params) -> GramFactor:
 
 
 def _plane_rotation_extend(A: np.ndarray, v: int, lam: float, theta: float) -> np.ndarray:
-    """Rotate A + [lam] in the (v, n) coordinate plane by theta."""
+    """Rotate A + [lam] in the (v, n) coordinate plane by theta.
+
+    Only row and column v and the new row and column change, so they are
+    written directly: c A[v], -s A[v] and the rotated 2 x 2 block
+    [[a, 0], [0, lam]].  Row and column are written from the same values,
+    so the result is as symmetric as A.
+    """
     n = A.shape[0]
-    C = np.zeros((n + 1, n + 1))
-    C[:n, :n] = A
-    C[n, n] = lam
     c, s = math.cos(theta), math.sin(theta)
-    R = np.eye(n + 1)
-    R[v, v] = c
-    R[v, n] = s
-    R[n, v] = -s
-    R[n, n] = c
-    out = R @ C @ R.T
-    return (out + out.T) / 2  # storage keeps symmetry exact
+    a = float(A[v, v])
+    out = np.empty((n + 1, n + 1))
+    out[:n, :n] = A
+    out[v, :n] = out[:n, v] = c * A[v]
+    out[n, :n] = out[:n, n] = -s * A[v]
+    out[v, v] = c * c * a + s * s * lam
+    out[n, n] = s * s * a + c * c * lam
+    out[v, n] = out[n, v] = s * c * (lam - a)
+    return out
 
 
-def dup_realization(A: np.ndarray, v: int, lam: float, theta: float = math.pi / 4,
+def dup_realization(A: np.ndarray, v: int, lam: float, spectrum, theta: float = math.pi / 4,
                     tol: float = 1e-8) -> np.ndarray:
-    """Duplicate vertex v of A without an edge: requires a_vv = lam and
-    lam in Spec(A).  The result has Spec(A) plus one extra lam, the new
-    vertex adjacent exactly to N(v), and a zero (v, new) entry."""
+    """Duplicate vertex v of A without an edge: requires a_vv = lam and lam
+    in `spectrum`, the eigenvalues A is known to have (a standalone caller
+    passes eigen_sym(A); a chain carries them, so no step eigensolves).
+    The result has that spectrum plus one extra lam, the new vertex
+    adjacent exactly to N(v), and a zero (v, new) entry."""
     A = np.asarray(A, dtype=float)
-    n = A.shape[0]
     if not 0 < theta < math.pi / 2:
         raise BadAngle("theta must lie strictly between 0 and pi/2")
     scale = max(1.0, float(np.abs(A).max()))
     if abs(A[v, v] - lam) > tol * scale:
         raise DiagonalNotEigenvalue(f"a_vv = {A[v, v]} != {lam}")
-    eigs = eigen_sym(A)
-    if float(np.min(np.abs(eigs - lam))) > tol * scale:
+    if float(np.min(np.abs(np.asarray(spectrum) - lam))) > tol * scale:
         raise DiagonalNotEigenvalue(f"{lam} is not an eigenvalue")
     return _plane_rotation_extend(A, v, lam, theta)
 
 
-def jdup_realization(A: np.ndarray, v: int, theta: float = math.pi / 4,
+def jdup_realization(A: np.ndarray, v: int, spectrum, theta: float = math.pi / 4,
                      tol: float = 1e-8) -> np.ndarray:
     """Duplicate vertex v of A with an edge to the copy, appending one more
-    copy of the smallest eigenvalue, so q is preserved.
+    copy of the smallest eigenvalue lambda_min of `spectrum`, the
+    eigenvalues A is known to have (a standalone caller passes
+    eigen_sym(A)), so q is preserved.
 
     Realized as the (v, new)-plane rotation of A + [lambda_min]; the new
-    off-diagonal entry is sin(theta)cos(theta)(a_vv - lambda_min), hence the
+    off-diagonal entry is sin(theta)cos(theta)(lambda_min - a_vv), hence the
     requirement a_vv != lambda_min.  Deleting the new row and column gives
     A with row/column v scaled by cos(theta) (pattern-equal to A), and the
     (v, v) entry equal to cos^2 a_vv + sin^2 lambda_min.
@@ -364,7 +376,7 @@ def jdup_realization(A: np.ndarray, v: int, theta: float = math.pi / 4,
     A = np.asarray(A, dtype=float)
     if not 0 < theta < math.pi / 2:
         raise BadAngle("theta must lie strictly between 0 and pi/2")
-    lam_min = float(eigen_sym(A)[0])
+    lam_min = float(np.min(spectrum))
     scale = max(1.0, float(np.abs(A).max()))
     if abs(A[v, v] - lam_min) <= tol * scale:
         raise DegenerateRow("a_vv equals the smallest eigenvalue; joined copy would vanish")

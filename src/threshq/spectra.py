@@ -99,20 +99,17 @@ def default_cluster_tol(eigs: np.ndarray) -> float:
 
 def cluster_spectrum(eigs, tol: float | None = None) -> SpectrumSummary:
     """Greedy gap clustering of an eigenvalue list (sorted internally, so
-    the result is order-independent)."""
+    the result is order-independent): a new group starts wherever the gap
+    to the previous eigenvalue exceeds tol."""
     eigs = np.sort(np.asarray(eigs, dtype=float).ravel())
     if eigs.size == 0:
         return SpectrumSummary((), 0.0)
     if tol is None:
         tol = default_cluster_tol(eigs)
-    groups: list[list[float]] = [[float(eigs[0])]]
-    for x in eigs[1:]:
-        if float(x) - groups[-1][-1] > tol:
-            groups.append([float(x)])
-        else:
-            groups[-1].append(float(x))
-    distinct = tuple((float(np.mean(g)), len(g)) for g in groups)
-    return SpectrumSummary(distinct, tol)
+    edges = np.flatnonzero(np.concatenate(([True], np.diff(eigs) > tol, [True])))
+    counts = edges[1:] - edges[:-1]
+    means = np.add.reduceat(eigs, edges[:-1]) / counts
+    return SpectrumSummary(tuple(zip(means.tolist(), counts.tolist())), tol)
 
 
 def q_of_matrix(A: np.ndarray, tol: float | None = None) -> int:
@@ -163,11 +160,21 @@ def spectrum_multiset(A: np.ndarray, tol: float | None = None) -> tuple[tuple[fl
     return cluster_spectrum(eigen_sym(A), tol).distinct
 
 
+def spectrum_values(distinct) -> np.ndarray:
+    """A (value, multiplicity) list as the eigenvalue array it stands for."""
+    return np.concatenate([np.full(m, v, dtype=float) for v, m in distinct])
+
+
+def spectra_agree(got, want, atol: float = 1e-8) -> bool:
+    """True iff two eigenvalue lists agree entry by entry, once sorted,
+    within atol * max(1, max |want|)."""
+    got, want = np.sort(got), np.sort(want)
+    return got.size == want.size and bool(np.max(np.abs(got - want)) <= atol * max(1.0, np.abs(want).max()))
+
+
 def assert_spectrum(A: np.ndarray, expected: list[tuple[float, int]], atol: float = 1e-8) -> bool:
     """True iff Spec(A) equals the expected (value, multiplicity) multiset."""
-    got = eigen_sym(A)
-    want = np.sort(np.concatenate([np.full(m, v, dtype=float) for v, m in expected]))
-    return got.size == want.size and bool(np.max(np.abs(got - want)) <= atol * max(1.0, np.abs(want).max()))
+    return spectra_agree(eigen_sym(A), spectrum_values(expected), atol)
 
 
 # ---------------------------------------------------------------------------

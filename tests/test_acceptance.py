@@ -115,7 +115,7 @@ def test_criterion_4_duplication_contracts():
         f, (v, lam) = pool[rng.integers(len(pool))]
         theta = float(rng.uniform(0.05, math.pi / 2 - 0.05))
         A = gram(f)
-        C = dup_realization(A, v, lam, theta=theta)
+        C = dup_realization(A, v, lam, eigen_sym(A), theta=theta)
         scale = max(1.0, float(np.abs(eigen_sym(A)).max()))
         want = np.sort(np.append(eigen_sym(A), lam))
         assert np.abs(eigen_sym(C) - want).max() <= 1e-8 * scale
@@ -142,7 +142,7 @@ def test_criterion_4_duplication_contracts():
         if abs(A[v, v] - w[0]) < 1e-6:
             continue
         theta = float(rng.uniform(0.05, math.pi / 2 - 0.05))
-        C = jdup_realization(A, v, theta=theta)
+        C = jdup_realization(A, v, w, theta=theta)
         assert q_of_matrix(C) == q_of_matrix(A)
         want = np.sort(np.append(w, w[0]))
         assert np.abs(eigen_sym(C) - want).max() <= 1e-8 * max(1.0, np.abs(w).max())

@@ -8,6 +8,8 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from threshq import bounds
 from threshq.bounds import (
@@ -42,7 +44,7 @@ from threshq.sequences import (
     jdup_graph,
     unique_path_bound,
 )
-from threshq.spectra import cluster_spectrum, eigen_sym, in_pattern, q_of_matrix
+from threshq.spectra import cluster_spectrum, eigen_sym, in_pattern, q_of_matrix, spectra_agree
 from threshq.tables import TABLES
 
 
@@ -462,9 +464,12 @@ def test_ub_section12_case1_s5():
 
 def test_self_checks_raise_named_error(monkeypatch):
     # explicit raises, not asserts, so `python -O` keeps the checks; every
-    # eigenvalue count differs from the last, so no count matches its claim
+    # eigenvalue count differs from the last, so no count matches its claim,
+    # and every chain's one eigensolve comes back shifted off the spectrum
+    # the chain carried
     counts = itertools.count(90)
     monkeypatch.setattr(bounds, "q_of_matrix", lambda A: next(counts))
+    monkeypatch.setattr(bounds, "eigen_sym", lambda A: eigen_sym(A) + 1.0)
     with pytest.raises(SelfCheckError):
         q2_certificate(G("0101011"))
     with pytest.raises(SelfCheckError):
@@ -519,9 +524,9 @@ def test_classify_runs_each_chain_once(monkeypatch):
     runs, peels = [], []
 
     def counting(plan):
-        A, steps = run_chain(plan)
+        A, spectrum, steps = run_chain(plan)
         runs.append((A, tuple(steps)))
-        return A, steps
+        return A, spectrum, steps
 
     def peeling(adjacency):
         peels.append(adjacency)
@@ -554,12 +559,105 @@ def test_section12_certificate_matches_fresh_chain():
             for cert in classify_q(build_graph(seq)).upper_certs:
                 if cert.provenance != "paired-column construction":
                     continue
-                A, steps = run_chain(section12_plan(block_form(seq)))
+                A, _, steps = run_chain(section12_plan(block_form(seq)))
                 assert np.array_equal(cert.payload["matrix"], A), seq.text
                 assert cert.payload["chain"] == tuple(steps)
                 assert cert.payload["achieved"] == q_of_matrix(cert.payload["matrix"])
                 checked += 1
     assert checked
+
+
+def _every_chain(seq):
+    """(plan kind, matrix, carried spectrum) of every chain that fits seq:
+    the star's for s = 1, else the chain plan (a catalog seed or the
+    alternating seed when one fits), the paired-column and the
+    leading-merge plan."""
+    bf = block_form(seq)
+    if bf.s == 1:
+        yield "star", *bounds._star_chain(bf)[:2]
+        return
+    for kind, plan in (("chain", chain_plan(bf)), ("paired-column", section12_plan(bf)),
+                       ("leading-merge", bounds._merge_plan(bf))):
+        if plan is not None:
+            yield kind, *run_chain(plan)[:2]
+
+
+def _carries_its_spectrum(seq):
+    kinds = set()
+    for kind, A, spectrum in _every_chain(seq):
+        assert len(spectrum) == len(A) and spectra_agree(eigen_sym(A), spectrum), (seq.text, kind)
+        kinds.add(kind)
+    return kinds
+
+
+def test_carried_spectrum_matches_eigensolve_to_n11():
+    kinds = set()
+    for n in range(2, 12):
+        for seq in enumerate_connected(n):
+            kinds |= _carries_its_spectrum(seq)
+    assert kinds == {"star", "chain", "paired-column", "leading-merge"}
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.lists(st.integers(0, 1), min_size=0, max_size=62))
+def test_carried_spectrum_matches_eigensolve_to_n64(middle):
+    _carries_its_spectrum(CreationSequence((0, *middle, 1)))
+
+
+@pytest.mark.parametrize("n", [128, 256])
+def test_carried_spectrum_survives_long_chains(n):
+    # hundreds of rotations in one chain stay inside the check's tolerance
+    rng = random.Random(n)
+    assert _carries_its_spectrum(_random_connected(rng, n))
+
+
+def test_wrong_recorded_spectrum_fails_the_chain_check():
+    g = G("0001001")
+    plan = chain_plan(block_form(g.creation))
+    assert plan.seed.construction_id == "thm10"  # spectrum 0^2, 1, 3 -+ sqrt(2)
+    lo, hi = 3 - math.sqrt(2), 3 + math.sqrt(2)
+    for wrong in (((0.0, 2), (1.0, 1), (lo, 1), (hi + 0.5, 1)),   # a value off
+                  ((0.0, 1), (1.0, 2), (lo, 1), (hi, 1))):        # a multiplicity moved
+        bad = dataclasses.replace(plan, seed=dataclasses.replace(plan.seed, expected_spectrum=wrong))
+        A, spectrum, _ = run_chain(bad)
+        with pytest.raises(SelfCheckError, match="spectrum"):
+            bounds._checked(A, spectrum, g, "chain")
+
+
+# A `long`-shaped sequence: order 28, ones-runs (1, 1, 2, 2, 3, 3), a lone
+# leading 0; and a complete split graph, whose chain is the star's.
+@pytest.mark.parametrize("text", ["0100010001100011000111000111", "0000000011"])
+def test_one_eigensolve_per_realized_chain(monkeypatch, text):
+    # besides the (s+1) x (s+1) cograms that give a paired-column seed its
+    # spectrum, classification eigensolves only n x n chain matrices, at
+    # most once per chain realized, and never a seed's gram
+    g = G(text)
+    s = block_form(g.creation).s
+    orders, chains = [], []
+
+    def solving(A):
+        orders.append(len(A))
+        return eigen_sym(A)
+
+    def realizing(fn):
+        def counted(arg):
+            chains.append(arg)
+            return fn(arg)
+        return counted
+
+    for mod in list(sys.modules.values()):
+        if mod.__name__.startswith("threshq") and getattr(mod, "eigen_sym", None) is eigen_sym:
+            monkeypatch.setattr(mod, "eigen_sym", solving)
+    monkeypatch.setattr(bounds, "run_chain", realizing(run_chain))
+    monkeypatch.setattr(bounds, "_star_chain", realizing(bounds._star_chain))
+    qb = classify_q(g)
+    monkeypatch.undo()
+    assert verify_qbound(g, qb)
+    seed_orders = {plan.seed.n if isinstance(plan, bounds.ChainPlan) else plan.ks[0] + 1
+                   for plan in chains}
+    assert chains and orders.count(g.n) <= len(chains), orders
+    assert all(k == g.n or k <= s + 1 for k in orders), orders
+    assert not seed_orders & (set(orders) - {g.n}), (seed_orders, orders)
 
 
 @pytest.mark.parametrize("n", range(2, 11))

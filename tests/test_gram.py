@@ -138,7 +138,7 @@ def dup_pattern_ok(A, C, v):
 def test_dup_thm00_example():
     f = construct_library("thm00", t=2)
     A = gram(f)
-    C = dup_realization(A, 0, 3.0, theta=math.pi / 4)
+    C = dup_realization(A, 0, 3.0, eigen_sym(A), theta=math.pi / 4)
     assert assert_spectrum(C, [(0.0, 2), (3.0, 2), (7.0, 1)])
     assert abs(C[0, 4]) < 1e-12
     bits, order = creation_order_of(pattern_matrix(C))
@@ -147,13 +147,14 @@ def test_dup_thm00_example():
 
 
 def test_dup_trivial_1x1():
-    C = dup_realization(np.zeros((1, 1)), 0, 0.0)
+    C = dup_realization(np.zeros((1, 1)), 0, 0.0, np.zeros(1))
     assert np.allclose(C, 0.0) and C.shape == (2, 2)
 
 
 def test_dup_thm01_pendant():
     f = construct_library("thm01")
-    C = dup_realization(gram(f), 3, 7.0)
+    A = gram(f)
+    C = dup_realization(A, 3, 7.0, eigen_sym(A))
     assert assert_spectrum(C, [(0.0, 2), (7.0, 2), (13.0, 2)])
     bits, _ = creation_order_of(pattern_matrix(C))
     assert bits == (0, 0, 1, 0, 0, 1)
@@ -163,7 +164,7 @@ def test_dup_theta_grid():
     f = construct_library("thm00", t=2)
     A = gram(f)
     for theta in (math.pi / 6, math.pi / 4, math.pi / 3):
-        C = dup_realization(A, 0, 3.0, theta=theta)
+        C = dup_realization(A, 0, 3.0, eigen_sym(A), theta=theta)
         assert dup_pattern_ok(A, C, 0)
         assert assert_spectrum(C, [(0.0, 2), (3.0, 2), (7.0, 1)])
 
@@ -171,11 +172,11 @@ def test_dup_theta_grid():
 def test_dup_errors():
     A = gram(construct_library("thm00", t=2))
     with pytest.raises(DiagonalNotEigenvalue):
-        dup_realization(A, 1, 3.0)  # a_11 = 1 != 3
+        dup_realization(A, 1, 3.0, eigen_sym(A))  # a_11 = 1 != 3
     with pytest.raises(DiagonalNotEigenvalue):
-        dup_realization(A, 2, A[2, 2])  # 5 is not an eigenvalue
+        dup_realization(A, 2, A[2, 2], eigen_sym(A))  # 5 is not an eigenvalue
     with pytest.raises(BadAngle):
-        dup_realization(A, 0, 3.0, theta=0.0)
+        dup_realization(A, 0, 3.0, eigen_sym(A), theta=0.0)
 
 
 # ---------------------------------------------------------------- jdup
@@ -183,7 +184,7 @@ def test_dup_errors():
 
 def test_jdup_k2():
     K2 = np.array([[0.0, 1.0], [1.0, 0.0]])
-    C = jdup_realization(K2, 0)
+    C = jdup_realization(K2, 0, eigen_sym(K2))
     # K3 realization, smallest eigenvalue duplicated, q stays 2
     assert assert_spectrum(C, [(-1.0, 2), (1.0, 1)])
     assert q_of_matrix(C) == 2
@@ -192,19 +193,19 @@ def test_jdup_k2():
 
 def test_jdup_keeps_q2():
     A = q2_certificate(graph_from_text("01011")).payload["matrix"]
-    C = jdup_realization(A, 4)  # a vertex of the final clique
+    C = jdup_realization(A, 4, eigen_sym(A))  # a vertex of the final clique
     assert q_of_matrix(C) == 2
     bits, _ = creation_order_of(pattern_matrix(C))
     assert bits == (0, 1, 0, 1, 1, 1)
     # iterate: one more joined duplication stays at q = 2
-    C2 = jdup_realization(C, 4)
+    C2 = jdup_realization(C, 4, eigen_sym(C))
     assert q_of_matrix(C2) == 2
 
 
 def test_jdup_degenerate_row():
     A = np.diag([1.0, 1.0])  # empty pattern, every diagonal equals lambda_min
     with pytest.raises(DegenerateRow):
-        jdup_realization(A, 0)
+        jdup_realization(A, 0, eigen_sym(A))
 
 
 def test_jdup_submatrix_recovery():
@@ -219,7 +220,7 @@ def test_jdup_submatrix_recovery():
         lam = eigen_sym(A)[0]
         if abs(A[v, v] - lam) < 1e-6:
             continue
-        C = jdup_realization(A, v, theta=theta)
+        C = jdup_realization(A, v, eigen_sym(A), theta=theta)
         D = C[:n, :n]
         mask = np.ones(n, dtype=bool)
         mask[v] = False
@@ -233,10 +234,10 @@ def test_graph_level_duplication_agrees_with_matrix_level():
     f = construct_library("thm05")
     G = f.target
     A = gram(f)
-    C = dup_realization(A, 0, 7.0)
+    C = dup_realization(A, 0, 7.0, eigen_sym(A))
     bits, _ = creation_order_of(pattern_matrix(C))
     assert bits == dup_graph(G, 0).creation.bits
-    C = jdup_realization(A, 1)
+    C = jdup_realization(A, 1, eigen_sym(A))
     bits, _ = creation_order_of(pattern_matrix(C))
     assert bits == jdup_graph(G, 1).creation.bits
 

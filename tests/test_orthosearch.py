@@ -146,7 +146,8 @@ def test_ssp_invariance_under_signature_and_scaling():
 def test_ssp_witness_satisfies_constraints():
     # thm10 grown to 0001001 by two duplications has no SSP, so a witness exists
     A = gram(construct_library("thm10"))
-    A = dup_realization(dup_realization(A, 0, 1.0), 0, 1.0)
+    for _ in range(2):
+        A = dup_realization(A, 0, 1.0, eigen_sym(A))
     rep = ssp_check(A)
     X = rep.witness
     assert X is not None

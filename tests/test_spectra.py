@@ -132,6 +132,52 @@ def test_default_tol_scales():
     assert default_cluster_tol(np.array([0.0, 2e6])) == pytest.approx(2.0)
 
 
+def _cluster_by_loop(eigs, tol=None):
+    """The greedy gap rule as a loop over eigenvalues: the reference the
+    vectorized cluster_spectrum must reproduce."""
+    eigs = np.sort(np.asarray(eigs, dtype=float).ravel())
+    if tol is None:
+        tol = default_cluster_tol(eigs)
+    groups = [[float(eigs[0])]]
+    for x in eigs[1:]:
+        if float(x) - groups[-1][-1] > tol:
+            groups.append([float(x)])
+        else:
+            groups[-1].append(float(x))
+    return tuple((float(np.mean(g)), len(g)) for g in groups), tol
+
+
+def _same_clusters(eigs, tol=None):
+    want, want_tol = _cluster_by_loop(eigs, tol)
+    got = cluster_spectrum(eigs, tol)
+    # the groups and their sizes agree exactly; the means agree to rounding,
+    # since np.mean sums a group pairwise and np.add.reduceat in order
+    scale = max(1.0, float(np.abs(eigs).max()))
+    return (got.tol == want_tol and got.multiplicities == tuple(m for _, m in want)
+            and all(abs(a - b) <= 1e-14 * scale for a, (b, _) in zip(got.values, want)))
+
+
+def test_cluster_matches_the_loop_on_random_clustered_spectra():
+    for _ in range(500):
+        k = int(rng.integers(1, 12))
+        centers = rng.normal(0.0, 10.0, k)
+        mults = rng.integers(1, 30, k)
+        noise = 10.0 ** rng.uniform(-16, -3)  # within, near and past the tolerance
+        eigs = np.concatenate([c + rng.normal(0.0, noise, m) for c, m in zip(centers, mults)])
+        assert _same_clusters(rng.permutation(eigs))
+        assert _same_clusters(eigs, tol=float(10.0 ** rng.uniform(-9, -1)))
+
+
+def test_cluster_gap_of_exactly_tol_does_not_split():
+    eigs = np.array([0.0, 0.25, 0.5, 2.0, 2.25, np.nextafter(2.5, 3.0)])  # last gap: tol + 1 ulp
+    assert _same_clusters(eigs, tol=0.25)
+    assert cluster_spectrum(eigs, tol=0.25).multiplicities == (3, 2, 1)
+    steps = np.arange(40) * 2.0 ** -20  # dyadic, so every gap is exactly 2^-20
+    assert _same_clusters(steps, tol=2.0 ** -20)
+    assert cluster_spectrum(steps, tol=2.0 ** -20).q == 1
+    assert cluster_spectrum(steps, tol=2.0 ** -21).q == 40
+
+
 # ---------------------------------------------------------------- patterns
 
 
