@@ -28,7 +28,6 @@ from .orthosearch import (
 )
 from .sequences import (
     BlockForm,
-    CreationSequence,
     SequenceError,
     ThresholdGraph,
     block_form,
@@ -250,45 +249,67 @@ def _fit(seed: gramlib.GramFactor, bf) -> ChainPlan | None:
     return ChainPlan(seed, tuple(dup), tuple(jdup))
 
 
-def _section12_seeds(bf):
-    """The paired-column seeds for each zero-run m of length >= 2: even
-    parities on both sides of m first (most column pairs), then smallest m."""
-    s = bf.s
-    ms = sorted((m for m in range(1, s + 1) if bf.ks[m - 1] >= 2),
-                key=lambda m: ((m - 1) % 2 + (s - m) % 2, m))
-    return (gramlib.section12_factor(s, m) for m in ms)
+def _section12_plan(bf) -> ChainPlan | None:
+    """The paired-column plan, or None when bf has s < 2 or no zero-run of
+    length >= 2.  Its seed is section12_factor(s, m) for the zero-run m of
+    length >= 2 with even parities on both sides of m (most column pairs),
+    then smallest m.  That seed always fits: every other run of it has
+    length 1, run m has length 2, and every zero is a dup slot."""
+    s, ks = bf.s, bf.ks
+    ms = [m for m in range(1, s + 1) if ks[m - 1] >= 2]
+    if s < 2 or not ms:
+        return None
+    m = min(ms, key=lambda m: ((m - 1) % 2 + (s - m) % 2, m))
+    return _fit(gramlib.section12_factor(s, m), bf)
 
 
-def _chain_seeds(bf):
-    """The duplication chain's seeds in the order they are tried: the
-    alternating seed when every zero-run has length 1, else the catalog
-    seeds with bf's s, then the paired-column seeds."""
+def _chain_plan(bf, section12: ChainPlan | None = None) -> ChainPlan | None:
+    """The duplication chain's plan: None for s = 1 (the star chain), the
+    alternating seed when every zero-run has length 1, else the first
+    catalog seed with bf's s that fits, else the paired-column plan --
+    `section12` itself when the caller has made it, so that the two plans
+    are one object."""
+    if bf.s == 1:
+        return None
     if all(k == 1 for k in bf.ks):
-        yield gramlib.construct_library("thm00", t=bf.s)
-    else:
-        yield from _CATALOG_SEEDS.get(bf.s, ())
-    yield from _section12_seeds(bf)
+        return _fit(gramlib.construct_library("thm00", t=bf.s), bf)
+    fits = (_fit(seed, bf) for seed in _CATALOG_SEEDS.get(bf.s, ()))
+    return next(filter(None, fits), None) or section12 or _section12_plan(bf)
 
 
-def _plan(bf, seeds) -> ChainPlan | None:
-    """The plan of the first seed that fits bf; the seeds after it are not built."""
-    return next(filter(None, (_fit(seed, bf) for seed in seeds)), None)
+@dataclass(frozen=True)
+class ChainPlans:
+    """One classification's chain plans, made once from G's block form.
+    When no catalog seed fits, `chain` is the very object `section12` is,
+    and that chain is realized once for both certificates."""
+
+    bf: BlockForm
+    chain: ChainPlan | None       # None: the star chain (s = 1)
+    section12: ChainPlan | None   # None: no zero-run of length >= 2
+
+    @classmethod
+    def of(cls, G: ThresholdGraph) -> "ChainPlans":
+        bf = block_form(G.creation)
+        section12 = _section12_plan(bf)
+        return cls(bf, _chain_plan(bf, section12), section12)
 
 
 def _star_chain(bf) -> tuple[np.ndarray, np.ndarray, list[str]]:
     """Complete split graphs with k > t: adjacency of the star, then joined
     duplications of the dominating vertex, with the spectrum they carry:
-    the star's +-sqrt(k) and 0^(k-1), then one -sqrt(k) per copy."""
+    the star's +-sqrt(k) and 0^(k-1), then one -sqrt(k) per copy.  The
+    copies grow the star in one k + t buffer, in place."""
     k, t = bf.ks[0], bf.ts[0]
-    A = np.zeros((k + 1, k + 1))
+    N = k + t
+    A = np.zeros((N, N))
     A[k, :k] = 1.0
     A[:k, k] = 1.0
     r = math.sqrt(k)
-    spectrum = np.array([-r] + [0.0] * (k - 1) + [r])
+    spectrum = np.zeros(N)
+    spectrum[0], spectrum[k] = -r, r
     steps = [f"seed:star{ {'k': k} }"]
-    for _ in range(t - 1):
-        A = gramlib.jdup_realization(A, k, spectrum)
-        spectrum = np.append(spectrum, -r)
+    for n in range(k + 1, N):
+        spectrum[n] = gramlib.jdup_in_place(A, n, k, spectrum[:n])
         steps.append(f"jdup({k})")
     return A, spectrum, steps
 
@@ -304,23 +325,30 @@ def _chain_steps(plan: ChainPlan) -> tuple[str, ...]:
 def run_chain(plan: ChainPlan) -> tuple[np.ndarray, np.ndarray, list[str]]:
     """Realize a plan, with the spectrum it carries and its step labels.
 
-    Each copy is appended, so plan indices keep naming seed vertices, and
-    belongs right after the vertex it copies, inside that vertex's run (a
-    joined copy of vertex 0 opens (0, 1, ...)); one permutation at the end
-    puts the matrix in the creation order of the sequence the plan fits.
-    The spectrum starts as the seed's and gains lam per dup step and
-    lambda_min per jdup step, so no step eigensolves."""
-    A = gramlib.gram(plan.seed)
-    spectrum = spectrum_values(plan.seed.expected_spectrum)
-    order = list(range(A.shape[0]))
+    The final matrix and spectrum are allocated once and each step grows
+    the active leading block by one row and column in place.  Each copy is
+    appended, so plan indices keep naming seed vertices, and belongs right
+    after the vertex it copies, inside that vertex's run (a joined copy of
+    vertex 0 opens (0, 1, ...)); one permutation at the end puts the matrix
+    in the creation order of the sequence the plan fits.  The spectrum
+    starts as the seed's and gains lam per dup step and lambda_min per jdup
+    step, so no step eigensolves."""
+    n = plan.seed.n
+    N = n + len(plan.dup_steps) + len(plan.jdup_steps)
+    A = np.empty((N, N))
+    A[:n, :n] = gramlib.gram(plan.seed)
+    spectrum = np.empty(N)
+    spectrum[:n] = spectrum_values(plan.seed.expected_spectrum)
+    order = list(range(n))
     for v, lam in plan.dup_steps:
-        A = gramlib.dup_realization(A, v, lam, spectrum)
-        spectrum = np.append(spectrum, lam)
-        order.insert(order.index(v) + 1, len(order))
+        gramlib.dup_in_place(A, n, v, lam, spectrum[:n])
+        spectrum[n] = lam
+        order.insert(order.index(v) + 1, n)
+        n += 1
     for v in plan.jdup_steps:
-        A = gramlib.jdup_realization(A, v, spectrum)
-        spectrum = np.append(spectrum, spectrum.min())
-        order.insert(order.index(v) + 1, len(order))
+        spectrum[n] = gramlib.jdup_in_place(A, n, v, spectrum[:n])
+        order.insert(order.index(v) + 1, n)
+        n += 1
     return A[np.ix_(order, order)], spectrum, list(_chain_steps(plan))
 
 
@@ -337,12 +365,16 @@ def _checked(A: np.ndarray, spectrum: np.ndarray, G: ThresholdGraph, what: str) 
     return cluster_spectrum(eigs).q
 
 
-def chain_certificate(G: ThresholdGraph) -> Certificate:
+def chain_certificate(G: ThresholdGraph, plans: ChainPlans | None = None) -> Certificate:
     """Upper bound from a duplication chain: the star's for s = 1, else the
-    first fitting seed's.  The chain lands in G's creation order by
-    construction; it is checked once, for pattern and spectrum."""
-    bf = block_form(G.creation)
-    A, spectrum, steps = _star_chain(bf) if bf.s == 1 else run_chain(_plan(bf, _chain_seeds(bf)))
+    first fitting seed's.  `plans` are G's, when the caller has made them.
+    The chain lands in G's creation order by construction; it is checked
+    once, for pattern and spectrum."""
+    plans = plans or ChainPlans.of(G)
+    if plans.chain is None:
+        A, spectrum, steps = _star_chain(plans.bf)
+    else:
+        A, spectrum, steps = run_chain(plans.chain)
     value = _checked(A, spectrum, G, "chain")
     kind = "ConstructionUB" if len(steps) == 1 else "DupChainUB"
     return Certificate(kind, value, "duplication chain", {"matrix": A, "chain": tuple(steps)})
@@ -355,10 +387,13 @@ def chain_certificate(G: ThresholdGraph) -> Certificate:
 
 # Order-8 targets whose q <= 3 comes from a verified matrix with the strong
 # spectral property whose pattern embeds in the target: vertex i of the
-# matrix goes to vertex embedding[i] of the base.
+# matrix goes to vertex embedding[i] of the base.  Each base maps to its
+# block form, parsed once at import, and its embedding.
 _TRANSFER_BASES = {
-    "00100101": (2, 0, 1, 5, 3, 4, 7, 6),
-    "00010011": (3, 0, 1, 7, 2, 4, 6, 5),
+    base: (block_form(parse_creation_sequence(base)).blocks, emb) for base, emb in (
+        ("00100101", (2, 0, 1, 5, 3, 4, 7, 6)),
+        ("00010011", (3, 0, 1, 7, 2, 4, 6, 5)),
+    )
 }
 _TRANSFER = "spectral transfer across supergraphs"
 
@@ -366,8 +401,9 @@ _TRANSFER = "spectral transfer across supergraphs"
 def transfer_certificate(G: ThresholdGraph) -> Certificate | None:
     """q <= 3 when a transfer base reaches G by joined duplications, which
     preserve q."""
-    for base, emb in _TRANSFER_BASES.items():
-        if _reaches_by_jdup(parse_creation_sequence(base).bits, G.creation.bits):
+    have = block_form(G.creation).blocks
+    for base, (want, emb) in _TRANSFER_BASES.items():
+        if _reaches_by_jdup(want, have):
             A = gramlib.gram(gramlib.construct_library("prop_a15a19"))
             if not ssp_check(A).is_ssp or q_of_matrix(A) != 3:
                 raise SelfCheckError("transfer matrix lost the strong spectral property")
@@ -377,18 +413,17 @@ def transfer_certificate(G: ThresholdGraph) -> Certificate | None:
     return None
 
 
-def _reaches_by_jdup(base: tuple[int, ...], target: tuple[int, ...]) -> bool:
-    """Is target obtainable from base by joined duplications only?
+def _reaches_by_jdup(want: tuple, have: tuple) -> bool:
+    """Is the sequence with blocks `have` obtainable from the one with
+    blocks `want` by joined duplications only?
 
     A joined copy of a dominating vertex lengthens its ones-run, and a
     joined copy of the first vertex, when a zero follows it, splits
-    (0^(1+k), ...) into (0, 1, 0^k, ...).  So target is reached exactly when
-    its block form covers base's run by run (the same zero-runs, every
-    ones-run at least as long), as it stands or after folding a leading
-    (1, t) into the next zero-run.
+    (0^(1+k), ...) into (0, 1, 0^k, ...).  So the target is reached exactly
+    when its block form covers the base's run by run (the same zero-runs,
+    every ones-run at least as long), as it stands or after folding a
+    leading (1, t) into the next zero-run.
     """
-    want = block_form(CreationSequence(base)).blocks
-    have = block_form(CreationSequence(target)).blocks
     forms = [have]
     if len(have) >= 2 and have[0][0] == 1:
         forms.append(((1 + have[1][0], have[1][1]),) + have[2:])
@@ -402,24 +437,25 @@ def _reaches_by_jdup(base: tuple[int, ...], target: tuple[int, ...]) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def ub_section12(G: ThresholdGraph, chain: Certificate | None = None) -> tuple[int, Certificate]:
+def ub_section12(G: ThresholdGraph, plans: ChainPlans | None = None,
+                 chain: Certificate | None = None) -> tuple[int, Certificate]:
     """floor((s+9)/2) with a construction-backed certificate.
 
     For block forms with a zero-run of length >= 2 the certificate matrix is
     the paired-column chain, checked once like any chain; otherwise the
     alternating or complete-split chain (q <= 3) witnesses it a fortiori.
 
-    `chain` is G's chain_certificate when the caller already has one.  Its
-    matrix and value are reused when it ran the same steps as the
-    paired-column plan (so the chain is realized once), and it stands in for
-    the alternating-family chain.
+    `plans` are G's, when the caller has made them, and `chain` the
+    certificate chain_certificate made from the same plans.  Its matrix and
+    value are reused when the chain plan is the paired-column plan (so the
+    chain is realized once), and it stands in for the alternating-family
+    chain.
     """
-    bf = block_form(G.creation)
-    bound = (bf.s + 9) // 2
-    plan = _plan(bf, _section12_seeds(bf)) if bf.s >= 2 else None
+    plans = plans or ChainPlans.of(G)
+    bound = (plans.bf.s + 9) // 2
+    plan = plans.section12
     if plan is not None:
-        steps = _chain_steps(plan)
-        if chain is not None and chain.payload.get("chain") == steps:
+        if chain is not None and plans.chain is plan:
             Ac, value = chain.payload["matrix"], chain.value
         else:
             Ac, spectrum, _ = run_chain(plan)
@@ -427,11 +463,11 @@ def ub_section12(G: ThresholdGraph, chain: Certificate | None = None) -> tuple[i
         parity_even = plan.seed.params["p1"] % 2 == 0 and plan.seed.params["p2"] % 2 == 0
         kind = "ConstructionUB" if parity_even else "DupChainUB"
         cert = Certificate(kind, bound, "paired-column construction",
-                           {"matrix": Ac, "chain": steps, "achieved": value})
+                           {"matrix": Ac, "chain": _chain_steps(plan), "achieved": value})
         if value > bound:
             raise SelfCheckError(f"paired-column chain reached q = {value} > {bound}")
         return bound, cert
-    cert = chain if chain is not None else chain_certificate(G)
+    cert = chain if chain is not None else chain_certificate(G, plans)
     if cert.value > bound:
         raise SelfCheckError(f"alternating-family chain reached q = {cert.value} > {bound}")
     return bound, Certificate("DupChainUB", bound, "alternating-family chain",
@@ -443,14 +479,14 @@ def ub_section12(G: ThresholdGraph, chain: Certificate | None = None) -> tuple[i
 # ---------------------------------------------------------------------------
 
 
-def _direct_upper(G: ThresholdGraph) -> list[Certificate]:
-    """The duplication chain and the general bound; both read only the
-    zero-runs and s, so shortening a ones-run never improves them."""
-    chain = chain_certificate(G)
+def _direct_upper(G: ThresholdGraph, plans: ChainPlans) -> list[Certificate]:
+    """The duplication chain and the general bound, from G's one set of
+    plans; both read only the zero-runs and s, so shortening a ones-run
+    never improves them."""
+    chain = chain_certificate(G, plans)
     certs = [chain]
-    bf = block_form(G.creation)
-    if bf.s >= 2 and any(k >= 2 for k in bf.ks):
-        certs.append(ub_section12(G, chain)[1])
+    if plans.section12 is not None:
+        certs.append(ub_section12(G, plans, chain)[1])
     return certs
 
 
@@ -462,17 +498,16 @@ def _merge_plan(bf) -> ChainPlan | None:
     if bf.s < 3 or bf.ks[0] != 1:
         return None
     (_, t), (k, t2) = bf.blocks[:2]
-    merged = BlockForm(((1 + k, t2),) + bf.blocks[2:])
-    plan = _plan(merged, _chain_seeds(merged))
+    plan = _chain_plan(BlockForm(((1 + k, t2),) + bf.blocks[2:]))
     return ChainPlan(plan.seed, plan.dup_steps, plan.jdup_steps + (0,) * t)
 
 
-def _leading_merge_lift(G: ThresholdGraph, best: int) -> Certificate | None:
+def _leading_merge_lift(G: ThresholdGraph, bf, best: int) -> Certificate | None:
     """The leading-merge plan as a certificate, or None when there is none
     or its seed's q, the count of distinct values in the seed's
     expected_spectrum, is not below `best`; it is realized only when it
     wins."""
-    plan = _merge_plan(block_form(G.creation))
+    plan = _merge_plan(bf)
     if plan is None or len(plan.seed.expected_spectrum) >= best:
         return None
     A, spectrum, steps = run_chain(plan)
@@ -486,9 +521,10 @@ def classify_q(G: ThresholdGraph) -> QBound:
     The upper side is the orthogonal completion when the gate is feasible,
     else the direct rules plus at most one lift, tried only while they stay
     above the lower side: a transfer citation whose base reaches G, or
-    failing that the leading-merge lift, whichever beats them.  Every chain
-    is realized at most once and lands on G by construction; the lift's
-    value is its seed's q, so it is realized only when it wins.
+    failing that the leading-merge lift, whichever beats them.  G's chain
+    plans are made once, so each paired-column seed is built once; every
+    chain is realized at most once and lands on G by construction; the
+    lift's value is its seed's q, so it is realized only when it wins.
     """
     if not G.connected:
         raise ValueError("classify_q needs a connected graph")
@@ -500,12 +536,13 @@ def classify_q(G: ThresholdGraph) -> QBound:
     if c2 is not None:
         upper_certs = [c2]
     else:
-        upper_certs = _direct_upper(G)
+        plans = ChainPlans.of(G)
+        upper_certs = _direct_upper(G, plans)
         best = min(c.value for c in upper_certs)
         if best > lower:
             lift = transfer_certificate(G)
             if lift is None or lift.value >= best:
-                lift = _leading_merge_lift(G, best)
+                lift = _leading_merge_lift(G, plans.bf, best)
             if lift is not None and lift.value < best:
                 upper_certs.append(lift)
     upper = min(c.value for c in upper_certs)
@@ -560,7 +597,7 @@ def _upper_ok(G: ThresholdGraph, cert: Certificate) -> bool:
         edges_ok = all(
             base.adjacency[emb[i], emb[j]]
             for i in range(base.n) for j in range(i + 1, base.n) if P[i, j])
-        chain_ok = _reaches_by_jdup(base.creation.bits, G.creation.bits)
+        chain_ok = _reaches_by_jdup(block_form(base.creation).blocks, block_form(G.creation).blocks)
         return edges_ok and chain_ok and q_of_matrix(A) == cert.value and ssp_check(A).is_ssp
     return False
 

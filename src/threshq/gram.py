@@ -321,25 +321,67 @@ def construct_library(construction_id: str, **params) -> GramFactor:
 # ---------------------------------------------------------------------------
 
 
-def _plane_rotation_extend(A: np.ndarray, v: int, lam: float, theta: float) -> np.ndarray:
-    """Rotate A + [lam] in the (v, n) coordinate plane by theta.
+def _rotate_in_place(buf: np.ndarray, n: int, v: int, lam: float, theta: float) -> None:
+    """Rotate the leading n x n block of buf, bordered by [lam], in the
+    (v, n) coordinate plane by theta, in place.
 
-    Only row and column v and the new row and column change, so they are
-    written directly: c A[v], -s A[v] and the rotated 2 x 2 block
-    [[a, 0], [0, lam]].  Row and column are written from the same values,
-    so the result is as symmetric as A.
+    Only row and column v, row and column n and the 2 x 2 block they share
+    change, so they are written directly: c a_v, -s a_v and the rotated
+    block [[a, 0], [0, lam]].  Row and column are written from the same
+    values, so the result is as symmetric as the block.
     """
-    n = A.shape[0]
     c, s = math.cos(theta), math.sin(theta)
-    a = float(A[v, v])
-    out = np.empty((n + 1, n + 1))
-    out[:n, :n] = A
-    out[v, :n] = out[:n, v] = c * A[v]
-    out[n, :n] = out[:n, n] = -s * A[v]
-    out[v, v] = c * c * a + s * s * lam
-    out[n, n] = s * s * a + c * c * lam
-    out[v, n] = out[n, v] = s * c * (lam - a)
-    return out
+    row = buf[v, :n].copy()
+    a = float(row[v])
+    buf[v, :n] = buf[:n, v] = c * row
+    buf[n, :n] = buf[:n, n] = -s * row
+    buf[v, v] = c * c * a + s * s * lam
+    buf[n, n] = s * s * a + c * c * lam
+    buf[v, n] = buf[n, v] = s * c * (lam - a)
+
+
+def _check_angle(theta: float) -> None:
+    if not 0 < theta < math.pi / 2:
+        raise BadAngle("theta must lie strictly between 0 and pi/2")
+
+
+def dup_in_place(buf: np.ndarray, n: int, v: int, lam: float, spectrum,
+                 theta: float = math.pi / 4, tol: float = 1e-8) -> None:
+    """dup_realization of the leading n x n block A of buf, written into
+    buf's leading (n+1) x (n+1) block: the same checks against A and
+    `spectrum`, then the rotation, touching nothing past row/column n."""
+    _check_angle(theta)
+    A = buf[:n, :n]
+    scale = max(1.0, float(np.abs(A).max()))
+    if abs(A[v, v] - lam) > tol * scale:
+        raise DiagonalNotEigenvalue(f"a_vv = {A[v, v]} != {lam}")
+    if float(np.min(np.abs(np.asarray(spectrum) - lam))) > tol * scale:
+        raise DiagonalNotEigenvalue(f"{lam} is not an eigenvalue")
+    _rotate_in_place(buf, n, v, lam, theta)
+
+
+def jdup_in_place(buf: np.ndarray, n: int, v: int, spectrum,
+                  theta: float = math.pi / 4, tol: float = 1e-8) -> float:
+    """jdup_realization of the leading n x n block A of buf, written into
+    buf's leading (n+1) x (n+1) block; returns the appended eigenvalue
+    lambda_min of `spectrum`."""
+    _check_angle(theta)
+    A = buf[:n, :n]
+    lam_min = float(np.min(spectrum))
+    scale = max(1.0, float(np.abs(A).max()))
+    if abs(A[v, v] - lam_min) <= tol * scale:
+        raise DegenerateRow("a_vv equals the smallest eigenvalue; joined copy would vanish")
+    _rotate_in_place(buf, n, v, lam_min, theta)
+    return lam_min
+
+
+def _bordered(A) -> tuple[np.ndarray, int]:
+    """A copied into the leading block of an (n+1) x (n+1) buffer."""
+    A = np.asarray(A, dtype=float)
+    n = A.shape[0]
+    buf = np.empty((n + 1, n + 1))
+    buf[:n, :n] = A
+    return buf, n
 
 
 def dup_realization(A: np.ndarray, v: int, lam: float, spectrum, theta: float = math.pi / 4,
@@ -349,15 +391,9 @@ def dup_realization(A: np.ndarray, v: int, lam: float, spectrum, theta: float = 
     passes eigen_sym(A); a chain carries them, so no step eigensolves).
     The result has that spectrum plus one extra lam, the new vertex
     adjacent exactly to N(v), and a zero (v, new) entry."""
-    A = np.asarray(A, dtype=float)
-    if not 0 < theta < math.pi / 2:
-        raise BadAngle("theta must lie strictly between 0 and pi/2")
-    scale = max(1.0, float(np.abs(A).max()))
-    if abs(A[v, v] - lam) > tol * scale:
-        raise DiagonalNotEigenvalue(f"a_vv = {A[v, v]} != {lam}")
-    if float(np.min(np.abs(np.asarray(spectrum) - lam))) > tol * scale:
-        raise DiagonalNotEigenvalue(f"{lam} is not an eigenvalue")
-    return _plane_rotation_extend(A, v, lam, theta)
+    buf, n = _bordered(A)
+    dup_in_place(buf, n, v, lam, spectrum, theta, tol)
+    return buf
 
 
 def jdup_realization(A: np.ndarray, v: int, spectrum, theta: float = math.pi / 4,
@@ -373,14 +409,9 @@ def jdup_realization(A: np.ndarray, v: int, spectrum, theta: float = math.pi / 4
     A with row/column v scaled by cos(theta) (pattern-equal to A), and the
     (v, v) entry equal to cos^2 a_vv + sin^2 lambda_min.
     """
-    A = np.asarray(A, dtype=float)
-    if not 0 < theta < math.pi / 2:
-        raise BadAngle("theta must lie strictly between 0 and pi/2")
-    lam_min = float(np.min(spectrum))
-    scale = max(1.0, float(np.abs(A).max()))
-    if abs(A[v, v] - lam_min) <= tol * scale:
-        raise DegenerateRow("a_vv equals the smallest eigenvalue; joined copy would vanish")
-    return _plane_rotation_extend(A, v, lam_min, theta)
+    buf, n = _bordered(A)
+    jdup_in_place(buf, n, v, spectrum, theta, tol)
+    return buf
 
 
 # ---------------------------------------------------------------------------

@@ -48,15 +48,13 @@ class SupportPattern:
         return cls(S)
 
     def suffix_starts(self) -> list[int]:
-        """First supported row per column; columns are suffix-supported."""
-        starts = []
-        for j in range(self.cols):
-            col = self.support[:, j]
-            a = int(np.argmax(col))
-            if not col[a] or not col[a:].all() or col[:a].any():
-                raise ValueError("support is not a nested suffix staircase")
-            starts.append(a)
-        return starts
+        """First supported row per column; columns are suffix-supported,
+        so the support must equal the staircase those starts draw."""
+        starts = self.support.argmax(axis=0)
+        staircase = np.arange(self.rows)[:, None] >= starts
+        if not np.array_equal(self.support, staircase):
+            raise ValueError("support is not a nested suffix staircase")
+        return starts.tolist()
 
 
 @dataclass(frozen=True)

@@ -16,10 +16,9 @@ from threshq.bounds import (
     Certificate,
     QBound,
     SelfCheckError,
-    _chain_seeds,
+    _chain_plan,
     _chain_steps,
-    _plan,
-    _section12_seeds,
+    _section12_plan,
     chain_certificate,
     classify_q,
     classify_text,
@@ -31,7 +30,14 @@ from threshq.bounds import (
     verify_certificate,
     verify_qbound,
 )
-from threshq.gram import CONSTRUCTIONS, construct_library, gram, section12_factor
+from threshq.gram import (
+    CONSTRUCTIONS,
+    construct_library,
+    dup_realization,
+    gram,
+    jdup_realization,
+    section12_factor,
+)
 from threshq.orthosearch import Feasible, Infeasible
 from threshq.sequences import (
     CreationSequence,
@@ -44,20 +50,19 @@ from threshq.sequences import (
     jdup_graph,
     unique_path_bound,
 )
-from threshq.spectra import cluster_spectrum, eigen_sym, in_pattern, q_of_matrix, spectra_agree
+from threshq.spectra import (
+    cluster_spectrum,
+    eigen_sym,
+    in_pattern,
+    q_of_matrix,
+    spectra_agree,
+    spectrum_values,
+)
 from threshq.tables import TABLES
 
 
 def G(text):
     return graph_from_text(text)
-
-
-def chain_plan(bf):
-    return _plan(bf, _chain_seeds(bf))
-
-
-def section12_plan(bf):
-    return _plan(bf, _section12_seeds(bf))
 
 
 # ---------------------------------------------------------------- lower bounds
@@ -341,7 +346,7 @@ def test_every_catalog_entry_seeds_the_classifier():
     ("0101010001", ("seed:ub_case1{'s': 4, 'm': 4, 'p1': 3, 'p2': 0}", "dup(6,1)")),
 ])
 def test_chain_plan_takes_the_first_fitting_seed(text, steps):
-    assert _chain_steps(chain_plan(block_form(G(text).creation))) == steps
+    assert _chain_steps(_chain_plan(block_form(G(text).creation))) == steps
 
 
 def test_chain_certificates_match_expected_values():
@@ -413,7 +418,9 @@ def test_reach_closed_form_matches_reduction_search():
     for base in sorted(bases):
         for target in targets:
             want = reaches_by_jdup_reference(base, target)
-            assert bounds._reaches_by_jdup(base, target) == want, (base, target)
+            blocks = (block_form(CreationSequence(base)).blocks,
+                      block_form(CreationSequence(target)).blocks)
+            assert bounds._reaches_by_jdup(*blocks) == want, (base, target)
             positives += want
     reaches_by_jdup_reference.cache_clear()
     jdup_reductions.cache_clear()
@@ -477,7 +484,7 @@ def test_self_checks_raise_named_error(monkeypatch):
     with pytest.raises(SelfCheckError):
         ub_section12(G("0101001"))
     # a paired-column chain that lands on another sequence
-    elsewhere = section12_plan(block_form(G("0001001").creation))
+    elsewhere = _section12_plan(block_form(G("0001001").creation))
     monkeypatch.setattr(bounds, "run_chain", lambda plan: run_chain(elsewhere))
     with pytest.raises(SelfCheckError, match="landed on"):
         ub_section12(G("0101001"))
@@ -495,7 +502,7 @@ def test_chains_land_in_creation_order():
                 assert in_pattern(bounds._star_chain(bf)[0], g), seq.text
                 continue
             merge = bounds._merge_plan(bf)
-            for plan in filter(None, (chain_plan(bf), merge)):
+            for plan in filter(None, (_chain_plan(bf), merge)):
                 assert in_pattern(run_chain(plan)[0], g), (seq.text, _chain_steps(plan))
             merged += merge is not None
     assert merged
@@ -544,8 +551,8 @@ def test_classify_runs_each_chain_once(monkeypatch):
         steps = [st for _, st in runs]
         assert len(set(steps)) == len(steps), seq.text
         assert all(in_pattern(A, g) for A, _ in runs), seq.text
-        section12 = section12_plan(bf) if runs and bf.s >= 2 else None
-        if section12 and _chain_steps(chain_plan(bf)) == _chain_steps(section12):
+        section12 = _section12_plan(bf) if runs and bf.s >= 2 else None
+        if section12 and _chain_steps(_chain_plan(bf)) == _chain_steps(section12):
             assert steps.count(_chain_steps(section12)) == 1, seq.text
             shared += 1
     assert shared
@@ -559,7 +566,7 @@ def test_section12_certificate_matches_fresh_chain():
             for cert in classify_q(build_graph(seq)).upper_certs:
                 if cert.provenance != "paired-column construction":
                     continue
-                A, _, steps = run_chain(section12_plan(block_form(seq)))
+                A, _, steps = run_chain(_section12_plan(block_form(seq)))
                 assert np.array_equal(cert.payload["matrix"], A), seq.text
                 assert cert.payload["chain"] == tuple(steps)
                 assert cert.payload["achieved"] == q_of_matrix(cert.payload["matrix"])
@@ -567,19 +574,26 @@ def test_section12_certificate_matches_fresh_chain():
     assert checked
 
 
-def _every_chain(seq):
-    """(plan kind, matrix, carried spectrum) of every chain that fits seq:
-    the star's for s = 1, else the chain plan (a catalog seed or the
-    alternating seed when one fits), the paired-column and the
+def _every_plan(seq):
+    """(plan kind, plan) of every chain that fits seq: the star's, whose
+    plan is the block form, for s = 1, else the chain plan (a catalog seed
+    or the alternating seed when one fits), the paired-column and the
     leading-merge plan."""
     bf = block_form(seq)
     if bf.s == 1:
-        yield "star", *bounds._star_chain(bf)[:2]
+        yield "star", bf
         return
-    for kind, plan in (("chain", chain_plan(bf)), ("paired-column", section12_plan(bf)),
+    for kind, plan in (("chain", _chain_plan(bf)), ("paired-column", _section12_plan(bf)),
                        ("leading-merge", bounds._merge_plan(bf))):
         if plan is not None:
-            yield kind, *run_chain(plan)[:2]
+            yield kind, plan
+
+
+def _every_chain(seq):
+    """(plan kind, matrix, carried spectrum) of every chain that fits seq."""
+    for kind, plan in _every_plan(seq):
+        realize = bounds._star_chain if kind == "star" else run_chain
+        yield kind, *realize(plan)[:2]
 
 
 def _carries_its_spectrum(seq):
@@ -604,6 +618,106 @@ def test_carried_spectrum_matches_eigensolve_to_n64(middle):
     _carries_its_spectrum(CreationSequence((0, *middle, 1)))
 
 
+def _reference_chain(kind, plan):
+    """A chain grown step by step through the public dup_realization and
+    jdup_realization, each step a fresh (n+1) x (n+1) matrix, then
+    permuted into creation order: the reference for the in-place chain."""
+    if kind == "star":
+        k, t = plan.ks[0], plan.ts[0]
+        A = np.zeros((k + 1, k + 1))
+        A[k, :k] = A[:k, k] = 1.0
+        spectrum = np.array([-math.sqrt(k)] + [0.0] * (k - 1) + [math.sqrt(k)])
+        steps, order = [], None
+        jdups = [k] * (t - 1)
+    else:
+        A = gram(plan.seed)
+        spectrum = spectrum_values(plan.seed.expected_spectrum)
+        steps, order = plan.dup_steps, list(range(len(A)))
+        jdups = plan.jdup_steps
+    for v, lam in steps:
+        A = dup_realization(A, v, lam, spectrum)
+        spectrum = np.append(spectrum, lam)
+        order.insert(order.index(v) + 1, len(order))
+    for v in jdups:
+        A = jdup_realization(A, v, spectrum)
+        spectrum = np.append(spectrum, spectrum.min())
+        if order is not None:
+            order.insert(order.index(v) + 1, len(order))
+    return (A if order is None else A[np.ix_(order, order)]), spectrum
+
+
+def _grows_like_the_reference(seq):
+    kinds = set()
+    for (kind, A, spectrum), (_, plan) in zip(_every_chain(seq), _every_plan(seq)):
+        ref_A, ref_spectrum = _reference_chain(kind, plan)
+        assert np.array_equal(A, ref_A), (seq.text, kind)
+        assert np.array_equal(spectrum, ref_spectrum), (seq.text, kind)
+        kinds.add(kind)
+    return kinds
+
+
+def test_in_place_chains_match_step_by_step_growth_to_n11():
+    # the chain grown in one buffer is the chain the public step functions
+    # grow, bit for bit, matrix and carried spectrum alike
+    kinds = set()
+    for n in range(2, 12):
+        for seq in enumerate_connected(n):
+            kinds |= _grows_like_the_reference(seq)
+    assert kinds == {"star", "chain", "paired-column", "leading-merge"}
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.lists(st.integers(0, 1), min_size=0, max_size=62))
+def test_in_place_chains_match_step_by_step_growth_to_n64(middle):
+    _grows_like_the_reference(CreationSequence((0, *middle, 1)))
+
+
+def test_first_parity_ordered_seed_always_fits():
+    # for every s >= 2 form with a zero-run of length >= 2, the paired-column
+    # seed first in parity order (even parities on both sides of m, then
+    # smallest m) fits, so no other paired-column seed is ever built
+    checked = 0
+    for n in range(4, 15):
+        for seq in enumerate_connected(n):
+            bf = block_form(seq)
+            ms = [m for m in range(1, bf.s + 1) if bf.ks[m - 1] >= 2]
+            if bf.s < 2 or not ms:
+                assert _section12_plan(bf) is None, seq.text
+                continue
+            first = min(ms, key=lambda m: ((m - 1) % 2 + (bf.s - m) % 2, m))
+            assert bounds._fit(section12_factor(bf.s, first), bf) is not None, seq.text
+            assert _section12_plan(bf).seed.params["m"] == first, seq.text
+            checked += 1
+    assert checked > 7000
+
+
+def test_classify_builds_each_paired_column_seed_once(monkeypatch):
+    # one classify_q plans once: no paired-column seed (s, m) is built twice,
+    # and no chain step goes through the copying public step functions
+    built = []
+
+    def building(s, m):
+        built.append((s, m))
+        return section12_factor(s, m)
+
+    def copying(*args, **kwargs):
+        raise AssertionError("a chain step copied the whole matrix")
+
+    monkeypatch.setattr(bounds.gramlib, "section12_factor", building)
+    monkeypatch.setattr(bounds.gramlib, "dup_realization", copying)
+    monkeypatch.setattr(bounds.gramlib, "jdup_realization", copying)
+    seqs = [seq for n in range(2, 12) for seq in enumerate_connected(n)]
+    seqs.append(G("0100010001100011000111000111").creation)  # `long`-shaped, s = 6
+    total = 0
+    for seq in seqs:
+        built.clear()
+        classify_q(build_graph(seq))
+        assert len(set(built)) == len(built), (seq.text, built)
+        total += len(built)
+    assert built == [(6, 2), (5, 1)]  # G's seed, then its leading merge's
+    assert total
+
+
 @pytest.mark.parametrize("n", [128, 256])
 def test_carried_spectrum_survives_long_chains(n):
     # hundreds of rotations in one chain stay inside the check's tolerance
@@ -613,7 +727,7 @@ def test_carried_spectrum_survives_long_chains(n):
 
 def test_wrong_recorded_spectrum_fails_the_chain_check():
     g = G("0001001")
-    plan = chain_plan(block_form(g.creation))
+    plan = _chain_plan(block_form(g.creation))
     assert plan.seed.construction_id == "thm10"  # spectrum 0^2, 1, 3 -+ sqrt(2)
     lo, hi = 3 - math.sqrt(2), 3 + math.sqrt(2)
     for wrong in (((0.0, 2), (1.0, 1), (lo, 1), (hi + 0.5, 1)),   # a value off

@@ -97,10 +97,48 @@ def test_support_pattern_from_bits_matches_definition():
         assert P.suffix_starts() == [sum(d < z for d in G.dominating) for z in G.isolated], seq.text
 
 
+def _suffix_starts_by_column(S):
+    """The column-by-column reading of the starts, kept as the reference."""
+    starts = []
+    for j in range(S.shape[1]):
+        col = S[:, j]
+        a = int(np.argmax(col))
+        if not col[a] or not col[a:].all() or col[:a].any():
+            raise ValueError("support is not a nested suffix staircase")
+        starts.append(a)
+    return starts
+
+
+def _starts_or_error(fn, S):
+    try:
+        return fn(S)
+    except ValueError:
+        return ValueError
+
+
 def test_staircase_structure_enforced():
     S = np.array([[True, False], [False, True]])
     with pytest.raises(ValueError):
         SupportPattern(S).suffix_starts()
+    with pytest.raises(ValueError):
+        SupportPattern(np.zeros((0, 2), dtype=bool)).suffix_starts()
+    # random boolean supports, dense and sparse, and random staircases with
+    # some entries flipped: the vectorized reading agrees with the
+    # column-by-column one, starts and errors alike (all-False columns too)
+    gen = np.random.default_rng(11)
+    outcomes = set()
+    for _ in range(3000):
+        rows, cols = int(gen.integers(1, 7)), int(gen.integers(0, 7))
+        if gen.random() < 0.5:
+            S = gen.random((rows, cols)) < gen.choice([0.2, 0.5, 0.8])
+        else:
+            S = np.arange(rows)[:, None] >= gen.integers(0, rows + 1, cols)
+            if cols and gen.random() < 0.5:
+                S[gen.integers(rows), gen.integers(cols)] ^= True
+        want = _starts_or_error(_suffix_starts_by_column, S)
+        assert _starts_or_error(lambda S: SupportPattern(S).suffix_starts(), S) == want, S
+        outcomes.add(want is ValueError)
+    assert outcomes == {True, False}
 
 
 @pytest.mark.parametrize("n", range(9, 17))
