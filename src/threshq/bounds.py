@@ -371,10 +371,7 @@ def chain_certificate(G: ThresholdGraph, plans: ChainPlans | None = None) -> Cer
     The chain lands in G's creation order by construction; it is checked
     once, for pattern and spectrum."""
     plans = plans or ChainPlans.of(G)
-    if plans.chain is None:
-        A, spectrum, steps = _star_chain(plans.bf)
-    else:
-        A, spectrum, steps = run_chain(plans.chain)
+    A, spectrum, steps = _star_chain(plans.bf) if plans.chain is None else run_chain(plans.chain)
     value = _checked(A, spectrum, G, "chain")
     kind = "ConstructionUB" if len(steps) == 1 else "DupChainUB"
     return Certificate(kind, value, "duplication chain", {"matrix": A, "chain": tuple(steps)})
