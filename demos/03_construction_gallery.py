@@ -22,6 +22,7 @@ from threshq import (
 from threshq.gram import CONSTRUCTIONS
 
 INSTANCES = [
+    ("star", {"k": 3}),
     ("thm00", {"t": 3}),
     ("thm061", {}),
     ("thm01", {}),

@@ -263,14 +263,13 @@ def _section12_plan(bf) -> ChainPlan | None:
     return _fit(gramlib.section12_factor(s, m), bf)
 
 
-def _chain_plan(bf, section12: ChainPlan | None = None) -> ChainPlan | None:
-    """The duplication chain's plan: None for s = 1 (the star chain), the
-    alternating seed when every zero-run has length 1, else the first
-    catalog seed with bf's s that fits, else the paired-column plan --
-    `section12` itself when the caller has made it, so that the two plans
-    are one object."""
+def _chain_plan(bf, section12: ChainPlan | None = None) -> ChainPlan:
+    """The duplication chain's plan: the star's for s = 1, the alternating
+    seed when every zero-run has length 1, else the first catalog seed with
+    bf's s that fits, else the paired-column plan -- `section12` itself
+    when the caller has made it, so that the two plans are one object."""
     if bf.s == 1:
-        return None
+        return _fit(gramlib.construct_library("star", k=bf.ks[0]), bf)
     if all(k == 1 for k in bf.ks):
         return _fit(gramlib.construct_library("thm00", t=bf.s), bf)
     fits = (_fit(seed, bf) for seed in _CATALOG_SEEDS.get(bf.s, ()))
@@ -284,7 +283,7 @@ class ChainPlans:
     and that chain is realized once for both certificates."""
 
     bf: BlockForm
-    chain: ChainPlan | None       # None: the star chain (s = 1)
+    chain: ChainPlan
     section12: ChainPlan | None   # None: no zero-run of length >= 2
 
     @classmethod
@@ -292,26 +291,6 @@ class ChainPlans:
         bf = block_form(G.creation)
         section12 = _section12_plan(bf)
         return cls(bf, _chain_plan(bf, section12), section12)
-
-
-def _star_chain(bf) -> tuple[np.ndarray, np.ndarray, list[str]]:
-    """Complete split graphs with k > t: adjacency of the star, then joined
-    duplications of the dominating vertex, with the spectrum they carry:
-    the star's +-sqrt(k) and 0^(k-1), then one -sqrt(k) per copy.  The
-    copies grow the star in one k + t buffer, in place."""
-    k, t = bf.ks[0], bf.ts[0]
-    N = k + t
-    A = np.zeros((N, N))
-    A[k, :k] = 1.0
-    A[:k, k] = 1.0
-    r = math.sqrt(k)
-    spectrum = np.zeros(N)
-    spectrum[0], spectrum[k] = -r, r
-    steps = [f"seed:star{ {'k': k} }"]
-    for n in range(k + 1, N):
-        spectrum[n] = gramlib.jdup_in_place(A, n, k, spectrum[:n])
-        steps.append(f"jdup({k})")
-    return A, spectrum, steps
 
 
 def _chain_steps(plan: ChainPlan) -> tuple[str, ...]:
@@ -322,8 +301,8 @@ def _chain_steps(plan: ChainPlan) -> tuple[str, ...]:
             + tuple(f"jdup({v})" for v in plan.jdup_steps))
 
 
-def run_chain(plan: ChainPlan) -> tuple[np.ndarray, np.ndarray, list[str]]:
-    """Realize a plan, with the spectrum it carries and its step labels.
+def run_chain(plan: ChainPlan) -> tuple[np.ndarray, np.ndarray]:
+    """Realize a plan, with the spectrum it carries.
 
     The final matrix and spectrum are allocated once and each step grows
     the active leading block by one row and column in place.  Each copy is
@@ -349,7 +328,7 @@ def run_chain(plan: ChainPlan) -> tuple[np.ndarray, np.ndarray, list[str]]:
         spectrum[n] = gramlib.jdup_in_place(A, n, v, spectrum[:n])
         order.insert(order.index(v) + 1, n)
         n += 1
-    return A[np.ix_(order, order)], spectrum, list(_chain_steps(plan))
+    return A[np.ix_(order, order)], spectrum
 
 
 def _checked(A: np.ndarray, spectrum: np.ndarray, G: ThresholdGraph, what: str) -> int:
@@ -365,16 +344,22 @@ def _checked(A: np.ndarray, spectrum: np.ndarray, G: ThresholdGraph, what: str) 
     return cluster_spectrum(eigs).q
 
 
-def chain_certificate(G: ThresholdGraph, plans: ChainPlans | None = None) -> Certificate:
-    """Upper bound from a duplication chain: the star's for s = 1, else the
-    first fitting seed's.  `plans` are G's, when the caller has made them.
-    The chain lands in G's creation order by construction; it is checked
-    once, for pattern and spectrum."""
-    plans = plans or ChainPlans.of(G)
-    A, spectrum, steps = _star_chain(plans.bf) if plans.chain is None else run_chain(plans.chain)
-    value = _checked(A, spectrum, G, "chain")
+def _chain_cert(G: ThresholdGraph, plan: ChainPlan, what: str) -> Certificate:
+    """The realized plan as a checked "duplication chain" certificate:
+    ConstructionUB for a bare seed, DupChainUB once a step grows it."""
+    A, spectrum = run_chain(plan)
+    steps = _chain_steps(plan)
     kind = "ConstructionUB" if len(steps) == 1 else "DupChainUB"
-    return Certificate(kind, value, "duplication chain", {"matrix": A, "chain": tuple(steps)})
+    return Certificate(kind, _checked(A, spectrum, G, what), "duplication chain",
+                       {"matrix": A, "chain": steps})
+
+
+def chain_certificate(G: ThresholdGraph, plans: ChainPlans | None = None) -> Certificate:
+    """Upper bound from a duplication chain: the first fitting seed's.
+    `plans` are G's, when the caller has made them.  The chain lands in G's
+    creation order by construction; it is checked once, for pattern and
+    spectrum."""
+    return _chain_cert(G, (plans or ChainPlans.of(G)).chain, "chain")
 
 
 # ---------------------------------------------------------------------------
@@ -452,18 +437,14 @@ def ub_section12(G: ThresholdGraph, plans: ChainPlans | None = None,
     bound = (plans.bf.s + 9) // 2
     plan = plans.section12
     if plan is not None:
-        if chain is not None and plans.chain is plan:
-            Ac, value = chain.payload["matrix"], chain.value
-        else:
-            Ac, spectrum, _ = run_chain(plan)
-            value = _checked(Ac, spectrum, G, "paired-column chain")
+        reuse = chain is not None and plans.chain is plan
+        cert = chain if reuse else _chain_cert(G, plan, "paired-column chain")
+        if cert.value > bound:
+            raise SelfCheckError(f"paired-column chain reached q = {cert.value} > {bound}")
         parity_even = plan.seed.params["p1"] % 2 == 0 and plan.seed.params["p2"] % 2 == 0
         kind = "ConstructionUB" if parity_even else "DupChainUB"
-        cert = Certificate(kind, bound, "paired-column construction",
-                           {"matrix": Ac, "chain": _chain_steps(plan), "achieved": value})
-        if value > bound:
-            raise SelfCheckError(f"paired-column chain reached q = {value} > {bound}")
-        return bound, cert
+        return bound, Certificate(kind, bound, "paired-column construction",
+                                  {**cert.payload, "achieved": cert.value})
     cert = chain if chain is not None else chain_certificate(G, plans)
     if cert.value > bound:
         raise SelfCheckError(f"alternating-family chain reached q = {cert.value} > {bound}")
@@ -474,17 +455,6 @@ def ub_section12(G: ThresholdGraph, plans: ChainPlans | None = None,
 # ---------------------------------------------------------------------------
 # the classifier
 # ---------------------------------------------------------------------------
-
-
-def _direct_upper(G: ThresholdGraph, plans: ChainPlans) -> list[Certificate]:
-    """The duplication chain and the general bound, from G's one set of
-    plans; both read only the zero-runs and s, so shortening a ones-run
-    never improves them."""
-    chain = chain_certificate(G, plans)
-    certs = [chain]
-    if plans.section12 is not None:
-        certs.append(ub_section12(G, plans, chain)[1])
-    return certs
 
 
 def _merge_plan(bf) -> ChainPlan | None:
@@ -507,9 +477,7 @@ def _leading_merge_lift(G: ThresholdGraph, bf, best: int) -> Certificate | None:
     plan = _merge_plan(bf)
     if plan is None or len(plan.seed.expected_spectrum) >= best:
         return None
-    A, spectrum, steps = run_chain(plan)
-    return Certificate("DupChainUB", _checked(A, spectrum, G, "merge lift"), "duplication chain",
-                       {"matrix": A, "chain": tuple(steps)})
+    return _chain_cert(G, plan, "merge lift")
 
 
 def classify_q(G: ThresholdGraph) -> QBound:
@@ -533,8 +501,14 @@ def classify_q(G: ThresholdGraph) -> QBound:
     if c2 is not None:
         upper_certs = [c2]
     else:
+        # The duplication chain and the general bound, from G's one set of
+        # plans; both read only the zero-runs and s, so shortening a
+        # ones-run never improves them.
         plans = ChainPlans.of(G)
-        upper_certs = _direct_upper(G, plans)
+        chain = chain_certificate(G, plans)
+        upper_certs = [chain]
+        if plans.section12 is not None:
+            upper_certs.append(ub_section12(G, plans, chain)[1])
         best = min(c.value for c in upper_certs)
         if best > lower:
             lift = transfer_certificate(G)
@@ -615,8 +589,9 @@ def verify_certificate(G: ThresholdGraph, cert: Certificate) -> bool:
 
 
 def verify_qbound(G: ThresholdGraph, qb: QBound) -> bool:
-    """Every certificate re-validates and the interval is consistent."""
-    if not (1 <= qb.lower <= qb.upper <= G.n):
+    """Every certificate re-validates and the interval is consistent; False
+    when either side has no certificate."""
+    if not (qb.lower_certs and qb.upper_certs and 1 <= qb.lower <= qb.upper <= G.n):
         return False
     certs_ok = all(verify_certificate(G, c) for c in qb.lower_certs + qb.upper_certs)
     sides_ok = (qb.lower == max(c.value for c in qb.lower_certs)

@@ -128,9 +128,10 @@ def cmd_certify(args) -> int:
     seq = parse_creation_sequence(args.sequence)
     G = build_graph(seq)
     try:
-        A = load_matrix(args.file)
-    except ValueError:
         M, _, _ = load_factor(args.file)
+    except ValueError:  # no 'rows cols' header: a square matrix, or an error
+        A = load_matrix(args.file)
+    else:
         A = M @ M.T
     tol = args.tol if args.tol is not None else default_cluster_tol(eigen_sym(A))
     pat = in_pattern(A, G)

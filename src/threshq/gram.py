@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .orthosearch import SupportPattern
+from .orthosearch import SupportPattern, verify_feasible
 from .sequences import CreationSequence, ThresholdGraph, build_graph, graph_from_text
 from .spectra import cluster_spectrum, eigen_sym, in_pattern, pattern_matrix
 
@@ -81,6 +81,18 @@ def _frozen(M) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # catalog constructions
 # ---------------------------------------------------------------------------
+
+
+def _star(k: int) -> GramFactor:
+    """Star K_(1,k), target 0^k 1: k leaf rows e_i, then the centre's
+    all-ones row.  The cogram is I + J, so the spectrum is 0, 1^(k-1), k+1
+    (no 1 when k = 1)."""
+    if k < 1:
+        raise BadParams("star needs k >= 1")
+    M = np.vstack((np.eye(k), np.ones(k)))
+    spec = ((0.0, 1), (1.0, k - 1), (float(k + 1), 1))
+    return GramFactor(_frozen(M), build_graph(CreationSequence((0,) * k + (1,))), "star",
+                      {"k": k}, expected_spectrum=tuple((v, m) for v, m in spec if m))
 
 
 def _thm00(t: int) -> GramFactor:
@@ -293,6 +305,7 @@ def section12_factor(s: int, m: int) -> GramFactor:
 
 
 CONSTRUCTIONS = {
+    "star": _star,
     "thm00": _thm00,
     "thm061": _thm061,
     "thm01": _thm01,
@@ -340,28 +353,32 @@ def _rotate_in_place(buf: np.ndarray, n: int, v: int, lam: float, theta: float) 
     buf[v, n] = buf[n, v] = s * c * (lam - a)
 
 
+# A step's checks compare within DUP_TOL * max(1, max|A|).
+DUP_TOL = 1e-8
+
+
 def _check_angle(theta: float) -> None:
     if not 0 < theta < math.pi / 2:
         raise BadAngle("theta must lie strictly between 0 and pi/2")
 
 
 def dup_in_place(buf: np.ndarray, n: int, v: int, lam: float, spectrum,
-                 theta: float = math.pi / 4, tol: float = 1e-8) -> None:
+                 theta: float = math.pi / 4) -> None:
     """dup_realization of the leading n x n block A of buf, written into
     buf's leading (n+1) x (n+1) block: the same checks against A and
     `spectrum`, then the rotation, touching nothing past row/column n."""
     _check_angle(theta)
     A = buf[:n, :n]
     scale = max(1.0, float(np.abs(A).max()))
-    if abs(A[v, v] - lam) > tol * scale:
+    if abs(A[v, v] - lam) > DUP_TOL * scale:
         raise DiagonalNotEigenvalue(f"a_vv = {A[v, v]} != {lam}")
-    if float(np.min(np.abs(np.asarray(spectrum) - lam))) > tol * scale:
+    if float(np.min(np.abs(np.asarray(spectrum) - lam))) > DUP_TOL * scale:
         raise DiagonalNotEigenvalue(f"{lam} is not an eigenvalue")
     _rotate_in_place(buf, n, v, lam, theta)
 
 
 def jdup_in_place(buf: np.ndarray, n: int, v: int, spectrum,
-                  theta: float = math.pi / 4, tol: float = 1e-8) -> float:
+                  theta: float = math.pi / 4) -> float:
     """jdup_realization of the leading n x n block A of buf, written into
     buf's leading (n+1) x (n+1) block; returns the appended eigenvalue
     lambda_min of `spectrum`."""
@@ -369,7 +386,7 @@ def jdup_in_place(buf: np.ndarray, n: int, v: int, spectrum,
     A = buf[:n, :n]
     lam_min = float(np.min(spectrum))
     scale = max(1.0, float(np.abs(A).max()))
-    if abs(A[v, v] - lam_min) <= tol * scale:
+    if abs(A[v, v] - lam_min) <= DUP_TOL * scale:
         raise DegenerateRow("a_vv equals the smallest eigenvalue; joined copy would vanish")
     _rotate_in_place(buf, n, v, lam_min, theta)
     return lam_min
@@ -384,20 +401,20 @@ def _bordered(A) -> tuple[np.ndarray, int]:
     return buf, n
 
 
-def dup_realization(A: np.ndarray, v: int, lam: float, spectrum, theta: float = math.pi / 4,
-                    tol: float = 1e-8) -> np.ndarray:
+def dup_realization(A: np.ndarray, v: int, lam: float, spectrum,
+                    theta: float = math.pi / 4) -> np.ndarray:
     """Duplicate vertex v of A without an edge: requires a_vv = lam and lam
     in `spectrum`, the eigenvalues A is known to have (a standalone caller
     passes eigen_sym(A); a chain carries them, so no step eigensolves).
     The result has that spectrum plus one extra lam, the new vertex
     adjacent exactly to N(v), and a zero (v, new) entry."""
     buf, n = _bordered(A)
-    dup_in_place(buf, n, v, lam, spectrum, theta, tol)
+    dup_in_place(buf, n, v, lam, spectrum, theta)
     return buf
 
 
-def jdup_realization(A: np.ndarray, v: int, spectrum, theta: float = math.pi / 4,
-                     tol: float = 1e-8) -> np.ndarray:
+def jdup_realization(A: np.ndarray, v: int, spectrum,
+                     theta: float = math.pi / 4) -> np.ndarray:
     """Duplicate vertex v of A with an edge to the copy, appending one more
     copy of the smallest eigenvalue lambda_min of `spectrum`, the
     eigenvalues A is known to have (a standalone caller passes
@@ -410,7 +427,7 @@ def jdup_realization(A: np.ndarray, v: int, spectrum, theta: float = math.pi / 4
     (v, v) entry equal to cos^2 a_vv + sin^2 lambda_min.
     """
     buf, n = _bordered(A)
-    jdup_in_place(buf, n, v, spectrum, theta, tol)
+    jdup_in_place(buf, n, v, spectrum, theta)
     return buf
 
 
@@ -467,16 +484,8 @@ def orthogonal_certificate(B: np.ndarray, G: ThresholdGraph) -> np.ndarray:
     n-T, 0 with multiplicity T}.
     """
     B = np.asarray(B, dtype=float)
-    P = SupportPattern.from_graph(G)
-    if B.shape != P.support.shape:
-        raise BadParams(f"block must be {P.support.shape}, got {B.shape}")
-    if not np.array_equal(np.abs(B) > 1e-12, P.support):
-        raise BadParams("block support does not match the graph staircase")
-    norms = np.linalg.norm(B, axis=0)
-    U = B / norms
-    off = (U.T @ U) - np.eye(B.shape[1])
-    if float(np.abs(off).max(initial=0.0)) > 1e-8:
-        raise BadParams("columns are not orthogonal")
+    if not verify_feasible(SupportPattern.from_graph(G), B, tol=1e-8):
+        raise BadParams("block is not a column-orthogonal fill of the graph staircase")
     M = _certificate_factor(B, G)
     A = M @ M.T
     A = (A + A.T) / 2

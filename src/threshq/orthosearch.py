@@ -212,7 +212,11 @@ class SSPReport:
         return self.nullity == 0
 
 
-def ssp_check(A: np.ndarray, zero_tol: float = 1e-8, rank_tol: float = 1e-9) -> SSPReport:
+# Singular values at most RANK_TOL times the largest count as zero.
+RANK_TOL = 1e-9
+
+
+def ssp_check(A: np.ndarray) -> SSPReport:
     """Decide the strong spectral property of a symmetric matrix.
 
     Unknowns are the symmetric hollow positions off A's support; the
@@ -221,7 +225,7 @@ def ssp_check(A: np.ndarray, zero_tol: float = 1e-8, rank_tol: float = 1e-9) -> 
     """
     A = np.asarray(A, dtype=float)
     n = A.shape[0]
-    P = pattern_matrix(A, zero_tol)
+    P = pattern_matrix(A)
     unknowns = [(i, j) for i in range(n) for j in range(i + 1, n) if not P[i, j]]
     if not unknowns:
         return SSPReport(0, None, float("inf"))
@@ -238,8 +242,8 @@ def ssp_check(A: np.ndarray, zero_tol: float = 1e-8, rank_tol: float = 1e-9) -> 
         rank = 0
         smallest = 0.0
     else:
-        rank = int((sv > rank_tol * top).sum())
-        nonzero = sv[sv > rank_tol * top]
+        rank = int((sv > RANK_TOL * top).sum())
+        nonzero = sv[sv > RANK_TOL * top]
         smallest = float(nonzero[-1]) if nonzero.size else 0.0
     nullity = len(unknowns) - rank
     witness = None

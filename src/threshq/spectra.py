@@ -23,14 +23,18 @@ class DimensionMismatch(ValueError):
 
 
 SYM_TOL = 1e-12
+# An entry at most ZERO_TOL * max(1, max|A|) in size counts as zero.
+ZERO_TOL = 1e-8
+# Sorted eigenvalue lists agree within SPECTRUM_ATOL * max(1, max|want|).
+SPECTRUM_ATOL = 1e-8
 
 
-def check_symmetric(A: np.ndarray, tol: float = SYM_TOL) -> None:
+def check_symmetric(A: np.ndarray) -> None:
     A = np.asarray(A, dtype=float)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise DimensionMismatch(f"expected a square matrix, got shape {A.shape}")
     scale = max(1.0, float(np.abs(A).max()) if A.size else 1.0)
-    if float(np.abs(A - A.T).max()) > tol * scale:
+    if float(np.abs(A - A.T).max()) > SYM_TOL * scale:
         raise DimensionMismatch("matrix is not symmetric")
 
 
@@ -117,11 +121,11 @@ def q_of_matrix(A: np.ndarray, tol: float | None = None) -> int:
     return cluster_spectrum(eigen_sym(A), tol).q
 
 
-def pattern_matrix(A: np.ndarray, zero_tol: float = 1e-8) -> np.ndarray:
+def pattern_matrix(A: np.ndarray) -> np.ndarray:
     """Boolean off-diagonal support of A after scaling to unit max entry."""
     A = np.asarray(A, dtype=float)
     scale = float(np.abs(A).max())
-    P = np.abs(A) > zero_tol * max(1.0, scale)
+    P = np.abs(A) > ZERO_TOL * max(1.0, scale)
     np.fill_diagonal(P, False)
     return P
 
@@ -137,12 +141,12 @@ class PatternReport:
         return self.ok
 
 
-def in_pattern(A: np.ndarray, G, zero_tol: float = 1e-8) -> PatternReport:
+def in_pattern(A: np.ndarray, G) -> PatternReport:
     """Test A in S(G): off-diagonal entries nonzero exactly on edges.
 
     G may be a ThresholdGraph or a raw boolean adjacency matrix.  The
     diagonal is unconstrained.  Entries are compared against
-    zero_tol * max(1, max|A|).
+    ZERO_TOL * max(1, max|A|).
     """
     A = np.asarray(A, dtype=float)
     check_symmetric(A)
@@ -150,7 +154,7 @@ def in_pattern(A: np.ndarray, G, zero_tol: float = 1e-8) -> PatternReport:
     n = adj.shape[0]
     if A.shape[0] != n:
         raise DimensionMismatch(f"matrix is {A.shape[0]}x{A.shape[0]}, graph has {n} vertices")
-    rows, cols = np.nonzero(np.triu(pattern_matrix(A, zero_tol) != adj, 1))
+    rows, cols = np.nonzero(np.triu(pattern_matrix(A) != adj, 1))
     violations = tuple((i, j, "edge entry is zero" if adj[i, j] else "non-edge entry is nonzero")
                        for i, j in zip(rows.tolist(), cols.tolist()))
     return PatternReport(not violations, violations)
@@ -165,16 +169,16 @@ def spectrum_values(distinct) -> np.ndarray:
     return np.concatenate([np.full(m, v, dtype=float) for v, m in distinct])
 
 
-def spectra_agree(got, want, atol: float = 1e-8) -> bool:
+def spectra_agree(got, want) -> bool:
     """True iff two eigenvalue lists agree entry by entry, once sorted,
-    within atol * max(1, max |want|)."""
+    within SPECTRUM_ATOL * max(1, max |want|)."""
     got, want = np.sort(got), np.sort(want)
-    return got.size == want.size and bool(np.max(np.abs(got - want)) <= atol * max(1.0, np.abs(want).max()))
+    return got.size == want.size and bool(np.max(np.abs(got - want)) <= SPECTRUM_ATOL * max(1.0, np.abs(want).max()))
 
 
-def assert_spectrum(A: np.ndarray, expected: list[tuple[float, int]], atol: float = 1e-8) -> bool:
+def assert_spectrum(A: np.ndarray, expected: list[tuple[float, int]]) -> bool:
     """True iff Spec(A) equals the expected (value, multiplicity) multiset."""
-    return spectra_agree(eigen_sym(A), spectrum_values(expected), atol)
+    return spectra_agree(eigen_sym(A), spectrum_values(expected))
 
 
 # ---------------------------------------------------------------------------
@@ -216,11 +220,13 @@ def _read_rows(path):
 def load_matrix(path) -> np.ndarray:
     """Load a square symmetric matrix; symmetry enforced at 1e-12."""
     header, rows, _ = _read_rows(path)
+    if len(header) != 1:
+        raise ValueError(f"{path}: a matrix header is 'n'")
     n = int(header[0])
     A = np.array(rows, dtype=float)
     if A.shape != (n, n):
         raise ValueError(f"{path}: expected {n}x{n}, got {A.shape}")
-    check_symmetric(A, SYM_TOL)
+    check_symmetric(A)
     return A
 
 
@@ -237,10 +243,9 @@ def save_factor(path, M: np.ndarray, construction_id: str, params: dict | None =
 
 def load_factor(path) -> tuple[np.ndarray, str, dict]:
     header, rows, comments = _read_rows(path)
-    if len(header) == 1:
-        r = c = int(header[0])
-    else:
-        r, c = int(header[0]), int(header[1])
+    if len(header) != 2:
+        raise ValueError(f"{path}: a factor header is 'rows cols'")
+    r, c = int(header[0]), int(header[1])
     M = np.array(rows, dtype=float)
     if M.shape != (r, c):
         raise ValueError(f"{path}: expected {r}x{c}, got {M.shape}")

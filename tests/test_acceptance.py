@@ -52,7 +52,7 @@ def test_criterion_1_construction_spectra():
     for (cid, params), expected in cases:
         t0 = time.time()
         A = gram(construct_library(cid, **params))
-        ok = assert_spectrum(A, expected, atol=1e-8)
+        ok = assert_spectrum(A, expected)
         elapsed = time.time() - t0
         if elapsed >= 1.0:
             slow.append((cid, params, elapsed))

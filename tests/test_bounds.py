@@ -161,6 +161,13 @@ def test_forged_qbound_on_q2_graph_rejected():
     assert verify_qbound(g, forged) is False
 
 
+def test_forged_qbound_with_an_empty_side_rejected():
+    g = G("0011")
+    qb = classify_q(g)
+    assert verify_qbound(g, QBound(2, 2, (), qb.upper_certs)) is False
+    assert verify_qbound(g, QBound(2, 2, qb.lower_certs, ())) is False
+
+
 Q2_0011 = q2_certificate(G("0011")).payload["matrix"]
 TRANSFER = transfer_certificate(G("00100101"))
 
@@ -344,6 +351,8 @@ def test_every_catalog_entry_seeds_the_classifier():
     ("0010010001", ("seed:qlt4", "dup(0,1)", "dup(2,2)", "dup(5,1)")),
     ("001001011", ("seed:ub_case1{'s': 3, 'm': 1, 'p1': 0, 'p2': 2}", "dup(3,3)", "jdup(6)")),
     ("0101010001", ("seed:ub_case1{'s': 4, 'm': 4, 'p1': 3, 'p2': 0}", "dup(6,1)")),
+    ("0001", ("seed:star{'k': 3}",)),
+    ("000111", ("seed:star{'k': 3}", "jdup(3)", "jdup(3)")),
 ])
 def test_chain_plan_takes_the_first_fitting_seed(text, steps):
     assert _chain_steps(_chain_plan(block_form(G(text).creation))) == steps
@@ -492,15 +501,12 @@ def test_self_checks_raise_named_error(monkeypatch):
 
 def test_chains_land_in_creation_order():
     # every chain matrix comes back in the creation order of the sequence
-    # its plan fits, with no peeling: the star chain, the chain plan and the
-    # leading-merge plan alike
+    # its plan fits, with no peeling: the chain plan and the leading-merge
+    # plan alike
     merged = 0
     for n in range(2, 12):
         for seq in enumerate_connected(n):
             g, bf = build_graph(seq), block_form(seq)
-            if bf.s == 1:
-                assert in_pattern(bounds._star_chain(bf)[0], g), seq.text
-                continue
             merge = bounds._merge_plan(bf)
             for plan in filter(None, (_chain_plan(bf), merge)):
                 assert in_pattern(run_chain(plan)[0], g), (seq.text, _chain_steps(plan))
@@ -531,9 +537,9 @@ def test_classify_runs_each_chain_once(monkeypatch):
     runs, peels = [], []
 
     def counting(plan):
-        A, spectrum, steps = run_chain(plan)
-        runs.append((A, tuple(steps)))
-        return A, spectrum, steps
+        A, spectrum = run_chain(plan)
+        runs.append((A, _chain_steps(plan)))
+        return A, spectrum
 
     def peeling(adjacency):
         peels.append(adjacency)
@@ -566,38 +572,30 @@ def test_section12_certificate_matches_fresh_chain():
             for cert in classify_q(build_graph(seq)).upper_certs:
                 if cert.provenance != "paired-column construction":
                     continue
-                A, _, steps = run_chain(_section12_plan(block_form(seq)))
+                plan = _section12_plan(block_form(seq))
+                A, _ = run_chain(plan)
                 assert np.array_equal(cert.payload["matrix"], A), seq.text
-                assert cert.payload["chain"] == tuple(steps)
+                assert cert.payload["chain"] == _chain_steps(plan)
                 assert cert.payload["achieved"] == q_of_matrix(cert.payload["matrix"])
                 checked += 1
     assert checked
 
 
 def _every_plan(seq):
-    """(plan kind, plan) of every chain that fits seq: the star's, whose
-    plan is the block form, for s = 1, else the chain plan (a catalog seed
-    or the alternating seed when one fits), the paired-column and the
-    leading-merge plan."""
+    """(plan kind, plan) of every chain that fits seq: the chain plan (the
+    star for s = 1, a catalog seed or the alternating seed when one fits),
+    the paired-column and the leading-merge plan."""
     bf = block_form(seq)
-    if bf.s == 1:
-        yield "star", bf
-        return
     for kind, plan in (("chain", _chain_plan(bf)), ("paired-column", _section12_plan(bf)),
                        ("leading-merge", bounds._merge_plan(bf))):
         if plan is not None:
             yield kind, plan
 
 
-def _realize(kind, plan):
-    """The matrix and carried spectrum of one plan."""
-    return (bounds._star_chain if kind == "star" else run_chain)(plan)[:2]
-
-
 def _every_chain(seq):
     """(plan kind, matrix, carried spectrum) of every chain that fits seq."""
     for kind, plan in _every_plan(seq):
-        yield kind, *_realize(kind, plan)
+        yield kind, *run_chain(plan)
 
 
 def _carries_its_spectrum(seq):
@@ -613,7 +611,7 @@ def test_carried_spectrum_matches_eigensolve_to_n11():
     for n in range(2, 12):
         for seq in enumerate_connected(n):
             kinds |= _carries_its_spectrum(seq)
-    assert kinds == {"star", "chain", "paired-column", "leading-merge"}
+    assert kinds == {"chain", "paired-column", "leading-merge"}
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
@@ -622,39 +620,29 @@ def test_carried_spectrum_matches_eigensolve_to_n64(middle):
     _carries_its_spectrum(CreationSequence((0, *middle, 1)))
 
 
-def _reference_chain(kind, plan):
+def _reference_chain(plan):
     """A chain grown step by step through the public dup_realization and
     jdup_realization, each step a fresh (n+1) x (n+1) matrix, then
     permuted into creation order: the reference for the in-place chain."""
-    if kind == "star":
-        k, t = plan.ks[0], plan.ts[0]
-        A = np.zeros((k + 1, k + 1))
-        A[k, :k] = A[:k, k] = 1.0
-        spectrum = np.array([-math.sqrt(k)] + [0.0] * (k - 1) + [math.sqrt(k)])
-        steps, order = [], None
-        jdups = [k] * (t - 1)
-    else:
-        A = gram(plan.seed)
-        spectrum = spectrum_values(plan.seed.expected_spectrum)
-        steps, order = plan.dup_steps, list(range(len(A)))
-        jdups = plan.jdup_steps
-    for v, lam in steps:
+    A = gram(plan.seed)
+    spectrum = spectrum_values(plan.seed.expected_spectrum)
+    order = list(range(len(A)))
+    for v, lam in plan.dup_steps:
         A = dup_realization(A, v, lam, spectrum)
         spectrum = np.append(spectrum, lam)
         order.insert(order.index(v) + 1, len(order))
-    for v in jdups:
+    for v in plan.jdup_steps:
         A = jdup_realization(A, v, spectrum)
         spectrum = np.append(spectrum, spectrum.min())
-        if order is not None:
-            order.insert(order.index(v) + 1, len(order))
-    return (A if order is None else A[np.ix_(order, order)]), spectrum
+        order.insert(order.index(v) + 1, len(order))
+    return A[np.ix_(order, order)], spectrum
 
 
 def _grows_like_the_reference(seq):
     kinds = set()
     for kind, plan in _every_plan(seq):
-        A, spectrum = _realize(kind, plan)
-        ref_A, ref_spectrum = _reference_chain(kind, plan)
+        A, spectrum = run_chain(plan)
+        ref_A, ref_spectrum = _reference_chain(plan)
         assert np.array_equal(A, ref_A), (seq.text, kind)
         assert np.array_equal(spectrum, ref_spectrum), (seq.text, kind)
         kinds.add(kind)
@@ -668,7 +656,7 @@ def test_in_place_chains_match_step_by_step_growth_to_n11():
     for n in range(2, 12):
         for seq in enumerate_connected(n):
             kinds |= _grows_like_the_reference(seq)
-    assert kinds == {"star", "chain", "paired-column", "leading-merge"}
+    assert kinds == {"chain", "paired-column", "leading-merge"}
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
@@ -738,13 +726,13 @@ def test_wrong_recorded_spectrum_fails_the_chain_check():
     for wrong in (((0.0, 2), (1.0, 1), (lo, 1), (hi + 0.5, 1)),   # a value off
                   ((0.0, 1), (1.0, 2), (lo, 1), (hi, 1))):        # a multiplicity moved
         bad = dataclasses.replace(plan, seed=dataclasses.replace(plan.seed, expected_spectrum=wrong))
-        A, spectrum, _ = run_chain(bad)
+        A, spectrum = run_chain(bad)
         with pytest.raises(SelfCheckError, match="spectrum"):
             bounds._checked(A, spectrum, g, "chain")
 
 
 # A `long`-shaped sequence: order 28, ones-runs (1, 1, 2, 2, 3, 3), a lone
-# leading 0; and a complete split graph, whose chain is the star's.
+# leading 0; and a complete split graph, whose chain grows the star seed.
 @pytest.mark.parametrize("text", ["0100010001100011000111000111", "0000000011"])
 def test_one_eigensolve_per_realized_chain(monkeypatch, text):
     # besides the (s+1) x (s+1) cograms that give a paired-column seed its
@@ -758,22 +746,18 @@ def test_one_eigensolve_per_realized_chain(monkeypatch, text):
         orders.append(len(A))
         return eigen_sym(A)
 
-    def realizing(fn):
-        def counted(arg):
-            chains.append(arg)
-            return fn(arg)
-        return counted
+    def realizing(plan):
+        chains.append(plan)
+        return run_chain(plan)
 
     for mod in list(sys.modules.values()):
         if mod.__name__.startswith("threshq") and getattr(mod, "eigen_sym", None) is eigen_sym:
             monkeypatch.setattr(mod, "eigen_sym", solving)
-    monkeypatch.setattr(bounds, "run_chain", realizing(run_chain))
-    monkeypatch.setattr(bounds, "_star_chain", realizing(bounds._star_chain))
+    monkeypatch.setattr(bounds, "run_chain", realizing)
     qb = classify_q(g)
     monkeypatch.undo()
     assert verify_qbound(g, qb)
-    seed_orders = {plan.seed.n if isinstance(plan, bounds.ChainPlan) else plan.ks[0] + 1
-                   for plan in chains}
+    seed_orders = {plan.seed.n for plan in chains}
     assert chains and orders.count(g.n) <= len(chains), orders
     assert all(k == g.n or k <= s + 1 for k in orders), orders
     assert not seed_orders & (set(orders) - {g.n}), (seed_orders, orders)

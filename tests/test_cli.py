@@ -105,6 +105,24 @@ def test_certify_factor_file(tmp_path, capsys):
     assert code == 0 and "PASS" in out
 
 
+def test_certify_rejects_a_non_symmetric_matrix_file(tmp_path, capsys):
+    # a one-number header names a square matrix, never a factor
+    p = tmp_path / "upper.mat"
+    p.write_text("2\n1 1\n0 1\n")
+    code, out, err = run(capsys, "certify", "01", "2", str(p))
+    assert code == 2 and "symmetric" in err and "PASS" not in out
+
+
+def test_certify_reads_a_square_factor_as_a_factor(tmp_path, capsys):
+    # M = [[0, 1], [1, 0]] is symmetric and in S(01), but M M^T = I is not
+    from threshq.spectra import save_factor
+
+    p = tmp_path / "swap_factor.mat"
+    save_factor(p, np.array([[0.0, 1.0], [1.0, 0.0]]), "adhoc")
+    code, out, _ = run(capsys, "certify", "01", "2", str(p))
+    assert code == 1 and "in_pattern=False" in out
+
+
 def test_ssp_command(tmp_path, capsys):
     p = tmp_path / "eye.mat"
     save_matrix(p, np.eye(3))

@@ -67,6 +67,17 @@ def test_factors_cover_every_edge():
                     assert cover.max() > 1e-9, (f.construction_id, i, j)
 
 
+@pytest.mark.parametrize("k", range(1, 9))
+def test_star_factor(k):
+    # leaves e_i and an all-ones centre: the gram lies in S(0^k 1), its
+    # eigensolve matches expected_spectrum, and the cogram is I + J
+    f = construct_library("star", k=k)
+    A = gram(f)
+    assert in_pattern(A, graph_from_text("0" * k + "1"))
+    assert assert_spectrum(A, list(f.expected_spectrum))
+    assert np.array_equal(cogram(f), np.eye(k) + 1)
+
+
 def test_thm00_cogram():
     f = construct_library("thm00", t=2)
     assert np.allclose(cogram(f), [[5, 2], [2, 5]], atol=1e-12)
@@ -93,6 +104,8 @@ def test_bad_construction_params():
         construct_library("nope")
     with pytest.raises(BadParams):
         construct_library("thm00", t=1)
+    with pytest.raises(BadParams):
+        construct_library("star", k=0)
     with pytest.raises(BadParams):
         construct_library("thm00", bogus=3)
     with pytest.raises(BadParams):
@@ -263,7 +276,7 @@ def test_orthogonal_certificate_two_eigenvalues_psd():
     w = eigen_sym(A)
     assert w[0] >= -1e-9
     k = len(G.isolated)
-    assert assert_spectrum(A, [(0.0, G.n - k), (w[-1], k)], atol=1e-8)
+    assert assert_spectrum(A, [(0.0, G.n - k), (w[-1], k)])
 
 
 def test_orthogonal_certificate_rejects_bad_block():
