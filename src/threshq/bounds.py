@@ -4,9 +4,11 @@ Lower bounds, one `_LOWER_RULES` row each: connectivity, unique shortest
 paths, the trace bound, the column-counting bound, the full
 column-orthogonality gate (an exact characterization of q = 2), and a cited
 exact value for a trace-two family.  Upper bounds: explicit two-eigenvalue
-certificates, duplication chains from the catalog constructions, one
-spectral-transfer citation family, and the general floor((s+9)/2) bound.
-Every certificate re-verifies independently of the search that found it.
+certificates, duplication chains from the catalog constructions and one
+spectral-transfer citation family.  The paper's general floor((s+9)/2)
+bound, `ub_section12`, is certified on demand; it never beats the chain,
+so the classifier does not build it.  Every certificate re-verifies
+independently of the search that found it.
 """
 
 from __future__ import annotations
@@ -30,9 +32,7 @@ from .sequences import (
     BlockForm,
     SequenceError,
     ThresholdGraph,
-    block_form,
     graph_from_text,
-    parse_creation_sequence,
     unique_path_bound,
 )
 from .spectra import (
@@ -127,7 +127,7 @@ def _zero_run_covers(bf, i) -> bool:
 
 
 def _zero_run(G: ThresholdGraph, gate) -> dict | None:
-    bf = block_form(G.creation)
+    bf = G.block_form
     i = next((i for i in range(1, bf.s) if _zero_run_covers(bf, i)), None)
     return None if i is None else {"block": i, "k": bf.ks[i], "tail_trace": sum(bf.ts[i:])}
 
@@ -140,7 +140,7 @@ def _trace_two(G: ThresholdGraph, gate) -> dict | None:
     """Exact value 4 for the trace-2 family (0^k1, 1, 0^k2, 1) with k1 >= 3
     and k2 >= 2; the supporting argument is cited, so the certificate's
     checkable content is the block shape itself."""
-    bf = block_form(G.creation)
+    bf = G.block_form
     fires = bf.s == 2 and bf.ts == (1, 1) and bf.ks[0] >= 3 and bf.ks[1] >= 2
     return {"ks": bf.ks, "ts": bf.ts} if fires else None
 
@@ -159,7 +159,7 @@ _LOWER_RULES = (
     ("DiameterLB", 3, "unique shortest path", _unique_path, _is_unique_path_pair),
     ("TraceLB", 3, "trace below half the order", _trace_below_half, _fires(_trace_below_half)),
     ("Compare1LB", 3, "zero-run column count", _zero_run,
-     lambda G, payload: _zero_run_covers(block_form(G.creation), payload.get("block"))),
+     lambda G, payload: _zero_run_covers(G.block_form, payload.get("block"))),
     ("Compare1LB", 3, "orthogonality gate counting witness", _gate_witness,
      lambda G, payload: verify_infeasible(SupportPattern.from_graph(G), Infeasible(
          payload.get("columns"), payload.get("rows")))),
@@ -230,7 +230,7 @@ def _fit(seed: gramlib.GramFactor, bf) -> ChainPlan | None:
     slot inside every zero-run that has to grow.  A zero-run grows by
     copies of its first listed slot, a ones-run by joined copies of its
     first dominating vertex."""
-    have = block_form(seed.target.creation).blocks
+    have = seed.target.block_form.blocks
     if len(have) != bf.s:
         return None
     dup: list[tuple[int, float]] = []
@@ -263,34 +263,16 @@ def _section12_plan(bf) -> ChainPlan | None:
     return _fit(gramlib.section12_factor(s, m), bf)
 
 
-def _chain_plan(bf, section12: ChainPlan | None = None) -> ChainPlan:
+def _chain_plan(bf) -> ChainPlan:
     """The duplication chain's plan: the star's for s = 1, the alternating
     seed when every zero-run has length 1, else the first catalog seed with
-    bf's s that fits, else the paired-column plan -- `section12` itself
-    when the caller has made it, so that the two plans are one object."""
+    bf's s that fits, else the paired-column plan."""
     if bf.s == 1:
         return _fit(gramlib.construct_library("star", k=bf.ks[0]), bf)
     if all(k == 1 for k in bf.ks):
         return _fit(gramlib.construct_library("thm00", t=bf.s), bf)
     fits = (_fit(seed, bf) for seed in _CATALOG_SEEDS.get(bf.s, ()))
-    return next(filter(None, fits), None) or section12 or _section12_plan(bf)
-
-
-@dataclass(frozen=True)
-class ChainPlans:
-    """One classification's chain plans, made once from G's block form.
-    When no catalog seed fits, `chain` is the very object `section12` is,
-    and that chain is realized once for both certificates."""
-
-    bf: BlockForm
-    chain: ChainPlan
-    section12: ChainPlan | None   # None: no zero-run of length >= 2
-
-    @classmethod
-    def of(cls, G: ThresholdGraph) -> "ChainPlans":
-        bf = block_form(G.creation)
-        section12 = _section12_plan(bf)
-        return cls(bf, _chain_plan(bf, section12), section12)
+    return next(filter(None, fits), None) or _section12_plan(bf)
 
 
 def _chain_steps(plan: ChainPlan) -> tuple[str, ...]:
@@ -354,12 +336,11 @@ def _chain_cert(G: ThresholdGraph, plan: ChainPlan, what: str) -> Certificate:
                        {"matrix": A, "chain": steps})
 
 
-def chain_certificate(G: ThresholdGraph, plans: ChainPlans | None = None) -> Certificate:
-    """Upper bound from a duplication chain: the first fitting seed's.
-    `plans` are G's, when the caller has made them.  The chain lands in G's
-    creation order by construction; it is checked once, for pattern and
-    spectrum."""
-    return _chain_cert(G, (plans or ChainPlans.of(G)).chain, "chain")
+def chain_certificate(G: ThresholdGraph) -> Certificate:
+    """Upper bound from a duplication chain: the first fitting seed's.  The
+    chain lands in G's creation order by construction; it is checked once,
+    for pattern and spectrum."""
+    return _chain_cert(G, _chain_plan(G.block_form), "chain")
 
 
 # ---------------------------------------------------------------------------
@@ -372,7 +353,7 @@ def chain_certificate(G: ThresholdGraph, plans: ChainPlans | None = None) -> Cer
 # matrix goes to vertex embedding[i] of the base.  Each base maps to its
 # block form, parsed once at import, and its embedding.
 _TRANSFER_BASES = {
-    base: (block_form(parse_creation_sequence(base)).blocks, emb) for base, emb in (
+    base: (graph_from_text(base).block_form.blocks, emb) for base, emb in (
         ("00100101", (2, 0, 1, 5, 3, 4, 7, 6)),
         ("00010011", (3, 0, 1, 7, 2, 4, 6, 5)),
     )
@@ -383,7 +364,7 @@ _TRANSFER = "spectral transfer across supergraphs"
 def transfer_certificate(G: ThresholdGraph) -> Certificate | None:
     """q <= 3 when a transfer base reaches G by joined duplications, which
     preserve q."""
-    have = block_form(G.creation).blocks
+    have = G.block_form.blocks
     for base, (want, emb) in _TRANSFER_BASES.items():
         if _reaches_by_jdup(want, have):
             A = gramlib.gram(gramlib.construct_library("prop_a15a19"))
@@ -419,37 +400,28 @@ def _reaches_by_jdup(want: tuple, have: tuple) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def ub_section12(G: ThresholdGraph, plans: ChainPlans | None = None,
-                 chain: Certificate | None = None) -> tuple[int, Certificate]:
-    """floor((s+9)/2) with a construction-backed certificate.
+def ub_section12(G: ThresholdGraph) -> tuple[int, Certificate]:
+    """The paper's general bound q(G) <= floor((s+9)/2), with a
+    construction-backed certificate of that value whose `achieved` is the
+    q its matrix has.
 
     For block forms with a zero-run of length >= 2 the certificate matrix is
     the paired-column chain, checked once like any chain; otherwise the
     alternating or complete-split chain (q <= 3) witnesses it a fortiori.
-
-    `plans` are G's, when the caller has made them, and `chain` the
-    certificate chain_certificate made from the same plans.  Its matrix and
-    value are reused when the chain plan is the paired-column plan (so the
-    chain is realized once), and it stands in for the alternating-family
-    chain.
+    The kind is the chain's own.  classify_q does not call this: its chain
+    is this same paired-column chain or a catalog seed with q <= 4, and the
+    bound is at least 5, so the bound never sets the upper side.
     """
-    plans = plans or ChainPlans.of(G)
-    bound = (plans.bf.s + 9) // 2
-    plan = plans.section12
-    if plan is not None:
-        reuse = chain is not None and plans.chain is plan
-        cert = chain if reuse else _chain_cert(G, plan, "paired-column chain")
-        if cert.value > bound:
-            raise SelfCheckError(f"paired-column chain reached q = {cert.value} > {bound}")
-        parity_even = plan.seed.params["p1"] % 2 == 0 and plan.seed.params["p2"] % 2 == 0
-        kind = "ConstructionUB" if parity_even else "DupChainUB"
-        return bound, Certificate(kind, bound, "paired-column construction",
-                                  {**cert.payload, "achieved": cert.value})
-    cert = chain if chain is not None else chain_certificate(G, plans)
+    bf = G.block_form
+    bound = (bf.s + 9) // 2
+    plan = _section12_plan(bf)
+    what = "paired-column chain" if plan else "alternating-family chain"
+    cert = _chain_cert(G, plan or _chain_plan(bf), what)
     if cert.value > bound:
-        raise SelfCheckError(f"alternating-family chain reached q = {cert.value} > {bound}")
-    return bound, Certificate("DupChainUB", bound, "alternating-family chain",
-                              {"matrix": cert.payload["matrix"], "achieved": cert.value})
+        raise SelfCheckError(f"{what} reached q = {cert.value} > {bound}")
+    provenance = "paired-column construction" if plan else what
+    return bound, Certificate(cert.kind, bound, provenance,
+                              {**cert.payload, "achieved": cert.value})
 
 
 # ---------------------------------------------------------------------------
@@ -458,10 +430,10 @@ def ub_section12(G: ThresholdGraph, plans: ChainPlans | None = None,
 
 
 def _merge_plan(bf) -> ChainPlan | None:
-    """M's chain plan (always M's best), plus the t joined copies of vertex 0
-    that reach bf = (0, 1^t, 0^k, ...) from its merge form M = (0^(1+k), ...).
-    None unless bf opens with a lone 0 and M has s >= 2: if M has s = 1, bf
-    has s = 2 and k_1 = 1, and `thm061` fits bf at the star's value 3."""
+    """M's chain plan plus the t joined copies of vertex 0 that reach
+    bf = (0, 1^t, 0^k, ...) from its merge form M = (0^(1+k), ...).  None
+    unless bf opens with a lone 0 and M has s >= 2: if M has s = 1, bf has
+    s = 2 and k_1 = 1, and `thm061` fits bf at the star's value 3."""
     if bf.s < 3 or bf.ks[0] != 1:
         return None
     (_, t), (k, t2) = bf.blocks[:2]
@@ -469,12 +441,12 @@ def _merge_plan(bf) -> ChainPlan | None:
     return ChainPlan(plan.seed, plan.dup_steps, plan.jdup_steps + (0,) * t)
 
 
-def _leading_merge_lift(G: ThresholdGraph, bf, best: int) -> Certificate | None:
+def _leading_merge_lift(G: ThresholdGraph, best: int) -> Certificate | None:
     """The leading-merge plan as a certificate, or None when there is none
     or its seed's q, the count of distinct values in the seed's
     expected_spectrum, is not below `best`; it is realized only when it
     wins."""
-    plan = _merge_plan(bf)
+    plan = _merge_plan(G.block_form)
     if plan is None or len(plan.seed.expected_spectrum) >= best:
         return None
     return _chain_cert(G, plan, "merge lift")
@@ -484,12 +456,12 @@ def classify_q(G: ThresholdGraph) -> QBound:
     """Certified interval for q(G); exact when the sides meet.
 
     The upper side is the orthogonal completion when the gate is feasible,
-    else the direct rules plus at most one lift, tried only while they stay
-    above the lower side: a transfer citation whose base reaches G, or
-    failing that the leading-merge lift, whichever beats them.  G's chain
-    plans are made once, so each paired-column seed is built once; every
-    chain is realized at most once and lands on G by construction; the
-    lift's value is its seed's q, so it is realized only when it wins.
+    else the duplication chain plus at most one lift, tried only while the
+    chain stays above the lower side: a transfer citation whose base
+    reaches G, or failing that the leading-merge lift, whichever beats it.
+    Every chain is realized at most once and lands on G by construction;
+    the lift's value is its seed's q, so it is realized only when it wins.
+    The general floor((s+9)/2) bound is not built (see `ub_section12`).
     """
     if not G.connected:
         raise ValueError("classify_q needs a connected graph")
@@ -501,19 +473,14 @@ def classify_q(G: ThresholdGraph) -> QBound:
     if c2 is not None:
         upper_certs = [c2]
     else:
-        # The duplication chain and the general bound, from G's one set of
-        # plans; both read only the zero-runs and s, so shortening a
-        # ones-run never improves them.
-        plans = ChainPlans.of(G)
-        chain = chain_certificate(G, plans)
-        upper_certs = [chain]
-        if plans.section12 is not None:
-            upper_certs.append(ub_section12(G, plans, chain)[1])
-        best = min(c.value for c in upper_certs)
+        # The chain reads only the zero-runs and s, so shortening a
+        # ones-run never improves it.
+        upper_certs = [chain_certificate(G)]
+        best = upper_certs[0].value
         if best > lower:
             lift = transfer_certificate(G)
             if lift is None or lift.value >= best:
-                lift = _leading_merge_lift(G, plans.bf, best)
+                lift = _leading_merge_lift(G, best)
             if lift is not None and lift.value < best:
                 upper_certs.append(lift)
     upper = min(c.value for c in upper_certs)
@@ -568,7 +535,7 @@ def _upper_ok(G: ThresholdGraph, cert: Certificate) -> bool:
         edges_ok = all(
             base.adjacency[emb[i], emb[j]]
             for i in range(base.n) for j in range(i + 1, base.n) if P[i, j])
-        chain_ok = _reaches_by_jdup(block_form(base.creation).blocks, block_form(G.creation).blocks)
+        chain_ok = _reaches_by_jdup(base.block_form.blocks, G.block_form.blocks)
         return edges_ok and chain_ok and q_of_matrix(A) == cert.value and ssp_check(A).is_ssp
     return False
 

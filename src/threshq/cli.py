@@ -18,7 +18,8 @@ from . import __version__
 from .bounds import classify_q, verify_qbound
 from .orthosearch import ssp_check
 from .sequences import SequenceError, build_graph, enumerate_connected, parse_creation_sequence
-from .spectra import default_cluster_tol, eigen_sym, in_pattern, load_factor, load_matrix, q_of_matrix
+from .spectra import (default_cluster_tol, eigen_sym, in_pattern, load_factor, load_matrix,
+                      q_of_matrix, read_rows)
 from .tables import reproduce_table
 
 
@@ -127,12 +128,12 @@ def cmd_ssp(args) -> int:
 def cmd_certify(args) -> int:
     seq = parse_creation_sequence(args.sequence)
     G = build_graph(seq)
-    try:
+    header, _, _ = read_rows(args.file)
+    if len(header) == 2:  # a 'rows cols' factor file, else an 'n' square matrix
         M, _, _ = load_factor(args.file)
-    except ValueError:  # no 'rows cols' header: a square matrix, or an error
-        A = load_matrix(args.file)
-    else:
         A = M @ M.T
+    else:
+        A = load_matrix(args.file)
     tol = args.tol if args.tol is not None else default_cluster_tol(eigen_sym(A))
     pat = in_pattern(A, G)
     q = q_of_matrix(A, tol)

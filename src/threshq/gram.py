@@ -199,7 +199,8 @@ def _prop_a15a19() -> GramFactor:
 
 
 def section12_factor(s: int, m: int) -> GramFactor:
-    """Seed for the general upper bound: blocks all (0,1) except block m,
+    """Paired-column seed, the duplication chain's last resort and the
+    general upper bound's witness: blocks all (0,1) except block m,
     which is (0,0,1).  Columns pair greedily; each pair's two tails solve
     the equal-norm equations, giving eigenvalue 3 per ordinary pair and
     eigenvalue 1 from the middle pair, so q is at most 3 plus the number of

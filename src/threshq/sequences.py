@@ -14,6 +14,7 @@ equals max{i : d_i >= i} over the sorted degree sequence.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterator
 
 import numpy as np
@@ -169,6 +170,12 @@ class ThresholdGraph:
     @property
     def connected(self) -> bool:
         return self.creation.connected
+
+    @cached_property
+    def block_form(self) -> BlockForm:
+        """The block form of a connected graph's sequence, parsed once per
+        graph; NotConnected otherwise."""
+        return block_form(self.creation)
 
     @property
     def vertex_kind(self) -> tuple[str, ...]:

@@ -196,7 +196,9 @@ def save_matrix(path, A: np.ndarray) -> None:
             fh.write(" ".join(repr(float(x)) for x in row) + "\n")
 
 
-def _read_rows(path):
+def read_rows(path):
+    """(header fields, numeric rows, comment lines) of a matrix or factor
+    file."""
     header = None
     rows = []
     comments = []
@@ -219,7 +221,7 @@ def _read_rows(path):
 
 def load_matrix(path) -> np.ndarray:
     """Load a square symmetric matrix; symmetry enforced at 1e-12."""
-    header, rows, _ = _read_rows(path)
+    header, rows, _ = read_rows(path)
     if len(header) != 1:
         raise ValueError(f"{path}: a matrix header is 'n'")
     n = int(header[0])
@@ -242,7 +244,7 @@ def save_factor(path, M: np.ndarray, construction_id: str, params: dict | None =
 
 
 def load_factor(path) -> tuple[np.ndarray, str, dict]:
-    header, rows, comments = _read_rows(path)
+    header, rows, comments = read_rows(path)
     if len(header) != 2:
         raise ValueError(f"{path}: a factor header is 'rows cols'")
     r, c = int(header[0]), int(header[1])

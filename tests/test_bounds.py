@@ -471,6 +471,13 @@ def test_ub_section12_values():
     qb = classify_text("000111")  # s = 1: complete split beats the generic bound
     assert qb.upper <= 3
 
+    # the kind is the chain's own, whatever the parities of the seed: a bare
+    # seed is a ConstructionUB, a grown one a DupChainUB
+    for text, kind in (("00101", "ConstructionUB"), ("01010001", "DupChainUB"),
+                       ("0101", "ConstructionUB"), ("000111", "DupChainUB")):
+        _, cert = ub_section12(G(text))
+        assert cert.kind == kind and verify_certificate(G(text), cert), text
+
 
 def test_ub_section12_case1_s5():
     f = section12_factor(5, 3)
@@ -530,10 +537,7 @@ def test_lone_zero_s2_forms_need_no_lift():
 
 def test_classify_runs_each_chain_once(monkeypatch):
     # one classify_q call realizes no plan twice, every chain it realizes
-    # lands on G itself, and no matrix is peeled to find its creation
-    # order; the section-12 certificate reuses the chain certificate's
-    # realization when both follow the same plan, so such a plan (s >= 4,
-    # and the s = 3 fallback) runs once
+    # lands on G itself, and no matrix is peeled to find its creation order
     runs, peels = [], []
 
     def counting(plan):
@@ -549,35 +553,59 @@ def test_classify_runs_each_chain_once(monkeypatch):
     for mod in list(sys.modules.values()):
         if mod.__name__.startswith("threshq") and hasattr(mod, "creation_order_of"):
             monkeypatch.setattr(mod, "creation_order_of", peeling)
-    shared = 0
+    realized = 0
     for seq in enumerate_connected(10):
         runs.clear()
-        g, bf = build_graph(seq), block_form(seq)
+        g = build_graph(seq)
         classify_q(g)
         steps = [st for _, st in runs]
         assert len(set(steps)) == len(steps), seq.text
         assert all(in_pattern(A, g) for A, _ in runs), seq.text
-        section12 = _section12_plan(bf) if runs and bf.s >= 2 else None
-        if section12 and _chain_steps(_chain_plan(bf)) == _chain_steps(section12):
-            assert steps.count(_chain_steps(section12)) == 1, seq.text
-            shared += 1
-    assert shared
+        realized += len(runs)
+    assert realized
     assert not peels
 
 
+def test_classify_parses_the_block_form_once(monkeypatch):
+    # every layer of one classify_q call, and of its verification, reads
+    # G's block form from G, so G's sequence is parsed at most once
+    parsed = []
+
+    def parsing(seq):
+        parsed.append(seq)
+        return block_form(seq)
+
+    for mod in list(sys.modules.values()):
+        if mod.__name__.startswith("threshq") and getattr(mod, "block_form", None) is block_form:
+            monkeypatch.setattr(mod, "block_form", parsing)
+    seqs = [seq for n in range(2, 11) for seq in enumerate_connected(n)]
+    seqs.append(G("0100010001100011000111000111").creation)  # `long`-shaped, s = 6
+    for seq in seqs:
+        parsed.clear()
+        g = build_graph(seq)
+        assert verify_qbound(g, classify_q(g)), seq.text
+        assert sum(p is g.creation for p in parsed) <= 1, seq.text
+
+
 def test_section12_certificate_matches_fresh_chain():
+    # the general bound, built on its own, certifies the paired-column
+    # chain on every s >= 2 form with a zero-run of length >= 2
     checked = 0
     for n in range(2, 11):
         for seq in enumerate_connected(n):
-            for cert in classify_q(build_graph(seq)).upper_certs:
-                if cert.provenance != "paired-column construction":
-                    continue
-                plan = _section12_plan(block_form(seq))
-                A, _ = run_chain(plan)
-                assert np.array_equal(cert.payload["matrix"], A), seq.text
-                assert cert.payload["chain"] == _chain_steps(plan)
-                assert cert.payload["achieved"] == q_of_matrix(cert.payload["matrix"])
-                checked += 1
+            plan = _section12_plan(block_form(seq))
+            if plan is None:
+                continue
+            g = build_graph(seq)
+            bound, cert = ub_section12(g)
+            A, _ = run_chain(plan)
+            assert bound == cert.value == (block_form(seq).s + 9) // 2, seq.text
+            assert cert.provenance == "paired-column construction", seq.text
+            assert np.array_equal(cert.payload["matrix"], A), seq.text
+            assert cert.payload["chain"] == _chain_steps(plan)
+            assert cert.payload["achieved"] == q_of_matrix(cert.payload["matrix"])
+            assert verify_certificate(g, cert), seq.text
+            checked += 1
     assert checked
 
 

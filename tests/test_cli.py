@@ -113,6 +113,15 @@ def test_certify_rejects_a_non_symmetric_matrix_file(tmp_path, capsys):
     assert code == 2 and "symmetric" in err and "PASS" not in out
 
 
+def test_certify_reports_a_short_factor_file_by_its_own_shape(tmp_path, capsys):
+    # a 'rows cols' header names a factor, so a missing row is the factor's
+    # shape error, not the square-matrix loader's header complaint
+    p = tmp_path / "short_factor.mat"
+    p.write_text("2 2\n1 1\n")
+    code, out, err = run(capsys, "certify", "01", "2", str(p))
+    assert code == 2 and "expected 2x2" in err and "matrix header" not in err
+
+
 def test_certify_reads_a_square_factor_as_a_factor(tmp_path, capsys):
     # M = [[0, 1], [1, 0]] is symmetric and in S(01), but M M^T = I is not
     from threshq.spectra import save_factor
