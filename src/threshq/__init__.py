@@ -58,7 +58,6 @@ from .spectra import (
     q_of_matrix,
     save_factor,
     save_matrix,
-    spectrum_multiset,
 )
 from .tables import TABLE7, TABLE8, TableReport, reproduce_table
 

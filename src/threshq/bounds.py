@@ -3,12 +3,15 @@
 Lower bounds, one `_LOWER_RULES` row each: connectivity, unique shortest
 paths, the trace bound, the column-counting bound, the full
 column-orthogonality gate (an exact characterization of q = 2), and a cited
-exact value for a trace-two family.  Upper bounds: explicit two-eigenvalue
-certificates, duplication chains from the catalog constructions and one
-spectral-transfer citation family.  The paper's general floor((s+9)/2)
-bound, `ub_section12`, is certified on demand; it never beats the chain,
-so the classifier does not build it.  Every certificate re-verifies
-independently of the search that found it.
+exact value for a trace-two family.  The upper side is one certificate:
+the two-eigenvalue completion the gate finds, else a spectral-transfer
+citation, else a duplication chain from a catalog seed.  Joined
+duplication keeps q, so G grows from its own form and from its leading
+merge (`_sources`), and both the chain planner and the transfer reach read
+that one rule.  The paper's general floor((s+9)/2) bound, `ub_section12`,
+is certified on demand; it never beats the chain, so the classifier does
+not build it.  Every certificate re-verifies independently of the search
+that found it.
 """
 
 from __future__ import annotations
@@ -224,13 +227,12 @@ _CATALOG_SEEDS = {
 }
 
 
-def _fit(seed: gramlib.GramFactor, bf) -> ChainPlan | None:
-    """The duplications growing seed to block form bf, or None when seed
-    does not fit: it must have bf's s, no run longer than bf's, and a dup
-    slot inside every zero-run that has to grow.  A zero-run grows by
-    copies of its first listed slot, a ones-run by joined copies of its
-    first dominating vertex."""
-    have = seed.target.block_form.blocks
+def _grow(have: tuple, dup_slots, bf) -> tuple[tuple, tuple] | None:
+    """The dup and jdup steps growing the form with blocks `have` to block
+    form bf, or None when there are none: `have` must have bf's s, no run
+    longer than bf's, and one of `dup_slots` inside every zero-run that has
+    to grow.  A zero-run grows by copies of its first listed slot, a
+    ones-run by joined copies of its first dominating vertex."""
     if len(have) != bf.s:
         return None
     dup: list[tuple[int, float]] = []
@@ -240,13 +242,35 @@ def _fit(seed: gramlib.GramFactor, bf) -> ChainPlan | None:
         if k0 > k or t0 > t:
             return None
         if k > k0:
-            slot = next((sl for sl in seed.dup_slots if start <= sl[0] < start + k0), None)
+            slot = next((sl for sl in dup_slots if start <= sl[0] < start + k0), None)
             if slot is None:
                 return None
             dup += [slot] * (k - k0)
         jdup += [start + k0] * (t - t0)
         start += k0 + t0
-    return ChainPlan(seed, tuple(dup), tuple(jdup))
+    return tuple(dup), tuple(jdup)
+
+
+def _fit(seed: gramlib.GramFactor, bf) -> ChainPlan | None:
+    """The plan growing seed to block form bf, or None when seed does not
+    fit (see `_grow`)."""
+    steps = _grow(seed.target.block_form.blocks, seed.dup_slots, bf)
+    return None if steps is None else ChainPlan(seed, *steps)
+
+
+def _sources(bf) -> tuple[tuple[BlockForm, int], ...]:
+    """The forms G grows from by joined duplication, each with the number
+    of joined copies of vertex 0 that reach G from it: G's own form, with
+    none, and, when G = (0, 1^t, 0^k, ...) has s >= 2, its leading merge
+    (0^(1+k), ...), with t.  A joined copy of vertex 0, when a zero follows
+    it, splits (0^(1+k), ...) into (0, 1, 0^k, ...); a joined copy of a
+    dominating vertex lengthens its ones-run, which `_grow` covers, since a
+    chain reads only the zero-runs and s and a shorter ones-run never fits
+    a better seed."""
+    if bf.s < 2 or bf.ks[0] != 1:
+        return ((bf, 0),)
+    (_, t), (k, t2) = bf.blocks[:2]
+    return (bf, 0), (BlockForm(((1 + k, t2),) + bf.blocks[2:]), t)
 
 
 def _section12_plan(bf) -> ChainPlan | None:
@@ -263,16 +287,34 @@ def _section12_plan(bf) -> ChainPlan | None:
     return _fit(gramlib.section12_factor(s, m), bf)
 
 
-def _chain_plan(bf) -> ChainPlan:
-    """The duplication chain's plan: the star's for s = 1, the alternating
-    seed when every zero-run has length 1, else the first catalog seed with
-    bf's s that fits, else the paired-column plan."""
+def _seed_plan(bf) -> ChainPlan:
+    """The plan of the first seed that fits bf: the star for s = 1, the
+    alternating seed when every zero-run has length 1, else the first
+    catalog seed with bf's s that fits, else the paired-column plan."""
     if bf.s == 1:
         return _fit(gramlib.construct_library("star", k=bf.ks[0]), bf)
     if all(k == 1 for k in bf.ks):
         return _fit(gramlib.construct_library("thm00", t=bf.s), bf)
     fits = (_fit(seed, bf) for seed in _CATALOG_SEEDS.get(bf.s, ()))
     return next(filter(None, fits), None) or _section12_plan(bf)
+
+
+def _source_plans(bf) -> list[ChainPlan]:
+    """One plan per source of bf, G's own form first: the source's seed
+    plan, then the joined copies of vertex 0 that reach bf from it."""
+    plans = []
+    for src, t in _sources(bf):
+        plan = _seed_plan(src)
+        plans.append(ChainPlan(plan.seed, plan.dup_steps, plan.jdup_steps + (0,) * t))
+    return plans
+
+
+def _chain_plan(bf) -> ChainPlan:
+    """The duplication chain's plan: the source plan whose seed has the
+    smallest q, the count of distinct values in its expected_spectrum, and
+    G's own form on a tie.  Every step keeps q, so the seed's q is the
+    chain's, and only the chosen plan is realized."""
+    return min(_source_plans(bf), key=lambda plan: len(plan.seed.expected_spectrum))
 
 
 def _chain_steps(plan: ChainPlan) -> tuple[str, ...]:
@@ -337,7 +379,8 @@ def _chain_cert(G: ThresholdGraph, plan: ChainPlan, what: str) -> Certificate:
 
 
 def chain_certificate(G: ThresholdGraph) -> Certificate:
-    """Upper bound from a duplication chain: the first fitting seed's.  The
+    """Upper bound from the duplication chain: the first fitting seed of G's
+    own form or of its leading merge, whichever has the smaller q.  The
     chain lands in G's creation order by construction; it is checked once,
     for pattern and spectrum."""
     return _chain_cert(G, _chain_plan(G.block_form), "chain")
@@ -361,38 +404,34 @@ _TRANSFER_BASES = {
 _TRANSFER = "spectral transfer across supergraphs"
 
 
+def _transfer_matrix() -> np.ndarray:
+    """The transfer bases' matrix, built and checked once: it must keep the
+    strong spectral property and q = 3."""
+    A = gramlib.gram(gramlib.construct_library("prop_a15a19"))
+    if not ssp_check(A).is_ssp or q_of_matrix(A) != 3:
+        raise SelfCheckError("transfer matrix lost the strong spectral property")
+    A.setflags(write=False)
+    return A
+
+
+_TRANSFER_MATRIX = _transfer_matrix()
+
+
+def _jdup_reaches(base: tuple, bf) -> bool:
+    """Do joined duplications grow the form with blocks `base` to block
+    form bf?  Exactly when `base` covers one of bf's sources run by run with
+    no zero-run to grow: `_grow` with no dup slot."""
+    return any(_grow(base, (), src) is not None for src, _ in _sources(bf))
+
+
 def transfer_certificate(G: ThresholdGraph) -> Certificate | None:
     """q <= 3 when a transfer base reaches G by joined duplications, which
     preserve q."""
-    have = G.block_form.blocks
-    for base, (want, emb) in _TRANSFER_BASES.items():
-        if _reaches_by_jdup(want, have):
-            A = gramlib.gram(gramlib.construct_library("prop_a15a19"))
-            if not ssp_check(A).is_ssp or q_of_matrix(A) != 3:
-                raise SelfCheckError("transfer matrix lost the strong spectral property")
-            return Certificate(
-                "TableCitation", 3, _TRANSFER,
-                {"matrix": A, "embedding": emb, "base": base})
+    for base, (blocks, emb) in _TRANSFER_BASES.items():
+        if _jdup_reaches(blocks, G.block_form):
+            return Certificate("TableCitation", 3, _TRANSFER,
+                               {"matrix": _TRANSFER_MATRIX, "embedding": emb, "base": base})
     return None
-
-
-def _reaches_by_jdup(want: tuple, have: tuple) -> bool:
-    """Is the sequence with blocks `have` obtainable from the one with
-    blocks `want` by joined duplications only?
-
-    A joined copy of a dominating vertex lengthens its ones-run, and a
-    joined copy of the first vertex, when a zero follows it, splits
-    (0^(1+k), ...) into (0, 1, 0^k, ...).  So the target is reached exactly
-    when its block form covers the base's run by run (the same zero-runs,
-    every ones-run at least as long), as it stands or after folding a
-    leading (1, t) into the next zero-run.
-    """
-    forms = [have]
-    if len(have) >= 2 and have[0][0] == 1:
-        forms.append(((1 + have[1][0], have[1][1]),) + have[2:])
-    return any(len(f) == len(want)
-               and all(k == kb and t >= tb for (k, t), (kb, tb) in zip(f, want))
-               for f in forms)
 
 
 # ---------------------------------------------------------------------------
@@ -409,14 +448,15 @@ def ub_section12(G: ThresholdGraph) -> tuple[int, Certificate]:
     the paired-column chain, checked once like any chain; otherwise the
     alternating or complete-split chain (q <= 3) witnesses it a fortiori.
     The kind is the chain's own.  classify_q does not call this: its chain
-    is this same paired-column chain or a catalog seed with q <= 4, and the
-    bound is at least 5, so the bound never sets the upper side.
+    is a catalog seed with q <= 4 or a paired-column chain of G or of its
+    leading merge, whose s is one less, so it is never above this bound,
+    which is at least 5, and the bound never sets the upper side.
     """
     bf = G.block_form
     bound = (bf.s + 9) // 2
     plan = _section12_plan(bf)
     what = "paired-column chain" if plan else "alternating-family chain"
-    cert = _chain_cert(G, plan or _chain_plan(bf), what)
+    cert = _chain_cert(G, plan or _seed_plan(bf), what)
     if cert.value > bound:
         raise SelfCheckError(f"{what} reached q = {cert.value} > {bound}")
     provenance = "paired-column construction" if plan else what
@@ -429,62 +469,25 @@ def ub_section12(G: ThresholdGraph) -> tuple[int, Certificate]:
 # ---------------------------------------------------------------------------
 
 
-def _merge_plan(bf) -> ChainPlan | None:
-    """M's chain plan plus the t joined copies of vertex 0 that reach
-    bf = (0, 1^t, 0^k, ...) from its merge form M = (0^(1+k), ...).  None
-    unless bf opens with a lone 0 and M has s >= 2: if M has s = 1, bf has
-    s = 2 and k_1 = 1, and `thm061` fits bf at the star's value 3."""
-    if bf.s < 3 or bf.ks[0] != 1:
-        return None
-    (_, t), (k, t2) = bf.blocks[:2]
-    plan = _chain_plan(BlockForm(((1 + k, t2),) + bf.blocks[2:]))
-    return ChainPlan(plan.seed, plan.dup_steps, plan.jdup_steps + (0,) * t)
-
-
-def _leading_merge_lift(G: ThresholdGraph, best: int) -> Certificate | None:
-    """The leading-merge plan as a certificate, or None when there is none
-    or its seed's q, the count of distinct values in the seed's
-    expected_spectrum, is not below `best`; it is realized only when it
-    wins."""
-    plan = _merge_plan(G.block_form)
-    if plan is None or len(plan.seed.expected_spectrum) >= best:
-        return None
-    return _chain_cert(G, plan, "merge lift")
-
-
 def classify_q(G: ThresholdGraph) -> QBound:
     """Certified interval for q(G); exact when the sides meet.
 
-    The upper side is the orthogonal completion when the gate is feasible,
-    else the duplication chain plus at most one lift, tried only while the
-    chain stays above the lower side: a transfer citation whose base
-    reaches G, or failing that the leading-merge lift, whichever beats it.
-    Every chain is realized at most once and lands on G by construction;
-    the lift's value is its seed's q, so it is realized only when it wins.
-    The general floor((s+9)/2) bound is not built (see `ub_section12`).
+    The upper side is one certificate: the orthogonal completion when the
+    gate is feasible, else a transfer citation whose base reaches G, else
+    the duplication chain.  The order is exact.  OrthoUB's value 2 is the
+    lower side's floor.  A gate with no completion leaves its counting
+    witness, so the lower side is already 3, the transfer's value, and no
+    chain can beat a transfer that applies.  The one chain is realized
+    once and lands on G by construction.  The general floor((s+9)/2) bound
+    is not built (see `ub_section12`).
     """
     if not G.connected:
         raise ValueError("classify_q needs a connected graph")
     gate = ortho_gate(G)
     lower_certs = _lower_certificates(G, gate)
-    lower = max(c.value for c in lower_certs)
-
-    c2 = q2_certificate(G, gate)
-    if c2 is not None:
-        upper_certs = [c2]
-    else:
-        # The chain reads only the zero-runs and s, so shortening a
-        # ones-run never improves it.
-        upper_certs = [chain_certificate(G)]
-        best = upper_certs[0].value
-        if best > lower:
-            lift = transfer_certificate(G)
-            if lift is None or lift.value >= best:
-                lift = _leading_merge_lift(G, best)
-            if lift is not None and lift.value < best:
-                upper_certs.append(lift)
-    upper = min(c.value for c in upper_certs)
-    return QBound(lower, upper, tuple(lower_certs), tuple(upper_certs))
+    upper = q2_certificate(G, gate) or transfer_certificate(G) or chain_certificate(G)
+    return QBound(max(c.value for c in lower_certs), upper.value,
+                  tuple(lower_certs), (upper,))
 
 
 # ---------------------------------------------------------------------------
@@ -535,7 +538,7 @@ def _upper_ok(G: ThresholdGraph, cert: Certificate) -> bool:
         edges_ok = all(
             base.adjacency[emb[i], emb[j]]
             for i in range(base.n) for j in range(i + 1, base.n) if P[i, j])
-        chain_ok = _reaches_by_jdup(base.block_form.blocks, G.block_form.blocks)
+        chain_ok = _jdup_reaches(base.block_form.blocks, G.block_form)
         return edges_ok and chain_ok and q_of_matrix(A) == cert.value and ssp_check(A).is_ssp
     return False
 

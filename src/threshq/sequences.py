@@ -99,11 +99,11 @@ class BlockForm:
     def s(self) -> int:
         return len(self.blocks)
 
-    @property
+    @cached_property
     def ks(self) -> tuple[int, ...]:
         return tuple(k for k, _ in self.blocks)
 
-    @property
+    @cached_property
     def ts(self) -> tuple[int, ...]:
         return tuple(t for _, t in self.blocks)
 
@@ -146,8 +146,8 @@ def block_form(seq: CreationSequence) -> BlockForm:
 class ThresholdGraph:
     """Threshold graph with vertices in creation order.
 
-    adjacency is a read-only boolean matrix; vertex_kind[i] is 'isolated'
-    or 'dominating' according to how vertex i was added.
+    adjacency is a read-only boolean matrix; vertex i is dominating when
+    bit i of the creation sequence is 1, isolated when it is 0.
     """
 
     creation: CreationSequence
@@ -176,10 +176,6 @@ class ThresholdGraph:
         """The block form of a connected graph's sequence, parsed once per
         graph; NotConnected otherwise."""
         return block_form(self.creation)
-
-    @property
-    def vertex_kind(self) -> tuple[str, ...]:
-        return tuple("dominating" if b else "isolated" for b in self.creation.bits)
 
     @property
     def dominating(self) -> tuple[int, ...]:

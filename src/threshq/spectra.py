@@ -160,10 +160,6 @@ def in_pattern(A: np.ndarray, G) -> PatternReport:
     return PatternReport(not violations, violations)
 
 
-def spectrum_multiset(A: np.ndarray, tol: float | None = None) -> tuple[tuple[float, int], ...]:
-    return cluster_spectrum(eigen_sym(A), tol).distinct
-
-
 def spectrum_values(distinct) -> np.ndarray:
     """A (value, multiplicity) list as the eigenvalue array it stands for."""
     return np.concatenate([np.full(m, v, dtype=float) for v, m in distinct])

@@ -19,6 +19,8 @@ from threshq.bounds import (
     _chain_plan,
     _chain_steps,
     _section12_plan,
+    _seed_plan,
+    _source_plans,
     chain_certificate,
     classify_q,
     classify_text,
@@ -355,7 +357,27 @@ def test_every_catalog_entry_seeds_the_classifier():
     ("000111", ("seed:star{'k': 3}", "jdup(3)", "jdup(3)")),
 ])
 def test_chain_plan_takes_the_first_fitting_seed(text, steps):
-    assert _chain_steps(_chain_plan(block_form(G(text).creation))) == steps
+    # each source form's plan is its first fitting seed
+    assert _chain_steps(_seed_plan(block_form(G(text).creation))) == steps
+
+
+@pytest.mark.parametrize("text,steps", [
+    # the leading merge (00, 1, 0, 1, 000, 1) fits thm05 at q = 3 while G's
+    # own form falls to the paired-column seed at q = 5
+    ("0101010001", ("seed:thm05", "dup(0,7)", "dup(4,7)", "dup(4,7)", "jdup(0)")),
+    # s = 2 lone zero: the merge's star ties thm061 at q = 3, so G's own
+    # form is kept
+    ("01001", ("seed:thm061", "dup(2,2)")),
+    # both sources reach q = 4 (qlt4 and thm10): G's own form again
+    ("01001001", ("seed:qlt4", "dup(2,2)")),
+])
+def test_chain_plan_keeps_the_source_with_the_smaller_q(text, steps):
+    bf = block_form(G(text).creation)
+    own, merge = _source_plans(bf)
+    assert _chain_steps(_chain_plan(bf)) == steps
+    assert _chain_steps(merge)[-1] == "jdup(0)"
+    assert len(_chain_plan(bf).seed.expected_spectrum) == min(
+        len(own.seed.expected_spectrum), len(merge.seed.expected_spectrum))
 
 
 def test_chain_certificates_match_expected_values():
@@ -428,8 +450,8 @@ def test_reach_closed_form_matches_reduction_search():
         for target in targets:
             want = reaches_by_jdup_reference(base, target)
             blocks = (block_form(CreationSequence(base)).blocks,
-                      block_form(CreationSequence(target)).blocks)
-            assert bounds._reaches_by_jdup(*blocks) == want, (base, target)
+                      block_form(CreationSequence(target)))
+            assert bounds._jdup_reaches(*blocks) == want, (base, target)
             positives += want
     reaches_by_jdup_reference.cache_clear()
     jdup_reductions.cache_clear()
@@ -499,6 +521,8 @@ def test_self_checks_raise_named_error(monkeypatch):
         chain_certificate(G("0001001"))
     with pytest.raises(SelfCheckError):
         ub_section12(G("0101001"))
+    with pytest.raises(SelfCheckError, match="strong spectral"):
+        bounds._transfer_matrix()
     # a paired-column chain that lands on another sequence
     elsewhere = _section12_plan(block_form(G("0001001").creation))
     monkeypatch.setattr(bounds, "run_chain", lambda plan: run_chain(elsewhere))
@@ -508,36 +532,37 @@ def test_self_checks_raise_named_error(monkeypatch):
 
 def test_chains_land_in_creation_order():
     # every chain matrix comes back in the creation order of the sequence
-    # its plan fits, with no peeling: the chain plan and the leading-merge
-    # plan alike
+    # its plan fits, with no peeling: the plans of G's own form and of its
+    # leading merge alike
     merged = 0
     for n in range(2, 12):
         for seq in enumerate_connected(n):
-            g, bf = build_graph(seq), block_form(seq)
-            merge = bounds._merge_plan(bf)
-            for plan in filter(None, (_chain_plan(bf), merge)):
+            g, plans = build_graph(seq), _source_plans(block_form(seq))
+            for plan in plans:
                 assert in_pattern(run_chain(plan)[0], g), (seq.text, _chain_steps(plan))
-            merged += merge is not None
+            merged += len(plans) == 2
     assert merged
 
 
 def test_lone_zero_s2_forms_need_no_lift():
     # (0, 1^t, 0^k, 1^u) merges to a star, whose value 3 its own chain
-    # already reaches, so it gets no leading-merge plan
+    # already reaches, so the tie keeps G's own form
     checked = 0
     for n in range(4, 13):
         for seq in enumerate_connected(n):
             bf = block_form(seq)
             if bf.s == 2 and bf.ks[0] == 1:
+                own, merge = _source_plans(bf)
                 assert chain_certificate(build_graph(seq)).value == 3, seq.text
-                assert bounds._merge_plan(bf) is None, seq.text
+                assert merge.seed.construction_id == "star", seq.text
+                assert _chain_steps(_chain_plan(bf)) == _chain_steps(own), seq.text
                 checked += 1
     assert checked == sum(math.comb(n - 2, 2) for n in range(4, 13))
 
 
 def test_classify_runs_each_chain_once(monkeypatch):
-    # one classify_q call realizes no plan twice, every chain it realizes
-    # lands on G itself, and no matrix is peeled to find its creation order
+    # one classify_q call realizes at most one chain, that chain lands on G
+    # itself, and no matrix is peeled to find its creation order
     runs, peels = [], []
 
     def counting(plan):
@@ -558,8 +583,7 @@ def test_classify_runs_each_chain_once(monkeypatch):
         runs.clear()
         g = build_graph(seq)
         classify_q(g)
-        steps = [st for _, st in runs]
-        assert len(set(steps)) == len(steps), seq.text
+        assert len(runs) <= 1, (seq.text, [st for _, st in runs])
         assert all(in_pattern(A, g) for A, _ in runs), seq.text
         realized += len(runs)
     assert realized
@@ -610,14 +634,14 @@ def test_section12_certificate_matches_fresh_chain():
 
 
 def _every_plan(seq):
-    """(plan kind, plan) of every chain that fits seq: the chain plan (the
-    star for s = 1, a catalog seed or the alternating seed when one fits),
-    the paired-column and the leading-merge plan."""
+    """(plan kind, plan) of every chain that fits seq: the plan of each
+    source, G's own form (the star for s = 1, a catalog seed or the
+    alternating seed when one fits) and its leading merge, and the
+    paired-column plan."""
     bf = block_form(seq)
-    for kind, plan in (("chain", _chain_plan(bf)), ("paired-column", _section12_plan(bf)),
-                       ("leading-merge", bounds._merge_plan(bf))):
-        if plan is not None:
-            yield kind, plan
+    yield from zip(("own form", "leading-merge"), _source_plans(bf))
+    if (plan := _section12_plan(bf)) is not None:
+        yield "paired-column", plan
 
 
 def _every_chain(seq):
@@ -639,7 +663,7 @@ def test_carried_spectrum_matches_eigensolve_to_n11():
     for n in range(2, 12):
         for seq in enumerate_connected(n):
             kinds |= _carries_its_spectrum(seq)
-    assert kinds == {"chain", "paired-column", "leading-merge"}
+    assert kinds == {"own form", "paired-column", "leading-merge"}
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
@@ -684,7 +708,7 @@ def test_in_place_chains_match_step_by_step_growth_to_n11():
     for n in range(2, 12):
         for seq in enumerate_connected(n):
             kinds |= _grows_like_the_reference(seq)
-    assert kinds == {"chain", "paired-column", "leading-merge"}
+    assert kinds == {"own form", "paired-column", "leading-merge"}
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
