@@ -273,48 +273,68 @@ def _sources(bf) -> tuple[tuple[BlockForm, int], ...]:
     return (bf, 0), (BlockForm(((1 + k, t2),) + bf.blocks[2:]), t)
 
 
-def _section12_plan(bf) -> ChainPlan | None:
-    """The paired-column plan, or None when bf has s < 2 or no zero-run of
-    length >= 2.  Its seed is section12_factor(s, m) for the zero-run m of
+def _section12_m(bf) -> int | None:
+    """The zero-run m of bf's paired-column seed section12_factor(s, m), or
+    None when bf has s < 2 or no zero-run of length >= 2: the zero-run of
     length >= 2 with even parities on both sides of m (most column pairs),
     then smallest m.  That seed always fits: every other run of it has
     length 1, run m has length 2, and every zero is a dup slot."""
-    s, ks = bf.s, bf.ks
-    ms = [m for m in range(1, s + 1) if ks[m - 1] >= 2]
-    if s < 2 or not ms:
+    ms = [m for m in range(1, bf.s + 1) if bf.ks[m - 1] >= 2]
+    if bf.s < 2 or not ms:
         return None
-    m = min(ms, key=lambda m: ((m - 1) % 2 + (s - m) % 2, m))
-    return _fit(gramlib.section12_factor(s, m), bf)
+    return min(ms, key=lambda m: ((m - 1) % 2 + (bf.s - m) % 2, m))
 
 
-def _seed_plan(bf) -> ChainPlan:
-    """The plan of the first seed that fits bf: the star for s = 1, the
-    alternating seed when every zero-run has length 1, else the first
-    catalog seed with bf's s that fits, else the paired-column plan."""
+def _section12_plan(bf) -> ChainPlan | None:
+    """The paired-column plan, or None when bf has no paired-column seed
+    (see `_section12_m`)."""
+    m = _section12_m(bf)
+    return None if m is None else _fit(gramlib.section12_factor(bf.s, m), bf)
+
+
+def _prebuilt_plan(bf) -> ChainPlan | None:
+    """The plan of the first prebuilt seed that fits bf: the star for
+    s = 1, the alternating seed when every zero-run has length 1, else the
+    first catalog seed with bf's s that fits; None when bf falls to the
+    paired-column seed."""
     if bf.s == 1:
         return _fit(gramlib.construct_library("star", k=bf.ks[0]), bf)
     if all(k == 1 for k in bf.ks):
         return _fit(gramlib.construct_library("thm00", t=bf.s), bf)
     fits = (_fit(seed, bf) for seed in _CATALOG_SEEDS.get(bf.s, ()))
-    return next(filter(None, fits), None) or _section12_plan(bf)
+    return next(filter(None, fits), None)
 
 
-def _source_plans(bf) -> list[ChainPlan]:
-    """One plan per source of bf, G's own form first: the source's seed
-    plan, then the joined copies of vertex 0 that reach bf from it."""
-    plans = []
-    for src, t in _sources(bf):
-        plan = _seed_plan(src)
-        plans.append(ChainPlan(plan.seed, plan.dup_steps, plan.jdup_steps + (0,) * t))
-    return plans
+def _seed_plan(bf) -> ChainPlan:
+    """The plan of the first seed that fits bf: a prebuilt seed, else the
+    paired-column plan."""
+    return _prebuilt_plan(bf) or _section12_plan(bf)
+
+
+def _joined(plan: ChainPlan, t: int) -> ChainPlan:
+    """plan followed by t joined copies of vertex 0: a source's plan
+    carried to G (see `_sources`)."""
+    return ChainPlan(plan.seed, plan.dup_steps, plan.jdup_steps + (0,) * t)
 
 
 def _chain_plan(bf) -> ChainPlan:
-    """The duplication chain's plan: the source plan whose seed has the
-    smallest q, the count of distinct values in its expected_spectrum, and
-    G's own form on a tie.  Every step keeps q, so the seed's q is the
-    chain's, and only the chosen plan is realized."""
-    return min(_source_plans(bf), key=lambda plan: len(plan.seed.expected_spectrum))
+    """The duplication chain's plan: the source whose first fitting seed
+    has the smallest q, G's own form on a tie, carried to G.  Every step
+    keeps q, so the seed's q is the chain's.  Sources are compared before
+    any paired-column seed is built: a prebuilt seed's q is the length of
+    its expected_spectrum, a paired-column seed's is `section12_q`, read off
+    its cogram.  Only the chosen source's paired-column seed is built."""
+    sources = _sources(bf)
+    if len(sources) == 1:
+        return _seed_plan(bf)
+
+    def seed_q(candidate):
+        plan, src, _ = candidate
+        return (len(plan.seed.expected_spectrum) if plan
+                else gramlib.section12_q(src.s, _section12_m(src)))
+
+    plan, src, t = min(((_prebuilt_plan(src), src, t) for src, t in sources), key=seed_q)
+    return _joined(plan or _section12_plan(src), t)
 
 
 def _chain_steps(plan: ChainPlan) -> tuple[str, ...]:
@@ -328,38 +348,39 @@ def _chain_steps(plan: ChainPlan) -> tuple[str, ...]:
 def run_chain(plan: ChainPlan) -> tuple[np.ndarray, np.ndarray]:
     """Realize a plan, with the spectrum it carries.
 
-    The final matrix and spectrum are allocated once and each step grows
-    the active leading block by one row and column in place.  Each copy is
-    appended, so plan indices keep naming seed vertices, and belongs right
-    after the vertex it copies, inside that vertex's run (a joined copy of
-    vertex 0 opens (0, 1, ...)); one permutation at the end puts the matrix
-    in the creation order of the sequence the plan fits.  The spectrum
-    starts as the seed's and gains lam per dup step and lambda_min per jdup
-    step, so no step eigensolves."""
-    n = plan.seed.n
-    N = n + len(plan.dup_steps) + len(plan.jdup_steps)
-    A = np.empty((N, N))
-    A[:n, :n] = gramlib.gram(plan.seed)
-    spectrum = np.empty(N)
-    spectrum[:n] = spectrum_values(plan.seed.expected_spectrum)
-    order = list(range(n))
+    One gramlib.ChainGrower holds the seed's gram and its expected spectrum
+    in a buffer sized for the whole chain, and each step grows the active
+    leading block by one row and column in place, with O(1) array work
+    besides the rotation: its check scale comes from the grower's bracket,
+    and the carried spectrum is never scanned.  Each copy is appended, so
+    plan indices keep naming seed vertices, and belongs right after the
+    vertex it copies, inside that vertex's run (a joined copy of vertex 0
+    opens (0, 1, ...)); one permutation at the end puts the matrix in the
+    creation order of the sequence the plan fits.  The spectrum gains lam
+    per dup step and lambda_min per jdup step, so no step eigensolves."""
+    seed = plan.seed
+    grower = gramlib.ChainGrower(gramlib.gram(seed), spectrum_values(seed.expected_spectrum),
+                                 len(plan.dup_steps) + len(plan.jdup_steps))
+    order = list(range(seed.n))
     for v, lam in plan.dup_steps:
-        gramlib.dup_in_place(A, n, v, lam, spectrum[:n])
-        spectrum[n] = lam
-        order.insert(order.index(v) + 1, n)
-        n += 1
+        grower.dup(v, lam)
+        order.insert(order.index(v) + 1, grower.n - 1)
     for v in plan.jdup_steps:
-        spectrum[n] = gramlib.jdup_in_place(A, n, v, spectrum[:n])
-        order.insert(order.index(v) + 1, n)
-        n += 1
-    return A[np.ix_(order, order)], spectrum
+        grower.jdup(v)
+        order.insert(order.index(v) + 1, grower.n - 1)
+    return grower.buf.take(order, axis=0).take(order, axis=1), np.array(grower.spectrum)
 
 
 def _checked(A: np.ndarray, spectrum: np.ndarray, G: ThresholdGraph, what: str) -> int:
     """q of a chain matrix A, once checked to lie in S(G) and to have the
     spectrum its chain carried.  This is the chain's one eigensolve: every
     step is an exact similarity, so the match proves each intermediate
-    spectrum, and with it every step's check against the carried one."""
+    spectrum, and with it every step's check against the carried one.
+    Those checks read no spectrum and no matrix in full: the grower decides
+    each against DUP_TOL * max(1, max|A|) through its bracket
+    max(1, |a_vv|) <= scale <= max(1, U), U its running bound on max|A|,
+    and reads the exact scale off the buffer only for a gap between the
+    two ends, so every step decides as a full read would."""
     if not in_pattern(A, G):
         raise SelfCheckError(f"{what} landed on another graph than {G.creation.text}")
     eigs = eigen_sym(A)

@@ -18,8 +18,8 @@ from . import __version__
 from .bounds import classify_q, verify_qbound
 from .orthosearch import ssp_check
 from .sequences import SequenceError, build_graph, enumerate_connected, parse_creation_sequence
-from .spectra import (default_cluster_tol, eigen_sym, in_pattern, load_factor, load_matrix,
-                      q_of_matrix, read_rows)
+from .spectra import (NoConvergence, default_cluster_tol, eigen_sym, in_pattern, load_factor,
+                      load_matrix, q_of_matrix, read_rows)
 from .tables import reproduce_table
 
 
@@ -219,7 +219,7 @@ def main(argv=None) -> int:
     except SequenceError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 2
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError, NoConvergence) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

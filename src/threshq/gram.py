@@ -198,110 +198,80 @@ def _prop_a15a19() -> GramFactor:
     )
 
 
-def section12_factor(s: int, m: int) -> GramFactor:
-    """Paired-column seed, the duplication chain's last resort and the
-    general upper bound's witness: blocks all (0,1) except block m,
-    which is (0,0,1).  Columns pair greedily; each pair's two tails solve
-    the equal-norm equations, giving eigenvalue 3 per ordinary pair and
-    eigenvalue 1 from the middle pair, so q is at most 3 plus the number of
-    unpaired-or-pair leftovers, within floor((s+9)/2) for every parity.
-    Every isolated diagonal entry (1 or 3) is an eigenvalue, so all zero
-    blocks may be grown by duplication.  expected_spectrum is the clustered
-    spectrum of the (s+1) x (s+1) cogram M^T M plus n-s-1 zeros, which is
-    Spec(M M^T) without solving the n x n gram.  Chain step labels name the
-    factor by its construction_id, "ub_case1", though construct_library
-    does not build it.
+def _paired_columns(s: int, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """The paired-column seed of block count s whose block m is the
+    (0, 0, 1) one: its s x (s+1) dominating rows D and its squared tails
+    f2, one per column.  Columns are 0-based here; the middle column is
+    m - 1.
+
+    Run i ends at column i before the middle column and at column i + 1
+    from it on, so the middle column ends none.  Columns pair greedily on
+    each side of the middle pair (m - 1, m).  A run's row is ones up to
+    its end column, and ends in a 2 when that column is the second of an
+    ordinary pair.  Each column c also has a tail, one isolated row whose
+    only entry sits in column c.  The equal-norm equations of a pair
+    (a, b), |D_a|^2 + f2_a = |D_b|^2 + f2_b = D_a . D_b + 3 (+ 1 in the
+    middle pair), solve to f2 = 3 in the first column of an ordinary pair
+    and 1 everywhere else, which is also an unpaired column's tail.  So
+    each ordinary pair gives eigenvalue 3 (eigenvector e_a - e_b) and the
+    middle pair, whose two columns of D are equal, eigenvalue 1.
     """
     if s < 2 or not (1 <= m <= s):
         raise BadParams("need s >= 2 and 1 <= m <= s")
-    p1 = m - 1
-    cols = s + 1
-    mid = p1 + 1  # the one column with no dominating run ending at it
+    left, right = range(0, m - 2, 2), range(m + 1, s, 2)
+    ends = np.arange(s)
+    ends[m - 1:] += 1
+    D = (np.arange(s + 1) <= ends[:, None]).astype(float)
+    # the run ending at the second column a + 1 of pair (a, a + 1) is run
+    # a + 1 left of the middle pair and run a right of it
+    D[[a + 1 for a in left] + list(right), [a + 1 for a in (*left, *right)]] = 2.0
+    f2 = np.ones(s + 1)
+    f2[[*left, *right]] = 3.0
+    return D, f2
 
-    pairs: list[tuple[int, int]] = []
-    unpaired: list[int] = []
-    i = 1
-    while i < mid:
-        if i + 1 < mid:
-            pairs.append((i, i + 1))
-            i += 2
-        else:
-            unpaired.append(i)
-            i += 1
-    mid_pair = (mid, mid + 1)
-    pairs.append(mid_pair)
-    i = mid + 2
-    while i <= cols:
-        if i + 1 <= cols:
-            pairs.append((i, i + 1))
-            i += 2
-        else:
-            unpaired.append(i)
-            i += 1
 
-    sigma = {}
-    for a, b in pairs:
-        if (a, b) == mid_pair:
-            sigma[b] = 1.0
-        else:
-            sigma[a] = 1.0
-            sigma[b] = 2.0
-    for a in unpaired:
-        sigma[a] = 1.0
+def section12_q(s: int, m: int) -> int:
+    """q of section12_factor(s, m), read off its (s+1) x (s+1) cogram
+    D^T D + diag(f2), an integer matrix, before any factor row, dup slot
+    or target is built: the cogram's distinct eigenvalues plus the zero of
+    the gram's other n - s - 1 directions.  The chain planner compares
+    seeds by this count."""
+    D, f2 = _paired_columns(s, m)
+    C = D.T @ D
+    C.flat[::s + 2] += f2
+    return cluster_spectrum(np.append(eigen_sym(C), 0.0)).q
 
-    def run_end(i):  # column where dominating run i stops
-        if i <= p1:
-            return i
-        if i == p1 + 1:
-            return p1 + 2
-        return i + 1
 
-    D = np.zeros((s, cols))
-    for i in range(1, s + 1):
-        ci = run_end(i)
-        D[i - 1, :ci] = 1.0
-        D[i - 1, ci - 1] = sigma[ci]
-    norms = (D * D).sum(axis=0)
-    B = D.T @ D
-    f2 = np.ones(cols)
-    for a, b in pairs:
-        d = B[a - 1, b - 1]
-        cc = d + (1.0 if (a, b) == mid_pair else 3.0)
-        f2[a - 1] = cc - norms[a - 1]
-        f2[b - 1] = cc - norms[b - 1]
-    if not (f2 > 1e-9).all():
-        raise BadParams("tail equations degenerate")
-
-    bits: list[int] = []
-    zcols: list[int] = []
-    col = 1
-    for j in range(1, s + 1):
-        for _ in range(2 if j == m else 1):
-            bits.append(0)
-            zcols.append(col)
-            col += 1
-        bits.append(1)
-    n = len(bits)
+def section12_factor(s: int, m: int) -> GramFactor:
+    """Paired-column seed, the duplication chain's last resort and the
+    general upper bound's witness: blocks all (0,1) except block m,
+    which is (0,0,1).  Its rows are `_paired_columns`'s, placed in creation
+    order by index arrays: run j's dominating row follows its zeros, and
+    the zeros take the tails of columns 1..s+1 in turn.  q is at most 3
+    plus the number of unpaired-or-pair leftovers, within floor((s+9)/2)
+    for every parity.  Every isolated diagonal entry (1 or 3) is an
+    eigenvalue, so all zero blocks may be grown by duplication.
+    expected_spectrum is the clustered spectrum of the (s+1) x (s+1)
+    cogram M^T M plus n-s-1 zeros, which is Spec(M M^T) without solving the
+    n x n gram; `section12_q` gives its length with no factor built.  Chain
+    step labels name the factor by its construction_id, "ub_case1", though
+    construct_library does not build it.
+    """
+    D, f2 = _paired_columns(s, m)
+    bits = (0, 1) * (m - 1) + (0, 0, 1) + (0, 1) * (s - m)
+    isolated = [i for i, b in enumerate(bits) if not b]
+    cols, n = s + 1, len(bits)
     M = np.zeros((n, cols))
-    di = zi = 0
-    slots = []
-    for pos, b in enumerate(bits):
-        if b:
-            M[pos] = D[di]
-            di += 1
-        else:
-            c = zcols[zi]
-            M[pos, c - 1] = math.sqrt(f2[c - 1])
-            slots.append((pos, float(f2[c - 1])))
-            zi += 1
+    M[[i for i, b in enumerate(bits) if b]] = D
+    M[isolated, range(cols)] = np.sqrt(f2)
     spec = cluster_spectrum(np.concatenate((eigen_sym(M.T @ M), np.zeros(n - cols))))
     return GramFactor(
         _frozen(M),
-        build_graph(CreationSequence(tuple(bits))),
+        build_graph(CreationSequence(bits)),
         "ub_case1",
-        {"s": s, "m": m, "p1": p1, "p2": s - m},
+        {"s": s, "m": m, "p1": m - 1, "p2": s - m},
         expected_spectrum=spec.distinct,
-        dup_slots=tuple(slots),
+        dup_slots=tuple(zip(isolated, f2.tolist())),
     )
 
 
@@ -335,25 +305,6 @@ def construct_library(construction_id: str, **params) -> GramFactor:
 # ---------------------------------------------------------------------------
 
 
-def _rotate_in_place(buf: np.ndarray, n: int, v: int, lam: float, theta: float) -> None:
-    """Rotate the leading n x n block of buf, bordered by [lam], in the
-    (v, n) coordinate plane by theta, in place.
-
-    Only row and column v, row and column n and the 2 x 2 block they share
-    change, so they are written directly: c a_v, -s a_v and the rotated
-    block [[a, 0], [0, lam]].  Row and column are written from the same
-    values, so the result is as symmetric as the block.
-    """
-    c, s = math.cos(theta), math.sin(theta)
-    row = buf[v, :n].copy()
-    a = float(row[v])
-    buf[v, :n] = buf[:n, v] = c * row
-    buf[n, :n] = buf[:n, n] = -s * row
-    buf[v, v] = c * c * a + s * s * lam
-    buf[n, n] = s * s * a + c * c * lam
-    buf[v, n] = buf[n, v] = s * c * (lam - a)
-
-
 # A step's checks compare within DUP_TOL * max(1, max|A|).
 DUP_TOL = 1e-8
 
@@ -363,43 +314,114 @@ def _check_angle(theta: float) -> None:
         raise BadAngle("theta must lie strictly between 0 and pi/2")
 
 
-def dup_in_place(buf: np.ndarray, n: int, v: int, lam: float, spectrum,
-                 theta: float = math.pi / 4) -> None:
-    """dup_realization of the leading n x n block A of buf, written into
-    buf's leading (n+1) x (n+1) block: the same checks against A and
-    `spectrum`, then the rotation, touching nothing past row/column n."""
-    _check_angle(theta)
-    A = buf[:n, :n]
-    scale = max(1.0, float(np.abs(A).max()))
-    if abs(A[v, v] - lam) > DUP_TOL * scale:
-        raise DiagonalNotEigenvalue(f"a_vv = {A[v, v]} != {lam}")
-    if float(np.min(np.abs(np.asarray(spectrum) - lam))) > DUP_TOL * scale:
-        raise DiagonalNotEigenvalue(f"{lam} is not an eigenvalue")
-    _rotate_in_place(buf, n, v, lam, theta)
+class ChainGrower:
+    """A symmetric matrix grown in place by dup and jdup steps, with the
+    spectrum it is known to have.
 
+    The buffer holds the seed A and room for `steps` more rows and columns;
+    `n` is the order of its active leading block.  Each step rotates that
+    block, bordered by one eigenvalue lam, in the (v, n) plane by theta, so
+    it writes only row and column v, row and column n and the entries they
+    share: c a_v, -s a_v and the rotated block [[a_vv, 0], [0, lam]].  Each
+    entry is written to both triangles from one value, so the block stays
+    as symmetric as the seed.  `spectrum` lists the carried eigenvalues,
+    the seed's first and then lam per step; the grower also keeps their
+    distinct values and their minimum, so no step scans it.
 
-def jdup_in_place(buf: np.ndarray, n: int, v: int, spectrum,
-                  theta: float = math.pi / 4) -> float:
-    """jdup_realization of the leading n x n block A of buf, written into
-    buf's leading (n+1) x (n+1) block; returns the appended eigenvalue
-    lambda_min of `spectrum`."""
-    _check_angle(theta)
-    A = buf[:n, :n]
-    lam_min = float(np.min(spectrum))
-    scale = max(1.0, float(np.abs(A).max()))
-    if abs(A[v, v] - lam_min) <= DUP_TOL * scale:
-        raise DegenerateRow("a_vv equals the smallest eigenvalue; joined copy would vanish")
-    _rotate_in_place(buf, n, v, lam_min, theta)
-    return lam_min
+    A step's check compares a gap with DUP_TOL * scale, scale =
+    max(1, max|A|) over the active block.  That scale is bracketed with no
+    pass over A: max(1, |a_vv|) <= scale <= max(1, U), where U bounds
+    max|A|.  U starts at max|A_seed|; after each rotation it becomes
+    max(U, the step's three new entries), because every other entry written
+    is c or -s times an old one, with |c|, |s| <= 1, and only shrinks.
+    Only when the gap lies between DUP_TOL times the two ends is the exact
+    scale read off the buffer, and U set to it.  While A or the spectrum
+    holds a value that is not finite the bracket is not used: every check
+    reads the block and the spectrum in full.  Either way each check decides
+    as a full read of A and the spectrum would.
+    """
 
+    def __init__(self, A, spectrum, steps: int):
+        A = np.asarray(A, dtype=float)
+        spectrum = np.asarray(spectrum, dtype=float)
+        self.n = n = A.shape[0]
+        self.buf = np.empty((n + steps, n + steps))
+        self.buf[:n, :n] = A
+        self.spectrum = spectrum.tolist()
+        self._values = set(self.spectrum)
+        self._min = min(self.spectrum)
+        self._bound = float(np.abs(A).max())
+        self._finite = math.isfinite(self._bound) and bool(np.isfinite(spectrum).all())
 
-def _bordered(A) -> tuple[np.ndarray, int]:
-    """A copied into the leading block of an (n+1) x (n+1) buffer."""
-    A = np.asarray(A, dtype=float)
-    n = A.shape[0]
-    buf = np.empty((n + 1, n + 1))
-    buf[:n, :n] = A
-    return buf, n
+    def _diagonal(self, v) -> float:
+        if not 0 <= v < self.n:
+            raise IndexError(f"vertex {v} is outside the active {self.n} x {self.n} block")
+        return float(self.buf[v, v])
+
+    def _scale(self, gap: float, a_vv: float) -> float:
+        """max(1, max|A|) for the active block A, or a bracket end that lies
+        on the same side of gap / DUP_TOL; the exact read happens only when
+        neither end does."""
+        if self._finite:
+            hi = max(1.0, self._bound)
+            if gap > DUP_TOL * hi:
+                return hi
+            lo = max(1.0, abs(a_vv))
+            if gap <= DUP_TOL * lo:
+                return lo
+        peak = float(np.abs(self.buf[:self.n, :self.n]).max())
+        if self._finite:
+            self._bound = peak
+        return max(1.0, peak)
+
+    def _rotate(self, v: int, a: float, lam: float, theta: float) -> None:
+        buf, n = self.buf, self.n
+        c, s = math.cos(theta), math.sin(theta)
+        row = buf[v, :n]
+        np.multiply(row, -s, out=buf[n, :n])
+        row *= c
+        buf[:n, v] = row
+        buf[:n, n] = buf[n, :n]
+        d_v = buf[v, v] = c * c * a + s * s * lam
+        d_n = buf[n, n] = s * s * a + c * c * lam
+        off = buf[v, n] = buf[n, v] = s * c * (lam - a)
+        self._bound = max(self._bound, abs(d_v), abs(d_n), abs(off))
+        self._finite = self._finite and math.isfinite(d_v + d_n + off)
+        self.spectrum.append(lam)
+        self._values.add(lam)
+        self._min = min(self._min, lam)
+        self.n = n + 1
+
+    def dup(self, v: int, lam: float, theta: float = math.pi / 4) -> None:
+        """Duplicate vertex v without an edge, appending lam: a_vv must be
+        lam and lam one of the carried eigenvalues, each within
+        DUP_TOL * max(1, max|A|), else DiagonalNotEigenvalue."""
+        _check_angle(theta)
+        a = self._diagonal(v)
+        lam = float(lam)
+        gap = abs(a - lam)
+        if gap > DUP_TOL * self._scale(gap, a):
+            raise DiagonalNotEigenvalue(f"a_vv = {a} != {lam}")
+        if self._finite:
+            gap = 0.0 if lam in self._values else min(abs(x - lam) for x in self._values)
+        else:
+            gap = float(np.min(np.abs(np.asarray(self.spectrum) - lam)))
+        if gap > DUP_TOL * self._scale(gap, a):
+            raise DiagonalNotEigenvalue(f"{lam} is not an eigenvalue")
+        self._rotate(v, a, lam, theta)
+
+    def jdup(self, v: int, theta: float = math.pi / 4) -> float:
+        """Duplicate vertex v with an edge to the copy, appending and
+        returning the smallest carried eigenvalue lambda_min; DegenerateRow
+        when a_vv is lambda_min within DUP_TOL * max(1, max|A|)."""
+        _check_angle(theta)
+        lam_min = self._min if self._finite else float(np.min(self.spectrum))
+        a = self._diagonal(v)
+        gap = abs(a - lam_min)
+        if gap <= DUP_TOL * self._scale(gap, a):
+            raise DegenerateRow("a_vv equals the smallest eigenvalue; joined copy would vanish")
+        self._rotate(v, a, lam_min, theta)
+        return lam_min
 
 
 def dup_realization(A: np.ndarray, v: int, lam: float, spectrum,
@@ -408,10 +430,11 @@ def dup_realization(A: np.ndarray, v: int, lam: float, spectrum,
     in `spectrum`, the eigenvalues A is known to have (a standalone caller
     passes eigen_sym(A); a chain carries them, so no step eigensolves).
     The result has that spectrum plus one extra lam, the new vertex
-    adjacent exactly to N(v), and a zero (v, new) entry."""
-    buf, n = _bordered(A)
-    dup_in_place(buf, n, v, lam, spectrum, theta)
-    return buf
+    adjacent exactly to N(v), and a zero (v, new) entry.  One ChainGrower
+    step: the same checks and rotation as every chain step."""
+    grower = ChainGrower(A, spectrum, 1)
+    grower.dup(v, lam, theta)
+    return grower.buf
 
 
 def jdup_realization(A: np.ndarray, v: int, spectrum,
@@ -419,7 +442,7 @@ def jdup_realization(A: np.ndarray, v: int, spectrum,
     """Duplicate vertex v of A with an edge to the copy, appending one more
     copy of the smallest eigenvalue lambda_min of `spectrum`, the
     eigenvalues A is known to have (a standalone caller passes
-    eigen_sym(A)), so q is preserved.
+    eigen_sym(A)), so q is preserved.  One ChainGrower step.
 
     Realized as the (v, new)-plane rotation of A + [lambda_min]; the new
     off-diagonal entry is sin(theta)cos(theta)(lambda_min - a_vv), hence the
@@ -427,9 +450,9 @@ def jdup_realization(A: np.ndarray, v: int, spectrum,
     A with row/column v scaled by cos(theta) (pattern-equal to A), and the
     (v, v) entry equal to cos^2 a_vv + sin^2 lambda_min.
     """
-    buf, n = _bordered(A)
-    jdup_in_place(buf, n, v, spectrum, theta)
-    return buf
+    grower = ChainGrower(A, spectrum, 1)
+    grower.jdup(v, theta)
+    return grower.buf
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ distinct eigenvalues of A after gap clustering.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -15,7 +16,8 @@ from .sequences import ThresholdGraph
 
 
 class NoConvergence(RuntimeError):
-    """Eigensolver failed to converge (pathological input)."""
+    """The matrix has an entry that is not finite, or the eigensolver failed
+    to converge."""
 
 
 class DimensionMismatch(ValueError):
@@ -30,11 +32,18 @@ SPECTRUM_ATOL = 1e-8
 
 
 def check_symmetric(A: np.ndarray) -> None:
+    """NoConvergence when an entry of A is not finite, else
+    DimensionMismatch unless A is square and symmetric within
+    SYM_TOL * max(1, max|A|).  max|A| is NaN or infinite exactly when an
+    entry is, so the finiteness test reads the scale the symmetry test needs
+    and adds no pass over A."""
     A = np.asarray(A, dtype=float)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise DimensionMismatch(f"expected a square matrix, got shape {A.shape}")
-    scale = max(1.0, float(np.abs(A).max()) if A.size else 1.0)
-    if float(np.abs(A - A.T).max()) > SYM_TOL * scale:
+    peak = float(np.abs(A).max()) if A.size else 0.0
+    if not peak < math.inf:
+        raise NoConvergence("matrix has an entry that is not finite")
+    if float(np.abs(A - A.T).max()) > SYM_TOL * max(1.0, peak):
         raise DimensionMismatch("matrix is not symmetric")
 
 
@@ -47,8 +56,6 @@ def eigen_sym(A: np.ndarray) -> np.ndarray:
     """
     A = np.asarray(A, dtype=float)
     check_symmetric(A)
-    if not np.isfinite(A).all():
-        raise NoConvergence("non-finite entries")
     try:
         return np.linalg.eigvalsh(A)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
@@ -59,8 +66,6 @@ def eigen_sym_vectors(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues (ascending) and orthonormal eigenvectors."""
     A = np.asarray(A, dtype=float)
     check_symmetric(A)
-    if not np.isfinite(A).all():
-        raise NoConvergence("non-finite entries")
     try:
         return np.linalg.eigh(A)
     except np.linalg.LinAlgError as exc:  # pragma: no cover
@@ -162,7 +167,7 @@ def in_pattern(A: np.ndarray, G) -> PatternReport:
 
 def spectrum_values(distinct) -> np.ndarray:
     """A (value, multiplicity) list as the eigenvalue array it stands for."""
-    return np.concatenate([np.full(m, v, dtype=float) for v, m in distinct])
+    return np.repeat(np.array([v for v, _ in distinct], dtype=float), [m for _, m in distinct])
 
 
 def spectra_agree(got, want) -> bool:

@@ -18,9 +18,10 @@ from threshq.bounds import (
     SelfCheckError,
     _chain_plan,
     _chain_steps,
+    _joined,
     _section12_plan,
     _seed_plan,
-    _source_plans,
+    _sources,
     chain_certificate,
     classify_q,
     classify_text,
@@ -34,6 +35,10 @@ from threshq.bounds import (
 )
 from threshq.gram import (
     CONSTRUCTIONS,
+    ChainGrower,
+    DegenerateRow,
+    DiagonalNotEigenvalue,
+    GramFactor,
     construct_library,
     dup_realization,
     gram,
@@ -65,6 +70,12 @@ from threshq.tables import TABLES
 
 def G(text):
     return graph_from_text(text)
+
+
+def _source_plans(bf):
+    """Every source's plan, each seed built: G's own form first, then its
+    leading merge carried to G by joined copies of vertex 0."""
+    return [_joined(_seed_plan(src), t) for src, t in _sources(bf)]
 
 
 # ---------------------------------------------------------------- lower bounds
@@ -690,6 +701,40 @@ def _reference_chain(plan):
     return A[np.ix_(order, order)], spectrum
 
 
+def _raising_step(monkeypatch, grow, plan):
+    """(1-based index of the step that raised, error type) when grow(plan)
+    realizes the plan, counted at the grower every path steps through."""
+    steps = []
+    for name in ("dup", "jdup"):
+        def counting(self, *args, _step=getattr(ChainGrower, name), **kwargs):
+            steps.append(args)
+            return _step(self, *args, **kwargs)
+        monkeypatch.setattr(ChainGrower, name, counting)
+    with pytest.raises((DiagonalNotEigenvalue, DegenerateRow)) as info:
+        grow(plan)
+    monkeypatch.undo()
+    return len(steps), info.type
+
+
+def test_bad_plans_fail_at_the_same_step_as_the_public_steps(monkeypatch):
+    # each bad plan raises the same typed error at the same step from the
+    # in-place chain as from step-by-step dup_realization / jdup_realization
+    alternating = construct_library("thm00", t=2)  # diagonal 3, 1, 5, ...; spectrum 0, 3, 7
+    zero_row = GramFactor(np.array([[1.0], [0.0]]), G("01"), "zero-row",
+                          expected_spectrum=((0.0, 1), (1.0, 1)))
+    bad_plans = [
+        # a dup slot whose diagonal is not its lam: a_11 = 1, lam = 3
+        (bounds.ChainPlan(alternating, ((0, 3.0), (0, 3.0), (1, 3.0)), ()), 3, DiagonalNotEigenvalue),
+        # a lam outside the carried spectrum: a_22 = 5
+        (bounds.ChainPlan(alternating, ((0, 3.0), (2, 5.0)), (1,)), 2, DiagonalNotEigenvalue),
+        # a jdup of a vertex whose diagonal is lambda_min = 0
+        (bounds.ChainPlan(zero_row, (), (0, 1)), 2, DegenerateRow),
+    ]
+    for plan, step, error in bad_plans:
+        assert _raising_step(monkeypatch, run_chain, plan) == (step, error), _chain_steps(plan)
+        assert _raising_step(monkeypatch, _reference_chain, plan) == (step, error), _chain_steps(plan)
+
+
 def _grows_like_the_reference(seq):
     kinds = set()
     for kind, plan in _every_plan(seq):
@@ -737,18 +782,25 @@ def test_first_parity_ordered_seed_always_fits():
 
 
 def test_classify_builds_each_paired_column_seed_once(monkeypatch):
-    # one classify_q plans once: no paired-column seed (s, m) is built twice,
-    # and no chain step goes through the copying public step functions
-    built = []
+    # one classify_q plans once: the sources are compared by seed q before
+    # any paired-column seed is assembled, so the only factor assembled is
+    # the realized chain's seed, and no chain step goes through the
+    # copying public step functions
+    built, realized = [], []
 
     def building(s, m):
         built.append((s, m))
         return section12_factor(s, m)
 
+    def realizing(plan):
+        realized.append(plan.seed.params)
+        return run_chain(plan)
+
     def copying(*args, **kwargs):
         raise AssertionError("a chain step copied the whole matrix")
 
     monkeypatch.setattr(bounds.gramlib, "section12_factor", building)
+    monkeypatch.setattr(bounds, "run_chain", realizing)
     monkeypatch.setattr(bounds.gramlib, "dup_realization", copying)
     monkeypatch.setattr(bounds.gramlib, "jdup_realization", copying)
     seqs = [seq for n in range(2, 12) for seq in enumerate_connected(n)]
@@ -756,10 +808,12 @@ def test_classify_builds_each_paired_column_seed_once(monkeypatch):
     total = 0
     for seq in seqs:
         built.clear()
+        realized.clear()
         classify_q(build_graph(seq))
-        assert len(set(built)) == len(built), (seq.text, built)
+        assert built == [(p["s"], p["m"]) for p in realized if "m" in p], (seq.text, built)
         total += len(built)
-    assert built == [(6, 2), (5, 1)]  # G's seed, then its leading merge's
+    # the leading merge's seed wins at q = 5 over G's own (6, 2) at q = 7
+    assert built == [(5, 1)]
     assert total
 
 

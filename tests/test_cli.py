@@ -1,6 +1,7 @@
 import json
 
 import numpy as np
+import pytest
 
 from threshq.cli import main
 from threshq.gram import construct_library, gram
@@ -130,6 +131,19 @@ def test_certify_reads_a_square_factor_as_a_factor(tmp_path, capsys):
     save_factor(p, np.array([[0.0, 1.0], [1.0, 0.0]]), "adhoc")
     code, out, _ = run(capsys, "certify", "01", "2", str(p))
     assert code == 1 and "in_pattern=False" in out
+
+
+@pytest.mark.parametrize("command", ["certify", "ssp"])
+@pytest.mark.parametrize("body", ["1 nan\nnan 1\n", "1 nan\n0 1\n", "1 inf\ninf 1\n", "1 inf\n0 1\n"])
+def test_non_finite_matrix_file_is_bad_input(tmp_path, capsys, command, body):
+    # NaN or infinity, mirrored or not: exit 2 with one error line, no
+    # traceback and no report
+    p = tmp_path / "nonfinite.mat"
+    p.write_text("2\n" + body)
+    argv = ["certify", "01", "2", str(p)] if command == "certify" else ["ssp", str(p)]
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.splitlines() == ["error: matrix has an entry that is not finite"]
 
 
 def test_ssp_command(tmp_path, capsys):

@@ -5,8 +5,10 @@ import pytest
 
 from threshq.bounds import q2_certificate
 from threshq.gram import (
+    DUP_TOL,
     BadAngle,
     BadParams,
+    ChainGrower,
     DegenerateRow,
     DiagonalNotEigenvalue,
     GramFactor,
@@ -17,6 +19,7 @@ from threshq.gram import (
     jdup_realization,
     orthogonal_certificate,
     section12_factor,
+    section12_q,
 )
 from threshq.sequences import creation_order_of, dup_graph, graph_from_text, jdup_graph
 from threshq.spectra import assert_spectrum, eigen_sym, in_pattern, pattern_matrix, q_of_matrix
@@ -121,6 +124,17 @@ def test_ub_case1_even_parity_instances():
         assert q_of_matrix(A) <= (s + 9) // 2
 
 
+def test_section12_q_matches_the_built_seed():
+    # the q read off the integer cogram is the length of the built seed's
+    # expected_spectrum, for every parity
+    for s in range(2, 41):
+        for m in range(1, s + 1):
+            assert section12_q(s, m) == len(section12_factor(s, m).expected_spectrum), (s, m)
+    for s in (64, 128):
+        for m in (1, 2, s // 2, s):
+            assert section12_q(s, m) == len(section12_factor(s, m).expected_spectrum), (s, m)
+
+
 def test_section12_all_parities():
     for s in range(2, 7):
         for m in range(1, s + 1):
@@ -219,6 +233,162 @@ def test_jdup_degenerate_row():
     A = np.diag([1.0, 1.0])  # empty pattern, every diagonal equals lambda_min
     with pytest.raises(DegenerateRow):
         jdup_realization(A, 0, eigen_sym(A))
+
+
+# ---------------------------------------------------------------- the grower
+
+
+def _full_read_step(A, spectrum, v, lam, theta, joined):
+    """One dup (lam given) or jdup (lam = min(spectrum)) step as a full
+    read decides it: the check scale is max(1, max|A|) over all of A and the
+    carried spectrum is scanned.  Returns the bordered, rotated matrix and
+    the carried spectrum, or raises the step's typed error."""
+    if not 0 < theta < math.pi / 2:
+        raise BadAngle(theta)
+    n = len(A)
+    scale = max(1.0, float(np.abs(A).max()))
+    if joined:
+        lam = float(np.min(spectrum))
+        if abs(A[v, v] - lam) <= DUP_TOL * scale:
+            raise DegenerateRow(v)
+    else:
+        if abs(A[v, v] - lam) > DUP_TOL * scale:
+            raise DiagonalNotEigenvalue(v)
+        if float(np.min(np.abs(np.asarray(spectrum) - lam))) > DUP_TOL * scale:
+            raise DiagonalNotEigenvalue(lam)
+    c, s = math.cos(theta), math.sin(theta)
+    row, a = A[v].copy(), float(A[v, v])
+    B = np.zeros((n + 1, n + 1))
+    B[:n, :n] = A
+    B[v, :n] = B[:n, v] = c * row
+    B[n, :n] = B[:n, n] = -s * row
+    B[v, v] = c * c * a + s * s * lam
+    B[n, n] = s * s * a + c * c * lam
+    B[v, n] = B[n, v] = s * c * (lam - a)
+    return B, np.append(spectrum, lam)
+
+
+def _step_both(grower, ref, v, lam, theta):
+    """One step, dup (lam given) or jdup (lam None), on a ChainGrower and on
+    the full-read reference (matrix, spectrum): both must raise the same
+    typed error, or grow bit-identical matrices and spectra.  Returns the
+    outcome and the reference's new state."""
+    step = (lambda: grower.jdup(v, theta)) if lam is None else (lambda: grower.dup(v, lam, theta))
+    try:
+        grown = _full_read_step(*ref, v, lam, theta, lam is None)
+    except (BadAngle, DegenerateRow, DiagonalNotEigenvalue) as exc:
+        with pytest.raises(type(exc)):
+            step()
+        return type(exc).__name__, ref
+    got = step()
+    if lam is None:
+        assert np.array_equal(got, grown[1][-1], equal_nan=True)
+    assert np.array_equal(grower.buf[:grower.n, :grower.n], grown[0], equal_nan=True)
+    assert np.array_equal(grower.spectrum, grown[1], equal_nan=True)
+    return "grown", grown
+
+
+def _grown_like_a_full_read(A, spectrum, steps):
+    """(v, lam or None for jdup, theta) steps on a ChainGrower and on the
+    full-read reference side by side; the list of outcomes."""
+    grower = ChainGrower(A, spectrum, len(steps))
+    ref = (np.array(A, dtype=float), np.array(spectrum, dtype=float))
+    outcomes = []
+    for v, lam, theta in steps:
+        outcome, ref = _step_both(grower, ref, v, lam, theta)
+        outcomes.append(outcome)
+    return outcomes
+
+
+def test_grower_checks_decide_as_a_full_read():
+    # random steps whose gaps sit at, just inside and just outside both ends
+    # of the bracket max(1, |a_vv|) <= scale <= max(1, U) and the exact
+    # scale: every decision and every rotated entry matches a full read.
+    # The carried spectrum is each diagonal entry nudged by such a gap (the
+    # checks trust it), so the spectrum check and the jdup check meet their
+    # thresholds too.
+    rng = np.random.default_rng(13)
+    factors = [0.0, 0.5, 0.999, 1.001, 3.0]
+    seen = []
+    for _ in range(80):
+        n = int(rng.integers(2, 7))
+        A = rng.normal(size=(n, n)) * 10.0 ** float(rng.integers(-2, 4))
+        A = (A + A.T) / 2
+        seed_scales = [1.0, max(1.0, float(np.abs(A).max()))]
+        spectrum = np.diag(A) + DUP_TOL * rng.choice(seed_scales, n) * rng.choice(factors, n)
+        steps = 12
+        grower = ChainGrower(A, spectrum, steps)
+        ref = (A.copy(), spectrum.copy())
+        for _ in range(steps):
+            B = ref[0]
+            v = int(rng.integers(len(B)))
+            theta = float(rng.choice([math.pi / 4, math.pi / 6, 1.2, 0.0], p=[0.4, 0.25, 0.25, 0.1]))
+            if rng.random() < 0.3:
+                lam = None
+            else:
+                scales = seed_scales + [max(1.0, abs(B[v, v])), max(1.0, float(np.abs(B).max()))]
+                gap = DUP_TOL * float(rng.choice(scales)) * float(rng.choice(factors))
+                lam = float(B[v, v]) + gap * float(rng.choice([-1.0, 1.0]))
+            outcome, ref = _step_both(grower, ref, v, lam, theta)
+            seen.append(outcome)
+    assert set(seen) == {"grown", "BadAngle", "DegenerateRow", "DiagonalNotEigenvalue"}
+    assert seen.count("grown") > 100
+
+
+def test_grower_checks_decide_as_a_full_read_off_finite_values():
+    # a NaN or an infinity in the seed, the spectrum or a step's lam: the
+    # bracket is set aside and every check reads in full
+    A = np.array([[1.0, 2.0, 0.0], [2.0, 3.0, 0.0], [0.0, 0.0, 1.0]])
+    spectrum = eigen_sym(A)
+    cases = [
+        (A, spectrum, [(2, 1.0, math.pi / 4), (2, math.nan, math.pi / 4), (0, 1.0, math.pi / 4),
+                       (2, None, math.pi / 4)]),
+        (A, np.append(spectrum[:-1], math.inf), [(2, 1.0, 0.5), (0, None, 0.5)]),
+        (np.where(A == 3.0, math.inf, A), spectrum, [(2, 1.0, 0.5), (1, None, 0.5), (2, None, 0.5)]),
+        (np.where(A == 3.0, math.nan, A), spectrum, [(2, 1.0, 0.5), (0, 5.0, 0.5), (2, None, 0.5)]),
+    ]
+    for seed, carried, steps in cases:
+        _grown_like_a_full_read(seed, carried, steps)
+
+
+def test_grower_bound_follows_entries_that_grow():
+    # a carried lambda_min far below the seed's entries makes the jdup's new
+    # entries the largest (|off| = 500.5 against 2); U must follow them, or
+    # the next gap, 100 * DUP_TOL, would be judged against max(1, U) = 2
+    A = np.diag([1.0, 2.0])
+    assert _grown_like_a_full_read(A, [-1000.0, 1.0, 2.0], [
+        (0, None, math.pi / 4), (1, 2.0 + 100 * DUP_TOL, math.pi / 4)]) == ["grown", "grown"]
+
+
+@pytest.mark.parametrize("gap,grows", [(50 * DUP_TOL, True), (85 * DUP_TOL, False)])
+def test_grower_reads_the_exact_scale_inside_the_bracket(gap, grows):
+    # the first dup shrinks the only entry of size 100 to 100 cos(pi/4), but
+    # the bound U stays 100; a gap between DUP_TOL * 70.7 and DUP_TOL * 100
+    # lies inside the bracket max(1, |a_00|) = 1 <= scale <= 100, so only the
+    # exact scale 70.7 decides it: 50 * DUP_TOL passes, 85 * DUP_TOL fails
+    A = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 100.0], [0.0, 100.0, 1.0]])
+    grower = ChainGrower(A, eigen_sym(A), 2)
+    grower.dup(1, 1.0)
+    peak = float(np.abs(grower.buf[:3, :3]).max())
+    assert peak == 100 * math.cos(math.pi / 4) and grower._bound == 100.0
+    assert DUP_TOL * max(1.0, abs(grower.buf[0, 0])) < gap <= DUP_TOL * grower._bound
+    step = _grown_like_a_full_read(A, eigen_sym(A), [(1, 1.0, math.pi / 4), (0, 1.0 + gap, math.pi / 4)])
+    assert step[-1] == ("grown" if grows else "DiagonalNotEigenvalue")
+    if grows:
+        grower.dup(0, 1.0 + gap)
+    else:
+        with pytest.raises(DiagonalNotEigenvalue):
+            grower.dup(0, 1.0 + gap)
+    assert grower._bound >= peak  # U was read exactly, then grown by the step's entries
+
+
+def test_grower_rejects_a_vertex_outside_the_active_block():
+    grower = ChainGrower(np.eye(2), [1.0, 1.0], 2)
+    for v in (-1, 2, 3):
+        with pytest.raises(IndexError):
+            grower.dup(v, 1.0)
+        with pytest.raises(IndexError):
+            grower.jdup(v)
 
 
 def test_jdup_submatrix_recovery():

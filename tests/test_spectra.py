@@ -9,6 +9,7 @@ from threshq.spectra import (
     DimensionMismatch,
     NoConvergence,
     assert_spectrum,
+    check_symmetric,
     cluster_spectrum,
     default_cluster_tol,
     eigen_sym,
@@ -61,6 +62,17 @@ def test_eigen_rejects_nonfinite():
     A = np.full((3, 3), np.nan)
     with pytest.raises(NoConvergence):
         eigen_sym(A)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_symmetry_check_rejects_an_asymmetric_non_finite_entry(bad):
+    # the residual NaN - 0 is NaN and inf - 0 is inf, which a plain
+    # "residual > tol" test lets through; every entry point rejects both
+    A = np.array([[1.0, bad], [0.0, 1.0]])
+    for check in (check_symmetric, eigen_sym, eigen_sym_vectors,
+                  lambda A: in_pattern(A, graph_from_text("01"))):
+        with pytest.raises(NoConvergence):
+            check(A)
 
 
 @pytest.mark.parametrize("n", [2, 5, 10, 24])
