@@ -247,7 +247,7 @@ def section12_factor(s: int, m: int) -> GramFactor:
     general upper bound's witness: blocks all (0,1) except block m,
     which is (0,0,1).  Its rows are `_paired_columns`'s, placed in creation
     order by index arrays: run j's dominating row follows its zeros, and
-    the zeros take the tails of columns 1..s+1 in turn.  q is at most 3
+    the zeros take the columns' tails in column order.  q is at most 3
     plus the number of unpaired-or-pair leftovers, within floor((s+9)/2)
     for every parity.  Every isolated diagonal entry (1 or 3) is an
     eigenvalue, so all zero blocks may be grown by duplication.
