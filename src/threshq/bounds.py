@@ -28,6 +28,7 @@ from .orthosearch import (
     SupportPattern,
     decide_column_orthogonal,
     distinct_indices,
+    is_int,
     ssp_check,
     verify_infeasible,
 )
@@ -41,11 +42,11 @@ from .sequences import (
 from .spectra import (
     DimensionMismatch,
     NoConvergence,
-    cluster_spectrum,
     eigen_sym,
     in_pattern,
     pattern_matrix,
     q_of_matrix,
+    q_of_spectrum,
     spectra_agree,
     spectrum_values,
 )
@@ -126,7 +127,7 @@ def _trace_below_half(G: ThresholdGraph, gate) -> dict | None:
 def _zero_run_covers(bf, i) -> bool:
     """Zero-run i >= 1 has at least as many columns as there are dominating
     vertices after it, so their columns cannot be orthogonal: q > 2."""
-    return isinstance(i, (int, np.integer)) and 1 <= i < bf.s and bf.ks[i] >= sum(bf.ts[i:])
+    return is_int(i) and 1 <= i < bf.s and bf.ks[i] >= sum(bf.ts[i:])
 
 
 def _zero_run(G: ThresholdGraph, gate) -> dict | None:
@@ -386,7 +387,7 @@ def _checked(A: np.ndarray, spectrum: np.ndarray, G: ThresholdGraph, what: str) 
     eigs = eigen_sym(A)
     if not spectra_agree(eigs, spectrum):
         raise SelfCheckError(f"{what} lost the spectrum its chain carried")
-    return cluster_spectrum(eigs).q
+    return q_of_spectrum(eigs)
 
 
 def _chain_cert(G: ThresholdGraph, plan: ChainPlan, what: str) -> Certificate:
@@ -516,10 +517,6 @@ def classify_q(G: ThresholdGraph) -> QBound:
 # ---------------------------------------------------------------------------
 
 
-def _is_int(x) -> bool:
-    return isinstance(x, (int, np.integer))
-
-
 def _payload_matrix(payload: dict, n: int) -> np.ndarray | None:
     """The payload's matrix when it is an n x n array of numbers."""
     try:
@@ -545,7 +542,7 @@ def _upper_ok(G: ThresholdGraph, cert: Certificate) -> bool:
     if cert.kind in ("OrthoUB", "ConstructionUB", "DupChainUB"):
         A = _payload_matrix(cert.payload, G.n)
         achieved = cert.payload.get("achieved", cert.value)
-        return (A is not None and _is_int(achieved) and bool(in_pattern(A, G))
+        return (A is not None and is_int(achieved) and bool(in_pattern(A, G))
                 and q_of_matrix(A) == achieved <= cert.value)
     if (cert.kind, cert.provenance) == ("TableCitation", _TRANSFER):
         base = _transfer_base(cert.payload)
@@ -565,16 +562,16 @@ def _upper_ok(G: ThresholdGraph, cert: Certificate) -> bool:
 
 
 def verify_certificate(G: ThresholdGraph, cert: Certificate) -> bool:
-    """Re-validate a certificate from its payload alone; False, never an
-    error, when the payload is malformed."""
-    if not (isinstance(cert.payload, dict) and _is_int(cert.value)):
+    """Re-validate a certificate from its payload alone; a bool, False and
+    never an error when the payload is malformed."""
+    if not (isinstance(cert.payload, dict) and is_int(cert.value)):
         return False
     rule = _LOWER_CHECKS.get((cert.kind, cert.provenance))
     if rule is not None:
         value, check = rule
-        return cert.value == value and check(G, cert.payload)
+        return bool(cert.value == value and check(G, cert.payload))
     try:
-        return _upper_ok(G, cert)
+        return bool(_upper_ok(G, cert))
     except (DimensionMismatch, NoConvergence):
         return False
 

@@ -18,7 +18,7 @@ import numpy as np
 
 from .orthosearch import SupportPattern, verify_feasible
 from .sequences import CreationSequence, ThresholdGraph, build_graph, graph_from_text
-from .spectra import cluster_spectrum, eigen_sym, in_pattern, pattern_matrix
+from .spectra import cluster_spectrum, eigen_sym, in_pattern, pattern_matrix, q_of_spectrum
 
 
 class BadParams(ValueError):
@@ -239,7 +239,7 @@ def section12_q(s: int, m: int) -> int:
     D, f2 = _paired_columns(s, m)
     C = D.T @ D
     C.flat[::s + 2] += f2
-    return cluster_spectrum(np.append(eigen_sym(C), 0.0)).q
+    return q_of_spectrum(np.append(eigen_sym(C), 0.0))
 
 
 def section12_factor(s: int, m: int) -> GramFactor:

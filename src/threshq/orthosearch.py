@@ -168,28 +168,34 @@ def verify_feasible(P: SupportPattern, B: np.ndarray, tol: float = 1e-9) -> bool
 
 def verify_infeasible(P: SupportPattern, w: Infeasible) -> bool:
     """Re-check the counting witness: more distinct columns than distinct
-    rows, all inside the staircase, pairwise overlaps confined to w.rows,
-    every column meets w.rows.  A malformed witness fails the check."""
+    rows, all inside the staircase, every column meets w.rows, and pairwise
+    overlaps confined to w.rows.  A malformed witness fails the check.
+
+    The overlaps are one integer product: with `out` the witness columns
+    on the rows outside w.rows, (out^T out)[a, b] counts the rows outside
+    w.rows that columns a and b share, so it must be zero off the diagonal."""
     if not (distinct_indices(w.columns, P.cols) and distinct_indices(w.rows, P.rows)
             and len(w.columns) > len(w.rows)):
         return False
-    S = P.support
-    rows = set(w.rows)
-    cols = list(w.columns)
-    for a in range(len(cols)):
-        if not any(S[r, cols[a]] for r in rows):
-            return False
-        for b in range(a + 1, len(cols)):
-            overlap = np.flatnonzero(S[:, cols[a]] & S[:, cols[b]])
-            if any(r not in rows for r in overlap):
-                return False
-    return True
+    S = P.support[:, list(w.columns)]
+    inside = np.zeros(P.rows, dtype=bool)
+    inside[list(w.rows)] = True
+    out = S[~inside].astype(int)
+    shared = out.T @ out
+    return bool(S[inside].any(axis=0).all()
+                and np.count_nonzero(shared) == np.count_nonzero(shared.diagonal()))
+
+
+def is_int(x) -> bool:
+    """x is an int or a numpy integer, and not a bool: True and False are
+    ints to isinstance, and a list of them indexes numpy arrays as a mask."""
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
 
 
 def distinct_indices(xs, bound: int) -> bool:
     """xs is a tuple or list of distinct ints in range(bound)."""
     return (isinstance(xs, (tuple, list))
-            and all(isinstance(x, (int, np.integer)) and 0 <= x < bound for x in xs)
+            and all(is_int(x) and 0 <= x < bound for x in xs)
             and len(set(xs)) == len(xs))
 
 

@@ -106,24 +106,38 @@ def default_cluster_tol(eigs: np.ndarray) -> float:
     return 1e-6 * max(1.0, spread)
 
 
-def cluster_spectrum(eigs, tol: float | None = None) -> SpectrumSummary:
-    """Greedy gap clustering of an eigenvalue list (sorted internally, so
-    the result is order-independent): a new group starts wherever the gap
-    to the previous eigenvalue exceeds tol."""
+def _gap_rule(eigs, tol: float | None):
+    """The greedy gap rule's inputs: eigs sorted (so every reading is
+    order-independent), tol (default_cluster_tol when None) and the mask of
+    sorted gaps above tol, where a new group starts."""
     eigs = np.sort(np.asarray(eigs, dtype=float).ravel())
-    if eigs.size == 0:
-        return SpectrumSummary((), 0.0)
     if tol is None:
         tol = default_cluster_tol(eigs)
-    edges = np.flatnonzero(np.concatenate(([True], np.diff(eigs) > tol, [True])))
+    return eigs, tol, np.diff(eigs) > tol
+
+
+def cluster_spectrum(eigs, tol: float | None = None) -> SpectrumSummary:
+    """Greedy gap clustering of an eigenvalue list: a new group starts
+    wherever the gap to the previous eigenvalue exceeds tol."""
+    eigs, tol, splits = _gap_rule(eigs, tol)
+    if eigs.size == 0:
+        return SpectrumSummary((), 0.0)
+    edges = np.flatnonzero(np.concatenate(([True], splits, [True])))
     counts = edges[1:] - edges[:-1]
     means = np.add.reduceat(eigs, edges[:-1]) / counts
     return SpectrumSummary(tuple(zip(means.tolist(), counts.tolist())), tol)
 
 
+def q_of_spectrum(eigs, tol: float | None = None) -> int:
+    """cluster_spectrum(eigs, tol).q with no group built: 1 + the number of
+    sorted gaps above tol, or 0 for an empty list."""
+    eigs, _, splits = _gap_rule(eigs, tol)
+    return 1 + int(np.count_nonzero(splits)) if eigs.size else 0
+
+
 def q_of_matrix(A: np.ndarray, tol: float | None = None) -> int:
     """Number of distinct eigenvalues of A at the clustering tolerance."""
-    return cluster_spectrum(eigen_sym(A), tol).q
+    return q_of_spectrum(eigen_sym(A), tol)
 
 
 def pattern_matrix(A: np.ndarray) -> np.ndarray:
@@ -159,7 +173,10 @@ def in_pattern(A: np.ndarray, G) -> PatternReport:
     n = adj.shape[0]
     if A.shape[0] != n:
         raise DimensionMismatch(f"matrix is {A.shape[0]}x{A.shape[0]}, graph has {n} vertices")
-    rows, cols = np.nonzero(np.triu(pattern_matrix(A) != adj, 1))
+    mismatch = pattern_matrix(A) != adj
+    if not mismatch.any():
+        return PatternReport(True, ())
+    rows, cols = np.nonzero(np.triu(mismatch, 1))
     violations = tuple((i, j, "edge entry is zero" if adj[i, j] else "non-edge entry is nonzero")
                        for i, j in zip(rows.tolist(), cols.tolist()))
     return PatternReport(not violations, violations)

@@ -161,6 +161,13 @@ def gate_cert(columns, rows):
     ("0011001", Certificate("TableCitation", 4, TRACE_TWO, {"ks": (2, 2), "ts": (1, 1)})),
     ("0001001", Certificate("TableCitation", 5, TRACE_TWO, {"ks": (3, 2), "ts": (1, 1)})),
     ("0011", Certificate("TraceLB", 3, TRACE, "not a dict")),  # payload of the wrong type
+    # booleans are ints to isinstance and masks to numpy: none is an index
+    ("0010101", diameter_cert((False, True))),
+    ("0010101", gate_cert((3, True), (2,))),        # the gate's witness is (3, 2), (2,)
+    ("0010101", gate_cert((3, 2), (True,))),
+    ("0010101", gate_cert((3, 2), (np.True_,))),
+    ("0001001", zero_run_cert({"block": True})),
+    ("0001001", zero_run_cert({"block": np.True_})),
 ])
 def test_lower_forged_witness_rejected(text, cert):
     assert verify_certificate(G(text), cert) is False
@@ -211,6 +218,8 @@ def transfer_cert(**changes):
     ("00100101", transfer_cert(embedding=(0, 1, 2, 3, 4, 5, 6, 8))),  # out of range
     ("00100101", transfer_cert(embedding=(0, 1, 2, 3, 4, 5, 6))),     # too short
     ("00100101", transfer_cert(embedding=(0, 0, 1, 2, 3, 4, 5, 6))),  # not distinct
+    ("00100101", transfer_cert(embedding=(False, True, 2, 3, 4, 5, 6, 7))),  # booleans
+    ("0011", ortho_cert({"matrix": Q2_0011, "achieved": True})),  # a boolean, not an int
     ("00100101", transfer_cert(base=None)),                       # no base
     ("00100101", transfer_cert(base="10x")),                      # unparsable base
     ("00100101", transfer_cert(base=100101)),                     # base not a string
@@ -220,6 +229,39 @@ def transfer_cert(**changes):
 ])
 def test_upper_forged_certificate_rejected(text, cert):
     assert verify_certificate(G(text), cert) is False
+
+
+# Anything a payload's index or int field might hold: ints of every size,
+# booleans, numpy ints and booleans, floats, strings, None, and tuples and
+# lists of them, nested.
+_JUNK = st.recursive(
+    st.one_of(st.integers(-3, 14), st.integers(-2 ** 70, 2 ** 70), st.booleans(),
+              st.integers(0, 14).map(np.int64), st.integers(0, 14).map(np.uint8),
+              st.booleans().map(np.bool_), st.floats(), st.text(max_size=2), st.none()),
+    lambda inner: st.lists(inner, max_size=5) | st.lists(inner, max_size=5).map(tuple),
+    max_leaves=12)
+_INDEX_FIELDS = ("pair", "block", "columns", "rows", "embedding", "achieved")
+
+
+@functools.lru_cache(maxsize=None)
+def _chain_matrix(text):
+    return chain_certificate(G(text)).payload["matrix"]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.lists(st.integers(0, 1), max_size=10), st.fixed_dictionaries(
+    {}, optional={name: _JUNK for name in _INDEX_FIELDS}))
+def test_verifier_never_raises_on_junk_indices(middle, junk):
+    # every lower rule's check, the chain and transfer checks: each field
+    # that names an index or an int holds junk, and the verdict is a bool
+    g = build_graph(CreationSequence((0, *middle, 1)))
+    certs = [Certificate(kind, value, provenance, dict(junk))
+             for kind, value, provenance, _, _ in bounds._LOWER_RULES]
+    certs.append(Certificate("DupChainUB", g.n, "duplication chain",
+                             {**junk, "matrix": _chain_matrix(g.creation.text)}))
+    certs.append(transfer_cert(**{k: v for k, v in junk.items() if k == "embedding"}))
+    for cert in certs:
+        assert type(verify_certificate(g, cert)) is bool, cert
 
 
 def test_lower_rules_agree_with_the_gate():

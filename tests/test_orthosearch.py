@@ -7,6 +7,7 @@ from threshq.orthosearch import (
     Infeasible,
     SupportPattern,
     decide_column_orthogonal,
+    distinct_indices,
     low_q_search,
     ssp_check,
     verify_feasible,
@@ -144,6 +145,56 @@ def test_staircase_structure_enforced():
 @pytest.mark.parametrize("n", range(9, 17))
 def test_gate_completions_scale_to_larger_orders(n):
     check_gate_is_total(n)
+
+
+def _verify_infeasible_by_pairs(P, w):
+    """The column-pair loop, kept as the reference for verify_infeasible."""
+    if not (distinct_indices(w.columns, P.cols) and distinct_indices(w.rows, P.rows)
+            and len(w.columns) > len(w.rows)):
+        return False
+    S = P.support
+    rows = set(w.rows)
+    cols = list(w.columns)
+    for a in range(len(cols)):
+        if not any(S[r, cols[a]] for r in rows):
+            return False
+        for b in range(a + 1, len(cols)):
+            overlap = np.flatnonzero(S[:, cols[a]] & S[:, cols[b]])
+            if any(r not in rows for r in overlap):
+                return False
+    return True
+
+
+def _tampered(P, w, gen):
+    """The gate's witness with a row dropped, a column added, or no rows;
+    then random column and row subsets, larger and smaller than each other."""
+    if w is not None:
+        for i in range(len(w.rows)):
+            yield Infeasible(w.columns, w.rows[:i] + w.rows[i + 1:])
+        for j in sorted(set(range(P.cols)) - set(w.columns)):
+            yield Infeasible(w.columns + (j,), w.rows)
+        yield Infeasible(w.columns, ())
+    for _ in range(6):
+        c = int(gen.integers(0, P.cols + 1))
+        r = int(gen.integers(0, min(c, P.rows) + 1))
+        yield Infeasible(tuple(gen.permutation(P.cols)[:c].tolist()),
+                         tuple(gen.permutation(P.rows)[:r].tolist()))
+
+
+def test_witness_check_matches_the_pair_loop():
+    # on every connected sequence with n <= 12: the gate's own witness and
+    # tampered ones decide as the column-pair loop decides
+    gen = np.random.default_rng(14)
+    outcomes = {True: 0, False: 0}
+    for seq in (seq for n in range(2, 13) for seq in enumerate_connected(n)):
+        P = SupportPattern.from_graph(graph_from_text(seq.text))
+        out = decide_column_orthogonal(P)
+        w = out if isinstance(out, Infeasible) else None
+        for cand in ([w] if w else []) + list(_tampered(P, w, gen)):
+            want = _verify_infeasible_by_pairs(P, cand)
+            assert verify_infeasible(P, cand) is want, (seq.text, cand)
+            outcomes[want] += 1
+    assert min(outcomes.values()) > 1000, outcomes
 
 
 # ---------------------------------------------------------------- ssp

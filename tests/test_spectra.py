@@ -18,6 +18,7 @@ from threshq.spectra import (
     load_factor,
     load_matrix,
     q_of_matrix,
+    q_of_spectrum,
     save_factor,
     save_matrix,
 )
@@ -148,6 +149,8 @@ def _cluster_by_loop(eigs, tol=None):
     """The greedy gap rule as a loop over eigenvalues: the reference the
     vectorized cluster_spectrum must reproduce."""
     eigs = np.sort(np.asarray(eigs, dtype=float).ravel())
+    if eigs.size == 0:
+        return (), 0.0
     if tol is None:
         tol = default_cluster_tol(eigs)
     groups = [[float(eigs[0])]]
@@ -163,10 +166,12 @@ def _same_clusters(eigs, tol=None):
     want, want_tol = _cluster_by_loop(eigs, tol)
     got = cluster_spectrum(eigs, tol)
     # the groups and their sizes agree exactly; the means agree to rounding,
-    # since np.mean sums a group pairwise and np.add.reduceat in order
-    scale = max(1.0, float(np.abs(eigs).max()))
+    # since np.mean sums a group pairwise and np.add.reduceat in order; the
+    # gap count is the number of groups
+    scale = max(1.0, float(np.abs(eigs).max(initial=0.0)))
     return (got.tol == want_tol and got.multiplicities == tuple(m for _, m in want)
-            and all(abs(a - b) <= 1e-14 * scale for a, (b, _) in zip(got.values, want)))
+            and all(abs(a - b) <= 1e-14 * scale for a, (b, _) in zip(got.values, want))
+            and q_of_spectrum(eigs, tol) == len(want))
 
 
 def test_cluster_matches_the_loop_on_random_clustered_spectra():
@@ -188,6 +193,15 @@ def test_cluster_gap_of_exactly_tol_does_not_split():
     assert _same_clusters(steps, tol=2.0 ** -20)
     assert cluster_spectrum(steps, tol=2.0 ** -20).q == 1
     assert cluster_spectrum(steps, tol=2.0 ** -21).q == 40
+    assert _same_clusters(steps, tol=2.0 ** -21)
+    assert q_of_spectrum(steps, tol=2.0 ** -20) == 1 and q_of_spectrum(steps, tol=2.0 ** -21) == 40
+
+
+def test_cluster_of_an_empty_spectrum():
+    for empty in (np.array([]), [], np.zeros((0, 3))):
+        assert _same_clusters(empty) and _same_clusters(empty, tol=1.0)
+        assert cluster_spectrum(empty).q == q_of_spectrum(empty) == 0
+    assert q_of_spectrum([4.0]) == 1
 
 
 # ---------------------------------------------------------------- patterns
@@ -202,9 +216,15 @@ def test_in_pattern_matches_entrywise_loop():
     # reference: the pairwise loop in row-major order; indices stay Python
     # ints so a report serializes to JSON
     g = graph_from_text("0010110101")
-    for _ in range(20):
-        A = rand_sym(g.n) * (rng.random((g.n, g.n)) < 0.6)
+    for trial in range(40):
+        # random supports, then matrices in S(G), bare or with one entry
+        # zeroed, which reach the no-mismatch return too
+        keep = rng.random((g.n, g.n)) < 0.6 if trial < 20 else g.adjacency | np.eye(g.n, dtype=bool)
+        A = rand_sym(g.n) * keep
         A = (A + A.T) / 2
+        if trial % 2:
+            i, j = rng.integers(g.n, size=2)
+            A[i, j] = A[j, i] = 0.0
         P = np.abs(A) > 1e-8 * max(1.0, float(np.abs(A).max()))
         want = []
         for i in range(g.n):
