@@ -18,8 +18,7 @@ from . import __version__
 from .bounds import classify_q, verify_qbound
 from .orthosearch import ssp_check
 from .sequences import SequenceError, build_graph, enumerate_connected, parse_creation_sequence
-from .spectra import (NoConvergence, default_cluster_tol, eigen_sym, in_pattern, load_factor,
-                      load_matrix, q_of_matrix, read_rows)
+from .spectra import NoConvergence, in_pattern, load_factor, load_matrix, q_of_matrix, read_rows
 from .tables import reproduce_table
 
 
@@ -134,9 +133,8 @@ def cmd_certify(args) -> int:
         A = M @ M.T
     else:
         A = load_matrix(args.file)
-    tol = args.tol if args.tol is not None else default_cluster_tol(eigen_sym(A))
     pat = in_pattern(A, G)
-    q = q_of_matrix(A, tol)
+    q = q_of_matrix(A, args.tol)
     ok = bool(pat) and q == args.q
     report = {
         "command": f"certify {args.sequence} {args.q} {args.file}",

@@ -248,7 +248,7 @@ def _chain_matrix(text):
     return chain_certificate(G(text)).payload["matrix"]
 
 
-@settings(max_examples=300, deadline=None, derandomize=True)
+@settings(max_examples=200, deadline=None, derandomize=True)
 @given(st.lists(st.integers(0, 1), max_size=10), st.fixed_dictionaries(
     {}, optional={name: _JUNK for name in _INDEX_FIELDS}))
 def test_verifier_never_raises_on_junk_indices(middle, junk):

@@ -94,6 +94,10 @@ def test_tol_only_on_certify(tmp_path, capsys):
     save_matrix(p, gram(construct_library("thm05")))
     code, out, _ = run(capsys, "certify", "010101", "3", str(p), "--tol", "1e-6")
     assert code == 0 and "PASS" in out
+    # spectrum {0^3, 7, 13^2}: a tolerance of 6.5 merges 7 and 13, one of 8 merges all
+    for tol, q in (("6.5", 2), ("8", 1)):
+        code, out, _ = run(capsys, "certify", "010101", "3", str(p), "--tol", tol)
+        assert code == 1 and f"q={q}," in out
 
 
 def test_certify_factor_file(tmp_path, capsys):
