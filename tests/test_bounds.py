@@ -218,14 +218,14 @@ def transfer_cert(**changes):
     ("00100101", transfer_cert(embedding=(0, 1, 2, 3, 4, 5, 6, 8))),  # out of range
     ("00100101", transfer_cert(embedding=(0, 1, 2, 3, 4, 5, 6))),     # too short
     ("00100101", transfer_cert(embedding=(0, 0, 1, 2, 3, 4, 5, 6))),  # not distinct
-    ("00100101", transfer_cert(embedding=(False, True, 2, 3, 4, 5, 6, 7))),  # booleans
-    ("0011", ortho_cert({"matrix": Q2_0011, "achieved": True})),  # a boolean, not an int
     ("00100101", transfer_cert(base=None)),                       # no base
     ("00100101", transfer_cert(base="10x")),                      # unparsable base
     ("00100101", transfer_cert(base=100101)),                     # base not a string
     ("00100101", transfer_cert(base="00100100")),                 # disconnected base
     ("00100101", transfer_cert(matrix=np.eye(7))),                # matrix of another order
     ("00100101", transfer_cert(matrix=np.triu(TRANSFER.payload["matrix"]))),  # not symmetric
+    ("00100101", transfer_cert(embedding=(False, True, 2, 3, 4, 5, 6, 7))),  # booleans
+    ("0011", ortho_cert({"matrix": Q2_0011, "achieved": True})),  # a boolean, not an int
 ])
 def test_upper_forged_certificate_rejected(text, cert):
     assert verify_certificate(G(text), cert) is False
