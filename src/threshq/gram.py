@@ -473,27 +473,26 @@ def _repair_scales(B: np.ndarray) -> np.ndarray:
     T, k = B.shape
     if T <= 1:
         return B
+    off = ~np.eye(T, dtype=bool)
     for a in range(T * (T - 1) // 2 + 1):
         BD = B.copy()
         BD[:, 0] *= math.sqrt(1.0 + a)
         Gd = BD @ BD.T
-        off = np.abs(Gd[~np.eye(T, dtype=bool)])
-        if off.min() > 1e-6 * max(1.0, float(np.abs(Gd).max())):
+        if np.abs(Gd[off]).min() > 1e-6 * max(1.0, float(np.abs(Gd).max())):
             return BD
     raise InfeasibleRepair("no diagonal rescaling repaired the dominating products")
 
 
 def _certificate_factor(B: np.ndarray, G: ThresholdGraph) -> np.ndarray:
+    """The factor M with A = M M^T: the repaired block B on the dominating
+    rows and, on isolated vertex c's row, the tail sqrt(C^2 - |column c|^2)
+    in column c, so every column has norm C^2 = max |column|^2 + 1."""
     BD = _repair_scales(np.asarray(B, dtype=float))
     norms = (BD * BD).sum(axis=0)
-    C2 = float(norms.max()) + 1.0
-    y = np.sqrt(C2 - norms)
-    dom, iso = G.dominating, G.isolated
-    M = np.zeros((G.n, len(iso)))
-    for r, i in enumerate(dom):
-        M[i] = BD[r]
-    for c, i in enumerate(iso):
-        M[i, c] = y[c]
+    dom = np.array(G.creation.bits, dtype=bool)
+    M = np.zeros((G.n, BD.shape[1]))
+    M[dom] = BD
+    M[~dom, np.arange(BD.shape[1])] = np.sqrt(float(norms.max()) + 1.0 - norms)
     return M
 
 

@@ -11,6 +11,7 @@ mutual overlaps live in r < c rows force a rank contradiction).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -74,6 +75,15 @@ class Infeasible:
     rows: tuple[int, ...]
 
 
+def _column_groups(P: SupportPattern) -> list[tuple[int, list[int]]]:
+    """(support size, columns) per group of equal-support columns,
+    smallest support first."""
+    by_size: dict[int, list[int]] = {}
+    for j, a in enumerate(P.suffix_starts()):
+        by_size.setdefault(P.rows - a, []).append(j)
+    return sorted(by_size.items())
+
+
 def decide_column_orthogonal(P: SupportPattern):
     """Decide whether the staircase admits a column-orthogonal completion.
 
@@ -82,10 +92,7 @@ def decide_column_orthogonal(P: SupportPattern):
     of the two is returned for every staircase.
     """
     T = P.rows
-    by_size: dict[int, list[int]] = {}
-    for j, a in enumerate(P.suffix_starts()):
-        by_size.setdefault(T - a, []).append(j)
-    groups = sorted(by_size.items())  # column groups, smallest support first
+    groups = _column_groups(P)
     cum = 0
     for idx, (size, cols) in enumerate(groups):
         cum += len(cols)
@@ -98,57 +105,92 @@ def decide_column_orthogonal(P: SupportPattern):
                 witness_cols.append(groups[idx + 1][1][0])
             rows = tuple(range(T - size, T))
             return Infeasible(tuple(witness_cols), rows)
-    return Feasible(_complete_orthogonal(groups, T))
+    return Feasible(_complete_orthogonal(groups, T)[0])
 
 
 _ENTRY_FLOOR = 1e-3  # smallest support entry a completion column should keep
 _MIX_STEPS = 64
 
 
-def _helmert(W: int, m: int) -> np.ndarray:
-    """Unit reversed Helmert vector h_m of R^W: all ones for m = 1,
-    otherwise -(m-1) on row W-m and 1 on the m-1 rows below it."""
-    h = np.ones(W)
-    if m > 1:
-        h[: W - m] = 0.0
-        h[W - m] = 1.0 - m
-    return h / np.linalg.norm(h)
+def _reflected(H: np.ndarray, group: np.ndarray, rank: np.ndarray, a: int) -> np.ndarray:
+    """H with each column group mixed by its reflection I - 2uu^T/u^Tu,
+    u = rank + a over the group's columns: H - H P in one product, with P
+    block diagonal, 2uu^T/u^Tu on each group."""
+    u = rank + a
+    P = np.outer(u, 2 * u / np.bincount(group, u * u)[group])
+    P *= group[:, None] == group
+    return H - H @ P
 
 
-def _mix(H: np.ndarray, m: int) -> np.ndarray:
-    """H's columns mixed by the reflection I - 2uu^T/u^Tu, u = (1..c) + a,
-    for the first a = 1, 2, ... whose entries on the last m rows clear the
-    floor (else the a whose smallest such entry is largest).  The
-    reflection has no zero entry, so every column keeps a share of h_m."""
-    best, best_low = H, -1.0
-    for a in range(1, _MIX_STEPS + 1):
-        u = np.arange(1.0, H.shape[1] + 1) + a
-        V = H - np.outer(H @ u, 2 * u / (u @ u))
-        low = float(np.abs(V[-m:]).min())
-        if low > best_low:
-            best, best_low = V, low
-        if low > _ENTRY_FLOOR:
-            break
-    return best
+def _group_lows(V: np.ndarray, on: np.ndarray, starts: np.ndarray) -> np.ndarray:
+    """Per group, the smallest |entry| of its columns on their support
+    rows `on` (the last m rows for a group of support size m)."""
+    return np.minimum.reduceat(np.where(on, np.abs(V), np.inf).min(axis=0), starts)
 
 
-def _complete_orthogonal(groups: list[tuple[int, list[int]]], T: int) -> np.ndarray:
-    """Column-orthogonal completion from the reversed Helmert basis of the
-    widest support's W rows, whose h_m (m >= 2) live on exactly the last m.
-    A group of c columns of support size m takes h_m and the c-1 largest
-    unused smaller indices (h_1 only when m = W): the counting criterion
-    is exactly the condition that they exist, so every staircase that
-    passes it is completed.  No index is shared between groups."""
-    W = groups[-1][0] if groups else 0
-    B = np.zeros((T, sum(len(cols) for _, cols in groups)))
+def _complete_orthogonal(groups: list[tuple[int, list[int]]], T: int) -> tuple[np.ndarray, np.ndarray]:
+    """Column-orthogonal completion B and the reflection offset a chosen
+    per group.
+
+    B comes from the reversed Helmert basis of the widest support's W
+    rows: h_1 is 1/sqrt(W) on every row, and h_p (p >= 2) is 1 - p on row
+    W - p and 1 on the p - 1 rows below it, over sqrt(p(p - 1)), so it
+    lives on exactly the last p rows.  A group of c columns of support size
+    m takes h_m and the c-1 largest unused smaller indices (h_1 only when
+    m = W): the counting criterion is exactly the condition that they
+    exist, so every staircase that passes it is completed.  No index is
+    shared between groups.  The picks form one closed-form W x k block.
+
+    Every group is mixed at a = 1 by one block-diagonal reflection
+    product; the groups whose smallest support entry is still under the
+    floor go on to a = 2, 3, ... together, each keeping the first a that
+    clears the floor, else the a whose smallest such entry is largest (the
+    first of equals).  The reflection has no zero entry, so every column
+    keeps a share of its h_m."""
+    k = sum(len(cols) for _, cols in groups)
+    B = np.zeros((T, k))
+    if not groups:
+        return B, np.zeros(0, dtype=int)
+    W = groups[-1][0]
     used: set[int] = set()
+    order, picks, sizes = [], [], []
     for m, cols in groups:
         lowest = 1 if m == W else 2
-        picks = [m] + [i for i in range(m - 1, lowest - 1, -1) if i not in used][: len(cols) - 1]
-        used.update(picks)
-        H = np.stack([_helmert(W, i) for i in picks], axis=1)
-        B[T - W:, cols] = _mix(H, m)
-    return B
+        mine = [m] + [i for i in range(m - 1, lowest - 1, -1) if i not in used][: len(cols) - 1]
+        used.update(mine)
+        order += cols
+        picks += mine
+        sizes.append(len(cols))
+    # h_1's top row is row 0, where the head value 1.0 keeps it all ones
+    tops = [W - p if p > 1 else 0 for p in picks]
+    rows = np.arange(W)[:, None]
+    H = (rows >= tops).astype(float)
+    H[tops, np.arange(k)] = [1.0 - p if p > 1 else 1.0 for p in picks]
+    H /= [math.sqrt(p * (p - 1) if p > 1 else W) for p in picks]
+    sizes = np.array(sizes)
+    starts = np.cumsum(sizes) - sizes
+    group = np.repeat(np.arange(len(groups)), sizes)
+    rank = np.arange(1.0, k + 1) - starts[group]
+    on = rows >= np.repeat([W - m for m, _ in groups], sizes)
+
+    V = _reflected(H, group, rank, 1)
+    low = _group_lows(V, on, starts)
+    chosen = np.ones(len(groups), dtype=int)
+    pending = np.flatnonzero(low <= _ENTRY_FLOOR)
+    for a in range(2, _MIX_STEPS + 1):
+        if not pending.size:
+            break
+        idx = np.flatnonzero(np.isin(group, pending))
+        Va = _reflected(H[:, idx], group[idx], rank[idx], a)
+        la = _group_lows(Va, on[:, idx], np.cumsum(sizes[pending]) - sizes[pending])
+        better = la > low[pending]
+        take = np.isin(group[idx], pending[better])
+        V[:, idx[take]] = Va[:, take]
+        low[pending[better]] = la[better]
+        chosen[pending[better]] = a
+        pending = pending[la <= _ENTRY_FLOOR]
+    B[T - W:, order] = V
+    return B, chosen
 
 
 def verify_feasible(P: SupportPattern, B: np.ndarray, tol: float = 1e-9) -> bool:

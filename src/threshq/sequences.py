@@ -193,12 +193,11 @@ class ThresholdGraph:
 
 
 def _adjacency_from_bits(bits: tuple[int, ...]) -> np.ndarray:
-    n = len(bits)
-    A = np.zeros((n, n), dtype=bool)
-    for j, b in enumerate(bits):
-        if b == 1:
-            A[j, :j] = True
-            A[:j, j] = True
+    """A[i, j] = bits[max(i, j)] off the diagonal: the later of two
+    vertices is adjacent to the earlier one exactly when it is dominating."""
+    v = np.arange(len(bits))
+    A = np.array(bits, dtype=bool)[np.maximum.outer(v, v)]
+    np.fill_diagonal(A, False)
     A.setflags(write=False)
     return A
 

@@ -43,7 +43,7 @@ def check_symmetric(A: np.ndarray) -> None:
     peak = float(np.abs(A).max()) if A.size else 0.0
     if not peak < math.inf:
         raise NoConvergence("matrix has an entry that is not finite")
-    if float(np.abs(A - A.T).max()) > SYM_TOL * max(1.0, peak):
+    if A.size and float(np.abs(A - A.T).max()) > SYM_TOL * max(1.0, peak):
         raise DimensionMismatch("matrix is not symmetric")
 
 

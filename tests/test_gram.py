@@ -457,6 +457,57 @@ def test_orthogonal_certificate_rejects_bad_block():
         orthogonal_certificate(np.array([[1.0, 1.0]]), G)  # cannot be orthogonal
 
 
+def _factor_by_rows(B, G):
+    """The row-by-row placement, kept as the reference for
+    _certificate_factor: repaired block rows on the dominating vertices,
+    one equalizing tail per isolated vertex."""
+    from threshq.gram import _repair_scales
+
+    BD = _repair_scales(np.asarray(B, dtype=float))
+    norms = (BD * BD).sum(axis=0)
+    y = np.sqrt(float(norms.max()) + 1.0 - norms)
+    M = np.zeros((G.n, len(G.isolated)))
+    for r, i in enumerate(G.dominating):
+        M[i] = BD[r]
+    for c, i in enumerate(G.isolated):
+        M[i, c] = y[c]
+    return M
+
+
+def test_certificate_factor_matches_the_row_loop():
+    # on every gate-feasible connected sequence with n <= 12 the
+    # index-array placement gives the row loop's M bit for bit
+    from threshq.bounds import ortho_gate
+    from threshq.gram import _certificate_factor
+    from threshq.orthosearch import Feasible
+    from threshq.sequences import enumerate_connected
+
+    seen = 0
+    for seq in (seq for n in range(2, 13) for seq in enumerate_connected(n)):
+        G = graph_from_text(seq.text)
+        out = ortho_gate(G)
+        if isinstance(out, Feasible):
+            M = _certificate_factor(out.matrix, G)
+            assert M.shape == (G.n, len(G.isolated)), seq.text
+            assert np.array_equal(M, _factor_by_rows(out.matrix, G)), seq.text
+            seen += 1
+    assert seen > 400, seen
+    # the block is still checked before it is placed: a zero inside the
+    # staircase, an entry outside it, a lost orthogonality or a wrong shape
+    # is refused
+    G = graph_from_text("001011")
+    B = ortho_gate(G).matrix
+    assert not B[0, 2] and B[2, 0]
+    zero_in, entry_out, skew = B.copy(), B.copy(), B.copy()
+    zero_in[2, 0] = 0.0
+    entry_out[0, 2] = 0.5
+    skew[:, 1] += 0.1 * skew[:, 0]
+    for bad in (zero_in, entry_out, skew, np.vstack([B, B[:1]]), B[:, :2]):
+        with pytest.raises(BadParams):
+            orthogonal_certificate(bad, G)
+    assert q_of_matrix(orthogonal_certificate(B, G)) == 2
+
+
 def test_repair_scales_fixes_pairs_blind_to_graded_scales():
     from threshq.gram import _repair_scales
 

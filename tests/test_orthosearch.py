@@ -3,6 +3,8 @@ import pytest
 
 from threshq.gram import construct_library, dup_realization, gram
 from threshq.orthosearch import (
+    _ENTRY_FLOOR,
+    _MIX_STEPS,
     Feasible,
     Infeasible,
     SupportPattern,
@@ -13,6 +15,7 @@ from threshq.orthosearch import (
     verify_feasible,
     verify_infeasible,
 )
+from threshq.orthosearch import _column_groups, _complete_orthogonal
 from threshq.sequences import block_form, enumerate_connected, graph_from_text
 from threshq.spectra import cluster_spectrum, eigen_sym, in_pattern
 
@@ -145,6 +148,89 @@ def test_staircase_structure_enforced():
 @pytest.mark.parametrize("n", range(9, 17))
 def test_gate_completions_scale_to_larger_orders(n):
     check_gate_is_total(n)
+
+
+def _helmert(W, m):
+    """Unit reversed Helmert vector h_m of R^W: all ones for m = 1,
+    otherwise -(m-1) on row W-m and 1 on the m-1 rows below it."""
+    h = np.ones(W)
+    if m > 1:
+        h[: W - m] = 0.0
+        h[W - m] = 1.0 - m
+    return h / np.linalg.norm(h)
+
+
+def _mix(H, m):
+    """H's columns mixed by the reflection with u = (1..c) + a, for the
+    first a that clears the floor on the last m rows, else the best a;
+    returns the mixed block and its a."""
+    best, best_low, best_a = H, -1.0, 0
+    for a in range(1, _MIX_STEPS + 1):
+        u = np.arange(1.0, H.shape[1] + 1) + a
+        V = H - np.outer(H @ u, 2 * u / (u @ u))
+        low = float(np.abs(V[-m:]).min())
+        if low > best_low:
+            best, best_low, best_a = V, low, a
+        if low > _ENTRY_FLOOR:
+            break
+    return best, best_a
+
+
+def _complete_orthogonal_by_groups(groups, T):
+    """The group-by-group completion (one Helmert stack and one _mix per
+    group), kept as the reference; returns B and the a chosen per group."""
+    W = groups[-1][0] if groups else 0
+    B = np.zeros((T, sum(len(cols) for _, cols in groups)))
+    used, chosen = set(), []
+    for m, cols in groups:
+        lowest = 1 if m == W else 2
+        picks = [m] + [i for i in range(m - 1, lowest - 1, -1) if i not in used][: len(cols) - 1]
+        used.update(picks)
+        H = np.stack([_helmert(W, i) for i in picks], axis=1)
+        B[T - W:, cols], a = _mix(H, m)
+        chosen.append(a)
+    return B, chosen
+
+
+def _feasible_patterns():
+    """Every gate-feasible connected sequence with n <= 13, seeded random
+    feasible ones with n = 16..256, and the large equal-support groups
+    0^32 1^32 and 0^64 1^64, whose mix falls back to the best a."""
+    texts = [seq.text for n in range(2, 14) for seq in enumerate_connected(n)]
+    gen = np.random.default_rng(15)
+    for n in (16, 24, 32, 48, 64, 96, 128, 192, 256):
+        for p_one in (0.6, 0.7, 0.8):
+            texts += ["0" + "".join(np.where(gen.random(n - 2) < p_one, "1", "0")) + "1"
+                      for _ in range(6)]
+    texts += ["0" * 32 + "1" * 32, "0" * 64 + "1" * 64]
+    for text in texts:
+        P = SupportPattern.from_graph(graph_from_text(text))
+        if isinstance(decide_column_orthogonal(P), Feasible):
+            yield text, P
+
+
+def test_completion_matches_the_group_loop():
+    # the block-diagonal completion picks the same a per group as the
+    # group-by-group loop and agrees with it entry by entry
+    seen, advanced, lows = 0, 0, {}
+    for text, P in _feasible_patterns():
+        groups = _column_groups(P)
+        want, want_a = _complete_orthogonal_by_groups(groups, P.rows)
+        B, chosen = _complete_orthogonal(groups, P.rows)
+        assert np.array_equal(np.abs(B) > 1e-12, P.support), text
+        assert verify_feasible(P, B), text
+        assert chosen.tolist() == want_a, text
+        assert np.abs(B - want).max(initial=0.0) <= 1e-12, text
+        assert np.array_equal(decide_column_orthogonal(P).matrix, B), text
+        seen += 1
+        advanced += max(want_a) > 1
+        lows[text] = float(np.abs(B[P.support]).min())
+    # the a-search runs on more than 20 inputs, some with several groups
+    # pending at once
+    assert seen > 1000 and advanced > 20, (seen, advanced)
+    # the mix floor at the large equal-support groups stays where it was
+    assert round(lows["0" * 32 + "1" * 32], 5) == 6.9e-4
+    assert round(lows["0" * 64 + "1" * 64], 5) == 1.2e-4
 
 
 def _verify_infeasible_by_pairs(P, w):

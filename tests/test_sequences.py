@@ -22,6 +22,7 @@ from threshq.sequences import (
     to_edge_list,
     unique_path_bound,
 )
+from threshq.sequences import _adjacency_from_bits
 
 
 def nx_graph(G):
@@ -275,3 +276,33 @@ def test_unique_path_closed_form_disconnected():
 def test_edge_list_export():
     text = to_edge_list(graph_from_text("001"))
     assert text == "1 3\n2 3\n"
+
+
+def _adjacency_by_rows(bits):
+    """The row-by-row construction, kept as the reference: each dominating
+    vertex j is joined to every vertex before it."""
+    n = len(bits)
+    A = np.zeros((n, n), dtype=bool)
+    for j, b in enumerate(bits):
+        if b == 1:
+            A[j, :j] = True
+            A[:j, j] = True
+    return A
+
+
+def test_adjacency_matches_the_row_loop():
+    # every 0/1 sequence with n <= 12, connected or not (and with a leading
+    # 1, which the helper does not reject), then seeded random ones up to
+    # n = 256; the result is read-only
+    gen = np.random.default_rng(16)
+    cases = [tuple((x >> i) & 1 for i in range(n)) for n in range(1, 13) for x in range(2 ** n)]
+    cases += [tuple(gen.integers(0, 2, n).tolist()) for n in (16, 31, 64, 100, 128, 255, 256)
+              for _ in range(4)]
+    for bits in cases:
+        A = _adjacency_from_bits(bits)
+        assert A.dtype == bool and not A.flags.writeable, bits
+        assert np.array_equal(A, _adjacency_by_rows(bits)), bits
+    for bits in cases:
+        if bits[0] == 0:
+            assert np.array_equal(build_graph(CreationSequence(bits)).adjacency,
+                                  _adjacency_by_rows(bits)), bits

@@ -76,6 +76,24 @@ def test_symmetry_check_rejects_an_asymmetric_non_finite_entry(bad):
             check(A)
 
 
+def test_empty_matrix_has_no_eigenvalues():
+    # a 0 x 0 matrix is square and symmetric: no eigenvalues, q = 0, as for
+    # an empty spectrum
+    E = np.zeros((0, 0))
+    check_symmetric(E)
+    assert eigen_sym(E).shape == (0,)
+    w, V = eigen_sym_vectors(E)
+    assert w.shape == (0,) and V.shape == (0, 0)
+    assert q_of_matrix(E) == q_of_spectrum([]) == 0
+
+
+@pytest.mark.parametrize("shape", [(0, 1), (1, 0), (0, 3)])
+def test_empty_non_square_matrix_is_rejected(shape):
+    for check in (check_symmetric, eigen_sym, eigen_sym_vectors, q_of_matrix):
+        with pytest.raises(DimensionMismatch):
+            check(np.zeros(shape))
+
+
 @pytest.mark.parametrize("n", [2, 5, 10, 24])
 def test_eigensolver_contract(n):
     # residual and orthogonality bounds stated by the interface
