@@ -486,7 +486,7 @@ def _repair_scales(B: np.ndarray) -> np.ndarray:
 def _certificate_factor(B: np.ndarray, G: ThresholdGraph) -> np.ndarray:
     """The factor M with A = M M^T: the repaired block B on the dominating
     rows and, on isolated vertex c's row, the tail sqrt(C^2 - |column c|^2)
-    in column c, so every column has norm C^2 = max |column|^2 + 1."""
+    in column c, so every column has squared norm C^2 = max |column|^2 + 1."""
     BD = _repair_scales(np.asarray(B, dtype=float))
     norms = (BD * BD).sum(axis=0)
     dom = np.array(G.creation.bits, dtype=bool)

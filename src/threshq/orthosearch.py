@@ -128,7 +128,8 @@ def _group_lows(V: np.ndarray, on: np.ndarray, starts: np.ndarray) -> np.ndarray
     return np.minimum.reduceat(np.where(on, np.abs(V), np.inf).min(axis=0), starts)
 
 
-def _complete_orthogonal(groups: list[tuple[int, list[int]]], T: int) -> tuple[np.ndarray, np.ndarray]:
+def _complete_orthogonal(groups: list[tuple[int, list[int]]],
+                         T: int) -> tuple[np.ndarray, np.ndarray]:
     """Column-orthogonal completion B and the reflection offset a chosen
     per group.
 

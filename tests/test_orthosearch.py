@@ -212,7 +212,7 @@ def _feasible_patterns():
 def test_completion_matches_the_group_loop():
     # the block-diagonal completion picks the same a per group as the
     # group-by-group loop and agrees with it entry by entry
-    seen, advanced, lows = 0, 0, {}
+    seen, advanced, together, lows = 0, 0, 0, {}
     for text, P in _feasible_patterns():
         groups = _column_groups(P)
         want, want_a = _complete_orthogonal_by_groups(groups, P.rows)
@@ -224,10 +224,11 @@ def test_completion_matches_the_group_loop():
         assert np.array_equal(decide_column_orthogonal(P).matrix, B), text
         seen += 1
         advanced += max(want_a) > 1
+        together += sum(a > 1 for a in want_a) > 1
         lows[text] = float(np.abs(B[P.support]).min())
     # the a-search runs on more than 20 inputs, some with several groups
     # pending at once
-    assert seen > 1000 and advanced > 20, (seen, advanced)
+    assert seen > 1000 and advanced > 20 and together > 2, (seen, advanced, together)
     # the mix floor at the large equal-support groups stays where it was
     assert round(lows["0" * 32 + "1" * 32], 5) == 6.9e-4
     assert round(lows["0" * 64 + "1" * 64], 5) == 1.2e-4
