@@ -5,13 +5,15 @@ paths, the trace bound, the column-counting bound, the full
 column-orthogonality gate (an exact characterization of q = 2), and a cited
 exact value for a trace-two family.  The upper side is one certificate:
 the two-eigenvalue completion the gate finds, else a spectral-transfer
-citation, else a duplication chain from a catalog seed.  Joined
-duplication keeps q, so G grows from its own form and from its leading
-merge (`_sources`), and both the chain planner and the transfer reach read
-that one rule.  The paper's general floor((s+9)/2) bound, `ub_section12`,
-is certified on demand; it never beats the chain, so the classifier does
-not build it.  Every certificate re-verifies independently of the search
-that found it.
+citation, else a duplication chain.  Joined duplication keeps q, so G
+grows from its own form and from its leading merge (`_sources`), and both
+the chain planner and the transfer reach read that one rule.  Each source
+takes the first seed that `_grow` fits from one q-ordered table per block
+count s (`_seed_table`: the star, else the alternating seed thm00(s) and
+the catalog), else the paired-column seed.  The paper's general
+floor((s+9)/2) bound, `ub_section12`, is certified on demand; it never
+beats the chain, so the classifier does not build it.  Every certificate
+re-verifies independently of the search that found it.
 """
 
 from __future__ import annotations
@@ -219,12 +221,12 @@ class ChainPlan:
     jdup_steps: tuple[int, ...]
 
 
-# The fixed catalog seeds for block forms with a zero-run longer than 1, by
-# block count s, in the order the planner tries them; built once at import.
+# The fixed catalog seeds that follow thm00(s) in `_seed_table`, by block
+# count s, in q order, as its entries; built once at import.
 _CATALOG_SEEDS = {
-    2: tuple(gramlib.construct_library(cid, **params) for cid, params in
-             (("thm061", {}), ("thm01", {}), ("thm00", {"t": 2}), ("thm10", {}))),
-    3: tuple(gramlib.construct_library(cid) for cid in ("thm05", "thm06", "qlt4")),
+    s: tuple((f.target.block_form.blocks, f.dup_slots, len(f.expected_spectrum), lambda f=f: f)
+             for f in map(gramlib.construct_library, cids))
+    for s, cids in ((2, ("thm061", "thm01", "thm10")), (3, ("thm05", "thm06", "qlt4")))
 }
 
 
@@ -250,13 +252,6 @@ def _grow(have: tuple, dup_slots, bf) -> tuple[tuple, tuple] | None:
         jdup += [start + k0] * (t - t0)
         start += k0 + t0
     return tuple(dup), tuple(jdup)
-
-
-def _fit(seed: gramlib.GramFactor, bf) -> ChainPlan | None:
-    """The plan growing seed to block form bf, or None when seed does not
-    fit (see `_grow`)."""
-    steps = _grow(seed.target.block_form.blocks, seed.dup_slots, bf)
-    return None if steps is None else ChainPlan(seed, *steps)
 
 
 def _sources(bf) -> tuple[tuple[BlockForm, int], ...]:
@@ -288,28 +283,42 @@ def _section12_m(bf) -> int | None:
 
 def _section12_plan(bf) -> ChainPlan | None:
     """The paired-column plan, or None when bf has no paired-column seed
-    (see `_section12_m`)."""
-    m = _section12_m(bf)
-    return None if m is None else _fit(gramlib.section12_factor(bf.s, m), bf)
+    (see `_section12_m`); that seed always fits."""
+    if (m := _section12_m(bf)) is None:
+        return None
+    seed = gramlib.section12_factor(bf.s, m)
+    return ChainPlan(seed, *_grow(seed.target.block_form.blocks, seed.dup_slots, bf))
 
 
-def _prebuilt_plan(bf) -> ChainPlan | None:
-    """The plan of the first prebuilt seed that fits bf: the star for
-    s = 1, the alternating seed when every zero-run has length 1, else the
-    first catalog seed with bf's s that fits; None when bf falls to the
-    paired-column seed."""
-    if bf.s == 1:
-        return _fit(gramlib.construct_library("star", k=bf.ks[0]), bf)
-    if all(k == 1 for k in bf.ks):
-        return _fit(gramlib.construct_library("thm00", t=bf.s), bf)
-    fits = (_fit(seed, bf) for seed in _CATALOG_SEEDS.get(bf.s, ()))
-    return next(filter(None, fits), None)
+def _seed_table(bf) -> tuple:
+    """The prebuilt seeds with bf's s, in q order, as (blocks, dup_slots,
+    q, build) entries, so a seed's fit and q are read before build() makes
+    it: the star for s = 1; otherwise the alternating seed thm00(s), blocks
+    (0,1)^s, q = 3 and one dup slot, vertex 0 with diagonal s^2 - s + 1,
+    then `_CATALOG_SEEDS[s]`.  Every entry has q <= 4 and every
+    paired-column seed q >= 4, so the first entry that fits bf is its
+    least-q seed."""
+    s, k = bf.s, bf.ks[0]
+    if s == 1:
+        return ((((k, 1),), (), min(k + 1, 3), lambda: gramlib.construct_library("star", k=k)),)
+    return ((((1, 1),) * s, ((0, float(s * s - s + 1)),), 3,
+             lambda: gramlib.construct_library("thm00", t=s)), *_CATALOG_SEEDS.get(s, ()))
+
+
+def _first_fit(bf) -> tuple:
+    """(q, plan) for bf's first fitting seed, where plan() builds the seed
+    and its plan: the first `_seed_table` entry that `_grow` fits to bf,
+    else the paired-column plan, whose q is None here (see
+    `_chain_plan`)."""
+    for blocks, dup_slots, q, build in _seed_table(bf):
+        if (steps := _grow(blocks, dup_slots, bf)) is not None:
+            return q, lambda: ChainPlan(build(), *steps)
+    return None, lambda: _section12_plan(bf)
 
 
 def _seed_plan(bf) -> ChainPlan:
-    """The plan of the first seed that fits bf: a prebuilt seed, else the
-    paired-column plan."""
-    return _prebuilt_plan(bf) or _section12_plan(bf)
+    """The plan of the first seed that fits bf."""
+    return _first_fit(bf)[1]()
 
 
 def _joined(plan: ChainPlan, t: int) -> ChainPlan:
@@ -322,20 +331,18 @@ def _chain_plan(bf) -> ChainPlan:
     """The duplication chain's plan: the source whose first fitting seed
     has the smallest q, G's own form on a tie, carried to G.  Every step
     keeps q, so the seed's q is the chain's.  Sources are compared before
-    any paired-column seed is built: a prebuilt seed's q is the length of
-    its expected_spectrum, a paired-column seed's is `section12_q`, read off
-    its cogram.  Only the chosen source's paired-column seed is built."""
-    sources = _sources(bf)
-    if len(sources) == 1:
-        return _seed_plan(bf)
+    any seed is built: a seed-table entry carries its q, and a
+    paired-column seed's is `section12_q`, read off its cogram, and only
+    when there are two sources to compare.  Only the chosen source's seed
+    is built."""
+    fits = [(_first_fit(src), src, t) for src, t in _sources(bf)]
 
     def seed_q(candidate):
-        plan, src, _ = candidate
-        return (len(plan.seed.expected_spectrum) if plan
-                else gramlib.section12_q(src.s, _section12_m(src)))
+        (q, _), src, _ = candidate
+        return gramlib.section12_q(src.s, _section12_m(src)) if q is None else q
 
-    plan, src, t = min(((_prebuilt_plan(src), src, t) for src, t in sources), key=seed_q)
-    return _joined(plan or _section12_plan(src), t)
+    (_, plan), _, t = fits[0] if len(fits) == 1 else min(fits, key=seed_q)
+    return _joined(plan(), t)
 
 
 def _chain_steps(plan: ChainPlan) -> tuple[str, ...]:
@@ -402,9 +409,11 @@ def _chain_cert(G: ThresholdGraph, plan: ChainPlan, what: str) -> Certificate:
 
 def chain_certificate(G: ThresholdGraph) -> Certificate:
     """Upper bound from the duplication chain: the first fitting seed of G's
-    own form or of its leading merge, whichever has the smaller q.  The
-    chain lands in G's creation order by construction; it is checked once,
-    for pattern and spectrum."""
+    own form or of its leading merge, whichever has the smaller q, where a
+    source's first fitting seed is the first entry of its q-ordered
+    `_seed_table` that fits it, else its paired-column seed.  The chain
+    lands in G's creation order by construction; it is checked once, for
+    pattern and spectrum."""
     return _chain_cert(G, _chain_plan(G.block_form), "chain")
 
 
@@ -468,11 +477,12 @@ def ub_section12(G: ThresholdGraph) -> tuple[int, Certificate]:
 
     For block forms with a zero-run of length >= 2 the certificate matrix is
     the paired-column chain, checked once like any chain; otherwise the
-    alternating or complete-split chain (q <= 3) witnesses it a fortiori.
-    The kind is the chain's own.  classify_q does not call this: its chain
-    is a catalog seed with q <= 4 or a paired-column chain of G or of its
-    leading merge, whose s is one less, so it is never above this bound,
-    which is at least 5, and the bound never sets the upper side.
+    first seed-table chain, alternating or complete-split (q <= 3),
+    witnesses it a fortiori.  The kind is the chain's own.  classify_q does
+    not call this: its chain grows a seed-table seed with q <= 4 or a
+    paired-column seed of G or of its leading merge, whose s is one less,
+    so it is never above this bound, which is at least 5, and the bound
+    never sets the upper side.
     """
     bf = G.block_form
     bound = (bf.s + 9) // 2

@@ -109,10 +109,14 @@ def default_cluster_tol(eigs: np.ndarray) -> float:
 def _gap_rule(eigs, tol: float | None):
     """The greedy gap rule's inputs: eigs sorted (so every reading is
     order-independent), tol (default_cluster_tol when None) and the mask of
-    sorted gaps above tol, where a new group starts."""
+    sorted gaps above tol, where a new group starts.  A given tol must be
+    finite and >= 0, else ValueError: a NaN or infinite one would merge
+    every eigenvalue into one group."""
     eigs = np.sort(np.asarray(eigs, dtype=float).ravel())
     if tol is None:
         tol = default_cluster_tol(eigs)
+    elif not (math.isfinite(tol) and tol >= 0):
+        raise ValueError(f"clustering tolerance must be finite and >= 0, got {tol}")
     return eigs, tol, np.diff(eigs) > tol
 
 

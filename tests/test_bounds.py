@@ -44,9 +44,11 @@ from threshq.gram import (
     gram,
     jdup_realization,
     section12_factor,
+    section12_q,
 )
 from threshq.orthosearch import Feasible, Infeasible
 from threshq.sequences import (
+    BlockForm,
     CreationSequence,
     NotThreshold,
     block_form,
@@ -408,6 +410,9 @@ def test_every_catalog_entry_seeds_the_classifier():
     ("0101010001", ("seed:ub_case1{'s': 4, 'm': 4, 'p1': 3, 'p2': 0}", "dup(6,1)")),
     ("0001", ("seed:star{'k': 3}",)),
     ("000111", ("seed:star{'k': 3}", "jdup(3)", "jdup(3)")),
+    # zero-runs of length 1 after a longer first one: thm00(s) grows at vertex 0
+    ("0001010101", ("seed:thm00{'t': 4}", "dup(0,13)", "dup(0,13)")),
+    ("0010101010101", ("seed:thm00{'t': 6}", "dup(0,31)")),
 ])
 def test_chain_plan_takes_the_first_fitting_seed(text, steps):
     # each source form's plan is its first fitting seed
@@ -431,6 +436,49 @@ def test_chain_plan_keeps_the_source_with_the_smaller_q(text, steps):
     assert _chain_steps(merge)[-1] == "jdup(0)"
     assert len(_chain_plan(bf).seed.expected_spectrum) == min(
         len(own.seed.expected_spectrum), len(merge.seed.expected_spectrum))
+
+
+def test_seed_table_is_in_q_order():
+    # the first fitting entry is the least-q fitting seed: within each s the
+    # prebuilt seeds' q never decreases and never exceeds 4, and every
+    # paired-column seed, always last, has q >= 4; each entry's form, dup
+    # slots and q, read before its seed is built, are the built seed's
+    forms = [BlockForm(((k, 1),)) for k in (1, 2, 3)]  # the star's table reads k
+    forms += [BlockForm(((1, 1),) * s) for s in range(2, 9)]
+    for bf in forms:
+        qs = []
+        for blocks, dup_slots, q, build in bounds._seed_table(bf):
+            seed = build()
+            assert blocks == seed.target.block_form.blocks, bf.blocks
+            assert dup_slots == seed.dup_slots, bf.blocks
+            assert q == len(seed.expected_spectrum) == q_of_matrix(gram(seed)), bf.blocks
+            qs.append(q)
+        assert qs == sorted(qs) and max(qs) <= 4, (bf.blocks, qs)
+    for s in range(2, 41):
+        assert min(section12_q(s, m) for m in range(1, s + 1)) >= 4, s
+
+
+def _alternating_after_the_first_run(ks):
+    """Every zero-run after the first has length 1."""
+    return all(k == 1 for k in ks[1:])
+
+
+def test_alternating_seed_closes_every_form_it_fits():
+    # thm00(s) grows at vertex 0, so every form whose zero-runs after the
+    # first have length 1, directly or after the leading merge (0^(1+k), ...),
+    # gets a verified upper side of at most 3
+    checked = 0
+    for n in range(2, 14):
+        for seq in enumerate_connected(n):
+            ks = block_form(seq).ks
+            merged = len(ks) >= 2 and ks[0] == 1 and _alternating_after_the_first_run(ks[1:])
+            if not (_alternating_after_the_first_run(ks) or merged):
+                continue
+            g = build_graph(seq)
+            qb = classify_q(g)
+            assert qb.upper <= 3 and verify_qbound(g, qb), (seq.text, str(qb))
+            checked += 1
+    assert checked > 1000
 
 
 def test_chain_certificates_match_expected_values():
@@ -817,7 +865,8 @@ def test_first_parity_ordered_seed_always_fits():
                 assert _section12_plan(bf) is None, seq.text
                 continue
             first = min(ms, key=lambda m: ((m - 1) % 2 + (bf.s - m) % 2, m))
-            assert bounds._fit(section12_factor(bf.s, first), bf) is not None, seq.text
+            seed = section12_factor(bf.s, first)
+            assert bounds._grow(seed.target.block_form.blocks, seed.dup_slots, bf) is not None, seq.text
             assert _section12_plan(bf).seed.params["m"] == first, seq.text
             checked += 1
     assert checked > 7000
@@ -825,38 +874,48 @@ def test_first_parity_ordered_seed_always_fits():
 
 def test_classify_builds_each_paired_column_seed_once(monkeypatch):
     # one classify_q plans once: the sources are compared by seed q before
-    # any paired-column seed is assembled, so the only factor assembled is
-    # the realized chain's seed, and no chain step goes through the
-    # copying public step functions
-    built, realized = [], []
+    # any seed is built, so the only factor built, a paired-column seed or a
+    # seed-table one (the star, thm00), is the realized chain's seed, and no
+    # chain step goes through the copying public step functions
+    built, realized, seeds, realized_seeds = [], [], [], []
 
     def building(s, m):
         built.append((s, m))
-        return section12_factor(s, m)
+        seeds.append(section12_factor(s, m))
+        return seeds[-1]
+
+    def constructing(construction_id, **params):
+        seeds.append(construct_library(construction_id, **params))
+        return seeds[-1]
 
     def realizing(plan):
         realized.append(plan.seed.params)
+        realized_seeds.append(plan.seed)
         return run_chain(plan)
 
     def copying(*args, **kwargs):
         raise AssertionError("a chain step copied the whole matrix")
 
     monkeypatch.setattr(bounds.gramlib, "section12_factor", building)
+    monkeypatch.setattr(bounds.gramlib, "construct_library", constructing)
     monkeypatch.setattr(bounds, "run_chain", realizing)
     monkeypatch.setattr(bounds.gramlib, "dup_realization", copying)
     monkeypatch.setattr(bounds.gramlib, "jdup_realization", copying)
     seqs = [seq for n in range(2, 12) for seq in enumerate_connected(n)]
     seqs.append(G("0100010001100011000111000111").creation)  # `long`-shaped, s = 6
-    total = 0
+    total = constructed = 0
     for seq in seqs:
-        built.clear()
-        realized.clear()
+        for trace in (built, realized, seeds, realized_seeds):
+            trace.clear()
         classify_q(build_graph(seq))
         assert built == [(p["s"], p["m"]) for p in realized if "m" in p], (seq.text, built)
+        assert all(any(f is r for r in realized_seeds) for f in seeds), (seq.text, seeds)
+        assert len(seeds) <= len(realized_seeds) <= 1, seq.text
         total += len(built)
+        constructed += len(seeds) - len(built)
     # the leading merge's seed wins at q = 5 over G's own (6, 2) at q = 7
     assert built == [(5, 1)]
-    assert total
+    assert total and constructed
 
 
 @pytest.mark.parametrize("n", [128, 256])

@@ -100,6 +100,16 @@ def test_tol_only_on_certify(tmp_path, capsys):
         assert code == 1 and f"q={q}," in out
 
 
+@pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
+def test_certify_rejects_a_bad_tolerance(tmp_path, capsys, tol):
+    # [[1, 1], [1, 3]] has two distinct eigenvalues, 2 -+ sqrt(2); a NaN or
+    # infinite tolerance would merge them and certify q = 1
+    p = tmp_path / "two.mat"
+    save_matrix(p, np.array([[1.0, 1.0], [1.0, 3.0]]))
+    code, out, err = run(capsys, "certify", "01", "1", str(p), "--tol", tol)
+    assert code == 2 and out == "" and "tolerance" in err
+
+
 def test_certify_factor_file(tmp_path, capsys):
     from threshq.spectra import save_factor
 

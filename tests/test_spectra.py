@@ -222,6 +222,17 @@ def test_cluster_of_an_empty_spectrum():
     assert q_of_spectrum([4.0]) == 1
 
 
+@pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf, -1.0])
+def test_bad_tolerance_is_rejected(tol):
+    # a NaN or infinite tolerance would put 2 -+ sqrt(2) in one group
+    eigs = np.array([2 - math.sqrt(2), 2 + math.sqrt(2)])
+    with pytest.raises(ValueError, match="tolerance"):
+        q_of_spectrum(eigs, tol)
+    with pytest.raises(ValueError, match="tolerance"):
+        cluster_spectrum(eigs, tol)
+    assert q_of_spectrum(eigs, 0.0) == cluster_spectrum(eigs, 0.0).q == 2
+
+
 # ---------------------------------------------------------------- patterns
 
 
