@@ -1,9 +1,13 @@
 """Certified lower/upper bounds and exact values of q(G) for threshold graphs.
 
-Lower bounds, one `_LOWER_RULES` row each: connectivity, unique shortest
-paths, the trace bound, the column-counting bound, the full
-column-orthogonality gate (an exact characterization of q = 2), and a cited
-exact value for a trace-two family.  The upper side is one certificate:
+Lower bounds, one `_LOWER_RULES` row each: connectivity (2), the counting
+witness of the column-orthogonality gate, an exact characterization of
+q = 2 (3), and a cited exact value for a trace-two family (4).  The paper's
+combinatorial bounds, a trace below half the order, a zero-run covering the
+trace after it and a unique shortest path, each make the gate's counting
+criterion fail, so its witness covers them and they are not rules here;
+`sequences.unique_path_bound` stays public as the paper's lemma.  The upper
+side is one certificate:
 the two-eigenvalue completion the gate finds, else a spectral-transfer
 citation, else a duplication chain.  Joined duplication keeps q, so G
 grows from its own form and from its leading merge (`_sources`), and both
@@ -18,7 +22,6 @@ re-verifies independently of the search that found it.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -39,7 +42,6 @@ from .sequences import (
     SequenceError,
     ThresholdGraph,
     graph_from_text,
-    unique_path_bound,
 )
 from .spectra import (
     DimensionMismatch,
@@ -66,10 +68,12 @@ class SelfCheckError(AssertionError):
 class Certificate:
     """Machine-checkable witness for one side of a bound.
 
-    kinds: ConnectedLB, DiameterLB, TraceLB, Compare1LB, ConstructionUB,
-    DupChainUB, OrthoUB, TableCitation.  payload carries matrices or
-    combinatorial witnesses; verify_certificate re-validates without
-    re-running any search.
+    kinds: ConnectedLB, Compare1LB (the gate's counting witness) and
+    TableCitation (the trace-two value) below; OrthoUB, ConstructionUB,
+    DupChainUB and TableCitation (a spectral transfer) above.  payload
+    carries matrices or combinatorial witnesses; verify_certificate
+    re-validates without re-running any search, and rejects any other
+    kind or provenance.
     """
 
     kind: str
@@ -106,38 +110,6 @@ def _connected(G: ThresholdGraph, gate) -> dict | None:
     return {} if G.connected else None
 
 
-def _unique_path(G: ThresholdGraph, gate) -> dict | None:
-    hit = unique_path_bound(G)
-    return {"distance": hit[0], "pair": hit[1]} if hit else None
-
-
-def _is_unique_path_pair(G: ThresholdGraph, payload: dict) -> bool:
-    """Two distinct, non-adjacent vertices with exactly one common
-    neighbour: they are at distance 2, joined by a unique shortest path."""
-    pair = payload.get("pair")
-    if not (distinct_indices(pair, G.n) and len(pair) == 2):
-        return False
-    A = G.adjacency
-    return bool(not A[pair[0], pair[1]] and np.count_nonzero(A[pair[0]] & A[pair[1]]) == 1)
-
-
-def _trace_below_half(G: ThresholdGraph, gate) -> dict | None:
-    """Trace below ceil(n/2) rules out two distinct eigenvalues."""
-    return {"trace": G.trace, "n": G.n} if G.trace < math.ceil(G.n / 2) else None
-
-
-def _zero_run_covers(bf, i) -> bool:
-    """Zero-run i >= 1 has at least as many columns as there are dominating
-    vertices after it, so their columns cannot be orthogonal: q > 2."""
-    return is_int(i) and 1 <= i < bf.s and bf.ks[i] >= sum(bf.ts[i:])
-
-
-def _zero_run(G: ThresholdGraph, gate) -> dict | None:
-    bf = G.block_form
-    i = next((i for i in range(1, bf.s) if _zero_run_covers(bf, i)), None)
-    return None if i is None else {"block": i, "k": bf.ks[i], "tail_trace": sum(bf.ts[i:])}
-
-
 def _gate_witness(G: ThresholdGraph, gate) -> dict | None:
     return {"columns": gate.columns, "rows": gate.rows} if isinstance(gate, Infeasible) else None
 
@@ -162,10 +134,6 @@ def _fires(find):
 # False, never an error, on a malformed one.
 _LOWER_RULES = (
     ("ConnectedLB", 2, "connected graph", _connected, _fires(_connected)),
-    ("DiameterLB", 3, "unique shortest path", _unique_path, _is_unique_path_pair),
-    ("TraceLB", 3, "trace below half the order", _trace_below_half, _fires(_trace_below_half)),
-    ("Compare1LB", 3, "zero-run column count", _zero_run,
-     lambda G, payload: _zero_run_covers(G.block_form, payload.get("block"))),
     ("Compare1LB", 3, "orthogonality gate counting witness", _gate_witness,
      lambda G, payload: verify_infeasible(SupportPattern.from_graph(G), Infeasible(
          payload.get("columns"), payload.get("rows")))),

@@ -109,10 +109,13 @@ def default_cluster_tol(eigs: np.ndarray) -> float:
 def _gap_rule(eigs, tol: float | None):
     """The greedy gap rule's inputs: eigs sorted (so every reading is
     order-independent), tol (default_cluster_tol when None) and the mask of
-    sorted gaps above tol, where a new group starts.  A given tol must be
-    finite and >= 0, else ValueError: a NaN or infinite one would merge
-    every eigenvalue into one group."""
+    sorted gaps above tol, where a new group starts.  Every eigenvalue and
+    a given tol must be finite, and tol >= 0, else ValueError: a NaN or
+    infinite one would merge eigenvalues into one group.  NaN sorts last
+    and an infinity sits at an end, so the two end entries decide."""
     eigs = np.sort(np.asarray(eigs, dtype=float).ravel())
+    if eigs.size and not (math.isfinite(eigs[0]) and math.isfinite(eigs[-1])):
+        raise ValueError("eigenvalues must be finite")
     if tol is None:
         tol = default_cluster_tol(eigs)
     elif not (math.isfinite(tol) and tol >= 0):

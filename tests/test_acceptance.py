@@ -10,10 +10,10 @@ import time
 
 import numpy as np
 
-from threshq.bounds import _LOWER_RULES, classify_q, verify_certificate
+from threshq.bounds import classify_q, verify_certificate
 from threshq.gram import construct_library, dup_realization, gram, jdup_realization, section12_factor
 from threshq.orthosearch import low_q_search, ssp_check
-from threshq.sequences import build_graph, enumerate_connected, graph_from_text
+from threshq.sequences import build_graph, enumerate_connected, graph_from_text, unique_path_bound
 from threshq.spectra import (
     assert_spectrum,
     cluster_spectrum,
@@ -160,10 +160,15 @@ def test_criterion_4_duplication_contracts():
 # ---------------------------------------------------------------- 5
 
 
-# the lower rules that read the sequence alone: connectivity, unique
-# shortest path, trace and zero-run column count
-COMBINATORIAL = ("connected graph", "unique shortest path", "trace below half the order",
-                 "zero-run column count")
+def combinatorial_lower(g) -> int:
+    """The paper's combinatorial lower bounds, read off the sequence alone:
+    3 when a unique shortest path exists, the trace is below half the order
+    or a zero-run after the first has at least as many vertices as the
+    dominating vertices after it; else the connected floor 2."""
+    bf = g.block_form
+    fires = (unique_path_bound(g) is not None or g.trace < math.ceil(g.n / 2)
+             or any(bf.ks[i] >= sum(bf.ts[i:]) for i in range(1, bf.s)))
+    return 3 if fires else 2
 
 
 def test_criterion_5_lower_bound_soundness():
@@ -172,9 +177,8 @@ def test_criterion_5_lower_bound_soundness():
             if row.q_low != row.q_high:
                 continue
             g = graph_from_text(row.sequence)
-            combinatorial = max(value for _, value, provenance, find, _ in _LOWER_RULES
-                                if provenance in COMBINATORIAL and find(g, None) is not None)
-            assert combinatorial <= row.q_low, row.sequence
+            assert combinatorial_lower(g) <= row.q_low, row.sequence
+            assert classify_q(g).lower <= row.q_low, row.sequence
     for n in range(2, 9):
         for seq in enumerate_connected(n):
             g = build_graph(seq)

@@ -46,7 +46,7 @@ from threshq.gram import (
     section12_factor,
     section12_q,
 )
-from threshq.orthosearch import Feasible, Infeasible
+from threshq.orthosearch import Feasible, Infeasible, SupportPattern, verify_infeasible
 from threshq.sequences import (
     BlockForm,
     CreationSequence,
@@ -83,41 +83,52 @@ def _source_plans(bf):
 # ---------------------------------------------------------------- lower bounds
 
 
-CONNECTED, UNIQUE_PATH, TRACE, ZERO_RUN, GATE, TRACE_TWO = (
-    provenance for _, _, provenance, _, _ in bounds._LOWER_RULES)
-COMBINATORIAL = (CONNECTED, UNIQUE_PATH, TRACE, ZERO_RUN)
+CONNECTED = "connected graph"
+GATE = "orthogonality gate counting witness"
+TRACE_TWO = "trace-two family exact value"
+# The paper's combinatorial lower bounds: corollaries of the gate's counting
+# criterion and not classifier rules, so a certificate citing one must fail.
+UNIQUE_PATH = "unique shortest path"
+TRACE = "trace below half the order"
+ZERO_RUN = "zero-run column count"
 
 
-def lower_value(g, provenance):
-    """The value one lower rule certifies on g, or the connected floor 2
-    when it does not fire."""
-    _, value, _, find, _ = next(r for r in bounds._LOWER_RULES if r[2] == provenance)
-    return value if find(g, None) is not None else 2
+def trace_low(g):
+    """Trace below ceil(n/2): the last column group of the staircase has
+    more columns than rows."""
+    return g.trace < math.ceil(g.n / 2)
+
+
+def zero_run_covers(g):
+    """Some zero-run i >= 1 has at least as many vertices as there are
+    dominating vertices after it: its group is full though not the last."""
+    bf = g.block_form
+    return any(bf.ks[i] >= sum(bf.ts[i:]) for i in range(1, bf.s))
+
+
+def unique_path(g):
+    return unique_path_bound(g) is not None
+
+
+COROLLARIES = {TRACE: trace_low, ZERO_RUN: zero_run_covers, UNIQUE_PATH: unique_path}
 
 
 def combinatorial_lower(g):
-    return max(lower_value(g, provenance) for provenance in COMBINATORIAL)
+    """3 when one of the paper's combinatorial bounds fires on g, else the
+    connected floor 2."""
+    return 3 if any(fires(g) for fires in COROLLARIES.values()) else 2
 
 
 def test_lb_examples():
-    assert lower_value(G("0000001"), UNIQUE_PATH) == 3
-    assert lower_value(G("0110001"), ZERO_RUN) == 3  # second zero-run covers the tail trace
+    assert unique_path(G("0000001"))
+    assert zero_run_covers(G("0110001"))  # second zero-run covers the tail trace
+    assert trace_low(G("0010011"))  # trace 3 below ceil(7/2)
     K5 = G("01111")
-    assert lower_value(K5, CONNECTED) == 2 and lower_value(K5, UNIQUE_PATH) == 2
-    assert lower_value(K5, TRACE) == 2 and lower_value(K5, ZERO_RUN) == 2
-    assert lower_value(G("0010011"), TRACE) == 3  # trace 3 below ceil(7/2)
+    assert not any(fires(K5) for fires in COROLLARIES.values()) and combinatorial_lower(K5) == 2
 
 
 def diameter_cert(pair, value=3):
-    return Certificate("DiameterLB", value, "unique shortest path", {"distance": 2, "pair": pair})
-
-
-def test_diameter_witness_verifies():
-    for text in ("001", "0001", "0101", "0011001", "0000001"):
-        g = G(text)
-        cert = next(c for c in classify_text(text).lower_certs if c.kind == "DiameterLB")
-        assert cert.payload["pair"] == unique_path_bound(g)[1]
-        assert verify_certificate(g, cert), text
+    return Certificate("DiameterLB", value, UNIQUE_PATH, {"distance": 2, "pair": pair})
 
 
 @pytest.mark.parametrize("text,cert", [
@@ -173,6 +184,24 @@ def gate_cert(columns, rows):
 ])
 def test_lower_forged_witness_rejected(text, cert):
     assert verify_certificate(G(text), cert) is False
+
+
+def test_retired_lower_kinds_rejected_with_a_true_witness():
+    # the combinatorial bounds are no certificate kinds any more: a true
+    # witness of one is an unknown rule, and a bound citing it fails
+    assert unique_path_bound(G("0001"))[1] == (0, 1)
+    assert trace_low(G("0001")) and zero_run_covers(G("0110001"))
+    for text, cert in [
+        ("0001", diameter_cert((0, 1))),
+        ("0001", Certificate("TraceLB", 3, TRACE, {"trace": 1, "n": 4})),
+        ("0110001", zero_run_cert({"block": 1, "k": 3, "tail_trace": 1})),
+    ]:
+        g = G(text)
+        assert verify_certificate(g, cert) is False, cert.kind
+        qb = classify_q(g)
+        assert verify_qbound(g, qb)
+        cited = dataclasses.replace(qb, lower_certs=qb.lower_certs + (cert,))
+        assert verify_qbound(g, cited) is False, cert.kind
 
 
 def test_forged_qbound_on_q2_graph_rejected():
@@ -266,19 +295,41 @@ def test_verifier_never_raises_on_junk_indices(middle, junk):
         assert type(verify_certificate(g, cert)) is bool, cert
 
 
+def _gate_covers_the_corollaries(g):
+    """Whether one of the paper's combinatorial bounds fires on g; when one
+    does, the exact q = 2 gate must find no completion, its counting witness
+    must verify, and the classifier's lower side must be at least 3 with
+    that witness among its certificates."""
+    fired = [name for name, fires in COROLLARIES.items() if fires(g)]
+    if not fired:
+        return False
+    gate = ortho_gate(g)
+    assert isinstance(gate, Infeasible), (g.creation.text, fired)
+    assert verify_infeasible(SupportPattern.from_graph(g), gate), (g.creation.text, fired)
+    qb = classify_q(g)
+    witness = Certificate("Compare1LB", 3, GATE, {"columns": gate.columns, "rows": gate.rows})
+    assert qb.lower >= 3 and witness in qb.lower_certs, (g.creation.text, fired)
+    return True
+
+
 def test_lower_rules_agree_with_the_gate():
-    # every rule that certifies q >= 3 on its own, and the trace-two
-    # citation, fires only where the exact q = 2 gate finds no completion
+    # the combinatorial bounds are corollaries of the gate's counting
+    # criterion, so wherever one fires the gate certifies q >= 3
     fired = 0
     for n in range(2, 15):
         for seq in enumerate_connected(n):
             g = build_graph(seq)
-            gate = ortho_gate(g)
-            for _, value, provenance, find, _ in bounds._LOWER_RULES:
-                if value >= 3 and provenance != GATE and find(g, gate) is not None:
-                    assert isinstance(gate, Infeasible), (seq.text, provenance)
-                    fired += 1
-    assert fired
+            fires = _gate_covers_the_corollaries(g)
+            # the trace-two family (0^k1, 1, 0^k2, 1), k2 >= 2, is a zero-run case
+            assert fires or bounds._trace_two(g, None) is None, seq.text
+            fired += fires
+    assert fired == 5993
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.integers(0, 62).flatmap(lambda m: st.lists(st.integers(0, 1), min_size=m, max_size=m)))
+def test_lower_rules_agree_with_the_gate_to_n64(middle):
+    _gate_covers_the_corollaries(build_graph(CreationSequence((0, *middle, 1))))
 
 
 def test_q2_iff_gate_on_catalog():

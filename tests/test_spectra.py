@@ -233,6 +233,21 @@ def test_bad_tolerance_is_rejected(tol):
     assert q_of_spectrum(eigs, 0.0) == cluster_spectrum(eigs, 0.0).q == 2
 
 
+@pytest.mark.parametrize("eigs", [
+    [0.0, math.nan],                  # a NaN gap is never above tol: one group
+    [math.inf, 0.0, 5.0],             # the default tol grows with the spread to inf
+    [-math.inf, 1.0],
+    [math.nan, -math.inf, 3.0, math.inf],
+    [math.nan],
+])
+@pytest.mark.parametrize("tol", [None, 0.5])
+def test_non_finite_eigenvalues_are_rejected(eigs, tol):
+    with pytest.raises(ValueError, match="finite"):
+        q_of_spectrum(eigs, tol)
+    with pytest.raises(ValueError, match="finite"):
+        cluster_spectrum(eigs, tol)
+
+
 # ---------------------------------------------------------------- patterns
 
 
