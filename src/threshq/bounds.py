@@ -14,10 +14,11 @@ grows from its own form and from its leading merge (`_sources`), and both
 the chain planner and the transfer reach read that one rule.  Each source
 takes the first seed that `_grow` fits from one q-ordered table per block
 count s (`_seed_table`: the star, else the alternating seed thm00(s) and
-the catalog), else the paired-column seed.  The paper's general
-floor((s+9)/2) bound, `ub_section12`, is certified on demand; it never
-beats the chain, so the classifier does not build it.  Every certificate
-re-verifies independently of the search that found it.
+the catalog), else the paired-column seed, and the planner keeps the
+source whose built seed has the fewest distinct eigenvalues.  The paper's
+general floor((s+9)/2) bound, `ub_section12`, is certified on demand; it
+never beats the chain, so the classifier does not build it.  Every
+certificate re-verifies independently of the search that found it.
 """
 
 from __future__ import annotations
@@ -192,7 +193,7 @@ class ChainPlan:
 # The fixed catalog seeds that follow thm00(s) in `_seed_table`, by block
 # count s, in q order, as its entries; built once at import.
 _CATALOG_SEEDS = {
-    s: tuple((f.target.block_form.blocks, f.dup_slots, len(f.expected_spectrum), lambda f=f: f)
+    s: tuple((f.target.block_form.blocks, f.dup_slots, lambda f=f: f)
              for f in map(gramlib.construct_library, cids))
     for s, cids in ((2, ("thm061", "thm01", "thm10")), (3, ("thm05", "thm06", "qlt4")))
 }
@@ -260,33 +261,28 @@ def _section12_plan(bf) -> ChainPlan | None:
 
 def _seed_table(bf) -> tuple:
     """The prebuilt seeds with bf's s, in q order, as (blocks, dup_slots,
-    q, build) entries, so a seed's fit and q are read before build() makes
-    it: the star for s = 1; otherwise the alternating seed thm00(s), blocks
-    (0,1)^s, q = 3 and one dup slot, vertex 0 with diagonal s^2 - s + 1,
-    then `_CATALOG_SEEDS[s]`.  Every entry has q <= 4 and every
-    paired-column seed q >= 4, so the first entry that fits bf is its
-    least-q seed."""
+    build) entries, so a seed's fit is read before build() makes it: the
+    star for s = 1; otherwise the alternating seed thm00(s), blocks (0,1)^s
+    and one dup slot, vertex 0 with diagonal s^2 - s + 1, then
+    `_CATALOG_SEEDS[s]`.  Every entry has q <= 4 and every paired-column
+    seed q >= 4, so the first entry that fits bf is its least-q seed."""
     s, k = bf.s, bf.ks[0]
     if s == 1:
-        return ((((k, 1),), (), min(k + 1, 3), lambda: gramlib.construct_library("star", k=k)),)
-    return ((((1, 1),) * s, ((0, float(s * s - s + 1)),), 3,
+        return ((((k, 1),), (), lambda: gramlib.construct_library("star", k=k)),)
+    return ((((1, 1),) * s, ((0, float(s * s - s + 1)),),
              lambda: gramlib.construct_library("thm00", t=s)), *_CATALOG_SEEDS.get(s, ()))
 
 
-def _first_fit(bf) -> tuple:
-    """(q, plan) for bf's first fitting seed, where plan() builds the seed
-    and its plan: the first `_seed_table` entry that `_grow` fits to bf,
-    else the paired-column plan, whose q is None here (see
-    `_chain_plan`)."""
-    for blocks, dup_slots, q, build in _seed_table(bf):
-        if (steps := _grow(blocks, dup_slots, bf)) is not None:
-            return q, lambda: ChainPlan(build(), *steps)
-    return None, lambda: _section12_plan(bf)
-
-
 def _seed_plan(bf) -> ChainPlan:
-    """The plan of the first seed that fits bf."""
-    return _first_fit(bf)[1]()
+    """The plan of bf's first fitting seed: the first `_seed_table` entry
+    that `_grow` fits to bf, else the paired-column plan.  One always fits:
+    the star fits every s = 1 form, thm00(s) every form whose zero-runs
+    after the first have length 1, and any other form has a later zero-run
+    of length >= 2, so a paired-column seed."""
+    for blocks, dup_slots, build in _seed_table(bf):
+        if (steps := _grow(blocks, dup_slots, bf)) is not None:
+            return ChainPlan(build(), *steps)
+    return _section12_plan(bf)
 
 
 def _joined(plan: ChainPlan, t: int) -> ChainPlan:
@@ -297,20 +293,12 @@ def _joined(plan: ChainPlan, t: int) -> ChainPlan:
 
 def _chain_plan(bf) -> ChainPlan:
     """The duplication chain's plan: the source whose first fitting seed
-    has the smallest q, G's own form on a tie, carried to G.  Every step
-    keeps q, so the seed's q is the chain's.  Sources are compared before
-    any seed is built: a seed-table entry carries its q, and a
-    paired-column seed's is `section12_q`, read off its cogram, and only
-    when there are two sources to compare.  Only the chosen source's seed
-    is built."""
-    fits = [(_first_fit(src), src, t) for src, t in _sources(bf)]
-
-    def seed_q(candidate):
-        (q, _), src, _ = candidate
-        return gramlib.section12_q(src.s, _section12_m(src)) if q is None else q
-
-    (_, plan), _, t = fits[0] if len(fits) == 1 else min(fits, key=seed_q)
-    return _joined(plan(), t)
+    has the fewest distinct eigenvalues, G's own form on a tie, carried to
+    G.  Every step keeps q, so the seed's q is the chain's.  Each source's
+    seed is built once and its q read off its expected spectrum; a
+    seed-table seed is built only once it fits."""
+    plans = [_joined(_seed_plan(src), t) for src, t in _sources(bf)]
+    return min(plans, key=lambda plan: len(plan.seed.expected_spectrum))
 
 
 def _chain_steps(plan: ChainPlan) -> tuple[str, ...]:

@@ -127,9 +127,9 @@ def cmd_ssp(args) -> int:
 def cmd_certify(args) -> int:
     seq = parse_creation_sequence(args.sequence)
     G = build_graph(seq)
-    header, _, _ = read_rows(args.file)
+    header, _ = read_rows(args.file)
     if len(header) == 2:  # a 'rows cols' factor file, else an 'n' square matrix
-        M, _, _ = load_factor(args.file)
+        M = load_factor(args.file)
         A = M @ M.T
     else:
         A = load_matrix(args.file)

@@ -18,7 +18,7 @@ import numpy as np
 
 from .orthosearch import SupportPattern, verify_feasible
 from .sequences import CreationSequence, ThresholdGraph, build_graph, graph_from_text
-from .spectra import cluster_spectrum, eigen_sym, in_pattern, pattern_matrix, q_of_spectrum
+from .spectra import NoConvergence, cluster_spectrum, eigen_sym, in_pattern, pattern_matrix
 
 
 class BadParams(ValueError):
@@ -230,18 +230,6 @@ def _paired_columns(s: int, m: int) -> tuple[np.ndarray, np.ndarray]:
     return D, f2
 
 
-def section12_q(s: int, m: int) -> int:
-    """q of section12_factor(s, m), read off its (s+1) x (s+1) cogram
-    D^T D + diag(f2), an integer matrix, before any factor row, dup slot
-    or target is built: the cogram's distinct eigenvalues plus the zero of
-    the gram's other n - s - 1 directions.  The chain planner compares
-    seeds by this count."""
-    D, f2 = _paired_columns(s, m)
-    C = D.T @ D
-    C.flat[::s + 2] += f2
-    return q_of_spectrum(np.append(eigen_sym(C), 0.0))
-
-
 def section12_factor(s: int, m: int) -> GramFactor:
     """Paired-column seed, the duplication chain's last resort and the
     general upper bound's witness: blocks all (0,1) except block m,
@@ -253,9 +241,10 @@ def section12_factor(s: int, m: int) -> GramFactor:
     eigenvalue, so all zero blocks may be grown by duplication.
     expected_spectrum is the clustered spectrum of the (s+1) x (s+1)
     cogram M^T M plus n-s-1 zeros, which is Spec(M M^T) without solving the
-    n x n gram; `section12_q` gives its length with no factor built.  Chain
-    step labels name the factor by its construction_id, "ub_case1", though
-    construct_library does not build it.
+    n x n gram; its length is the seed's q, which the chain planner compares
+    across sources.  Chain step labels name the factor by its
+    construction_id, "ub_case1", though construct_library does not build
+    it.
     """
     D, f2 = _paired_columns(s, m)
     bits = (0, 1) * (m - 1) + (0, 0, 1) + (0, 1) * (s - m)
@@ -335,23 +324,24 @@ class ChainGrower:
     max(U, the step's three new entries), because every other entry written
     is c or -s times an old one, with |c|, |s| <= 1, and only shrinks.
     Only when the gap lies between DUP_TOL times the two ends is the exact
-    scale read off the buffer, and U set to it.  While A or the spectrum
-    holds a value that is not finite the bracket is not used: every check
-    reads the block and the spectrum in full.  Either way each check decides
-    as a full read of A and the spectrum would.
+    scale read off the buffer, and U set to it, so each check decides as a
+    full read of A and the spectrum would.  A seed or spectrum with an
+    entry that is not finite raises NoConvergence, and a dup's lam that is
+    not finite DiagonalNotEigenvalue.
     """
 
     def __init__(self, A, spectrum, steps: int):
         A = np.asarray(A, dtype=float)
         spectrum = np.asarray(spectrum, dtype=float)
+        self._bound = float(np.abs(A).max())
+        if not (math.isfinite(self._bound) and np.isfinite(spectrum).all()):
+            raise NoConvergence("seed or spectrum has an entry that is not finite")
         self.n = n = A.shape[0]
         self.buf = np.empty((n + steps, n + steps))
         self.buf[:n, :n] = A
         self.spectrum = spectrum.tolist()
         self._values = set(self.spectrum)
         self._min = min(self.spectrum)
-        self._bound = float(np.abs(A).max())
-        self._finite = math.isfinite(self._bound) and bool(np.isfinite(spectrum).all())
 
     def _diagonal(self, v) -> float:
         if not 0 <= v < self.n:
@@ -362,17 +352,14 @@ class ChainGrower:
         """max(1, max|A|) for the active block A, or a bracket end that lies
         on the same side of gap / DUP_TOL; the exact read happens only when
         neither end does."""
-        if self._finite:
-            hi = max(1.0, self._bound)
-            if gap > DUP_TOL * hi:
-                return hi
-            lo = max(1.0, abs(a_vv))
-            if gap <= DUP_TOL * lo:
-                return lo
-        peak = float(np.abs(self.buf[:self.n, :self.n]).max())
-        if self._finite:
-            self._bound = peak
-        return max(1.0, peak)
+        hi = max(1.0, self._bound)
+        if gap > DUP_TOL * hi:
+            return hi
+        lo = max(1.0, abs(a_vv))
+        if gap <= DUP_TOL * lo:
+            return lo
+        self._bound = float(np.abs(self.buf[:self.n, :self.n]).max())
+        return max(1.0, self._bound)
 
     def _rotate(self, v: int, a: float, lam: float, theta: float) -> None:
         buf, n = self.buf, self.n
@@ -386,26 +373,22 @@ class ChainGrower:
         d_n = buf[n, n] = s * s * a + c * c * lam
         off = buf[v, n] = buf[n, v] = s * c * (lam - a)
         self._bound = max(self._bound, abs(d_v), abs(d_n), abs(off))
-        self._finite = self._finite and math.isfinite(d_v + d_n + off)
         self.spectrum.append(lam)
         self._values.add(lam)
         self._min = min(self._min, lam)
         self.n = n + 1
 
     def dup(self, v: int, lam: float, theta: float = math.pi / 4) -> None:
-        """Duplicate vertex v without an edge, appending lam: a_vv must be
-        lam and lam one of the carried eigenvalues, each within
-        DUP_TOL * max(1, max|A|), else DiagonalNotEigenvalue."""
+        """Duplicate vertex v without an edge, appending lam: lam must be
+        finite, and a_vv must be lam and lam one of the carried eigenvalues,
+        each within DUP_TOL * max(1, max|A|), else DiagonalNotEigenvalue."""
         _check_angle(theta)
         a = self._diagonal(v)
         lam = float(lam)
         gap = abs(a - lam)
-        if gap > DUP_TOL * self._scale(gap, a):
+        if not math.isfinite(lam) or gap > DUP_TOL * self._scale(gap, a):
             raise DiagonalNotEigenvalue(f"a_vv = {a} != {lam}")
-        if self._finite:
-            gap = 0.0 if lam in self._values else min(abs(x - lam) for x in self._values)
-        else:
-            gap = float(np.min(np.abs(np.asarray(self.spectrum) - lam)))
+        gap = 0.0 if lam in self._values else min(abs(x - lam) for x in self._values)
         if gap > DUP_TOL * self._scale(gap, a):
             raise DiagonalNotEigenvalue(f"{lam} is not an eigenvalue")
         self._rotate(v, a, lam, theta)
@@ -415,7 +398,7 @@ class ChainGrower:
         returning the smallest carried eigenvalue lambda_min; DegenerateRow
         when a_vv is lambda_min within DUP_TOL * max(1, max|A|)."""
         _check_angle(theta)
-        lam_min = self._min if self._finite else float(np.min(self.spectrum))
+        lam_min = self._min
         a = self._diagonal(v)
         gap = abs(a - lam_min)
         if gap <= DUP_TOL * self._scale(gap, a):

@@ -42,11 +42,8 @@ class SupportPattern:
 
     @classmethod
     def from_graph(cls, G: ThresholdGraph) -> "SupportPattern":
-        bits = np.array(G.creation.bits)
-        dom, iso = np.flatnonzero(bits == 1), np.flatnonzero(bits == 0)
-        S = np.greater.outer(dom, iso)  # covers the isolated vertices added before it
-        S.setflags(write=False)
-        return cls(S)
+        """G's staircase, which G builds once and every pattern of G shares."""
+        return cls(G.staircase)
 
     def suffix_starts(self) -> list[int]:
         """First supported row per column; columns are suffix-supported,

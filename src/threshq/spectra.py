@@ -222,18 +222,14 @@ def save_matrix(path, A: np.ndarray) -> None:
 
 
 def read_rows(path):
-    """(header fields, numeric rows, comment lines) of a matrix or factor
-    file."""
+    """(header fields, numeric rows) of a matrix or factor file; comment
+    lines are skipped."""
     header = None
     rows = []
-    comments = []
     with open(path) as fh:
         for line in fh:
             line = line.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                comments.append(line)
+            if not line or line.startswith("#"):
                 continue
             if header is None:
                 header = line.split()
@@ -241,12 +237,12 @@ def read_rows(path):
                 rows.append([float(x) for x in line.split()])
     if header is None:
         raise ValueError(f"{path}: no header line")
-    return header, rows, comments
+    return header, rows
 
 
 def load_matrix(path) -> np.ndarray:
     """Load a square symmetric matrix; symmetry enforced at 1e-12."""
-    header, rows, _ = read_rows(path)
+    header, rows = read_rows(path)
     if len(header) != 1:
         raise ValueError(f"{path}: a matrix header is 'n'")
     n = int(header[0])
@@ -257,35 +253,23 @@ def load_matrix(path) -> np.ndarray:
     return A
 
 
-def save_factor(path, M: np.ndarray, construction_id: str, params: dict | None = None) -> None:
-    """Rectangular factor with a '# construction: <id> ...' header line."""
+def save_factor(path, M: np.ndarray, construction_id: str) -> None:
+    """Rectangular factor with a '# construction: <id>' comment line."""
     M = np.asarray(M, dtype=float)
-    extra = " ".join(f"{k}={v}" for k, v in (params or {}).items())
     with open(path, "w") as fh:
-        fh.write(f"# construction: {construction_id}" + (f" {extra}" if extra else "") + "\n")
+        fh.write(f"# construction: {construction_id}\n")
         fh.write(f"{M.shape[0]} {M.shape[1]}\n")
         for row in M:
             fh.write(" ".join(repr(float(x)) for x in row) + "\n")
 
 
-def load_factor(path) -> tuple[np.ndarray, str, dict]:
-    header, rows, comments = read_rows(path)
+def load_factor(path) -> np.ndarray:
+    """The factor matrix of a 'rows cols' file; comment lines are skipped."""
+    header, rows = read_rows(path)
     if len(header) != 2:
         raise ValueError(f"{path}: a factor header is 'rows cols'")
     r, c = int(header[0]), int(header[1])
     M = np.array(rows, dtype=float)
     if M.shape != (r, c):
         raise ValueError(f"{path}: expected {r}x{c}, got {M.shape}")
-    cid = ""
-    params: dict = {}
-    for line in comments:
-        body = line.lstrip("#").strip()
-        if body.startswith("construction:"):
-            parts = body[len("construction:"):].split()
-            if parts:
-                cid = parts[0]
-                for kv in parts[1:]:
-                    if "=" in kv:
-                        k, v = kv.split("=", 1)
-                        params[k] = v
-    return M, cid, params
+    return M

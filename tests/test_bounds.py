@@ -44,7 +44,6 @@ from threshq.gram import (
     gram,
     jdup_realization,
     section12_factor,
-    section12_q,
 )
 from threshq.orthosearch import Feasible, Infeasible, SupportPattern, verify_infeasible
 from threshq.sequences import (
@@ -485,28 +484,47 @@ def test_chain_plan_keeps_the_source_with_the_smaller_q(text, steps):
     own, merge = _source_plans(bf)
     assert _chain_steps(_chain_plan(bf)) == steps
     assert _chain_steps(merge)[-1] == "jdup(0)"
-    assert len(_chain_plan(bf).seed.expected_spectrum) == min(
-        len(own.seed.expected_spectrum), len(merge.seed.expected_spectrum))
+    assert _keeps_the_smaller_q(bf)
+
+
+def _keeps_the_smaller_q(bf):
+    """Check that bf's chain is the plan of the source whose first fitting
+    seed has the smallest q, read off the seed's gram, G's own form on a
+    tie; True when bf has two sources."""
+    plans = _source_plans(bf)
+    qs = [q_of_matrix(gram(plan.seed)) for plan in plans]
+    chosen = _chain_plan(bf)
+    assert q_of_matrix(gram(chosen.seed)) == min(qs), (bf.blocks, qs)
+    assert _chain_steps(chosen) == _chain_steps(plans[qs.index(min(qs))]), (bf.blocks, qs)
+    return len(plans) == 2
+
+
+def test_chain_plan_keeps_the_source_with_the_smaller_q_everywhere():
+    # every connected sequence with n <= 12, and random ones at n = 64, 128
+    seqs = [seq for n in range(2, 13) for seq in enumerate_connected(n)]
+    rng = random.Random(64)
+    seqs += [_random_connected(rng, n) for n in (64, 128) for _ in range(20)]
+    assert sum(_keeps_the_smaller_q(block_form(seq)) for seq in seqs) > 500
 
 
 def test_seed_table_is_in_q_order():
     # the first fitting entry is the least-q fitting seed: within each s the
-    # prebuilt seeds' q never decreases and never exceeds 4, and every
-    # paired-column seed, always last, has q >= 4; each entry's form, dup
-    # slots and q, read before its seed is built, are the built seed's
+    # q of each built prebuilt seed never decreases and never exceeds 4, and
+    # every paired-column seed, always last, has q >= 4; each entry's form
+    # and dup slots, read before its seed is built, are the built seed's
     forms = [BlockForm(((k, 1),)) for k in (1, 2, 3)]  # the star's table reads k
     forms += [BlockForm(((1, 1),) * s) for s in range(2, 9)]
     for bf in forms:
         qs = []
-        for blocks, dup_slots, q, build in bounds._seed_table(bf):
+        for blocks, dup_slots, build in bounds._seed_table(bf):
             seed = build()
             assert blocks == seed.target.block_form.blocks, bf.blocks
             assert dup_slots == seed.dup_slots, bf.blocks
-            assert q == len(seed.expected_spectrum) == q_of_matrix(gram(seed)), bf.blocks
-            qs.append(q)
+            qs.append(len(seed.expected_spectrum))
+            assert qs[-1] == q_of_matrix(gram(seed)), bf.blocks
         assert qs == sorted(qs) and max(qs) <= 4, (bf.blocks, qs)
     for s in range(2, 41):
-        assert min(section12_q(s, m) for m in range(1, s + 1)) >= 4, s
+        assert min(len(section12_factor(s, m).expected_spectrum) for m in range(1, s + 1)) >= 4, s
 
 
 def _alternating_after_the_first_run(ks):
@@ -924,24 +942,29 @@ def test_first_parity_ordered_seed_always_fits():
 
 
 def test_classify_builds_each_paired_column_seed_once(monkeypatch):
-    # one classify_q plans once: the sources are compared by seed q before
-    # any seed is built, so the only factor built, a paired-column seed or a
-    # seed-table one (the star, thm00), is the realized chain's seed, and no
-    # chain step goes through the copying public step functions
-    built, realized, seeds, realized_seeds = [], [], [], []
+    # one classify_q builds each source's first fitting seed once and no
+    # other factor (the catalog seeds are built at import), realizes one of
+    # those seeds, and grows no chain step through the copying public step
+    # functions
+    prebuilt = {id(build()) for entries in bounds._CATALOG_SEEDS.values() for _, _, build in entries}
+    seqs = [seq for n in range(2, 12) for seq in enumerate_connected(n)]
+    seqs.append(G("0100010001100011000111000111").creation)  # `long`-shaped, s = 6
+    firsts = {seq.text: [plan.seed for plan in _source_plans(block_form(seq))] for seq in seqs}
+    built, realized = [], []
+
+    def label(f):
+        return f.construction_id, f.params
 
     def building(s, m):
-        built.append((s, m))
-        seeds.append(section12_factor(s, m))
-        return seeds[-1]
+        built.append(section12_factor(s, m))
+        return built[-1]
 
     def constructing(construction_id, **params):
-        seeds.append(construct_library(construction_id, **params))
-        return seeds[-1]
+        built.append(construct_library(construction_id, **params))
+        return built[-1]
 
     def realizing(plan):
-        realized.append(plan.seed.params)
-        realized_seeds.append(plan.seed)
+        realized.append(plan.seed)
         return run_chain(plan)
 
     def copying(*args, **kwargs):
@@ -952,21 +975,25 @@ def test_classify_builds_each_paired_column_seed_once(monkeypatch):
     monkeypatch.setattr(bounds, "run_chain", realizing)
     monkeypatch.setattr(bounds.gramlib, "dup_realization", copying)
     monkeypatch.setattr(bounds.gramlib, "jdup_realization", copying)
-    seqs = [seq for n in range(2, 12) for seq in enumerate_connected(n)]
-    seqs.append(G("0100010001100011000111000111").creation)  # `long`-shaped, s = 6
-    total = constructed = 0
+    chains = two_built = 0
     for seq in seqs:
-        for trace in (built, realized, seeds, realized_seeds):
-            trace.clear()
+        built.clear()
+        realized.clear()
         classify_q(build_graph(seq))
-        assert built == [(p["s"], p["m"]) for p in realized if "m" in p], (seq.text, built)
-        assert all(any(f is r for r in realized_seeds) for f in seeds), (seq.text, seeds)
-        assert len(seeds) <= len(realized_seeds) <= 1, seq.text
-        total += len(built)
-        constructed += len(seeds) - len(built)
-    # the leading merge's seed wins at q = 5 over G's own (6, 2) at q = 7
-    assert built == [(5, 1)]
-    assert total and constructed
+        if not realized:
+            assert not built, seq.text
+            continue
+        sources = firsts[seq.text]
+        assert [label(f) for f in built] == [label(f) for f in sources if id(f) not in prebuilt], seq.text
+        candidates = built + [f for f in sources if id(f) in prebuilt]
+        assert len(realized) == 1 and any(realized[0] is f for f in candidates), seq.text
+        chains += 1
+        two_built += len(built) == 2
+    # both sources build a paired-column seed, and the leading merge's
+    # (5, 1) at q = 5 wins over G's own (6, 2) at q = 7
+    assert [(f.params["s"], f.params["m"]) for f in built] == [(6, 2), (5, 1)]
+    assert realized[0] is built[1]
+    assert chains and two_built
 
 
 @pytest.mark.parametrize("n", [128, 256])
@@ -987,6 +1014,35 @@ def test_wrong_recorded_spectrum_fails_the_chain_check():
         A, spectrum = run_chain(bad)
         with pytest.raises(SelfCheckError, match="spectrum"):
             bounds._checked(A, spectrum, g, "chain")
+
+
+def test_one_classification_eigensolve_budget(monkeypatch):
+    # one classify_q eigensolves the OrthoUB completion once, the realized
+    # chain once and each paired-column seed's cogram once, and nothing else
+    from threshq import spectra
+
+    solves, factors = [], []
+
+    def solving(A):
+        solves.append(len(A))
+        return eigen_sym(A)
+
+    def building(s, m):
+        factors.append((s, m))
+        return section12_factor(s, m)
+
+    for mod in (spectra, bounds.gramlib, bounds):
+        monkeypatch.setattr(mod, "eigen_sym", solving)
+    monkeypatch.setattr(bounds.gramlib, "section12_factor", building)
+    kinds = set()
+    for seq in (seq for n in range(2, 13) for seq in enumerate_connected(n)):
+        solves.clear()
+        factors.clear()
+        (upper,) = classify_q(build_graph(seq)).upper_certs
+        chain = upper.provenance == "duplication chain"
+        assert len(solves) == (upper.kind == "OrthoUB") + chain + len(factors), (seq.text, solves)
+        kinds.add((upper.kind, len(factors)))
+    assert {("OrthoUB", 0), ("TableCitation", 0), ("DupChainUB", 2)} <= kinds
 
 
 # A `long`-shaped sequence: order 28, ones-runs (1, 1, 2, 2, 3, 3), a lone

@@ -19,10 +19,9 @@ from threshq.gram import (
     jdup_realization,
     orthogonal_certificate,
     section12_factor,
-    section12_q,
 )
 from threshq.sequences import creation_order_of, dup_graph, graph_from_text, jdup_graph
-from threshq.spectra import assert_spectrum, eigen_sym, in_pattern, pattern_matrix, q_of_matrix
+from threshq.spectra import NoConvergence, assert_spectrum, eigen_sym, in_pattern, pattern_matrix, q_of_matrix
 
 ALL_IDS_NO_PARAMS = ["thm061", "thm01", "thm10", "thm05", "thm06", "qlt4", "prop_a15a19"]
 
@@ -122,17 +121,6 @@ def test_ub_case1_even_parity_instances():
         A = gram(f)
         assert in_pattern(A, f.target)
         assert q_of_matrix(A) <= (s + 9) // 2
-
-
-def test_section12_q_matches_the_built_seed():
-    # the q read off the integer cogram is the length of the built seed's
-    # expected_spectrum, for every parity
-    for s in range(2, 41):
-        for m in range(1, s + 1):
-            assert section12_q(s, m) == len(section12_factor(s, m).expected_spectrum), (s, m)
-    for s in (64, 128):
-        for m in (1, 2, s // 2, s):
-            assert section12_q(s, m) == len(section12_factor(s, m).expected_spectrum), (s, m)
 
 
 def test_section12_all_parities():
@@ -335,20 +323,21 @@ def test_grower_checks_decide_as_a_full_read():
     assert seen.count("grown") > 100
 
 
-def test_grower_checks_decide_as_a_full_read_off_finite_values():
-    # a NaN or an infinity in the seed, the spectrum or a step's lam: the
-    # bracket is set aside and every check reads in full
+def test_grower_rejects_values_that_are_not_finite():
+    # a NaN or an infinity in the seed or the carried spectrum is bad input
+    # to every step, and a dup's lam that is not finite is not an eigenvalue
     A = np.array([[1.0, 2.0, 0.0], [2.0, 3.0, 0.0], [0.0, 0.0, 1.0]])
     spectrum = eigen_sym(A)
-    cases = [
-        (A, spectrum, [(2, 1.0, math.pi / 4), (2, math.nan, math.pi / 4), (0, 1.0, math.pi / 4),
-                       (2, None, math.pi / 4)]),
-        (A, np.append(spectrum[:-1], math.inf), [(2, 1.0, 0.5), (0, None, 0.5)]),
-        (np.where(A == 3.0, math.inf, A), spectrum, [(2, 1.0, 0.5), (1, None, 0.5), (2, None, 0.5)]),
-        (np.where(A == 3.0, math.nan, A), spectrum, [(2, 1.0, 0.5), (0, 5.0, 0.5), (2, None, 0.5)]),
-    ]
-    for seed, carried, steps in cases:
-        _grown_like_a_full_read(seed, carried, steps)
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(DiagonalNotEigenvalue):
+            dup_realization(A, 2, bad, spectrum)
+        for seed, carried in ((A, np.append(spectrum[:-1], bad)), (np.where(A == 3.0, bad, A), spectrum)):
+            with pytest.raises(NoConvergence):
+                jdup_realization(seed, 0, carried)
+            with pytest.raises(NoConvergence):
+                dup_realization(seed, 2, 1.0, carried)
+            with pytest.raises(NoConvergence):
+                ChainGrower(seed, carried, 1)
 
 
 def test_grower_bound_follows_entries_that_grow():

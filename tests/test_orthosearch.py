@@ -56,6 +56,20 @@ def check_gate_is_total(n):
 # ---------------------------------------------------------------- the gate
 
 
+def test_support_pattern_shares_the_graphs_staircase():
+    # the staircase is the dominating-by-isolated block of the adjacency,
+    # built once per graph and read-only, so the gate and the q = 2
+    # completion of one graph share it
+    for n in range(2, 9):
+        for seq in enumerate_connected(n):
+            G = graph_from_text(seq.text)
+            dom = [i for i, b in enumerate(seq.bits) if b]
+            iso = [i for i, b in enumerate(seq.bits) if not b]
+            assert np.array_equal(G.staircase, G.adjacency[np.ix_(dom, iso)]), seq.text
+            assert SupportPattern.from_graph(G).support is G.staircase is G.staircase
+            assert not G.staircase.flags.writeable
+
+
 def test_full_support_k_le_t_feasible():
     # complete split graphs with enough dominating vertices
     for text in ("0011", "000111", "00001111"):

@@ -336,6 +336,6 @@ def test_matrix_symmetry_enforced(tmp_path):
 def test_factor_round_trip(tmp_path):
     f = construct_library("thm05")
     p = tmp_path / "f.mat"
-    save_factor(p, f.M, f.construction_id, {"note": 1})
-    M, cid, params = load_factor(p)
-    assert np.allclose(M, f.M) and cid == "thm05" and params == {"note": "1"}
+    save_factor(p, f.M, f.construction_id)
+    assert p.read_text().splitlines()[0] == "# construction: thm05"
+    assert np.array_equal(load_factor(p), f.M)
