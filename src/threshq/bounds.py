@@ -16,10 +16,10 @@ takes the first seed that `_grow` fits from one q-ordered table per block
 count s (`_seed_table`: the star, else the alternating seed thm00(s) and
 the catalog), else the paired-column seed, and the planner keeps the
 source whose built seed has the fewest distinct eigenvalues.  The paper's
-general floor((s+9)/2) bound, `ub_section12`, is certified on demand; it
-never beats the chain, so the classifier does not build it.  Every
-certificate re-verifies independently of the search that found it.
-"""
+general floor((s+9)/2) bound, `ub_section12`, comes on demand beside a
+chain certificate; it never beats the chain, so the classifier skips it.
+Every certificate re-verifies from its payload alone, under a (kind,
+provenance) pair the package issues."""
 
 from __future__ import annotations
 
@@ -48,8 +48,8 @@ from .spectra import (
     DimensionMismatch,
     NoConvergence,
     eigen_sym,
-    in_pattern,
     pattern_matrix,
+    pattern_report,
     q_of_matrix,
     q_of_spectrum,
     spectra_agree,
@@ -70,11 +70,12 @@ class Certificate:
     """Machine-checkable witness for one side of a bound.
 
     kinds: ConnectedLB, Compare1LB (the gate's counting witness) and
-    TableCitation (the trace-two value) below; OrthoUB, ConstructionUB,
-    DupChainUB and TableCitation (a spectral transfer) above.  payload
+    TableCitation (the trace-two value) below; above, OrthoUB (provenance
+    "column-orthogonal completion"), ConstructionUB and DupChainUB
+    ("duplication chain") and TableCitation (a spectral transfer).  payload
     carries matrices or combinatorial witnesses; verify_certificate
     re-validates without re-running any search, and rejects any other
-    kind or provenance.
+    (kind, provenance) pair.  An upper value is the q its matrix reaches.
     """
 
     kind: str
@@ -100,6 +101,12 @@ class QBound:
         if self.exact:
             return f"q = {self.lower} (exact)"
         return f"q in [{self.lower}, {self.upper}]"
+
+
+# The provenance of each kind of upper certificate the package issues.
+_ORTHO = "column-orthogonal completion"
+_CHAIN = "duplication chain"
+_TRANSFER = "spectral transfer across supergraphs"
 
 
 # ---------------------------------------------------------------------------
@@ -167,8 +174,7 @@ def q2_certificate(G: ThresholdGraph, gate_result=None) -> Certificate | None:
     A = gramlib.orthogonal_certificate(gate_result.matrix, G)
     if q_of_matrix(A) != 2:
         raise SelfCheckError("orthogonal completion does not have two eigenvalues")
-    return Certificate("OrthoUB", 2, "column-orthogonal completion",
-                       {"matrix": A, "block": gate_result.matrix})
+    return Certificate("OrthoUB", 2, _ORTHO, {"matrix": A, "block": gate_result.matrix})
 
 
 # ---------------------------------------------------------------------------
@@ -335,32 +341,32 @@ def run_chain(plan: ChainPlan) -> tuple[np.ndarray, np.ndarray]:
     return grower.buf.take(order, axis=0).take(order, axis=1), np.array(grower.spectrum)
 
 
-def _checked(A: np.ndarray, spectrum: np.ndarray, G: ThresholdGraph, what: str) -> int:
+def _checked(A: np.ndarray, spectrum: np.ndarray, G: ThresholdGraph) -> int:
     """q of a chain matrix A, once checked to lie in S(G) and to have the
-    spectrum its chain carried.  This is the chain's one eigensolve: every
-    step is an exact similarity, so the match proves each intermediate
+    spectrum its chain carried.  This is the chain's one eigensolve, which
+    validates A for the pattern test too: every step is an exact
+    similarity, so the match proves each intermediate
     spectrum, and with it every step's check against the carried one.
     Those checks read no spectrum and no matrix in full: the grower decides
     each against DUP_TOL * max(1, max|A|) through its bracket
     max(1, |a_vv|) <= scale <= max(1, U), U its running bound on max|A|,
     and reads the exact scale off the buffer only for a gap between the
     two ends, so every step decides as a full read would."""
-    if not in_pattern(A, G):
-        raise SelfCheckError(f"{what} landed on another graph than {G.creation.text}")
     eigs = eigen_sym(A)
+    if not pattern_report(A, G):
+        raise SelfCheckError(f"chain landed on another graph than {G.creation.text}")
     if not spectra_agree(eigs, spectrum):
-        raise SelfCheckError(f"{what} lost the spectrum its chain carried")
+        raise SelfCheckError("chain lost the spectrum it carried")
     return q_of_spectrum(eigs)
 
 
-def _chain_cert(G: ThresholdGraph, plan: ChainPlan, what: str) -> Certificate:
-    """The realized plan as a checked "duplication chain" certificate:
+def _chain_cert(G: ThresholdGraph, plan: ChainPlan) -> Certificate:
+    """The realized plan as a checked certificate of the q it reaches:
     ConstructionUB for a bare seed, DupChainUB once a step grows it."""
     A, spectrum = run_chain(plan)
     steps = _chain_steps(plan)
     kind = "ConstructionUB" if len(steps) == 1 else "DupChainUB"
-    return Certificate(kind, _checked(A, spectrum, G, what), "duplication chain",
-                       {"matrix": A, "chain": steps})
+    return Certificate(kind, _checked(A, spectrum, G), _CHAIN, {"matrix": A, "chain": steps})
 
 
 def chain_certificate(G: ThresholdGraph) -> Certificate:
@@ -370,7 +376,7 @@ def chain_certificate(G: ThresholdGraph) -> Certificate:
     `_seed_table` that fits it, else its paired-column seed.  The chain
     lands in G's creation order by construction; it is checked once, for
     pattern and spectrum."""
-    return _chain_cert(G, _chain_plan(G.block_form), "chain")
+    return _chain_cert(G, _chain_plan(G.block_form))
 
 
 # ---------------------------------------------------------------------------
@@ -388,7 +394,6 @@ _TRANSFER_BASES = {
         ("00010011", (3, 0, 1, 7, 2, 4, 6, 5)),
     )
 }
-_TRANSFER = "spectral transfer across supergraphs"
 
 
 def _transfer_matrix() -> np.ndarray:
@@ -427,29 +432,22 @@ def transfer_certificate(G: ThresholdGraph) -> Certificate | None:
 
 
 def ub_section12(G: ThresholdGraph) -> tuple[int, Certificate]:
-    """The paper's general bound q(G) <= floor((s+9)/2), with a
-    construction-backed certificate of that value whose `achieved` is the
-    q its matrix has.
+    """The paper's general bound q(G) <= floor((s+9)/2), beside the chain
+    certificate that witnesses it: a "duplication chain" whose value is the
+    q its matrix reaches, never above the bound.
 
-    For block forms with a zero-run of length >= 2 the certificate matrix is
-    the paired-column chain, checked once like any chain; otherwise the
-    first seed-table chain, alternating or complete-split (q <= 3),
-    witnesses it a fortiori.  The kind is the chain's own.  classify_q does
-    not call this: its chain grows a seed-table seed with q <= 4 or a
-    paired-column seed of G or of its leading merge, whose s is one less,
-    so it is never above this bound, which is at least 5, and the bound
-    never sets the upper side.
-    """
+    The chain is the paired-column chain when s >= 2 and a zero-run has
+    length >= 2, else the first seed-table chain, alternating or
+    complete-split (q <= 3).  classify_q does not call this: its chain grows a seed-table
+    seed with q <= 4 or a paired-column seed of G or of its leading merge,
+    whose s is one less, so it never exceeds this bound, which is at least
+    5, and the bound never sets the upper side."""
     bf = G.block_form
     bound = (bf.s + 9) // 2
-    plan = _section12_plan(bf)
-    what = "paired-column chain" if plan else "alternating-family chain"
-    cert = _chain_cert(G, plan or _seed_plan(bf), what)
+    cert = _chain_cert(G, _section12_plan(bf) or _seed_plan(bf))
     if cert.value > bound:
-        raise SelfCheckError(f"{what} reached q = {cert.value} > {bound}")
-    provenance = "paired-column construction" if plan else what
-    return bound, Certificate(cert.kind, bound, provenance,
-                              {**cert.payload, "achieved": cert.value})
+        raise SelfCheckError(f"chain reached q = {cert.value} > {bound}")
+    return bound, cert
 
 
 # ---------------------------------------------------------------------------
@@ -501,15 +499,19 @@ def _transfer_base(payload: dict) -> ThresholdGraph | None:
     return base if base.connected else None
 
 
+_MATRIX_CERTS = {("OrthoUB", _ORTHO), ("ConstructionUB", _CHAIN), ("DupChainUB", _CHAIN)}
+
+
 def _upper_ok(G: ThresholdGraph, cert: Certificate) -> bool:
-    """The check of an upper certificate.  A matrix that is not symmetric or
-    not finite raises DimensionMismatch or NoConvergence in `in_pattern` or
-    `q_of_matrix`, before `ssp_check` sees it."""
-    if cert.kind in ("OrthoUB", "ConstructionUB", "DupChainUB"):
+    """The check of an upper certificate under one of the four (kind,
+    provenance) pairs the package issues: its matrix has q = value and lies
+    in S(G), or, for a transfer citation, has the SSP, embeds in the base,
+    and the base grows to G by joined duplications.  Its eigensolve first
+    validates the matrix, raising DimensionMismatch or NoConvergence."""
+    if (cert.kind, cert.provenance) in _MATRIX_CERTS:
         A = _payload_matrix(cert.payload, G.n)
-        achieved = cert.payload.get("achieved", cert.value)
-        return (A is not None and is_int(achieved) and bool(in_pattern(A, G))
-                and q_of_matrix(A) == achieved <= cert.value)
+        return (A is not None and q_of_spectrum(eigen_sym(A)) == cert.value
+                and bool(pattern_report(A, G)))
     if (cert.kind, cert.provenance) == ("TableCitation", _TRANSFER):
         base = _transfer_base(cert.payload)
         if base is None:
@@ -518,12 +520,10 @@ def _upper_ok(G: ThresholdGraph, cert: Certificate) -> bool:
         emb = cert.payload.get("embedding")
         if A is None or not (distinct_indices(emb, base.n) and len(emb) == base.n):
             return False
-        P = pattern_matrix(A)
-        edges_ok = all(
-            base.adjacency[emb[i], emb[j]]
-            for i in range(base.n) for j in range(i + 1, base.n) if P[i, j])
+        q_ok = q_of_matrix(A) == cert.value
+        edges_ok = base.adjacency[np.ix_(emb, emb)][np.triu(pattern_matrix(A), 1)].all()
         chain_ok = _jdup_reaches(base.block_form.blocks, G.block_form)
-        return edges_ok and chain_ok and q_of_matrix(A) == cert.value and ssp_check(A).is_ssp
+        return q_ok and edges_ok and chain_ok and ssp_check(A).is_ssp
     return False
 
 

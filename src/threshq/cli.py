@@ -18,7 +18,8 @@ from . import __version__
 from .bounds import classify_q, verify_qbound
 from .orthosearch import ssp_check
 from .sequences import SequenceError, build_graph, enumerate_connected, parse_creation_sequence
-from .spectra import NoConvergence, in_pattern, load_factor, load_matrix, q_of_matrix, read_rows
+from .spectra import NoConvergence, eigen_sym, load_factor, pattern_report, q_of_spectrum
+from .spectra import read_matrix, read_rows
 from .tables import reproduce_table
 
 
@@ -109,8 +110,7 @@ def cmd_table(args) -> int:
 
 
 def cmd_ssp(args) -> int:
-    A = load_matrix(args.file)
-    rep = ssp_check(A)
+    rep = ssp_check(read_matrix(args.file))  # ssp_check validates the matrix
     report = {
         "command": f"ssp {args.file}",
         "version": __version__,
@@ -125,16 +125,16 @@ def cmd_ssp(args) -> int:
 
 
 def cmd_certify(args) -> int:
-    seq = parse_creation_sequence(args.sequence)
-    G = build_graph(seq)
+    G = build_graph(parse_creation_sequence(args.sequence))
     header, _ = read_rows(args.file)
     if len(header) == 2:  # a 'rows cols' factor file, else an 'n' square matrix
         M = load_factor(args.file)
         A = M @ M.T
     else:
-        A = load_matrix(args.file)
-    pat = in_pattern(A, G)
-    q = q_of_matrix(A, args.tol)
+        A = read_matrix(args.file)
+    eigs = eigen_sym(A)  # validates A, once, for the pattern test too
+    pat = pattern_report(A, G)
+    q = q_of_spectrum(eigs, args.tol)
     ok = bool(pat) and q == args.q
     report = {
         "command": f"certify {args.sequence} {args.q} {args.file}",

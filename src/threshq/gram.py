@@ -18,7 +18,7 @@ import numpy as np
 
 from .orthosearch import SupportPattern, verify_feasible
 from .sequences import CreationSequence, ThresholdGraph, build_graph, graph_from_text
-from .spectra import NoConvergence, cluster_spectrum, eigen_sym, in_pattern, pattern_matrix
+from .spectra import NoConvergence, cluster_spectrum, eigen_sym, pattern_matrix, pattern_report
 
 
 class BadParams(ValueError):
@@ -494,7 +494,7 @@ def orthogonal_certificate(B: np.ndarray, G: ThresholdGraph) -> np.ndarray:
         raise BadParams("block is not a column-orthogonal fill of the graph staircase")
     M = _certificate_factor(B, G)
     A = M @ M.T
-    A = (A + A.T) / 2
-    if not in_pattern(A, G):
+    A = (A + A.T) / 2  # symmetric, and finite with B: the caller's eigensolve validates it
+    if not pattern_report(A, G):
         raise InfeasibleRepair("certificate left the pattern")  # pragma: no cover
     return A

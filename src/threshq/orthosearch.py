@@ -17,7 +17,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .sequences import ThresholdGraph
-from .spectra import cluster_spectrum, eigen_sym, eigen_sym_vectors, in_pattern, pattern_matrix
+from .spectra import check_symmetric, cluster_spectrum, eigen_sym, eigen_sym_vectors
+from .spectra import in_pattern, pattern_matrix
 
 
 # ---------------------------------------------------------------------------
@@ -262,44 +263,37 @@ class SSPReport:
 RANK_TOL = 1e-9
 
 
-def ssp_check(A: np.ndarray) -> SSPReport:
-    """Decide the strong spectral property of a symmetric matrix.
+def _ssp_system(A: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The SSP system of a checked symmetric A, in closed form, with its
+    unknowns (i, j), i < j, the positions off A's support: equation (a, b),
+    a < b, of [A, X] = 0 reads unknown (i, j) with coefficient
+    A[a,i][b=j] + A[a,j][b=i] - [a=i]A[j,b] - [a=j]A[i,b]."""
+    a, b = np.triu_indices(len(A), 1)
+    off = ~pattern_matrix(A)[a, b]
+    i, j = a[off], b[off]
+    a, b = a[:, None], b[:, None]
+    K = A[a, i] * (b == j) + A[a, j] * (b == i) - (a == i) * A[j, b] - (a == j) * A[i, b]
+    return K, i, j
 
-    Unknowns are the symmetric hollow positions off A's support; the
-    commutator equation [A, X] = 0 is linear in them, and SSP holds iff the
-    system has full column rank (nullity 0).
-    """
+
+def ssp_check(A: np.ndarray) -> SSPReport:
+    """Decide the strong spectral property of A, which must pass
+    `check_symmetric`: SSP holds iff the linear system [A, X] = 0 in the
+    hollow symmetric X supported off A's support (`_ssp_system`) has full
+    column rank (nullity 0)."""
     A = np.asarray(A, dtype=float)
-    n = A.shape[0]
-    P = pattern_matrix(A)
-    unknowns = [(i, j) for i in range(n) for j in range(i + 1, n) if not P[i, j]]
-    if not unknowns:
+    check_symmetric(A)
+    K, i, j = _ssp_system(A)
+    if not i.size:
         return SSPReport(0, None, float("inf"))
-    eqs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    K = np.zeros((len(eqs), len(unknowns)))
-    for u, (i, j) in enumerate(unknowns):
-        X = np.zeros((n, n))
-        X[i, j] = X[j, i] = 1.0
-        C = A @ X - X @ A
-        K[:, u] = [C[a, b] for a, b in eqs]
     sv = np.linalg.svd(K, compute_uv=False)
-    top = float(sv[0]) if sv.size else 0.0
-    if top == 0.0:
-        rank = 0
-        smallest = 0.0
-    else:
-        rank = int((sv > RANK_TOL * top).sum())
-        nonzero = sv[sv > RANK_TOL * top]
-        smallest = float(nonzero[-1]) if nonzero.size else 0.0
-    nullity = len(unknowns) - rank
-    witness = None
-    if nullity > 0:
-        _, _, Vt = np.linalg.svd(K)
-        x = Vt[-1]
-        X = np.zeros((n, n))
-        for u, (i, j) in enumerate(unknowns):
-            X[i, j] = X[j, i] = x[u]
-        witness = X
+    nonzero = sv[sv > RANK_TOL * sv[0]]  # none when K is zero
+    smallest = float(nonzero[-1]) if nonzero.size else 0.0
+    nullity = i.size - nonzero.size
+    if nullity == 0:
+        return SSPReport(0, None, smallest)
+    witness = np.zeros_like(A)
+    witness[i, j] = witness[j, i] = np.linalg.svd(K)[2][-1]
     return SSPReport(nullity, witness, smallest)
 
 

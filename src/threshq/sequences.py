@@ -13,6 +13,7 @@ equals max{i : d_i >= i} over the sorted degree sequence.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterator
@@ -126,20 +127,9 @@ def block_form(seq: CreationSequence) -> BlockForm:
     """Group a connected sequence into maximal (zeros, ones) blocks."""
     if not seq.connected:
         raise NotConnected("block form requires a connected sequence (b_n = 1)")
-    blocks = []
-    i = 0
-    bits = seq.bits
-    while i < len(bits):
-        k = 0
-        while i < len(bits) and bits[i] == 0:
-            k += 1
-            i += 1
-        t = 0
-        while i < len(bits) and bits[i] == 1:
-            t += 1
-            i += 1
-        blocks.append((k, t))
-    return BlockForm(tuple(blocks))
+    # runs alternate from a zero-run to a final ones-run, so they pair up
+    runs = [len(list(run)) for _, run in itertools.groupby(seq.bits)]
+    return BlockForm(tuple(zip(runs[::2], runs[1::2])))
 
 
 @dataclass(frozen=True, eq=False)
@@ -226,22 +216,21 @@ def enumerate_connected(n: int, order: str = "lex") -> Iterator[CreationSequence
 
     order='lex' walks the free middle bits lexicographically; order='table'
     uses the reference-catalog ordering (trace ascending, then middle bits
-    descending as binary numbers).
+    descending as binary numbers).  Both yield as they go: within one
+    trace c, the c set bits' positions from the most significant bit, in
+    lexicographic order, give the middle bits in descending order.
     """
     if n < 2:
         raise ValueError("need n >= 2")
-    if n == 2:
-        yield CreationSequence((0, 1))
-        return
     m = n - 2
-    mids = range(2**m)
     if order == "lex":
-        keyed = sorted(mids)
+        mids = range(2**m)
     elif order == "table":
-        keyed = sorted(mids, key=lambda x: (bin(x).count("1"), -x))
+        mids = (sum(1 << (m - 1 - p) for p in ones)
+                for c in range(m + 1) for ones in itertools.combinations(range(m), c))
     else:
         raise ValueError(f"unknown order {order!r}")
-    for x in keyed:
+    for x in mids:
         mid = tuple((x >> (m - 1 - i)) & 1 for i in range(m))
         yield CreationSequence((0,) + mid + (1,))
 

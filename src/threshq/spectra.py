@@ -40,10 +40,10 @@ def check_symmetric(A: np.ndarray) -> None:
     A = np.asarray(A, dtype=float)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise DimensionMismatch(f"expected a square matrix, got shape {A.shape}")
-    peak = float(np.abs(A).max()) if A.size else 0.0
+    peak = float(np.abs(A).max(initial=0.0))
     if not peak < math.inf:
         raise NoConvergence("matrix has an entry that is not finite")
-    if A.size and float(np.abs(A - A.T).max()) > SYM_TOL * max(1.0, peak):
+    if float(np.abs(A - A.T).max(initial=0.0)) > SYM_TOL * max(1.0, peak):
         raise DimensionMismatch("matrix is not symmetric")
 
 
@@ -150,7 +150,7 @@ def q_of_matrix(A: np.ndarray, tol: float | None = None) -> int:
 def pattern_matrix(A: np.ndarray) -> np.ndarray:
     """Boolean off-diagonal support of A after scaling to unit max entry."""
     A = np.asarray(A, dtype=float)
-    scale = float(np.abs(A).max())
+    scale = float(np.abs(A).max(initial=0.0))
     P = np.abs(A) > ZERO_TOL * max(1.0, scale)
     np.fill_diagonal(P, False)
     return P
@@ -174,8 +174,15 @@ def in_pattern(A: np.ndarray, G) -> PatternReport:
     diagonal is unconstrained.  Entries are compared against
     ZERO_TOL * max(1, max|A|).
     """
-    A = np.asarray(A, dtype=float)
     check_symmetric(A)
+    return pattern_report(A, G)
+
+
+def pattern_report(A: np.ndarray, G) -> PatternReport:
+    """The S(G) comparison of `in_pattern`, for an A that `check_symmetric`
+    has already passed, as `eigen_sym` does: a caller that eigensolves A
+    validates it once."""
+    A = np.asarray(A, dtype=float)
     adj = G.adjacency if isinstance(G, ThresholdGraph) else np.asarray(G, dtype=bool)
     n = adj.shape[0]
     if A.shape[0] != n:
@@ -198,7 +205,8 @@ def spectra_agree(got, want) -> bool:
     """True iff two eigenvalue lists agree entry by entry, once sorted,
     within SPECTRUM_ATOL * max(1, max |want|)."""
     got, want = np.sort(got), np.sort(want)
-    return got.size == want.size and bool(np.max(np.abs(got - want)) <= SPECTRUM_ATOL * max(1.0, np.abs(want).max()))
+    return got.size == want.size and bool(np.abs(got - want).max(initial=0.0)
+                                          <= SPECTRUM_ATOL * max(1.0, np.abs(want).max(initial=0.0)))
 
 
 def assert_spectrum(A: np.ndarray, expected: list[tuple[float, int]]) -> bool:
@@ -240,8 +248,9 @@ def read_rows(path):
     return header, rows
 
 
-def load_matrix(path) -> np.ndarray:
-    """Load a square symmetric matrix; symmetry enforced at 1e-12."""
+def read_matrix(path) -> np.ndarray:
+    """The square matrix of an 'n' file, with symmetry not yet checked: for
+    a caller whose next step validates it, as `eigen_sym` does."""
     header, rows = read_rows(path)
     if len(header) != 1:
         raise ValueError(f"{path}: a matrix header is 'n'")
@@ -249,6 +258,12 @@ def load_matrix(path) -> np.ndarray:
     A = np.array(rows, dtype=float)
     if A.shape != (n, n):
         raise ValueError(f"{path}: expected {n}x{n}, got {A.shape}")
+    return A
+
+
+def load_matrix(path) -> np.ndarray:
+    """Load a square symmetric matrix; symmetry enforced at 1e-12."""
+    A = read_matrix(path)
     check_symmetric(A)
     return A
 

@@ -218,12 +218,15 @@ def test_forged_qbound_with_an_empty_side_rejected():
     assert verify_qbound(g, QBound(2, 2, qb.lower_certs, ())) is False
 
 
+ORTHO = "column-orthogonal completion"
+CHAIN = "duplication chain"
 Q2_0011 = q2_certificate(G("0011")).payload["matrix"]
 TRANSFER = transfer_certificate(G("00100101"))
+CHAIN_0001001 = chain_certificate(G("0001001"))
 
 
 def ortho_cert(payload, value=2):
-    return Certificate("OrthoUB", value, "column-orthogonal completion", payload)
+    return Certificate("OrthoUB", value, ORTHO, payload)
 
 
 def transfer_cert(**changes):
@@ -241,8 +244,8 @@ def transfer_cert(**changes):
     ("0011", ortho_cert({"matrix": np.triu(np.ones((4, 4)))})),   # not symmetric
     ("0011", ortho_cert({"matrix": np.full((4, 4), np.nan)})),    # not finite
     ("0011", ortho_cert({"matrix": Q2_0011 + np.diag([np.nan, 0, 0, 0])})),  # NaN diagonal
-    ("0011", ortho_cert({"matrix": Q2_0011, "achieved": np.array([2, 2])})),  # not an int
-    ("0011", ortho_cert({"matrix": Q2_0011, "achieved": 2}, value="2")),  # value not an int
+    ("0011", Certificate("DupChainUB", 2, ORTHO, {"matrix": Q2_0011})),  # an unissued pair
+    ("0011", ortho_cert({"matrix": Q2_0011}, value="2")),         # value not an int
     ("0011", ortho_cert("not a dict")),
     ("00100101", transfer_cert(embedding=None)),                  # no embedding
     ("00100101", transfer_cert(embedding=(0, 1, 2, 3, 4, 5, 6, 8))),  # out of range
@@ -255,7 +258,12 @@ def transfer_cert(**changes):
     ("00100101", transfer_cert(matrix=np.eye(7))),                # matrix of another order
     ("00100101", transfer_cert(matrix=np.triu(TRANSFER.payload["matrix"]))),  # not symmetric
     ("00100101", transfer_cert(embedding=(False, True, 2, 3, 4, 5, 6, 7))),  # booleans
-    ("0011", ortho_cert({"matrix": Q2_0011, "achieved": True})),  # a boolean, not an int
+    ("0011", Certificate("OrthoUB", 2, CHAIN, {"matrix": Q2_0011})),  # an unissued pair
+    # the true 0001001 chain payload under every other pair
+    ("0001001", dataclasses.replace(CHAIN_0001001, kind="OrthoUB")),
+    ("0001001", dataclasses.replace(CHAIN_0001001, provenance="made up")),
+    ("0001001", dataclasses.replace(CHAIN_0001001, provenance="paired-column construction")),
+    ("0001001", dataclasses.replace(CHAIN_0001001, provenance=ORTHO)),
 ])
 def test_upper_forged_certificate_rejected(text, cert):
     assert verify_certificate(G(text), cert) is False
@@ -270,7 +278,7 @@ _JUNK = st.recursive(
               st.booleans().map(np.bool_), st.floats(), st.text(max_size=2), st.none()),
     lambda inner: st.lists(inner, max_size=5) | st.lists(inner, max_size=5).map(tuple),
     max_leaves=12)
-_INDEX_FIELDS = ("pair", "block", "columns", "rows", "embedding", "achieved")
+_INDEX_FIELDS = ("pair", "block", "columns", "rows", "embedding")
 
 
 @functools.lru_cache(maxsize=None)
@@ -782,8 +790,9 @@ def test_classify_parses_the_block_form_once(monkeypatch):
 
 
 def test_section12_certificate_matches_fresh_chain():
-    # the general bound, built on its own, certifies the paired-column
-    # chain on every s >= 2 form with a zero-run of length >= 2
+    # the general bound, built on its own, returns the paired-column chain's
+    # own certificate on every s >= 2 form with a zero-run of length >= 2:
+    # its value is the q the matrix reaches, and the bound sits beside it
     checked = 0
     for n in range(2, 11):
         for seq in enumerate_connected(n):
@@ -793,11 +802,11 @@ def test_section12_certificate_matches_fresh_chain():
             g = build_graph(seq)
             bound, cert = ub_section12(g)
             A, _ = run_chain(plan)
-            assert bound == cert.value == (block_form(seq).s + 9) // 2, seq.text
-            assert cert.provenance == "paired-column construction", seq.text
+            assert bound == (block_form(seq).s + 9) // 2, seq.text
+            assert cert.value == q_of_matrix(cert.payload["matrix"]) <= bound, seq.text
+            assert cert.provenance == CHAIN and "achieved" not in cert.payload, seq.text
             assert np.array_equal(cert.payload["matrix"], A), seq.text
             assert cert.payload["chain"] == _chain_steps(plan)
-            assert cert.payload["achieved"] == q_of_matrix(cert.payload["matrix"])
             assert verify_certificate(g, cert), seq.text
             checked += 1
     assert checked
@@ -1013,7 +1022,7 @@ def test_wrong_recorded_spectrum_fails_the_chain_check():
         bad = dataclasses.replace(plan, seed=dataclasses.replace(plan.seed, expected_spectrum=wrong))
         A, spectrum = run_chain(bad)
         with pytest.raises(SelfCheckError, match="spectrum"):
-            bounds._checked(A, spectrum, g, "chain")
+            bounds._checked(A, spectrum, g)
 
 
 def test_one_classification_eigensolve_budget(monkeypatch):
@@ -1043,6 +1052,43 @@ def test_one_classification_eigensolve_budget(monkeypatch):
         assert len(solves) == (upper.kind == "OrthoUB") + chain + len(factors), (seq.text, solves)
         kinds.add((upper.kind, len(factors)))
     assert {("OrthoUB", 0), ("TableCitation", 0), ("DupChainUB", 2)} <= kinds
+
+
+def test_one_symmetry_check_per_certificate_matrix(monkeypatch):
+    # classify_q validates its certificate matrix once, in that matrix's one
+    # eigensolve, and each paired-column seed's cogram once; a transfer
+    # citation's matrix was checked at import.  verify_certificate then
+    # validates a matrix certificate's matrix once; a transfer citation's
+    # is validated by its eigensolve and by `ssp_check`.
+    from threshq.spectra import check_symmetric
+
+    checks, factors = [], []
+
+    def checking(A):
+        checks.append(len(A))
+        check_symmetric(A)
+
+    def building(s, m):
+        factors.append((s, m))
+        return section12_factor(s, m)
+
+    for mod in list(sys.modules.values()):
+        if mod.__name__.startswith("threshq") and getattr(mod, "check_symmetric", None) is check_symmetric:
+            monkeypatch.setattr(mod, "check_symmetric", checking)
+    monkeypatch.setattr(bounds.gramlib, "section12_factor", building)
+    kinds = set()
+    for seq in (seq for n in range(2, 13) for seq in enumerate_connected(n)):
+        g = build_graph(seq)
+        checks.clear()
+        factors.clear()
+        (upper,) = classify_q(g).upper_certs
+        matrix = upper.kind != "TableCitation"
+        assert checks.count(g.n) == matrix and len(checks) == matrix + len(factors), (seq.text, checks)
+        checks.clear()
+        assert verify_certificate(g, upper), seq.text
+        assert checks == [len(upper.payload["matrix"])] * (1 if matrix else 2), (seq.text, checks)
+        kinds.add(upper.kind)
+    assert kinds == {"OrthoUB", "ConstructionUB", "DupChainUB", "TableCitation"}
 
 
 # A `long`-shaped sequence: order 28, ones-runs (1, 1, 2, 2, 3, 3), a lone

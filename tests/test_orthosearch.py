@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from threshq.gram import construct_library, dup_realization, gram
+from threshq.gram import CONSTRUCTIONS, construct_library, dup_realization, gram
 from threshq.orthosearch import (
     _ENTRY_FLOOR,
     _MIX_STEPS,
@@ -15,9 +15,9 @@ from threshq.orthosearch import (
     verify_feasible,
     verify_infeasible,
 )
-from threshq.orthosearch import _column_groups, _complete_orthogonal
+from threshq.orthosearch import _column_groups, _complete_orthogonal, _ssp_system
 from threshq.sequences import block_form, enumerate_connected, graph_from_text
-from threshq.spectra import cluster_spectrum, eigen_sym, in_pattern
+from threshq.spectra import cluster_spectrum, eigen_sym, in_pattern, pattern_matrix
 
 rng = np.random.default_rng(7)
 
@@ -299,6 +299,47 @@ def test_witness_check_matches_the_pair_loop():
 
 
 # ---------------------------------------------------------------- ssp
+
+
+def _reference_ssp_system(A):
+    """The SSP system one unknown at a time: column (i, j) holds [A, X] for
+    X = E_ij + E_ji, read at every (a, b) with a < b."""
+    n = len(A)
+    P = pattern_matrix(A)
+    unknowns = [(i, j) for i in range(n) for j in range(i + 1, n) if not P[i, j]]
+    eqs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    K = np.zeros((len(eqs), len(unknowns)))
+    for u, (i, j) in enumerate(unknowns):
+        X = np.zeros((n, n))
+        X[i, j] = X[j, i] = 1.0
+        C = A @ X - X @ A
+        K[:, u] = [C[a, b] for a, b in eqs]
+    return K, unknowns
+
+
+def _catalog_grams():
+    params = {"thm00": [{"t": t} for t in range(2, 6)], "star": [{"k": k} for k in range(1, 5)]}
+    for cid in CONSTRUCTIONS:
+        for p in params.get(cid, [{}]):
+            yield gram(construct_library(cid, **p))
+
+
+def _random_patterns():
+    gen = np.random.default_rng(11)
+    for n in range(1, 21):
+        A = gen.normal(size=(n, n))
+        A = (A + A.T) / 2
+        A[np.triu(gen.random((n, n)) < 0.5, 1)] = 0.0
+        yield np.triu(A) + np.triu(A, 1).T
+
+
+def test_ssp_system_matches_the_per_unknown_build():
+    # the closed-form system equals the one built one unknown at a time,
+    # entry for entry, on every catalog gram and on random patterns
+    for A in (*_catalog_grams(), *_random_patterns()):
+        K, i, j = _ssp_system(A)
+        want, unknowns = _reference_ssp_system(A)
+        assert np.array_equal(K, want) and list(zip(i.tolist(), j.tolist())) == unknowns, len(A)
 
 
 def test_ssp_prop_a15a19():

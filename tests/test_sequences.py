@@ -1,3 +1,5 @@
+import time
+
 import networkx as nx
 import numpy as np
 import pytest
@@ -123,6 +125,18 @@ def test_enumerate_counts_and_order():
     assert len(all_connected(8)) == 64
     table_order = [s.text for s in enumerate_connected(4, order="table")]
     assert table_order == ["0001", "0101", "0011", "0111"]
+    # both orders against their sorted definitions, and neither builds the
+    # census before its first sequence
+    for n in range(3, 13):
+        m = n - 2
+        mids = [format(x, f"0{m}b") for x in range(2 ** m)]
+        for order, key in (("lex", None), ("table", lambda b: (b.count("1"), -int(b, 2)))):
+            got = [s.text for s in enumerate_connected(n, order=order)]
+            assert got == ["0" + b + "1" for b in sorted(mids, key=key)], (n, order)
+    t0 = time.perf_counter()
+    firsts = [next(enumerate_connected(60, order=order)).text for order in ("lex", "table")]
+    assert time.perf_counter() - t0 < 0.5
+    assert firsts == ["0" * 59 + "1"] * 2
 
 
 def test_enumerate_rejects_small_n():

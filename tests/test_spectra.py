@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from threshq.gram import construct_library, gram
+from threshq.orthosearch import ssp_check
 from threshq.sequences import graph_from_text
 from threshq.spectra import (
     DimensionMismatch,
@@ -17,10 +18,12 @@ from threshq.spectra import (
     in_pattern,
     load_factor,
     load_matrix,
+    pattern_matrix,
     q_of_matrix,
     q_of_spectrum,
     save_factor,
     save_matrix,
+    spectra_agree,
 )
 
 rng = np.random.default_rng(20240611)
@@ -55,8 +58,10 @@ def test_thm10_printed_decimals():
 
 
 def test_eigen_rejects_asymmetric():
-    with pytest.raises(DimensionMismatch):
-        eigen_sym(np.array([[0.0, 1.0], [0.5, 0.0]]))
+    for bad in (np.array([[0.0, 1.0], [0.5, 0.0]]), np.triu(np.ones((4, 4))), np.ones((2, 3))):
+        for check in (eigen_sym, ssp_check):
+            with pytest.raises(DimensionMismatch):
+                check(bad)
 
 
 def test_eigen_rejects_nonfinite():
@@ -70,7 +75,7 @@ def test_symmetry_check_rejects_an_asymmetric_non_finite_entry(bad):
     # the residual NaN - 0 is NaN and inf - 0 is inf, which a plain
     # "residual > tol" test lets through; every entry point rejects both
     A = np.array([[1.0, bad], [0.0, 1.0]])
-    for check in (check_symmetric, eigen_sym, eigen_sym_vectors,
+    for check in (check_symmetric, eigen_sym, eigen_sym_vectors, ssp_check,
                   lambda A: in_pattern(A, graph_from_text("01"))):
         with pytest.raises(NoConvergence):
             check(A)
@@ -85,11 +90,17 @@ def test_empty_matrix_has_no_eigenvalues():
     w, V = eigen_sym_vectors(E)
     assert w.shape == (0,) and V.shape == (0, 0)
     assert q_of_matrix(E) == q_of_spectrum([]) == 0
+    # and no off-diagonal support, in the pattern of the empty graph, and
+    # trivially SSP; two empty spectra agree
+    assert pattern_matrix(E).shape == (0, 0)
+    assert in_pattern(E, np.zeros((0, 0), dtype=bool))
+    assert ssp_check(E).is_ssp
+    assert spectra_agree([], [])
 
 
 @pytest.mark.parametrize("shape", [(0, 1), (1, 0), (0, 3)])
 def test_empty_non_square_matrix_is_rejected(shape):
-    for check in (check_symmetric, eigen_sym, eigen_sym_vectors, q_of_matrix):
+    for check in (check_symmetric, eigen_sym, eigen_sym_vectors, q_of_matrix, ssp_check):
         with pytest.raises(DimensionMismatch):
             check(np.zeros(shape))
 
