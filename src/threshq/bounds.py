@@ -530,7 +530,8 @@ def _upper_ok(G: ThresholdGraph, cert: Certificate) -> bool:
 def verify_certificate(G: ThresholdGraph, cert: Certificate) -> bool:
     """Re-validate a certificate from its payload alone; a bool, False and
     never an error when the payload is malformed."""
-    if not (isinstance(cert.payload, dict) and is_int(cert.value)):
+    if not (isinstance(cert.kind, str) and isinstance(cert.provenance, str)
+            and isinstance(cert.payload, dict) and is_int(cert.value)):
         return False
     rule = _LOWER_CHECKS.get((cert.kind, cert.provenance))
     if rule is not None:

@@ -28,32 +28,44 @@ from .spectra import in_pattern, pattern_matrix
 
 @dataclass(frozen=True)
 class SupportPattern:
-    """Dominating-by-isolated support of S(G): support[i, j] is True iff
-    dominating vertex i (creation order) is adjacent to isolated vertex j."""
+    """Dominating-by-isolated support of S(G), one int per column: isolated
+    vertex j is adjacent to dominating vertices starts[j], ..., rows - 1
+    (creation order), the ones added after it."""
 
-    support: np.ndarray
-
-    @property
-    def rows(self) -> int:
-        return self.support.shape[0]
+    starts: tuple[int, ...]
+    rows: int
 
     @property
     def cols(self) -> int:
-        return self.support.shape[1]
+        return len(self.starts)
+
+    @property
+    def support(self) -> np.ndarray:
+        """The read-only boolean staircase the starts draw: support[i, j]
+        is True iff i >= starts[j]."""
+        S = np.arange(self.rows)[:, None] >= np.array(self.starts, dtype=int)
+        S.setflags(write=False)
+        return S
 
     @classmethod
     def from_graph(cls, G: ThresholdGraph) -> "SupportPattern":
-        """G's staircase, which G builds once and every pattern of G shares."""
-        return cls(G.staircase)
+        """G's pattern, read off its creation bits in one pass."""
+        starts, rows = [], 0
+        for b in G.creation.bits:
+            rows += b
+            if not b:
+                starts.append(rows)
+        return cls(tuple(starts), rows)
 
-    def suffix_starts(self) -> list[int]:
-        """First supported row per column; columns are suffix-supported,
-        so the support must equal the staircase those starts draw."""
-        starts = self.support.argmax(axis=0)
-        staircase = np.arange(self.rows)[:, None] >= starts
-        if not np.array_equal(self.support, staircase):
+    @classmethod
+    def from_support(cls, S) -> "SupportPattern":
+        """The pattern of a boolean array whose every column is a nonempty
+        suffix, read by its first True per column; ValueError otherwise."""
+        S = np.asarray(S, dtype=bool)
+        starts = S.argmax(axis=0) if S.ndim == 2 and len(S) else None
+        if starts is None or not np.array_equal(S, np.arange(len(S))[:, None] >= starts):
             raise ValueError("support is not a nested suffix staircase")
-        return starts.tolist()
+        return cls(tuple(starts.tolist()), S.shape[0])
 
 
 @dataclass(frozen=True)
@@ -75,19 +87,22 @@ class Infeasible:
 
 def _column_groups(P: SupportPattern) -> list[tuple[int, list[int]]]:
     """(support size, columns) per group of equal-support columns,
-    smallest support first."""
+    smallest support first; ValueError on an empty column."""
     by_size: dict[int, list[int]] = {}
-    for j, a in enumerate(P.suffix_starts()):
+    for j, a in enumerate(P.starts):
         by_size.setdefault(P.rows - a, []).append(j)
+    if 0 in by_size:
+        raise ValueError("support is not a nested suffix staircase")
     return sorted(by_size.items())
 
 
 def decide_column_orthogonal(P: SupportPattern):
     """Decide whether the staircase admits a column-orthogonal completion.
 
-    Feasible(B): B has the exact support, unit columns, pairwise inner
-    products below 1e-9.  Infeasible(witness): counting obstruction.  One
-    of the two is returned for every staircase.
+    It counts the column groups of the starts, no array: Feasible(B), B
+    with the exact support, unit columns and pairwise inner products below
+    1e-9, or Infeasible(witness), the counting obstruction.  One of the two
+    is returned for every staircase.
     """
     T = P.rows
     groups = _column_groups(P)
@@ -194,17 +209,15 @@ def _complete_orthogonal(groups: list[tuple[int, list[int]]],
 
 def verify_feasible(P: SupportPattern, B: np.ndarray, tol: float = 1e-9) -> bool:
     """Support exact and Gram of unit columns diagonal to tol."""
-    if B.shape != P.support.shape:
-        return False
-    if not np.array_equal(np.abs(B) > 1e-12, P.support):
+    S = P.support
+    if B.shape != S.shape or not np.array_equal(np.abs(B) > 1e-12, S):
         return False
     norms = np.linalg.norm(B, axis=0)
     if np.any(norms < 1e-12):
         return False
     U = B / norms
     G = U.T @ U
-    off = G - np.diag(np.diag(G))
-    return float(np.abs(off).max(initial=0.0)) <= tol
+    return float(np.abs(G - np.diag(np.diag(G))).max(initial=0.0)) <= tol
 
 
 def verify_infeasible(P: SupportPattern, w: Infeasible) -> bool:
@@ -212,19 +225,21 @@ def verify_infeasible(P: SupportPattern, w: Infeasible) -> bool:
     rows, all inside the staircase, every column meets w.rows, and pairwise
     overlaps confined to w.rows.  A malformed witness fails the check.
 
-    The overlaps are one integer product: with `out` the witness columns
-    on the rows outside w.rows, (out^T out)[a, b] counts the rows outside
-    w.rows that columns a and b share, so it must be zero off the diagonal."""
+    O(len(columns) + len(rows)) integer work on the starts, no array:
+    column c, the suffix [starts[c], rows), meets w.rows iff starts[c] <=
+    max(w.rows).  Two columns share the suffix from the larger start, so
+    the largest overlap starts at s2, the second-smallest witness start,
+    and holds every other: overlaps are confined iff w.rows covers [s2,
+    rows).  A lone column has no rows to meet."""
     if not (distinct_indices(w.columns, P.cols) and distinct_indices(w.rows, P.rows)
             and len(w.columns) > len(w.rows)):
         return False
-    S = P.support[:, list(w.columns)]
-    inside = np.zeros(P.rows, dtype=bool)
-    inside[list(w.rows)] = True
-    out = S[~inside].astype(int)
-    shared = out.T @ out
-    return bool(S[inside].any(axis=0).all()
-                and np.count_nonzero(shared) == np.count_nonzero(shared.diagonal()))
+    starts = [P.starts[c] for c in w.columns]
+    if not w.rows or max(starts) > max(w.rows):
+        return False
+    starts.remove(min(starts))
+    s2 = min(starts)
+    return sum(r >= s2 for r in w.rows) == P.rows - s2
 
 
 def is_int(x) -> bool:

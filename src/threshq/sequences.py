@@ -167,16 +167,6 @@ class ThresholdGraph:
         graph; NotConnected otherwise."""
         return block_form(self.creation)
 
-    @cached_property
-    def staircase(self) -> np.ndarray:
-        """The read-only dominating-by-isolated block of the adjacency,
-        built once per graph: entry (i, j) is True when the i-th dominating
-        vertex was added after, so covers, the j-th isolated one."""
-        bits = np.array(self.creation.bits)
-        S = np.greater.outer(np.flatnonzero(bits == 1), np.flatnonzero(bits == 0))
-        S.setflags(write=False)
-        return S
-
     @property
     def dominating(self) -> tuple[int, ...]:
         return tuple(i for i, b in enumerate(self.creation.bits) if b == 1)

@@ -230,8 +230,9 @@ def save_matrix(path, A: np.ndarray) -> None:
 
 
 def read_rows(path):
-    """(header fields, numeric rows) of a matrix or factor file; comment
-    lines are skipped."""
+    """(header fields, array) of a file parsed once: an 'n' header names a
+    square matrix, a 'rows cols' header a factor, and the rows below it
+    must have that shape; comment lines are skipped."""
     header = None
     rows = []
     with open(path) as fh:
@@ -243,21 +244,21 @@ def read_rows(path):
                 header = line.split()
             else:
                 rows.append([float(x) for x in line.split()])
-    if header is None:
-        raise ValueError(f"{path}: no header line")
-    return header, rows
+    if header is None or len(header) not in (1, 2):
+        raise ValueError(f"{path}: the header is 'n' or 'rows cols'")
+    r, c = int(header[0]), int(header[-1])
+    A = np.array(rows, dtype=float)
+    if A.shape != (r, c):
+        raise ValueError(f"{path}: expected {r}x{c}, got {A.shape}")
+    return header, A
 
 
 def read_matrix(path) -> np.ndarray:
     """The square matrix of an 'n' file, with symmetry not yet checked: for
     a caller whose next step validates it, as `eigen_sym` does."""
-    header, rows = read_rows(path)
+    header, A = read_rows(path)
     if len(header) != 1:
         raise ValueError(f"{path}: a matrix header is 'n'")
-    n = int(header[0])
-    A = np.array(rows, dtype=float)
-    if A.shape != (n, n):
-        raise ValueError(f"{path}: expected {n}x{n}, got {A.shape}")
     return A
 
 
@@ -280,11 +281,7 @@ def save_factor(path, M: np.ndarray, construction_id: str) -> None:
 
 def load_factor(path) -> np.ndarray:
     """The factor matrix of a 'rows cols' file; comment lines are skipped."""
-    header, rows = read_rows(path)
+    header, M = read_rows(path)
     if len(header) != 2:
         raise ValueError(f"{path}: a factor header is 'rows cols'")
-    r, c = int(header[0]), int(header[1])
-    M = np.array(rows, dtype=float)
-    if M.shape != (r, c):
-        raise ValueError(f"{path}: expected {r}x{c}, got {M.shape}")
     return M

@@ -180,6 +180,13 @@ def gate_cert(columns, rows):
     ("0010101", gate_cert((3, 2), (np.True_,))),
     ("0001001", zero_run_cert({"block": True})),
     ("0001001", zero_run_cert({"block": np.True_})),
+    # a kind or provenance that is no string, unhashable ones too, as a
+    # JSON round trip may leave them
+    ("0011", Certificate(["x"], 3, "p", {})),
+    ("0011", Certificate(["ConnectedLB"], 2, CONNECTED)),
+    ("0010101", Certificate("Compare1LB", 3, [GATE], {"columns": (3, 2), "rows": (2,)})),
+    ("0010101", Certificate("Compare1LB", 3, {GATE: 1}, {"columns": (3, 2), "rows": (2,)})),
+    ("0010101", Certificate(("Compare1LB",), 3, GATE, {"columns": (3, 2), "rows": (2,)})),
 ])
 def test_lower_forged_witness_rejected(text, cert):
     assert verify_certificate(G(text), cert) is False
@@ -264,6 +271,9 @@ def transfer_cert(**changes):
     ("0001001", dataclasses.replace(CHAIN_0001001, provenance="made up")),
     ("0001001", dataclasses.replace(CHAIN_0001001, provenance="paired-column construction")),
     ("0001001", dataclasses.replace(CHAIN_0001001, provenance=ORTHO)),
+    ("0001001", dataclasses.replace(CHAIN_0001001, provenance=[CHAIN])),
+    ("0001001", dataclasses.replace(CHAIN_0001001, kind=["DupChainUB"])),
+    ("0011", Certificate("OrthoUB", 2, [ORTHO], {"matrix": Q2_0011})),
 ])
 def test_upper_forged_certificate_rejected(text, cert):
     assert verify_certificate(G(text), cert) is False
@@ -337,6 +347,26 @@ def test_lower_rules_agree_with_the_gate():
 @given(st.integers(0, 62).flatmap(lambda m: st.lists(st.integers(0, 1), min_size=m, max_size=m)))
 def test_lower_rules_agree_with_the_gate_to_n64(middle):
     _gate_covers_the_corollaries(build_graph(CreationSequence((0, *middle, 1))))
+
+
+def test_lower_side_draws_no_staircase(monkeypatch):
+    # the gate and its witness check read the starts alone: with the
+    # staircase array out of reach, every gate-infeasible connected row with
+    # n <= 12 still classifies, with the gate's witness, and verifies
+    def drawn(P):
+        raise RuntimeError("the staircase array was drawn")
+
+    monkeypatch.setattr(SupportPattern, "support", property(drawn))
+    rows = 0
+    for n in range(2, 13):
+        for seq in enumerate_connected(n):
+            g = build_graph(seq)
+            gate = ortho_gate(g)
+            if isinstance(gate, Infeasible):
+                qb = classify_q(g)
+                assert qb.lower >= 3 and verify_qbound(g, qb), seq.text
+                rows += 1
+    assert rows > 1000, rows
 
 
 def test_q2_iff_gate_on_catalog():

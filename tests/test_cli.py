@@ -147,6 +147,32 @@ def test_certify_reads_a_square_factor_as_a_factor(tmp_path, capsys):
     assert code == 1 and "in_pattern=False" in out
 
 
+@pytest.mark.parametrize("kind", ["factor", "matrix"])
+def test_certify_parses_its_file_once(tmp_path, capsys, monkeypatch, kind):
+    # the header read picks how the parsed rows are read, so the file is
+    # read once, as a factor and as a square matrix alike
+    from threshq import cli, spectra
+
+    calls = []
+    read_rows = spectra.read_rows
+
+    def counted(path):
+        calls.append(path)
+        return read_rows(path)
+
+    monkeypatch.setattr(spectra, "read_rows", counted)
+    monkeypatch.setattr(cli, "read_rows", counted)
+    f = construct_library("thm05")
+    p = tmp_path / f"thm05.{kind}"
+    if kind == "factor":
+        spectra.save_factor(p, f.M, "thm05")
+    else:
+        save_matrix(p, gram(f))
+    code, out, _ = run(capsys, "certify", "010101", "3", str(p))
+    assert code == 0 and "PASS" in out
+    assert calls == [str(p)]
+
+
 @pytest.mark.parametrize("command", ["certify", "ssp"])
 @pytest.mark.parametrize("body", ["1 nan\nnan 1\n", "1 nan\n0 1\n", "1 inf\ninf 1\n", "1 inf\n0 1\n"])
 def test_non_finite_matrix_file_is_bad_input(tmp_path, capsys, command, body):

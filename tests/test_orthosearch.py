@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from threshq.gram import CONSTRUCTIONS, construct_library, dup_realization, gram
 from threshq.orthosearch import (
@@ -16,7 +18,8 @@ from threshq.orthosearch import (
     verify_infeasible,
 )
 from threshq.orthosearch import _column_groups, _complete_orthogonal, _ssp_system
-from threshq.sequences import block_form, enumerate_connected, graph_from_text
+from threshq.sequences import CreationSequence, block_form, build_graph, enumerate_connected
+from threshq.sequences import graph_from_text
 from threshq.spectra import cluster_spectrum, eigen_sym, in_pattern, pattern_matrix
 
 rng = np.random.default_rng(7)
@@ -56,18 +59,17 @@ def check_gate_is_total(n):
 # ---------------------------------------------------------------- the gate
 
 
-def test_support_pattern_shares_the_graphs_staircase():
-    # the staircase is the dominating-by-isolated block of the adjacency,
-    # built once per graph and read-only, so the gate and the q = 2
-    # completion of one graph share it
+def test_support_pattern_draws_the_adjacency_block():
+    # the staircase the starts draw is the dominating-by-isolated block of
+    # the adjacency, and read-only
     for n in range(2, 9):
         for seq in enumerate_connected(n):
             G = graph_from_text(seq.text)
             dom = [i for i, b in enumerate(seq.bits) if b]
             iso = [i for i, b in enumerate(seq.bits) if not b]
-            assert np.array_equal(G.staircase, G.adjacency[np.ix_(dom, iso)]), seq.text
-            assert SupportPattern.from_graph(G).support is G.staircase is G.staircase
-            assert not G.staircase.flags.writeable
+            S = SupportPattern.from_graph(G).support
+            assert np.array_equal(S, G.adjacency[np.ix_(dom, iso)]), seq.text
+            assert not S.flags.writeable
 
 
 def test_full_support_k_le_t_feasible():
@@ -105,14 +107,20 @@ def test_gate_outputs_always_verify(n):
     check_gate_is_total(n)
 
 
+def _check_pattern_definition(G):
+    """from_graph's starts and staircase against the definition: dominating
+    vertex d covers isolated vertex z iff d > z, and a column starts after
+    the dominating vertices added before its vertex."""
+    P = SupportPattern.from_graph(G)
+    S = np.array([[d > z for z in G.isolated] for d in G.dominating], dtype=bool)
+    assert np.array_equal(P.support, S.reshape(P.support.shape)), G.creation.text
+    assert P.starts == tuple(sum(d < z for d in G.dominating) for z in G.isolated), G.creation.text
+    assert (P.rows, P.cols) == (len(G.dominating), len(G.isolated)), G.creation.text
+
+
 def test_support_pattern_from_bits_matches_definition():
     for seq in (seq for n in range(2, 11) for seq in enumerate_connected(n)):
-        G = graph_from_text(seq.text)
-        P = SupportPattern.from_graph(G)
-        S = np.array([[d > z for z in G.isolated] for d in G.dominating], dtype=bool)
-        assert np.array_equal(P.support, S.reshape(P.support.shape)), seq.text
-        # a column starts after the dominating vertices added before its vertex
-        assert P.suffix_starts() == [sum(d < z for d in G.dominating) for z in G.isolated], seq.text
+        _check_pattern_definition(graph_from_text(seq.text))
 
 
 def _suffix_starts_by_column(S):
@@ -137,12 +145,13 @@ def _starts_or_error(fn, S):
 def test_staircase_structure_enforced():
     S = np.array([[True, False], [False, True]])
     with pytest.raises(ValueError):
-        SupportPattern(S).suffix_starts()
+        SupportPattern.from_support(S)
     with pytest.raises(ValueError):
-        SupportPattern(np.zeros((0, 2), dtype=bool)).suffix_starts()
+        SupportPattern.from_support(np.zeros((0, 2), dtype=bool))
     # random boolean supports, dense and sparse, and random staircases with
-    # some entries flipped: the vectorized reading agrees with the
-    # column-by-column one, starts and errors alike (all-False columns too)
+    # some entries flipped: from_support agrees with the column-by-column
+    # reading, starts and errors alike (all-False columns too), and draws
+    # back the array it read
     gen = np.random.default_rng(11)
     outcomes = set()
     for _ in range(3000):
@@ -154,7 +163,10 @@ def test_staircase_structure_enforced():
             if cols and gen.random() < 0.5:
                 S[gen.integers(rows), gen.integers(cols)] ^= True
         want = _starts_or_error(_suffix_starts_by_column, S)
-        assert _starts_or_error(lambda S: SupportPattern(S).suffix_starts(), S) == want, S
+        P = _starts_or_error(SupportPattern.from_support, S)
+        assert (P if P is ValueError else list(P.starts)) == want, S
+        if P is not ValueError:
+            assert P.rows == rows and np.array_equal(P.support, S), S
         outcomes.add(want is ValueError)
     assert outcomes == {True, False}
 
@@ -296,6 +308,46 @@ def test_witness_check_matches_the_pair_loop():
             assert verify_infeasible(P, cand) is want, (seq.text, cand)
             outcomes[want] += 1
     assert min(outcomes.values()) > 1000, outcomes
+
+
+def test_witness_check_on_disconnected_patterns():
+    # an isolated vertex added after the last dominating one has an empty
+    # column: the gate refuses the pattern, and the witness of its
+    # connected prefix, tampered with by adding an empty column among
+    # others, decides as the column-pair loop decides
+    gen = np.random.default_rng(20)
+    outcomes = {True: 0, False: 0}
+    for seq in (seq for n in range(2, 10) for seq in enumerate_connected(n)):
+        P0 = SupportPattern.from_graph(graph_from_text(seq.text))
+        out = decide_column_orthogonal(P0)
+        w = out if isinstance(out, Infeasible) else None
+        for tail in ("0", "00"):
+            P = SupportPattern.from_graph(graph_from_text(seq.text + tail))
+            with pytest.raises(ValueError):
+                decide_column_orthogonal(P)
+            for cand in ([w] if w else []) + list(_tampered(P, w, gen)):
+                want = _verify_infeasible_by_pairs(P, cand)
+                assert verify_infeasible(P, cand) is want, (seq.text + tail, cand)
+                outcomes[want] += 1
+    assert min(outcomes.values()) > 100, outcomes
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(st.integers(0, 62).flatmap(lambda m: st.lists(st.integers(0, 1), min_size=m, max_size=m)),
+       st.integers(0, 2 ** 32 - 1))
+def test_witness_check_matches_the_pair_loop_to_order_64(middle, seed):
+    # past n = 12, on connected sequences up to n = 64: from_graph reads
+    # the definition, the gate's own witness verifies, and it and the
+    # tampered ones decide as the column-pair loop decides
+    G = build_graph(CreationSequence((0, *middle, 1)))
+    _check_pattern_definition(G)
+    P = SupportPattern.from_graph(G)
+    out = decide_column_orthogonal(P)
+    w = out if isinstance(out, Infeasible) else None
+    assert w is None or verify_infeasible(P, w), G.creation.text
+    for cand in ([w] if w else []) + list(_tampered(P, w, np.random.default_rng(seed))):
+        assert verify_infeasible(P, cand) is _verify_infeasible_by_pairs(P, cand), (
+            G.creation.text, cand)
 
 
 # ---------------------------------------------------------------- ssp
