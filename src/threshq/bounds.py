@@ -23,6 +23,8 @@ provenance) pair the package issues."""
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -269,13 +271,13 @@ def _seed_table(bf) -> tuple:
     """The prebuilt seeds with bf's s, in q order, as (blocks, dup_slots,
     build) entries, so a seed's fit is read before build() makes it: the
     star for s = 1; otherwise the alternating seed thm00(s), blocks (0,1)^s
-    and one dup slot, vertex 0 with diagonal s^2 - s + 1, then
+    and its one dup slot, vertex 0 at `gramlib.thm00_lambda(s)`, then
     `_CATALOG_SEEDS[s]`.  Every entry has q <= 4 and every paired-column
     seed q >= 4, so the first entry that fits bf is its least-q seed."""
     s, k = bf.s, bf.ks[0]
     if s == 1:
         return ((((k, 1),), (), lambda: gramlib.construct_library("star", k=k)),)
-    return ((((1, 1),) * s, ((0, float(s * s - s + 1)),),
+    return ((((1, 1),) * s, ((0, gramlib.thm00_lambda(s)),),
              lambda: gramlib.construct_library("thm00", t=s)), *_CATALOG_SEEDS.get(s, ()))
 
 
@@ -318,46 +320,47 @@ def _chain_steps(plan: ChainPlan) -> tuple[str, ...]:
 def run_chain(plan: ChainPlan) -> tuple[np.ndarray, np.ndarray]:
     """Realize a plan, with the spectrum it carries.
 
-    One gramlib.ChainGrower holds the seed's gram and its expected spectrum
-    in a buffer sized for the whole chain, and each step grows the active
-    leading block by one row and column in place, with O(1) array work
-    besides the rotation: its check scale comes from the grower's bracket,
-    and the carried spectrum is never scanned.  Each copy is appended, so
-    plan indices keep naming seed vertices, and belongs right after the
-    vertex it copies, inside that vertex's run (a joined copy of vertex 0
-    opens (0, 1, ...)); one permutation at the end puts the matrix in the
-    creation order of the sequence the plan fits.  The spectrum gains lam
-    per dup step and lambda_min per jdup step, so no step eigensolves."""
-    seed = plan.seed
-    grower = gramlib.ChainGrower(gramlib.gram(seed), spectrum_values(seed.expected_spectrum),
-                                 len(plan.dup_steps) + len(plan.jdup_steps))
-    order = list(range(seed.n))
-    for v, lam in plan.dup_steps:
-        grower.dup(v, lam)
-        order.insert(order.index(v) + 1, grower.n - 1)
-    for v in plan.jdup_steps:
-        grower.jdup(v)
-        order.insert(order.index(v) + 1, grower.n - 1)
-    return grower.buf.take(order, axis=0).take(order, axis=1), np.array(grower.spectrum)
+    The seed's gram sits in a buffer sized for the whole chain, and each
+    run of equal steps (a plan repeats one slot per zero-run and one vertex
+    per ones-run) is one gramlib.duplicate_run call with uniform u.  Copies
+    are appended, so plan indices keep naming seed vertices, and belong
+    right after the vertex they copy, inside its run (a joined copy of
+    vertex 0 opens (0, 1, ...)); one permutation at the end puts the matrix
+    in the creation order of the sequence the plan fits.  The carried
+    spectrum is read off the plan: the seed's values, lam per dup step and
+    lambda_min per jdup step."""
+    seed, n = plan.seed, plan.seed.n
+    carried = spectrum_values(seed.expected_spectrum).tolist() + [lam for _, lam in plan.dup_steps]
+    lam_min = min(carried)
+    carried += [lam_min] * len(plan.jdup_steps)
+    runs = [(v, lam, len(list(steps))) for (v, lam), steps in itertools.groupby(plan.dup_steps)]
+    runs += [(v, lam_min, len(list(steps))) for v, steps in itertools.groupby(plan.jdup_steps)]
+    B = np.empty((len(carried), len(carried)))
+    B[:n, :n] = gramlib.gram(seed)
+    order = list(range(n))
+    for v, lam, k in runs:
+        gramlib.duplicate_run(B, n, v, lam, np.full(k + 1, 1 / math.sqrt(k + 1)))
+        at = order.index(v) + 1
+        order[at:at] = range(n, n + k)
+        n += k
+    return B.take(order, axis=0).take(order, axis=1), np.array(carried)
 
 
-def _checked(A: np.ndarray, spectrum: np.ndarray, G: ThresholdGraph) -> int:
-    """q of a chain matrix A, once checked to lie in S(G) and to have the
-    spectrum its chain carried.  This is the chain's one eigensolve, which
-    validates A for the pattern test too: every step is an exact
-    similarity, so the match proves each intermediate
-    spectrum, and with it every step's check against the carried one.
-    Those checks read no spectrum and no matrix in full: the grower decides
-    each against DUP_TOL * max(1, max|A|) through its bracket
-    max(1, |a_vv|) <= scale <= max(1, U), U its running bound on max|A|,
-    and reads the exact scale off the buffer only for a gap between the
-    two ends, so every step decides as a full read would."""
+def _checked(A: np.ndarray, spectrum: np.ndarray, G: ThresholdGraph, q: int) -> int:
+    """q of a chain matrix A, once checked to lie in S(G), to have the
+    spectrum its chain carried and to keep its seed's q.  This is the
+    chain's one eigensolve, which validates A for the pattern test too.
+    Every run is an exact similarity, so the spectrum match proves the
+    kernel, and the q match that every lam the plan carried was already an
+    eigenvalue, as the planner's comparison of seeds assumes."""
     eigs = eigen_sym(A)
     if not pattern_report(A, G):
         raise SelfCheckError(f"chain landed on another graph than {G.creation.text}")
     if not spectra_agree(eigs, spectrum):
         raise SelfCheckError("chain lost the spectrum it carried")
-    return q_of_spectrum(eigs)
+    if (got := q_of_spectrum(eigs)) != q:
+        raise SelfCheckError(f"chain reached q = {got}; its seed's q is {q}")
+    return q
 
 
 def _chain_cert(G: ThresholdGraph, plan: ChainPlan) -> Certificate:
@@ -366,7 +369,8 @@ def _chain_cert(G: ThresholdGraph, plan: ChainPlan) -> Certificate:
     A, spectrum = run_chain(plan)
     steps = _chain_steps(plan)
     kind = "ConstructionUB" if len(steps) == 1 else "DupChainUB"
-    return Certificate(kind, _checked(A, spectrum, G), _CHAIN, {"matrix": A, "chain": steps})
+    q = _checked(A, spectrum, G, len(plan.seed.expected_spectrum))
+    return Certificate(kind, q, _CHAIN, {"matrix": A, "chain": steps})
 
 
 def chain_certificate(G: ThresholdGraph) -> Certificate:

@@ -95,12 +95,18 @@ def _star(k: int) -> GramFactor:
                       {"k": k}, expected_spectrum=tuple((v, m) for v, m in spec if m))
 
 
+def thm00_lambda(t: int) -> float:
+    """t^2 - t + 1: the eigenvalue of thm00(t)'s dup slot, vertex 0."""
+    return float(t * t - t + 1)
+
+
 def _thm00(t: int) -> GramFactor:
     """Alternating sequence (0,1)^t: cogram is (t^2-t+1) I + t J."""
     if t < 2:
         raise BadParams("thm00 needs t >= 2")
+    lam = thm00_lambda(t)
     M = np.zeros((2 * t, t))
-    M[0, 0] = math.sqrt(t * t - t + 1)
+    M[0, 0] = math.sqrt(lam)
     M[1, 0] = 1.0
     for r in range(2, t + 1):  # dominating rows: ones then the run index
         M[r, : r - 1] = 1.0
@@ -114,7 +120,6 @@ def _thm00(t: int) -> GramFactor:
     for i in range(2, t + 1):
         perm[2 * i - 2] = t + i - 1
     M = M[perm]
-    lam = float(t * t - t + 1)
     spec = ((0.0, t), (lam, t - 1), (float(2 * t * t - t + 1), 1))
     return GramFactor(
         _frozen(M),
@@ -294,148 +299,90 @@ def construct_library(construction_id: str, **params) -> GramFactor:
 # ---------------------------------------------------------------------------
 
 
-# A step's checks compare within DUP_TOL * max(1, max|A|).
+# A public step's checks compare within DUP_TOL * max(1, max|A|).
 DUP_TOL = 1e-8
 
 
-def _check_angle(theta: float) -> None:
+def duplicate_run(B: np.ndarray, n: int, v: int, lam: float, u) -> None:
+    """Replace vertex v of B's leading n x n block A by v and k = len(u) - 1
+    copies, written in place to rows and columns v, n, ..., n + k - 1 of B:
+    with r row v of A, each of those rows i becomes u_i r off the run, and
+    the run's own block lam I + (a_vv - lam) u u^T.  For a unit vector u and
+    any orthogonal Q whose first column is u this is Q diag(A, lam I_k) Q^T,
+    so the spectrum gains exactly k copies of lam.  Copies are unjoined when
+    a_vv = lam, and joined when lam is lambda_min and a_vv is not.  Every
+    entry is written to both triangles from one value, so the block stays
+    as symmetric as A."""
+    u = np.asarray(u, dtype=float)
+    m = n + len(u) - 1
+    r = B[v, :n].copy()
+    block = (r[v] - lam) * np.multiply.outer(u, u)
+    block.flat[::len(u) + 1] += lam
+    np.multiply.outer(u[1:], r, out=B[n:m, :n])
+    B[:n, n:m] = B[n:m, :n].T
+    np.multiply(u[0], r, out=B[v, :n])
+    B[v, v] = block[0, 0]
+    B[v, n:m] = block[0, 1:]
+    B[n:m, n:m] = block[1:, 1:]
+    B[:m, v] = B[v, :m]
+
+
+def _one_copy(A, v: int, spectrum, theta: float) -> tuple[np.ndarray, float, np.ndarray]:
+    """A in a buffer with room for one copy of v, with the check scale
+    max(1, max|A|) and the spectrum as an array, both read in full:
+    NoConvergence on an entry that is not finite, BadAngle unless
+    0 < theta < pi/2, IndexError for a vertex outside A."""
+    A = np.asarray(A, dtype=float)
+    spectrum = np.asarray(spectrum, dtype=float)
+    if not (np.isfinite(A).all() and np.isfinite(spectrum).all()):
+        raise NoConvergence("seed or spectrum has an entry that is not finite")
     if not 0 < theta < math.pi / 2:
         raise BadAngle("theta must lie strictly between 0 and pi/2")
-
-
-class ChainGrower:
-    """A symmetric matrix grown in place by dup and jdup steps, with the
-    spectrum it is known to have.
-
-    The buffer holds the seed A and room for `steps` more rows and columns;
-    `n` is the order of its active leading block.  Each step rotates that
-    block, bordered by one eigenvalue lam, in the (v, n) plane by theta, so
-    it writes only row and column v, row and column n and the entries they
-    share: c a_v, -s a_v and the rotated block [[a_vv, 0], [0, lam]].  Each
-    entry is written to both triangles from one value, so the block stays
-    as symmetric as the seed.  `spectrum` lists the carried eigenvalues,
-    the seed's first and then lam per step; the grower also keeps their
-    distinct values and their minimum, so no step scans it.
-
-    A step's check compares a gap with DUP_TOL * scale, scale =
-    max(1, max|A|) over the active block.  That scale is bracketed with no
-    pass over A: max(1, |a_vv|) <= scale <= max(1, U), where U bounds
-    max|A|.  U starts at max|A_seed|; after each rotation it becomes
-    max(U, the step's three new entries), because every other entry written
-    is c or -s times an old one, with |c|, |s| <= 1, and only shrinks.
-    Only when the gap lies between DUP_TOL times the two ends is the exact
-    scale read off the buffer, and U set to it, so each check decides as a
-    full read of A and the spectrum would.  A seed or spectrum with an
-    entry that is not finite raises NoConvergence, and a dup's lam that is
-    not finite DiagonalNotEigenvalue.
-    """
-
-    def __init__(self, A, spectrum, steps: int):
-        A = np.asarray(A, dtype=float)
-        spectrum = np.asarray(spectrum, dtype=float)
-        self._bound = float(np.abs(A).max())
-        if not (math.isfinite(self._bound) and np.isfinite(spectrum).all()):
-            raise NoConvergence("seed or spectrum has an entry that is not finite")
-        self.n = n = A.shape[0]
-        self.buf = np.empty((n + steps, n + steps))
-        self.buf[:n, :n] = A
-        self.spectrum = spectrum.tolist()
-        self._values = set(self.spectrum)
-        self._min = min(self.spectrum)
-
-    def _diagonal(self, v) -> float:
-        if not 0 <= v < self.n:
-            raise IndexError(f"vertex {v} is outside the active {self.n} x {self.n} block")
-        return float(self.buf[v, v])
-
-    def _scale(self, gap: float, a_vv: float) -> float:
-        """max(1, max|A|) for the active block A, or a bracket end that lies
-        on the same side of gap / DUP_TOL; the exact read happens only when
-        neither end does."""
-        hi = max(1.0, self._bound)
-        if gap > DUP_TOL * hi:
-            return hi
-        lo = max(1.0, abs(a_vv))
-        if gap <= DUP_TOL * lo:
-            return lo
-        self._bound = float(np.abs(self.buf[:self.n, :self.n]).max())
-        return max(1.0, self._bound)
-
-    def _rotate(self, v: int, a: float, lam: float, theta: float) -> None:
-        buf, n = self.buf, self.n
-        c, s = math.cos(theta), math.sin(theta)
-        row = buf[v, :n]
-        np.multiply(row, -s, out=buf[n, :n])
-        row *= c
-        buf[:n, v] = row
-        buf[:n, n] = buf[n, :n]
-        d_v = buf[v, v] = c * c * a + s * s * lam
-        d_n = buf[n, n] = s * s * a + c * c * lam
-        off = buf[v, n] = buf[n, v] = s * c * (lam - a)
-        self._bound = max(self._bound, abs(d_v), abs(d_n), abs(off))
-        self.spectrum.append(lam)
-        self._values.add(lam)
-        self._min = min(self._min, lam)
-        self.n = n + 1
-
-    def dup(self, v: int, lam: float, theta: float = math.pi / 4) -> None:
-        """Duplicate vertex v without an edge, appending lam: lam must be
-        finite, and a_vv must be lam and lam one of the carried eigenvalues,
-        each within DUP_TOL * max(1, max|A|), else DiagonalNotEigenvalue."""
-        _check_angle(theta)
-        a = self._diagonal(v)
-        lam = float(lam)
-        gap = abs(a - lam)
-        if not math.isfinite(lam) or gap > DUP_TOL * self._scale(gap, a):
-            raise DiagonalNotEigenvalue(f"a_vv = {a} != {lam}")
-        gap = 0.0 if lam in self._values else min(abs(x - lam) for x in self._values)
-        if gap > DUP_TOL * self._scale(gap, a):
-            raise DiagonalNotEigenvalue(f"{lam} is not an eigenvalue")
-        self._rotate(v, a, lam, theta)
-
-    def jdup(self, v: int, theta: float = math.pi / 4) -> float:
-        """Duplicate vertex v with an edge to the copy, appending and
-        returning the smallest carried eigenvalue lambda_min; DegenerateRow
-        when a_vv is lambda_min within DUP_TOL * max(1, max|A|)."""
-        _check_angle(theta)
-        lam_min = self._min
-        a = self._diagonal(v)
-        gap = abs(a - lam_min)
-        if gap <= DUP_TOL * self._scale(gap, a):
-            raise DegenerateRow("a_vv equals the smallest eigenvalue; joined copy would vanish")
-        self._rotate(v, a, lam_min, theta)
-        return lam_min
+    n = len(A)
+    if not 0 <= v < n:
+        raise IndexError(f"vertex {v} is outside the {n} x {n} matrix")
+    B = np.empty((n + 1, n + 1))
+    B[:n, :n] = A
+    return B, max(1.0, float(np.abs(A).max())), spectrum
 
 
 def dup_realization(A: np.ndarray, v: int, lam: float, spectrum,
                     theta: float = math.pi / 4) -> np.ndarray:
     """Duplicate vertex v of A without an edge: requires a_vv = lam and lam
-    in `spectrum`, the eigenvalues A is known to have (a standalone caller
-    passes eigen_sym(A); a chain carries them, so no step eigensolves).
-    The result has that spectrum plus one extra lam, the new vertex
-    adjacent exactly to N(v), and a zero (v, new) entry.  One ChainGrower
-    step: the same checks and rotation as every chain step."""
-    grower = ChainGrower(A, spectrum, 1)
-    grower.dup(v, lam, theta)
-    return grower.buf
+    in `spectrum`, the eigenvalues A is known to have (pass eigen_sym(A)),
+    each within DUP_TOL * max(1, max|A|), else DiagonalNotEigenvalue.  The
+    result has that spectrum plus one extra lam, the new vertex adjacent
+    exactly to N(v), and a zero (v, new) entry: `duplicate_run` with
+    u = (cos theta, -sin theta), the (v, new)-plane rotation of A + [lam]."""
+    B, scale, spectrum = _one_copy(A, v, spectrum, theta)
+    a, lam = float(B[v, v]), float(lam)
+    if not math.isfinite(lam) or abs(a - lam) > DUP_TOL * scale:
+        raise DiagonalNotEigenvalue(f"a_vv = {a} != {lam}")
+    if np.abs(spectrum - lam).min() > DUP_TOL * scale:
+        raise DiagonalNotEigenvalue(f"{lam} is not an eigenvalue")
+    duplicate_run(B, len(B) - 1, v, lam, (math.cos(theta), -math.sin(theta)))
+    return B
 
 
 def jdup_realization(A: np.ndarray, v: int, spectrum,
                      theta: float = math.pi / 4) -> np.ndarray:
     """Duplicate vertex v of A with an edge to the copy, appending one more
     copy of the smallest eigenvalue lambda_min of `spectrum`, the
-    eigenvalues A is known to have (a standalone caller passes
-    eigen_sym(A)), so q is preserved.  One ChainGrower step.
+    eigenvalues A is known to have (pass eigen_sym(A)), so q is preserved.
 
-    Realized as the (v, new)-plane rotation of A + [lambda_min]; the new
-    off-diagonal entry is sin(theta)cos(theta)(lambda_min - a_vv), hence the
-    requirement a_vv != lambda_min.  Deleting the new row and column gives
-    A with row/column v scaled by cos(theta) (pattern-equal to A), and the
-    (v, v) entry equal to cos^2 a_vv + sin^2 lambda_min.
+    `duplicate_run` with u = (cos theta, -sin theta): the new off-diagonal
+    entry is sin(theta)cos(theta)(lambda_min - a_vv), so a_vv within
+    DUP_TOL * max(1, max|A|) of lambda_min raises DegenerateRow.  Deleting
+    the new row and column gives A with row/column v scaled by cos(theta)
+    (pattern-equal to A), and the (v, v) entry equal to
+    cos^2 a_vv + sin^2 lambda_min.
     """
-    grower = ChainGrower(A, spectrum, 1)
-    grower.jdup(v, theta)
-    return grower.buf
+    B, scale, spectrum = _one_copy(A, v, spectrum, theta)
+    lam_min = float(spectrum.min())
+    if abs(B[v, v] - lam_min) <= DUP_TOL * scale:
+        raise DegenerateRow("a_vv equals the smallest eigenvalue; joined copy would vanish")
+    duplicate_run(B, len(B) - 1, v, lam_min, (math.cos(theta), -math.sin(theta)))
+    return B
 
 
 # ---------------------------------------------------------------------------

@@ -249,10 +249,14 @@ def is_int(x) -> bool:
 
 
 def distinct_indices(xs, bound: int) -> bool:
-    """xs is a tuple or list of distinct ints in range(bound)."""
-    return (isinstance(xs, (tuple, list))
-            and all(is_int(x) and 0 <= x < bound for x in xs)
-            and len(set(xs)) == len(xs))
+    """xs is a tuple or list of distinct ints in range(bound).  Exact ints,
+    the common case, pass in one type scan; any other entry goes through
+    is_int."""
+    if not isinstance(xs, (tuple, list)):
+        return False
+    if not (set(map(type, xs)) <= {int} or all(map(is_int, xs))):
+        return False
+    return not xs or bool(0 <= min(xs) and max(xs) < bound and len(set(xs)) == len(xs))
 
 
 # ---------------------------------------------------------------------------

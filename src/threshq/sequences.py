@@ -225,19 +225,6 @@ def enumerate_connected(n: int, order: str = "lex") -> Iterator[CreationSequence
         yield CreationSequence((0,) + mid + (1,))
 
 
-def neighborhoods_nested(adjacency: np.ndarray) -> bool:
-    """Threshold test: open neighborhoods form a chain under inclusion
-    (ignoring the pair itself)."""
-    n = adjacency.shape[0]
-    for u in range(n):
-        for v in range(u + 1, n):
-            nu = set(np.flatnonzero(adjacency[u])) - {v}
-            nv = set(np.flatnonzero(adjacency[v])) - {u}
-            if not (nu <= nv or nv <= nu):
-                return False
-    return True
-
-
 def creation_order_of(adjacency: np.ndarray) -> tuple[tuple[int, ...], list[int]]:
     """Recover (bits, order) from an adjacency matrix by peeling.
 

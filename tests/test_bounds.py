@@ -35,7 +35,6 @@ from threshq.bounds import (
 )
 from threshq.gram import (
     CONSTRUCTIONS,
-    ChainGrower,
     DegenerateRow,
     DiagonalNotEigenvalue,
     GramFactor,
@@ -67,6 +66,8 @@ from threshq.spectra import (
     spectrum_values,
 )
 from threshq.tables import TABLES
+
+from test_gram import close_to, householder_run
 
 
 def G(text):
@@ -881,56 +882,97 @@ def test_carried_spectrum_matches_eigensolve_to_n64(middle):
     _carries_its_spectrum(CreationSequence((0, *middle, 1)))
 
 
+# Block forms (k_1, t_1), ..., (k_s, t_s) with runs up to 64: uniform bits
+# almost never draw a long run, and long runs are where a chain's copies
+# pile up on one vertex.
+long_runs = st.lists(st.tuples(st.integers(1, 64), st.integers(1, 64)), min_size=1, max_size=3)
+
+
+def _from_runs(blocks):
+    return CreationSequence(tuple(b for k, t in blocks for b in (0,) * k + (1,) * t))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(long_runs)
+def test_carried_spectrum_matches_eigensolve_on_runs_to_64(blocks):
+    _carries_its_spectrum(_from_runs(blocks))
+
+
+# Sequences with a run of 27 to 200 copies.  Copies grown by one plane
+# rotation each shrink like 2^(-k/2) until the pattern test reads them as
+# zero; one closed-form step per run keeps them at 1/sqrt(k + 1).
+LONG_RUNS = ["0" * 54 + "101", "0" + "1" * 27 + "0001", "00" + "1" * 30 + "0001",
+             "0" + "1" * 40 + "0" * 45 + "1", "0" * 200 + "101", "0" + "1" * 200 + "0001"]
+
+
+@pytest.mark.parametrize("text", LONG_RUNS, ids=lambda t: f"n{len(t)}")
+def test_long_runs_classify_and_keep_the_seed_q(text):
+    g = G(text)
+    qb = classify_q(g)
+    assert (qb.lower, qb.upper) == (3, 3) and verify_qbound(g, qb)
+    cert = chain_certificate(g)
+    seed_q = len(_chain_plan(g.block_form).seed.expected_spectrum)
+    assert cert.value == seed_q == q_of_matrix(cert.payload["matrix"])
+
+
 def _reference_chain(plan):
-    """A chain grown step by step through the public dup_realization and
-    jdup_realization, each step a fresh (n+1) x (n+1) matrix, then
-    permuted into creation order: the reference for the in-place chain."""
+    """A chain grown run by run through the dense Householder reference,
+    Q diag(A, lam I_k) Q^T with Q taking e_1 to the uniform unit vector of
+    the run, each run a fresh matrix, then permuted into creation order:
+    the reference for the in-place chain."""
+    A = gram(plan.seed)
+    spectrum = np.append(spectrum_values(plan.seed.expected_spectrum), [lam for _, lam in plan.dup_steps])
+    lam_min = spectrum.min()
+    runs = [(v, lam, len(list(steps))) for (v, lam), steps in itertools.groupby(plan.dup_steps)]
+    runs += [(v, lam_min, len(list(steps))) for v, steps in itertools.groupby(plan.jdup_steps)]
+    order = list(range(len(A)))
+    for v, lam, k in runs:
+        n = len(A)
+        A = householder_run(A, v, lam, np.full(k + 1, 1 / math.sqrt(k + 1)))
+        at = order.index(v) + 1
+        order[at:at] = range(n, n + k)
+    return A[np.ix_(order, order)], np.append(spectrum, [lam_min] * len(plan.jdup_steps))
+
+
+def _public_steps(plan):
+    """Grow a plan step by step through the public dup_realization and
+    jdup_realization, carrying lam or lambda_min per step: (1-based index
+    of the step that raised, error type), or None when none raised."""
     A = gram(plan.seed)
     spectrum = spectrum_values(plan.seed.expected_spectrum)
-    order = list(range(len(A)))
-    for v, lam in plan.dup_steps:
-        A = dup_realization(A, v, lam, spectrum)
-        spectrum = np.append(spectrum, lam)
-        order.insert(order.index(v) + 1, len(order))
-    for v in plan.jdup_steps:
-        A = jdup_realization(A, v, spectrum)
-        spectrum = np.append(spectrum, spectrum.min())
-        order.insert(order.index(v) + 1, len(order))
-    return A[np.ix_(order, order)], spectrum
+    steps = [*plan.dup_steps, *((v, None) for v in plan.jdup_steps)]
+    for i, (v, lam) in enumerate(steps, 1):
+        try:
+            A = jdup_realization(A, v, spectrum) if lam is None else dup_realization(A, v, lam, spectrum)
+        except (DiagonalNotEigenvalue, DegenerateRow) as exc:
+            return i, type(exc)
+        spectrum = np.append(spectrum, spectrum.min() if lam is None else lam)
+    return None
 
 
-def _raising_step(monkeypatch, grow, plan):
-    """(1-based index of the step that raised, error type) when grow(plan)
-    realizes the plan, counted at the grower every path steps through."""
-    steps = []
-    for name in ("dup", "jdup"):
-        def counting(self, *args, _step=getattr(ChainGrower, name), **kwargs):
-            steps.append(args)
-            return _step(self, *args, **kwargs)
-        monkeypatch.setattr(ChainGrower, name, counting)
-    with pytest.raises((DiagonalNotEigenvalue, DegenerateRow)) as info:
-        grow(plan)
-    monkeypatch.undo()
-    return len(steps), info.type
-
-
-def test_bad_plans_fail_at_the_same_step_as_the_public_steps(monkeypatch):
-    # each bad plan raises the same typed error at the same step from the
-    # in-place chain as from step-by-step dup_realization / jdup_realization
-    alternating = construct_library("thm00", t=2)  # diagonal 3, 1, 5, ...; spectrum 0, 3, 7
+def test_bad_plans_fail_at_the_same_step_as_the_public_steps():
+    # a chain makes no per-step check: each bad plan fails its one end
+    # check against the graph it claims to reach, and never certifies,
+    # while the public steps still raise their typed error at the bad step
+    alternating = construct_library("thm00", t=2)  # diagonal 3, 1, 1, 5; spectrum 0, 3, 7
     zero_row = GramFactor(np.array([[1.0], [0.0]]), G("01"), "zero-row",
                           expected_spectrum=((0.0, 1), (1.0, 1)))
     bad_plans = [
-        # a dup slot whose diagonal is not its lam: a_11 = 1, lam = 3
-        (bounds.ChainPlan(alternating, ((0, 3.0), (0, 3.0), (1, 3.0)), ()), 3, DiagonalNotEigenvalue),
-        # a lam outside the carried spectrum: a_22 = 5
-        (bounds.ChainPlan(alternating, ((0, 3.0), (2, 5.0)), (1,)), 2, DiagonalNotEigenvalue),
+        # a dup slot whose diagonal is not its lam: a_22 = 1, lam = 3, so
+        # the copy is joined to vertex 2
+        (bounds.ChainPlan(alternating, ((0, 3.0), (0, 3.0), (2, 3.0)), ()), "0001001",
+         3, DiagonalNotEigenvalue, "landed"),
+        # a lam outside the carried spectrum: a_22 = 1 = lam, so q rises to 4
+        (bounds.ChainPlan(alternating, ((0, 3.0), (2, 1.0)), (1,)), "0011001",
+         2, DiagonalNotEigenvalue, "seed's q"),
         # a jdup of a vertex whose diagonal is lambda_min = 0
-        (bounds.ChainPlan(zero_row, (), (0, 1)), 2, DegenerateRow),
+        (bounds.ChainPlan(zero_row, (), (0, 1)), "0111", 2, DegenerateRow, "landed"),
     ]
-    for plan, step, error in bad_plans:
-        assert _raising_step(monkeypatch, run_chain, plan) == (step, error), _chain_steps(plan)
-        assert _raising_step(monkeypatch, _reference_chain, plan) == (step, error), _chain_steps(plan)
+    for plan, text, step, error, message in bad_plans:
+        assert len(run_chain(plan)[0]) == G(text).n, _chain_steps(plan)
+        with pytest.raises(SelfCheckError, match=message):
+            bounds._chain_cert(G(text), plan)
+        assert _public_steps(plan) == (step, error), _chain_steps(plan)
 
 
 def _grows_like_the_reference(seq):
@@ -938,15 +980,15 @@ def _grows_like_the_reference(seq):
     for kind, plan in _every_plan(seq):
         A, spectrum = run_chain(plan)
         ref_A, ref_spectrum = _reference_chain(plan)
-        assert np.array_equal(A, ref_A), (seq.text, kind)
+        assert close_to(A, ref_A, ref_A), (seq.text, kind)
         assert np.array_equal(spectrum, ref_spectrum), (seq.text, kind)
         kinds.add(kind)
     return kinds
 
 
 def test_in_place_chains_match_step_by_step_growth_to_n11():
-    # the chain grown in one buffer is the chain the public step functions
-    # grow, bit for bit, matrix and carried spectrum alike
+    # the chain grown in one buffer is the dense reference's chain to 1e-12
+    # of its scale, and carries the same spectrum
     kinds = set()
     for n in range(2, 12):
         for seq in enumerate_connected(n):
@@ -1052,7 +1094,7 @@ def test_wrong_recorded_spectrum_fails_the_chain_check():
         bad = dataclasses.replace(plan, seed=dataclasses.replace(plan.seed, expected_spectrum=wrong))
         A, spectrum = run_chain(bad)
         with pytest.raises(SelfCheckError, match="spectrum"):
-            bounds._checked(A, spectrum, g)
+            bounds._checked(A, spectrum, g, len(wrong))
 
 
 def test_one_classification_eigensolve_budget(monkeypatch):

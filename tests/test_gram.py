@@ -8,13 +8,13 @@ from threshq.gram import (
     DUP_TOL,
     BadAngle,
     BadParams,
-    ChainGrower,
     DegenerateRow,
     DiagonalNotEigenvalue,
     GramFactor,
     cogram,
     construct_library,
     dup_realization,
+    duplicate_run,
     gram,
     jdup_realization,
     orthogonal_certificate,
@@ -223,17 +223,39 @@ def test_jdup_degenerate_row():
         jdup_realization(A, 0, eigen_sym(A))
 
 
-# ---------------------------------------------------------------- the grower
+# ---------------------------------------------------------------- the kernel
+
+
+def householder_run(A, v, lam, u):
+    """The dense reference for one run: A bordered by lam I_k, then
+    conjugated by Q, the Householder reflection taking e_1 to the unit
+    vector u = (u_0, ..., u_k), acting on coordinates v, n, ..., n + k - 1."""
+    A, u = np.asarray(A, dtype=float), np.asarray(u, dtype=float)
+    n, k = len(A), len(u) - 1
+    big = np.zeros((n + k, n + k))
+    big[:n, :n] = A
+    big[range(n, n + k), range(n, n + k)] = lam
+    w = -u
+    w[0] += 1.0
+    H = np.eye(k + 1) - 2.0 * np.outer(w, w) / (w @ w) if w.any() else np.eye(k + 1)
+    Q = np.eye(n + k)
+    run = [v, *range(n, n + k)]
+    Q[np.ix_(run, run)] = H
+    return Q @ big @ Q.T
+
+
+def close_to(got, want, A):
+    """got equals want within 1e-12 * max(1, max|A|)."""
+    return np.abs(got - want).max() <= 1e-12 * max(1.0, float(np.abs(A).max()))
 
 
 def _full_read_step(A, spectrum, v, lam, theta, joined):
     """One dup (lam given) or jdup (lam = min(spectrum)) step as a full
     read decides it: the check scale is max(1, max|A|) over all of A and the
-    carried spectrum is scanned.  Returns the bordered, rotated matrix and
-    the carried spectrum, or raises the step's typed error."""
+    carried spectrum is scanned.  Returns the Householder reference of the
+    step and the carried spectrum, or raises the step's typed error."""
     if not 0 < theta < math.pi / 2:
         raise BadAngle(theta)
-    n = len(A)
     scale = max(1.0, float(np.abs(A).max()))
     if joined:
         lam = float(np.min(spectrum))
@@ -244,57 +266,40 @@ def _full_read_step(A, spectrum, v, lam, theta, joined):
             raise DiagonalNotEigenvalue(v)
         if float(np.min(np.abs(np.asarray(spectrum) - lam))) > DUP_TOL * scale:
             raise DiagonalNotEigenvalue(lam)
-    c, s = math.cos(theta), math.sin(theta)
-    row, a = A[v].copy(), float(A[v, v])
-    B = np.zeros((n + 1, n + 1))
-    B[:n, :n] = A
-    B[v, :n] = B[:n, v] = c * row
-    B[n, :n] = B[:n, n] = -s * row
-    B[v, v] = c * c * a + s * s * lam
-    B[n, n] = s * s * a + c * c * lam
-    B[v, n] = B[n, v] = s * c * (lam - a)
-    return B, np.append(spectrum, lam)
+    u = (math.cos(theta), -math.sin(theta))
+    return householder_run(A, v, lam, u), np.append(spectrum, lam)
 
 
-def _step_both(grower, ref, v, lam, theta):
-    """One step, dup (lam given) or jdup (lam None), on a ChainGrower and on
-    the full-read reference (matrix, spectrum): both must raise the same
-    typed error, or grow bit-identical matrices and spectra.  Returns the
-    outcome and the reference's new state."""
-    step = (lambda: grower.jdup(v, theta)) if lam is None else (lambda: grower.dup(v, lam, theta))
+def _step_both(ref, v, lam, theta):
+    """One step, dup (lam given) or jdup (lam None), through the public
+    function and the full-read reference on ref = (matrix, spectrum): both
+    must raise the same typed error, or grow the same matrix to 1e-12 of
+    its scale.  Returns the outcome and the new state, the public matrix
+    with the reference's spectrum."""
+    A, spectrum = ref
+    if lam is None:
+        step = lambda: jdup_realization(A, v, spectrum, theta)
+    else:
+        step = lambda: dup_realization(A, v, lam, spectrum, theta)
     try:
-        grown = _full_read_step(*ref, v, lam, theta, lam is None)
+        want, grown = _full_read_step(A, spectrum, v, lam, theta, lam is None)
     except (BadAngle, DegenerateRow, DiagonalNotEigenvalue) as exc:
         with pytest.raises(type(exc)):
             step()
         return type(exc).__name__, ref
     got = step()
-    if lam is None:
-        assert np.array_equal(got, grown[1][-1], equal_nan=True)
-    assert np.array_equal(grower.buf[:grower.n, :grower.n], grown[0], equal_nan=True)
-    assert np.array_equal(grower.spectrum, grown[1], equal_nan=True)
-    return "grown", grown
-
-
-def _grown_like_a_full_read(A, spectrum, steps):
-    """(v, lam or None for jdup, theta) steps on a ChainGrower and on the
-    full-read reference side by side; the list of outcomes."""
-    grower = ChainGrower(A, spectrum, len(steps))
-    ref = (np.array(A, dtype=float), np.array(spectrum, dtype=float))
-    outcomes = []
-    for v, lam, theta in steps:
-        outcome, ref = _step_both(grower, ref, v, lam, theta)
-        outcomes.append(outcome)
-    return outcomes
+    assert got.shape == want.shape and close_to(got, want, A)
+    assert np.array_equal(got, got.T)
+    return "grown", (got, grown)
 
 
 def test_grower_checks_decide_as_a_full_read():
-    # random steps whose gaps sit at, just inside and just outside both ends
-    # of the bracket max(1, |a_vv|) <= scale <= max(1, U) and the exact
-    # scale: every decision and every rotated entry matches a full read.
-    # The carried spectrum is each diagonal entry nudged by such a gap (the
-    # checks trust it), so the spectrum check and the jdup check meet their
-    # thresholds too.
+    # random public steps whose gaps sit at, just inside and just outside
+    # DUP_TOL times the scales max(1, |a_vv|), max(1, max|A|) and the
+    # seed's: every decision matches a full read, and every grown matrix
+    # the Householder reference.  The carried spectrum is each diagonal
+    # entry nudged by such a gap (the checks trust it), so the spectrum
+    # check and the jdup check meet their thresholds too.
     rng = np.random.default_rng(13)
     factors = [0.0, 0.5, 0.999, 1.001, 3.0]
     seen = []
@@ -304,10 +309,8 @@ def test_grower_checks_decide_as_a_full_read():
         A = (A + A.T) / 2
         seed_scales = [1.0, max(1.0, float(np.abs(A).max()))]
         spectrum = np.diag(A) + DUP_TOL * rng.choice(seed_scales, n) * rng.choice(factors, n)
-        steps = 12
-        grower = ChainGrower(A, spectrum, steps)
         ref = (A.copy(), spectrum.copy())
-        for _ in range(steps):
+        for _ in range(12):
             B = ref[0]
             v = int(rng.integers(len(B)))
             theta = float(rng.choice([math.pi / 4, math.pi / 6, 1.2, 0.0], p=[0.4, 0.25, 0.25, 0.1]))
@@ -317,10 +320,31 @@ def test_grower_checks_decide_as_a_full_read():
                 scales = seed_scales + [max(1.0, abs(B[v, v])), max(1.0, float(np.abs(B).max()))]
                 gap = DUP_TOL * float(rng.choice(scales)) * float(rng.choice(factors))
                 lam = float(B[v, v]) + gap * float(rng.choice([-1.0, 1.0]))
-            outcome, ref = _step_both(grower, ref, v, lam, theta)
+            outcome, ref = _step_both(ref, v, lam, theta)
             seen.append(outcome)
     assert set(seen) == {"grown", "BadAngle", "DegenerateRow", "DiagonalNotEigenvalue"}
     assert seen.count("grown") > 100
+
+
+@pytest.mark.parametrize("k", [1, 2, 5, 64])
+def test_run_kernel_matches_the_householder_reference(k):
+    # one run of k copies along a random unit u, written in place to a
+    # buffer, is Q diag(A, lam I_k) Q^T; its spectrum gains k copies of lam
+    rng = np.random.default_rng(k)
+    n = 6
+    A = rng.normal(size=(n, n))
+    A = (A + A.T) / 2
+    u = rng.normal(size=k + 1)
+    u /= np.linalg.norm(u)
+    lam, v = -3.0, 2
+    B = np.full((n + k + 3, n + k + 3), np.nan)
+    B[:n, :n] = A
+    duplicate_run(B, n, v, lam, u)
+    got = B[:n + k, :n + k]
+    assert close_to(got, householder_run(A, v, lam, u), A) and np.array_equal(got, got.T)
+    assert np.isnan(B[n + k:]).all() and np.isnan(B[:, n + k:]).all()
+    want = np.sort(np.append(eigen_sym(A), [lam] * k))
+    assert np.abs(eigen_sym(got) - want).max() <= 1e-10
 
 
 def test_grower_rejects_values_that_are_not_finite():
@@ -336,48 +360,14 @@ def test_grower_rejects_values_that_are_not_finite():
                 jdup_realization(seed, 0, carried)
             with pytest.raises(NoConvergence):
                 dup_realization(seed, 2, 1.0, carried)
-            with pytest.raises(NoConvergence):
-                ChainGrower(seed, carried, 1)
-
-
-def test_grower_bound_follows_entries_that_grow():
-    # a carried lambda_min far below the seed's entries makes the jdup's new
-    # entries the largest (|off| = 500.5 against 2); U must follow them, or
-    # the next gap, 100 * DUP_TOL, would be judged against max(1, U) = 2
-    A = np.diag([1.0, 2.0])
-    assert _grown_like_a_full_read(A, [-1000.0, 1.0, 2.0], [
-        (0, None, math.pi / 4), (1, 2.0 + 100 * DUP_TOL, math.pi / 4)]) == ["grown", "grown"]
-
-
-@pytest.mark.parametrize("gap,grows", [(50 * DUP_TOL, True), (85 * DUP_TOL, False)])
-def test_grower_reads_the_exact_scale_inside_the_bracket(gap, grows):
-    # the first dup shrinks the only entry of size 100 to 100 cos(pi/4), but
-    # the bound U stays 100; a gap between DUP_TOL * 70.7 and DUP_TOL * 100
-    # lies inside the bracket max(1, |a_00|) = 1 <= scale <= 100, so only the
-    # exact scale 70.7 decides it: 50 * DUP_TOL passes, 85 * DUP_TOL fails
-    A = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 100.0], [0.0, 100.0, 1.0]])
-    grower = ChainGrower(A, eigen_sym(A), 2)
-    grower.dup(1, 1.0)
-    peak = float(np.abs(grower.buf[:3, :3]).max())
-    assert peak == 100 * math.cos(math.pi / 4) and grower._bound == 100.0
-    assert DUP_TOL * max(1.0, abs(grower.buf[0, 0])) < gap <= DUP_TOL * grower._bound
-    step = _grown_like_a_full_read(A, eigen_sym(A), [(1, 1.0, math.pi / 4), (0, 1.0 + gap, math.pi / 4)])
-    assert step[-1] == ("grown" if grows else "DiagonalNotEigenvalue")
-    if grows:
-        grower.dup(0, 1.0 + gap)
-    else:
-        with pytest.raises(DiagonalNotEigenvalue):
-            grower.dup(0, 1.0 + gap)
-    assert grower._bound >= peak  # U was read exactly, then grown by the step's entries
 
 
 def test_grower_rejects_a_vertex_outside_the_active_block():
-    grower = ChainGrower(np.eye(2), [1.0, 1.0], 2)
     for v in (-1, 2, 3):
         with pytest.raises(IndexError):
-            grower.dup(v, 1.0)
+            dup_realization(np.eye(2), v, 1.0, [1.0, 1.0])
         with pytest.raises(IndexError):
-            grower.jdup(v)
+            jdup_realization(np.eye(2), v, [1.0, 1.0])
 
 
 def test_jdup_submatrix_recovery():

@@ -260,6 +260,20 @@ def test_completion_matches_the_group_loop():
     assert round(lows["0" * 64 + "1" * 64], 5) == 1.2e-4
 
 
+@pytest.mark.parametrize("xs,ok", [
+    ((), True), ([0, 3, 11], True),  # exact ints, in a tuple or a list
+    ((np.int64(2), 1), True), ([np.uint8(4), np.int32(11)], True),  # numpy integers
+    ((True,), False), ((1, False), False),  # bools are ints to isinstance
+    ((np.bool_(True),), False), ((2, np.bool_(False)), False),
+    ((0, 0), False), ((np.int64(3), 3), False),  # repeats
+    ((-1,), False), ((12,), False), ((np.int64(12),), False), ((3, -1), False),  # range
+    ((0.0,), False), (("1",), False), ((1, None), False),  # other entries
+    (range(3), False), ("01", False), (np.arange(3), False), (None, False),  # other containers
+])
+def test_distinct_indices_rules(xs, ok):
+    assert distinct_indices(xs, 12) is ok
+
+
 def _verify_infeasible_by_pairs(P, w):
     """The column-pair loop, kept as the reference for verify_infeasible."""
     if not (distinct_indices(w.columns, P.cols) and distinct_indices(w.rows, P.rows)

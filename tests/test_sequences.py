@@ -3,6 +3,7 @@ import time
 import networkx as nx
 import numpy as np
 import pytest
+from networkx.algorithms.threshold import is_threshold_graph
 
 from threshq.sequences import (
     BadCharacter,
@@ -19,7 +20,6 @@ from threshq.sequences import (
     from_adjacency,
     graph_from_text,
     jdup_graph,
-    neighborhoods_nested,
     parse_creation_sequence,
     to_edge_list,
     unique_path_bound,
@@ -180,7 +180,7 @@ def test_duplication_stays_threshold(n):
             else:
                 H = jdup_graph(G, v)
             assert H.n == n + 1
-            assert neighborhoods_nested(H.adjacency)
+            assert is_threshold_graph(nx_graph(H))
 
 
 def test_jdup_can_leave_the_class():
