@@ -42,7 +42,7 @@ for f in FACTORS:
     cid, params = f.construction_id, f.params
     A = gram(f)
     spec = cluster_spectrum(eigen_sym(A))
-    target = f.target.creation.text if hasattr(f.target, "creation") else "raw pattern"
+    target = f.target.creation.text
     ok = bool(in_pattern(A, f.target))
     print(f"{cid:12s} {str(params):16s} n={f.n}  target={target:13s} "
           f"Spec={str(spec):34s} in-pattern={ok}")

@@ -9,9 +9,9 @@ criterion fail, so its witness covers them and they are not rules here;
 `sequences.unique_path_bound` stays public as the paper's lemma.  The upper
 side is one certificate:
 the two-eigenvalue completion the gate finds, else a spectral-transfer
-citation, else a duplication chain.  Joined duplication keeps q, so G
-grows from its own form and from its leading merge (`_sources`), and both
-the chain planner and the transfer reach read that one rule.  Each source
+chain, else a duplication chain.  Joined duplication keeps q, so G grows
+from its own form and from its leading merge (`_sources`), and both the
+chain planner and the transfer read that one rule.  Each source
 takes the first seed that `_grow` fits from one q-ordered table per block
 count s (`_seed_table`: the star, else the alternating seed thm00(s) and
 the catalog), else the paired-column seed, and the planner keeps the
@@ -19,7 +19,8 @@ source whose built seed has the fewest distinct eigenvalues.  The paper's
 general floor((s+9)/2) bound, `ub_section12`, comes on demand beside a
 chain certificate; it never beats the chain, so the classifier skips it.
 Every certificate re-verifies from its payload alone, under a (kind,
-provenance) pair the package issues."""
+provenance) pair the package issues; every upper certificate is a matrix
+whose q is its value and which lies in S(G)."""
 
 from __future__ import annotations
 
@@ -35,22 +36,14 @@ from .orthosearch import (
     Infeasible,
     SupportPattern,
     decide_column_orthogonal,
-    distinct_indices,
     is_int,
-    ssp_check,
     verify_infeasible,
 )
-from .sequences import (
-    BlockForm,
-    SequenceError,
-    ThresholdGraph,
-    graph_from_text,
-)
+from .sequences import BlockForm, ThresholdGraph, graph_from_text
 from .spectra import (
     DimensionMismatch,
     NoConvergence,
     eigen_sym,
-    pattern_matrix,
     pattern_report,
     q_of_matrix,
     q_of_spectrum,
@@ -74,10 +67,10 @@ class Certificate:
     kinds: ConnectedLB, Compare1LB (the gate's counting witness) and
     TableCitation (the trace-two value) below; above, OrthoUB (provenance
     "column-orthogonal completion"), ConstructionUB and DupChainUB
-    ("duplication chain") and TableCitation (a spectral transfer).  payload
-    carries matrices or combinatorial witnesses; verify_certificate
-    re-validates without re-running any search, and rejects any other
-    (kind, provenance) pair.  An upper value is the q its matrix reaches.
+    ("duplication chain", spectral transfers included).  payload carries
+    matrices or combinatorial witnesses; verify_certificate re-validates
+    without re-running any search, and rejects any other (kind,
+    provenance) pair.  An upper value is the q its matrix reaches.
     """
 
     kind: str
@@ -108,7 +101,6 @@ class QBound:
 # The provenance of each kind of upper certificate the package issues.
 _ORTHO = "column-orthogonal completion"
 _CHAIN = "duplication chain"
-_TRANSFER = "spectral transfer across supergraphs"
 
 
 # ---------------------------------------------------------------------------
@@ -176,7 +168,7 @@ def q2_certificate(G: ThresholdGraph, gate_result=None) -> Certificate | None:
     A = gramlib.orthogonal_certificate(gate_result.matrix, G)
     if q_of_matrix(A) != 2:
         raise SelfCheckError("orthogonal completion does not have two eigenvalues")
-    return Certificate("OrthoUB", 2, _ORTHO, {"matrix": A, "block": gate_result.matrix})
+    return Certificate("OrthoUB", 2, _ORTHO, {"matrix": A})
 
 
 # ---------------------------------------------------------------------------
@@ -384,49 +376,24 @@ def chain_certificate(G: ThresholdGraph) -> Certificate:
 
 
 # ---------------------------------------------------------------------------
-# upper bounds: spectral-transfer citations
+# upper bounds: spectral transfer across supergraphs
 # ---------------------------------------------------------------------------
 
 
-# Order-8 targets whose q <= 3 comes from a verified matrix with the strong
-# spectral property whose pattern embeds in the target: vertex i of the
-# matrix goes to vertex embedding[i] of the base.  Each base maps to its
-# block form, parsed once at import, and its embedding.
-_TRANSFER_BASES = {
-    base: (graph_from_text(base).block_form.blocks, emb) for base, emb in (
-        ("00100101", (2, 0, 1, 5, 3, 4, 7, 6)),
-        ("00010011", (3, 0, 1, 7, 2, 4, 6, 5)),
-    )
-}
-
-
-def _transfer_matrix() -> np.ndarray:
-    """The transfer bases' matrix, built and checked once: it must keep the
-    strong spectral property and q = 3."""
-    A = gramlib.gram(gramlib.construct_library("prop_a15a19"))
-    if not ssp_check(A).is_ssp or q_of_matrix(A) != 3:
-        raise SelfCheckError("transfer matrix lost the strong spectral property")
-    A.setflags(write=False)
-    return A
-
-
-_TRANSFER_MATRIX = _transfer_matrix()
-
-
-def _jdup_reaches(base: tuple, bf) -> bool:
-    """Do joined duplications grow the form with blocks `base` to block
-    form bf?  Exactly when `base` covers one of bf's sources run by run with
-    no zero-run to grow: `_grow` with no dup slot."""
-    return any(_grow(base, (), src) is not None for src, _ in _sources(bf))
+# The liberated prop_a15a19 seeds, one per base, each in S(base) with
+# spectrum 0^3, 3^3, 11^2 (`gramlib._liberated`); built once at import.
+_TRANSFER_SEEDS = tuple(gramlib.construct_library("prop_a15a19", base=base)
+                        for base in gramlib.A15A19_BASES)
 
 
 def transfer_certificate(G: ThresholdGraph) -> Certificate | None:
-    """q <= 3 when a transfer base reaches G by joined duplications, which
-    preserve q."""
-    for base, (blocks, emb) in _TRANSFER_BASES.items():
-        if _jdup_reaches(blocks, G.block_form):
-            return Certificate("TableCitation", 3, _TRANSFER,
-                               {"matrix": _TRANSFER_MATRIX, "embedding": emb, "base": base})
+    """q <= 3 when joined duplications, which keep q, grow a liberated
+    prop_a15a19 seed to G: the chain of the first seed that `_grow` fits,
+    with no dup slot, to one of G's sources, carried to G."""
+    for seed in _TRANSFER_SEEDS:
+        for src, t in _sources(G.block_form):
+            if (steps := _grow(seed.target.block_form.blocks, (), src)) is not None:
+                return _chain_cert(G, _joined(ChainPlan(seed, *steps), t))
     return None
 
 
@@ -463,13 +430,13 @@ def classify_q(G: ThresholdGraph) -> QBound:
     """Certified interval for q(G); exact when the sides meet.
 
     The upper side is one certificate: the orthogonal completion when the
-    gate is feasible, else a transfer citation whose base reaches G, else
-    the duplication chain.  The order is exact.  OrthoUB's value 2 is the
-    lower side's floor.  A gate with no completion leaves its counting
-    witness, so the lower side is already 3, the transfer's value, and no
-    chain can beat a transfer that applies.  The one chain is realized
-    once and lands on G by construction.  The general floor((s+9)/2) bound
-    is not built (see `ub_section12`).
+    gate is feasible, else the transfer chain of a liberated seed that
+    reaches G, else the duplication chain.  The order is exact.  OrthoUB's
+    value 2 is the lower side's floor.  A gate with no completion leaves
+    its counting witness, so the lower side is already 3, the transfer's
+    value, and no chain can beat a transfer that applies.  The one chain
+    is realized once and lands on G by construction.  The general
+    floor((s+9)/2) bound is not built (see `ub_section12`).
     """
     if not G.connected:
         raise ValueError("classify_q needs a connected graph")
@@ -494,41 +461,19 @@ def _payload_matrix(payload: dict, n: int) -> np.ndarray | None:
     return A if A.shape == (n, n) else None
 
 
-def _transfer_base(payload: dict) -> ThresholdGraph | None:
-    """The connected graph the payload's `base` sequence names."""
-    try:
-        base = graph_from_text(payload.get("base"))
-    except (TypeError, SequenceError):
-        return None
-    return base if base.connected else None
-
-
 _MATRIX_CERTS = {("OrthoUB", _ORTHO), ("ConstructionUB", _CHAIN), ("DupChainUB", _CHAIN)}
 
 
 def _upper_ok(G: ThresholdGraph, cert: Certificate) -> bool:
-    """The check of an upper certificate under one of the four (kind,
+    """The check of an upper certificate under one of the three (kind,
     provenance) pairs the package issues: its matrix has q = value and lies
-    in S(G), or, for a transfer citation, has the SSP, embeds in the base,
-    and the base grows to G by joined duplications.  Its eigensolve first
-    validates the matrix, raising DimensionMismatch or NoConvergence."""
-    if (cert.kind, cert.provenance) in _MATRIX_CERTS:
-        A = _payload_matrix(cert.payload, G.n)
-        return (A is not None and q_of_spectrum(eigen_sym(A)) == cert.value
-                and bool(pattern_report(A, G)))
-    if (cert.kind, cert.provenance) == ("TableCitation", _TRANSFER):
-        base = _transfer_base(cert.payload)
-        if base is None:
-            return False
-        A = _payload_matrix(cert.payload, base.n)
-        emb = cert.payload.get("embedding")
-        if A is None or not (distinct_indices(emb, base.n) and len(emb) == base.n):
-            return False
-        q_ok = q_of_matrix(A) == cert.value
-        edges_ok = base.adjacency[np.ix_(emb, emb)][np.triu(pattern_matrix(A), 1)].all()
-        chain_ok = _jdup_reaches(base.block_form.blocks, G.block_form)
-        return q_ok and edges_ok and chain_ok and ssp_check(A).is_ssp
-    return False
+    in S(G).  Its eigensolve first validates the matrix, raising
+    DimensionMismatch or NoConvergence."""
+    if (cert.kind, cert.provenance) not in _MATRIX_CERTS:
+        return False
+    A = _payload_matrix(cert.payload, G.n)
+    return (A is not None and q_of_spectrum(eigen_sym(A)) == cert.value
+            and bool(pattern_report(A, G)))
 
 
 def verify_certificate(G: ThresholdGraph, cert: Certificate) -> bool:

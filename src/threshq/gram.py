@@ -5,8 +5,7 @@ edge clique cover; arranging the entries so that row inner products are
 nonzero exactly on edges puts M M^T in S(G), and the nonzero spectrum of
 M M^T equals that of the small cogram M^T M.  The catalog below collects
 the explicit factors used by the classification engine, each stored with
-rows already permuted into creation order of its target graph (raw-pattern
-targets keep their printed row order).
+rows already permuted into creation order of its target graph.
 """
 
 from __future__ import annotations
@@ -16,9 +15,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .orthosearch import SupportPattern, verify_feasible
+from .orthosearch import SupportPattern, _ssp_system, verify_feasible
 from .sequences import CreationSequence, ThresholdGraph, build_graph, graph_from_text
-from .spectra import NoConvergence, cluster_spectrum, eigen_sym, pattern_matrix, pattern_report
+from .spectra import NoConvergence, cluster_spectrum, eigen_sym, pattern_report
 
 
 class BadParams(ValueError):
@@ -53,7 +52,7 @@ class GramFactor:
     """
 
     M: np.ndarray
-    target: object  # ThresholdGraph or raw boolean adjacency
+    target: ThresholdGraph
     construction_id: str
     params: dict = field(default_factory=dict)
     expected_spectrum: tuple[tuple[float, int], ...] | None = None
@@ -183,24 +182,68 @@ def _qlt4() -> GramFactor:
                   dup_slots=((0, 1.0), (2, 2.0), (5, 1.0), (4, 1.0)))
 
 
-def _prop_a15a19() -> GramFactor:
-    rows = [
-        [R8, 0, 0, 0, 0],
-        [1, -R2, 0, 0, 0],
-        [R2, 1, 0, 0, 0],
-        [0, 1, 1, 1, 0],
-        [0, 0, R3, 0, 0],
-        [0, 0, 0, R3, 0],
-        [0, 1, 1, 1, 2],
-        [0, 0, 0, 0, 1],
-    ]
-    M = np.array(rows, dtype=float)
-    target = pattern_matrix(M @ M.T)  # raw pattern; embeds in two order-8 graphs
-    target.setflags(write=False)
-    return GramFactor(
-        _frozen(M), target, "prop_a15a19", {},
-        expected_spectrum=((0.0, 3), (3.0, 3), (11.0, 2)),
-    )
+# The edge value a liberation gives each edge of G that its donor lacks;
+# it stops once every entry it sets is within LIBERATION_TOL * max(1,
+# max|A|) of its value, and raises NoConvergence after LIBERATION_STEPS.
+NEW_EDGE = 0.05
+LIBERATION_TOL = 1e-14
+LIBERATION_STEPS = 50
+
+
+def _liberated(M: np.ndarray, G: ThresholdGraph) -> np.ndarray:
+    """The factor Q^T M, Q orthogonal, whose gram lies in S(G), for a factor
+    M whose gram A = M M^T has the strong spectral property (SSP) and a
+    pattern inside G's; Q^T A Q keeps A's spectrum.
+
+    The entries to set are the unknowns (i, j) of A's SSP system K
+    (`orthosearch._ssp_system`), the pairs off A's support: NEW_EDGE on an
+    edge of G, 0 off it.  For the Cayley rotation Q = (I - S/2)^-1 (I + S/2)
+    of a skew S, Q^T A Q = A + AS - SA + O(S^2), and the Jacobian of those
+    entries in S's upper triangle is exactly K^T, so the SSP is exactly its
+    full row rank (Barrett, Fallat, Hall, Hogben, Lin and Shader, Electron.
+    J. Combin. 24(2), 2017).  Each chord-Newton step solves K^T s = -r for
+    the residual r by one pseudoinverse, frozen at A: a system read at a
+    later iterate would drop the new edges from its unknowns once they turn
+    nonzero."""
+    A = M @ M.T
+    K, i, j = _ssp_system(A)
+    target = np.where(G.adjacency[i, j], NEW_EDGE, 0.0)
+    step = np.linalg.pinv(K.T)
+    tol = LIBERATION_TOL * max(1.0, float(np.abs(A).max()))
+    a, b = np.triu_indices(len(A), 1)
+    I, S = np.eye(len(A)), np.zeros_like(A)
+    for _ in range(LIBERATION_STEPS):
+        r = (M @ M.T)[i, j] - target
+        if np.abs(r).max(initial=0.0) <= tol:
+            return M
+        S[a, b] = -step @ r
+        S[b, a] = -S[a, b]
+        M = np.linalg.solve(I + S / 2, I - S / 2) @ M  # Q^T M
+    raise NoConvergence(f"liberation did not converge in {LIBERATION_STEPS} steps")
+
+
+# prop_a15a19's bases, order-8 rows 15 and 19, each with the embedding of
+# the factor's rows: row i goes to base vertex embedding[i].
+A15A19_BASES = {
+    "00100101": (2, 0, 1, 5, 3, 4, 7, 6),
+    "00010011": (3, 0, 1, 7, 2, 4, 6, 5),
+}
+
+
+def _prop_a15a19(base: str = "00100101") -> GramFactor:
+    """The q = 3 factor of order-8 rows 15 and 19: its gram has spectrum
+    0^3, 3^3, 11^2, the SSP and a pattern that embeds in both bases.  Its
+    rows are placed in base vertex order by the embedding, then liberated
+    into S(base) (`_liberated`), which keeps the spectrum and the SSP."""
+    emb = A15A19_BASES.get(base)
+    if emb is None:
+        raise BadParams(f"prop_a15a19 has no base {base!r}")
+    rows = [[R8, 0, 0, 0, 0], [1, -R2, 0, 0, 0], [R2, 1, 0, 0, 0], [0, 1, 1, 1, 0],
+            [0, 0, R3, 0, 0], [0, 0, 0, R3, 0], [0, 1, 1, 1, 2], [0, 0, 0, 0, 1]]
+    M = np.array(rows, dtype=float)[np.argsort(emb)]  # row i at vertex emb[i]
+    G = graph_from_text(base)
+    return GramFactor(_frozen(_liberated(M, G)), G, "prop_a15a19", {"base": base},
+                      expected_spectrum=((0.0, 3), (3.0, 3), (11.0, 2)))
 
 
 def _paired_columns(s: int, m: int) -> tuple[np.ndarray, np.ndarray]:
@@ -263,7 +306,7 @@ def section12_factor(s: int, m: int) -> GramFactor:
         _frozen(M),
         build_graph(CreationSequence(bits)),
         "ub_case1",
-        {"s": s, "m": m, "p1": m - 1, "p2": s - m},
+        {"s": s, "m": m},
         expected_spectrum=spec.distinct,
         dup_slots=tuple(zip(isolated, f2.tolist())),
     )

@@ -58,6 +58,7 @@ from threshq.sequences import (
     unique_path_bound,
 )
 from threshq.spectra import (
+    NoConvergence,
     cluster_spectrum,
     eigen_sym,
     in_pattern,
@@ -238,13 +239,11 @@ def ortho_cert(payload, value=2):
 
 
 def transfer_cert(**changes):
-    """The transfer citation of 00100101 with some payload entries replaced
-    (None deletes one)."""
-    payload = {k: v for k, v in {**TRANSFER.payload, **changes}.items() if v is not None}
-    return dataclasses.replace(TRANSFER, payload=payload)
+    """The transfer chain of 00100101 with some payload entries replaced."""
+    return dataclasses.replace(TRANSFER, payload={**TRANSFER.payload, **changes})
 
 
-@pytest.mark.parametrize("text,cert", [
+_UPPER_FORGED = [
     ("0011", Certificate("OrthoUB", 2, "x", {})),                   # no matrix
     ("0011", ortho_cert({"matrix": [["a", "b"], ["c", "d"]]})),   # not numeric
     ("0011", ortho_cert({"matrix": [[1.0, 2.0], [3.0]]})),        # ragged
@@ -255,17 +254,8 @@ def transfer_cert(**changes):
     ("0011", Certificate("DupChainUB", 2, ORTHO, {"matrix": Q2_0011})),  # an unissued pair
     ("0011", ortho_cert({"matrix": Q2_0011}, value="2")),         # value not an int
     ("0011", ortho_cert("not a dict")),
-    ("00100101", transfer_cert(embedding=None)),                  # no embedding
-    ("00100101", transfer_cert(embedding=(0, 1, 2, 3, 4, 5, 6, 8))),  # out of range
-    ("00100101", transfer_cert(embedding=(0, 1, 2, 3, 4, 5, 6))),     # too short
-    ("00100101", transfer_cert(embedding=(0, 0, 1, 2, 3, 4, 5, 6))),  # not distinct
-    ("00100101", transfer_cert(base=None)),                       # no base
-    ("00100101", transfer_cert(base="10x")),                      # unparsable base
-    ("00100101", transfer_cert(base=100101)),                     # base not a string
-    ("00100101", transfer_cert(base="00100100")),                 # disconnected base
     ("00100101", transfer_cert(matrix=np.eye(7))),                # matrix of another order
     ("00100101", transfer_cert(matrix=np.triu(TRANSFER.payload["matrix"]))),  # not symmetric
-    ("00100101", transfer_cert(embedding=(False, True, 2, 3, 4, 5, 6, 7))),  # booleans
     ("0011", Certificate("OrthoUB", 2, CHAIN, {"matrix": Q2_0011})),  # an unissued pair
     # the true 0001001 chain payload under every other pair
     ("0001001", dataclasses.replace(CHAIN_0001001, kind="OrthoUB")),
@@ -275,7 +265,15 @@ def transfer_cert(**changes):
     ("0001001", dataclasses.replace(CHAIN_0001001, provenance=[CHAIN])),
     ("0001001", dataclasses.replace(CHAIN_0001001, kind=["DupChainUB"])),
     ("0011", Certificate("OrthoUB", 2, [ORTHO], {"matrix": Q2_0011})),
-])
+]
+# Each case keeps the id it had while the list also held nine spectral-transfer
+# citation cases (10-17 and 20), which tested a certificate kind since retired.
+_UPPER_FORGED_IDS = [*range(10), 18, 19, *range(21, 29)]
+
+
+@pytest.mark.parametrize("text,cert", [
+    pytest.param(text, cert, id=f"{text}-cert{i}")
+    for i, (text, cert) in zip(_UPPER_FORGED_IDS, _UPPER_FORGED, strict=True)])
 def test_upper_forged_certificate_rejected(text, cert):
     assert verify_certificate(G(text), cert) is False
 
@@ -301,14 +299,13 @@ def _chain_matrix(text):
 @given(st.lists(st.integers(0, 1), max_size=10), st.fixed_dictionaries(
     {}, optional={name: _JUNK for name in _INDEX_FIELDS}))
 def test_verifier_never_raises_on_junk_indices(middle, junk):
-    # every lower rule's check, the chain and transfer checks: each field
-    # that names an index or an int holds junk, and the verdict is a bool
+    # every lower rule's check and the matrix check: each field that names
+    # an index or an int holds junk, and the verdict is a bool
     g = build_graph(CreationSequence((0, *middle, 1)))
     certs = [Certificate(kind, value, provenance, dict(junk))
              for kind, value, provenance, _, _ in bounds._LOWER_RULES]
     certs.append(Certificate("DupChainUB", g.n, "duplication chain",
                              {**junk, "matrix": _chain_matrix(g.creation.text)}))
-    certs.append(transfer_cert(**{k: v for k, v in junk.items() if k == "embedding"}))
     for cert in certs:
         assert type(verify_certificate(g, cert)) is bool, cert
 
@@ -457,17 +454,10 @@ def test_gate_certifies_the_hand_made_q2_targets(text):
 
 
 def chain_seed_ids(qb):
-    """Catalog ids whose factor seeds a chain or a transfer among the upper
-    certificates."""
-    transfer = gram(construct_library("prop_a15a19"))
-    ids = set()
-    for cert in qb.upper_certs:
-        for step in cert.payload.get("chain", ()):
-            if step.startswith("seed:"):
-                ids.add(step[5:].split("{")[0])
-        if cert.provenance == bounds._TRANSFER and np.array_equal(cert.payload["matrix"], transfer):
-            ids.add("prop_a15a19")
-    return ids
+    """Catalog ids whose factor seeds a chain among the upper certificates,
+    a spectral transfer's included."""
+    return {step[5:].split("{")[0] for cert in qb.upper_certs
+            for step in cert.payload.get("chain", ()) if step.startswith("seed:")}
 
 
 def test_every_catalog_entry_seeds_the_classifier():
@@ -495,8 +485,8 @@ def test_every_catalog_entry_seeds_the_classifier():
     ("0100101", ("seed:thm06", "dup(2,3)")),
     ("01001001", ("seed:qlt4", "dup(2,2)")),
     ("0010010001", ("seed:qlt4", "dup(0,1)", "dup(2,2)", "dup(5,1)")),
-    ("001001011", ("seed:ub_case1{'s': 3, 'm': 1, 'p1': 0, 'p2': 2}", "dup(3,3)", "jdup(6)")),
-    ("0101010001", ("seed:ub_case1{'s': 4, 'm': 4, 'p1': 3, 'p2': 0}", "dup(6,1)")),
+    ("001001011", ("seed:ub_case1{'s': 3, 'm': 1}", "dup(3,3)", "jdup(6)")),
+    ("0101010001", ("seed:ub_case1{'s': 4, 'm': 4}", "dup(6,1)")),
     ("0001", ("seed:star{'k': 3}",)),
     ("000111", ("seed:star{'k': 3}", "jdup(3)", "jdup(3)")),
     # zero-runs of length 1 after a longer first one: thm00(s) grows at vertex 0
@@ -602,13 +592,62 @@ def test_chain_certificates_match_expected_values():
 
 def test_transfer_certificates():
     # the two bases, a base with longer ones-runs, and one whose leading
-    # (0, 1) folds into the next zero-run
-    for text in ("00100101", "00010011", "001001011", "010100101"):
+    # (0, 1) folds into the next zero-run: each a chain of its liberated
+    # seed, a bare seed at a base, grown by joined copies elsewhere
+    for text, kind, chain in (
+            ("00100101", "ConstructionUB", ("seed:prop_a15a19{'base': '00100101'}",)),
+            ("00010011", "ConstructionUB", ("seed:prop_a15a19{'base': '00010011'}",)),
+            ("001001011", "DupChainUB", ("seed:prop_a15a19{'base': '00100101'}", "jdup(7)")),
+            ("010100101", "DupChainUB", ("seed:prop_a15a19{'base': '00100101'}", "jdup(0)"))):
         cert = transfer_certificate(G(text))
-        assert cert is not None and cert.value == 3, text
+        assert (cert.kind, cert.value, cert.provenance) == (kind, 3, CHAIN), text
+        assert cert.payload["chain"] == chain, text
         assert verify_certificate(G(text), cert), text
     assert transfer_certificate(G("0101")) is None
     assert transfer_certificate(G("01010101")) is None
+
+
+# The spectral-transfer citation of 00100101 as the package once issued it:
+# the donor's gram in its printed row order, the embedding of its rows into
+# the base, and the base.
+_DONOR_ROWS = [[math.sqrt(8), 0, 0, 0, 0], [1, -math.sqrt(2), 0, 0, 0],
+               [math.sqrt(2), 1, 0, 0, 0], [0, 1, 1, 1, 0], [0, 0, math.sqrt(3), 0, 0],
+               [0, 0, 0, math.sqrt(3), 0], [0, 1, 1, 1, 2], [0, 0, 0, 0, 1]]
+
+
+def test_transfer_citation_is_no_upper_kind():
+    # the true citation, which the verifier once accepted, is an unknown
+    # (kind, provenance) pair: every upper certificate is now a matrix in S(G)
+    M = np.array(_DONOR_ROWS)
+    cert = Certificate("TableCitation", 3, "spectral transfer across supergraphs",
+                       {"matrix": M @ M.T, "embedding": (2, 0, 1, 5, 3, 4, 7, 6),
+                        "base": "00100101"})
+    assert q_of_matrix(cert.payload["matrix"]) == 3
+    assert verify_certificate(G("00100101"), cert) is False
+    qb = classify_text("00100101")
+    assert verify_qbound(G("00100101"), qb)
+    assert verify_qbound(G("00100101"), dataclasses.replace(qb, upper_certs=(cert,))) is False
+
+
+def test_ssp_check_is_off_the_classify_and_verify_paths(monkeypatch):
+    # no classification or verification of a connected sequence with
+    # n <= 10 calls ssp_check, wherever a module binds it
+    from threshq import orthosearch
+
+    def raising(A):
+        raise AssertionError("ssp_check was called")
+
+    for mod in list(sys.modules.values()):
+        if mod.__name__.startswith("threshq") and getattr(mod, "ssp_check", None) is orthosearch.ssp_check:
+            monkeypatch.setattr(mod, "ssp_check", raising)
+    transfers = 0
+    for n in range(2, 11):
+        for seq in enumerate_connected(n):
+            g = build_graph(seq)
+            qb = classify_q(g)
+            assert verify_qbound(g, qb), seq.text
+            transfers += _is_transfer(qb.upper_certs[0])
+    assert transfers
 
 
 @functools.lru_cache(maxsize=None)
@@ -651,16 +690,21 @@ def reaches_by_jdup_reference(base, target):
 
 
 def test_reach_closed_form_matches_reduction_search():
-    bases = {G(text).creation.bits for text in bounds._TRANSFER_BASES}
+    # joined duplications grow a base to a target exactly when `_grow`, with
+    # no dup slot, fits the base to one of the target's sources: the rule
+    # the transfer applies to its liberated seeds
+    bases = {seed.target.creation.bits for seed in bounds._TRANSFER_SEEDS}
+    assert len(bases) == 2
     bases |= {seq.bits for n in range(2, 7) for seq in enumerate_connected(n)}
     targets = [seq.bits for n in range(2, 15) for seq in enumerate_connected(n)]
     positives = 0
     for base in sorted(bases):
+        have = block_form(CreationSequence(base)).blocks
         for target in targets:
             want = reaches_by_jdup_reference(base, target)
-            blocks = (block_form(CreationSequence(base)).blocks,
-                      block_form(CreationSequence(target)))
-            assert bounds._jdup_reaches(*blocks) == want, (base, target)
+            got = any(bounds._grow(have, (), src) is not None
+                      for src, _ in _sources(block_form(CreationSequence(target))))
+            assert got == want, (base, target)
             positives += want
     reaches_by_jdup_reference.cache_clear()
     jdup_reductions.cache_clear()
@@ -730,8 +774,10 @@ def test_self_checks_raise_named_error(monkeypatch):
         chain_certificate(G("0001001"))
     with pytest.raises(SelfCheckError):
         ub_section12(G("0101001"))
-    with pytest.raises(SelfCheckError, match="strong spectral"):
-        bounds._transfer_matrix()
+    # a liberation cut short of convergence raises its own typed error
+    monkeypatch.setattr(bounds.gramlib, "LIBERATION_STEPS", 1)
+    with pytest.raises(NoConvergence, match="liberation"):
+        construct_library("prop_a15a19", base="00010011")
     # a paired-column chain that lands on another sequence
     elsewhere = _section12_plan(block_form(G("0001001").creation))
     monkeypatch.setattr(bounds, "run_chain", lambda plan: run_chain(elsewhere))
@@ -1028,6 +1074,7 @@ def test_classify_builds_each_paired_column_seed_once(monkeypatch):
     # those seeds, and grows no chain step through the copying public step
     # functions
     prebuilt = {id(build()) for entries in bounds._CATALOG_SEEDS.values() for _, _, build in entries}
+    transfer_seeds = {id(seed) for seed in bounds._TRANSFER_SEEDS}
     seqs = [seq for n in range(2, 12) for seq in enumerate_connected(n)]
     seqs.append(G("0100010001100011000111000111").creation)  # `long`-shaped, s = 6
     firsts = {seq.text: [plan.seed for plan in _source_plans(block_form(seq))] for seq in seqs}
@@ -1061,8 +1108,9 @@ def test_classify_builds_each_paired_column_seed_once(monkeypatch):
         built.clear()
         realized.clear()
         classify_q(build_graph(seq))
-        if not realized:
-            assert not built, seq.text
+        if not realized or id(realized[0]) in transfer_seeds:
+            # the gate's completion, or a transfer chain of a prebuilt seed
+            assert not built and len(realized) <= 1, seq.text
             continue
         sources = firsts[seq.text]
         assert [label(f) for f in built] == [label(f) for f in sources if id(f) not in prebuilt], seq.text
@@ -1097,9 +1145,15 @@ def test_wrong_recorded_spectrum_fails_the_chain_check():
             bounds._checked(A, spectrum, g, len(wrong))
 
 
+def _is_transfer(cert):
+    """Whether an upper certificate is a spectral transfer's chain."""
+    return cert.payload.get("chain", ("",))[0].startswith("seed:prop_a15a19")
+
+
 def test_one_classification_eigensolve_budget(monkeypatch):
     # one classify_q eigensolves the OrthoUB completion once, the realized
-    # chain once and each paired-column seed's cogram once, and nothing else
+    # chain once, a transfer chain included, and each paired-column seed's
+    # cogram once, and nothing else
     from threshq import spectra
 
     solves, factors = [], []
@@ -1122,16 +1176,15 @@ def test_one_classification_eigensolve_budget(monkeypatch):
         (upper,) = classify_q(build_graph(seq)).upper_certs
         chain = upper.provenance == "duplication chain"
         assert len(solves) == (upper.kind == "OrthoUB") + chain + len(factors), (seq.text, solves)
-        kinds.add((upper.kind, len(factors)))
-    assert {("OrthoUB", 0), ("TableCitation", 0), ("DupChainUB", 2)} <= kinds
+        kinds.add((upper.kind, len(factors), _is_transfer(upper)))
+    assert {("OrthoUB", 0, False), ("DupChainUB", 0, True), ("DupChainUB", 2, False)} <= kinds
 
 
 def test_one_symmetry_check_per_certificate_matrix(monkeypatch):
     # classify_q validates its certificate matrix once, in that matrix's one
-    # eigensolve, and each paired-column seed's cogram once; a transfer
-    # citation's matrix was checked at import.  verify_certificate then
-    # validates a matrix certificate's matrix once; a transfer citation's
-    # is validated by its eigensolve and by `ssp_check`.
+    # eigensolve, and each paired-column seed's cogram once;
+    # verify_certificate then validates the certificate matrix once.  A
+    # transfer chain costs what any chain does.
     from threshq.spectra import check_symmetric
 
     checks, factors = [], []
@@ -1154,13 +1207,13 @@ def test_one_symmetry_check_per_certificate_matrix(monkeypatch):
         checks.clear()
         factors.clear()
         (upper,) = classify_q(g).upper_certs
-        matrix = upper.kind != "TableCitation"
-        assert checks.count(g.n) == matrix and len(checks) == matrix + len(factors), (seq.text, checks)
+        assert checks.count(g.n) == 1 and len(checks) == 1 + len(factors), (seq.text, checks)
         checks.clear()
         assert verify_certificate(g, upper), seq.text
-        assert checks == [len(upper.payload["matrix"])] * (1 if matrix else 2), (seq.text, checks)
-        kinds.add(upper.kind)
-    assert kinds == {"OrthoUB", "ConstructionUB", "DupChainUB", "TableCitation"}
+        assert checks == [g.n], (seq.text, checks)
+        kinds.add((upper.kind, _is_transfer(upper)))
+    assert kinds == {("OrthoUB", False), ("ConstructionUB", False), ("DupChainUB", False),
+                     ("ConstructionUB", True), ("DupChainUB", True)}
 
 
 # A `long`-shaped sequence: order 28, ones-runs (1, 1, 2, 2, 3, 3), a lone

@@ -1,3 +1,4 @@
+import importlib
 import math
 
 import numpy as np
@@ -5,7 +6,9 @@ import pytest
 
 from threshq.bounds import q2_certificate
 from threshq.gram import (
+    A15A19_BASES,
     DUP_TOL,
+    NEW_EDGE,
     BadAngle,
     BadParams,
     DegenerateRow,
@@ -22,6 +25,9 @@ from threshq.gram import (
 )
 from threshq.sequences import creation_order_of, dup_graph, graph_from_text, jdup_graph
 from threshq.spectra import NoConvergence, assert_spectrum, eigen_sym, in_pattern, pattern_matrix, q_of_matrix
+
+# the module itself: the package's `gram` attribute is the function
+gramlib = importlib.import_module("threshq.gram")
 
 ALL_IDS_NO_PARAMS = ["thm061", "thm01", "thm10", "thm05", "thm06", "qlt4", "prop_a15a19"]
 
@@ -60,7 +66,7 @@ def test_every_construction_verifies():
 def test_factors_cover_every_edge():
     # clique-cover semantics: each edge is covered by at least one column
     for f in catalog_instances():
-        adj = f.target.adjacency if hasattr(f.target, "adjacency") else f.target
+        adj = f.target.adjacency
         n = f.n
         for i in range(n):
             for j in range(i + 1, n):
@@ -112,6 +118,50 @@ def test_bad_construction_params():
         construct_library("thm00", bogus=3)
     with pytest.raises(BadParams):
         section12_factor(1, 1)
+    with pytest.raises(BadParams):
+        construct_library("prop_a15a19", base="01010101")
+    with pytest.raises(BadParams):
+        construct_library("prop_a15a19", base=["00100101"])
+
+
+# ---------------------------------------------------------------- liberation
+
+
+def _donor(monkeypatch, base):
+    """prop_a15a19's rows placed in base vertex order, not liberated."""
+    with monkeypatch.context() as m:
+        m.setattr(gramlib, "_liberated", lambda M, G: M)
+        return construct_library("prop_a15a19", base=base)
+
+
+@pytest.mark.parametrize("base", list(A15A19_BASES))
+def test_liberated_seed_lies_in_its_base_with_the_donor_spectrum(monkeypatch, base):
+    # orthogonal similarities move the donor into S(base): each new edge at
+    # NEW_EDGE, every non-edge zero to 1e-12 of scale, the spectrum kept
+    f = construct_library("prop_a15a19", base=base)
+    donor = gram(_donor(monkeypatch, base))
+    A, adj = gram(f), graph_from_text(base).adjacency
+    assert f.target.creation.text == base and f.params == {"base": base}
+    off = ~adj & ~np.eye(f.n, dtype=bool)
+    assert np.abs(A[off]).max() <= 1e-12 * np.abs(A).max()
+    assert np.abs(A[adj]).min() >= NEW_EDGE * (1 - 1e-9)
+    new = adj & (donor == 0)
+    assert new.any() and np.allclose(A[new], NEW_EDGE, rtol=1e-9, atol=0)
+    assert np.abs(eigen_sym(A) - eigen_sym(donor)).max() <= 1e-12
+    assert np.abs(cogram(f) - cogram(_donor(monkeypatch, base))).max() <= 1e-12 * np.abs(A).max()
+
+
+def test_liberation_is_deterministic():
+    for base in A15A19_BASES:
+        first, second = (construct_library("prop_a15a19", base=base).M for _ in range(2))
+        assert first.tobytes() == second.tobytes(), base
+
+
+def test_liberation_without_the_ssp_raises_no_convergence():
+    # the identity commutes with every rotation, so its edges never move:
+    # its SSP system is zero, and the liberation stops with a typed error
+    with pytest.raises(NoConvergence, match="liberation"):
+        gramlib._liberated(np.eye(3), graph_from_text("011"))
 
 
 def test_ub_case1_even_parity_instances():

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from threshq.gram import CONSTRUCTIONS, construct_library, dup_realization, gram
+from threshq.gram import A15A19_BASES, CONSTRUCTIONS, construct_library, dup_realization, gram
 from threshq.orthosearch import (
     _ENTRY_FLOOR,
     _MIX_STEPS,
@@ -409,8 +409,10 @@ def test_ssp_system_matches_the_per_unknown_build():
 
 
 def test_ssp_prop_a15a19():
-    rep = ssp_check(gram(construct_library("prop_a15a19")))
-    assert rep.is_ssp and rep.nullity == 0
+    # the liberated gram keeps the strong spectral property on each base
+    for base in A15A19_BASES:
+        rep = ssp_check(gram(construct_library("prop_a15a19", base=base)))
+        assert rep.is_ssp and rep.nullity == 0, base
 
 
 def test_ssp_thm00_t3():

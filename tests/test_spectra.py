@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from threshq.gram import construct_library, gram
+from threshq.gram import A15A19_BASES, construct_library, gram
 from threshq.orthosearch import ssp_check
 from threshq.sequences import graph_from_text
 from threshq.spectra import (
@@ -294,18 +294,20 @@ def test_in_pattern_matches_entrywise_loop():
 
 
 def test_prop_a15a19_pattern_entrywise():
-    # oracle: check M M^T against the graph entry by entry
-    f = construct_library("prop_a15a19")
-    A = f.M @ f.M.T
-    adj = f.target
-    n = A.shape[0]
-    for i in range(n):
-        for j in range(i + 1, n):
-            if adj[i, j]:
-                assert abs(A[i, j]) > 1e-8
-            else:
-                assert abs(A[i, j]) <= 1e-8
-    assert in_pattern(A, f.target)
+    # oracle: each base's liberated M M^T against the base graph, entry by
+    # entry
+    for base in A15A19_BASES:
+        f = construct_library("prop_a15a19", base=base)
+        A = f.M @ f.M.T
+        adj = graph_from_text(base).adjacency
+        n = A.shape[0]
+        for i in range(n):
+            for j in range(i + 1, n):
+                if adj[i, j]:
+                    assert abs(A[i, j]) > 1e-8, (base, i, j)
+                else:
+                    assert abs(A[i, j]) <= 1e-8, (base, i, j)
+        assert in_pattern(A, f.target)
 
 
 def test_in_pattern_dimension_mismatch():
