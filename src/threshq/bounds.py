@@ -25,7 +25,6 @@ whose q is its value and which lies in S(G)."""
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -310,32 +309,25 @@ def _chain_steps(plan: ChainPlan) -> tuple[str, ...]:
 
 
 def run_chain(plan: ChainPlan) -> tuple[np.ndarray, np.ndarray]:
-    """Realize a plan, with the spectrum it carries.
-
-    The seed's gram sits in a buffer sized for the whole chain, and each
-    run of equal steps (a plan repeats one slot per zero-run and one vertex
-    per ones-run) is one gramlib.duplicate_run call with uniform u.  Copies
-    are appended, so plan indices keep naming seed vertices, and belong
-    right after the vertex they copy, inside its run (a joined copy of
-    vertex 0 opens (0, 1, ...)); one permutation at the end puts the matrix
-    in the creation order of the sequence the plan fits.  The carried
-    spectrum is read off the plan: the seed's values, lam per dup step and
-    lambda_min per jdup step."""
-    seed, n = plan.seed, plan.seed.n
+    """Realize a plan, with the spectrum it carries: the seed's values, lam
+    per dup step and lambda_min per jdup step.  Each run of equal steps is
+    a dup run at lam or a jdup run at lambda_min; `gramlib.grow_factor`
+    grows the seed's factor by all of them, and the matrix is one product
+    F F^T of F's rows in creation order.  Copies are appended, so plan
+    indices keep naming seed vertices, and go right after the vertex they
+    copy (a joined copy of vertex 0 opens (0, 1, ...))."""
+    seed = plan.seed
     carried = spectrum_values(seed.expected_spectrum).tolist() + [lam for _, lam in plan.dup_steps]
     lam_min = min(carried)
     carried += [lam_min] * len(plan.jdup_steps)
     runs = [(v, lam, len(list(steps))) for (v, lam), steps in itertools.groupby(plan.dup_steps)]
     runs += [(v, lam_min, len(list(steps))) for v, steps in itertools.groupby(plan.jdup_steps)]
-    B = np.empty((len(carried), len(carried)))
-    B[:n, :n] = gramlib.gram(seed)
-    order = list(range(n))
-    for v, lam, k in runs:
-        gramlib.duplicate_run(B, n, v, lam, np.full(k + 1, 1 / math.sqrt(k + 1)))
+    F, order = gramlib.grow_factor(seed.M, runs), list(range(seed.n))
+    for v, _, k in runs:
         at = order.index(v) + 1
-        order[at:at] = range(n, n + k)
-        n += k
-    return B.take(order, axis=0).take(order, axis=1), np.array(carried)
+        order[at:at] = range(len(order), len(order) + k)
+    F = F[order]
+    return F @ F.T, np.array(carried)
 
 
 def _checked(A: np.ndarray, spectrum: np.ndarray, G: ThresholdGraph, q: int) -> int:
@@ -343,7 +335,7 @@ def _checked(A: np.ndarray, spectrum: np.ndarray, G: ThresholdGraph, q: int) -> 
     spectrum its chain carried and to keep its seed's q.  This is the
     chain's one eigensolve, which validates A for the pattern test too.
     Every run is an exact similarity, so the spectrum match proves the
-    kernel, and the q match that every lam the plan carried was already an
+    factor, and the q match that every lam the plan carried was already an
     eigenvalue, as the planner's comparison of seeds assumes."""
     eigs = eigen_sym(A)
     if not pattern_report(A, G):
@@ -366,12 +358,8 @@ def _chain_cert(G: ThresholdGraph, plan: ChainPlan) -> Certificate:
 
 
 def chain_certificate(G: ThresholdGraph) -> Certificate:
-    """Upper bound from the duplication chain: the first fitting seed of G's
-    own form or of its leading merge, whichever has the smaller q, where a
-    source's first fitting seed is the first entry of its q-ordered
-    `_seed_table` that fits it, else its paired-column seed.  The chain
-    lands in G's creation order by construction; it is checked once, for
-    pattern and spectrum."""
+    """Upper bound from the duplication chain of `_chain_plan`, which lands
+    in G's creation order by construction and is checked once."""
     return _chain_cert(G, _chain_plan(G.block_form))
 
 
@@ -404,15 +392,12 @@ def transfer_certificate(G: ThresholdGraph) -> Certificate | None:
 
 def ub_section12(G: ThresholdGraph) -> tuple[int, Certificate]:
     """The paper's general bound q(G) <= floor((s+9)/2), beside the chain
-    certificate that witnesses it: a "duplication chain" whose value is the
-    q its matrix reaches, never above the bound.
-
-    The chain is the paired-column chain when s >= 2 and a zero-run has
-    length >= 2, else the first seed-table chain, alternating or
-    complete-split (q <= 3).  classify_q does not call this: its chain grows a seed-table
-    seed with q <= 4 or a paired-column seed of G or of its leading merge,
-    whose s is one less, so it never exceeds this bound, which is at least
-    5, and the bound never sets the upper side."""
+    certificate that witnesses it, whose value, the q its matrix reaches,
+    never exceeds the bound: the paired-column chain when s >= 2 and a
+    zero-run has length >= 2, else the first seed-table chain (q <= 3).
+    classify_q does not call this: its chain grows a seed-table seed with
+    q <= 4 or a paired-column seed of G or of its leading merge, whose s is
+    one less, so it never exceeds this bound, which is at least 5."""
     bf = G.block_form
     bound = (bf.s + 9) // 2
     cert = _chain_cert(G, _section12_plan(bf) or _seed_plan(bf))

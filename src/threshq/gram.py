@@ -353,9 +353,8 @@ def duplicate_run(B: np.ndarray, n: int, v: int, lam: float, u) -> None:
     the run's own block lam I + (a_vv - lam) u u^T.  For a unit vector u and
     any orthogonal Q whose first column is u this is Q diag(A, lam I_k) Q^T,
     so the spectrum gains exactly k copies of lam.  Copies are unjoined when
-    a_vv = lam, and joined when lam is lambda_min and a_vv is not.  Every
-    entry is written to both triangles from one value, so the block stays
-    as symmetric as A."""
+    a_vv = lam, and joined when lam is lambda_min and a_vv is not.  The
+    kernel of the public steps; a chain grows its factor (`grow_factor`)."""
     u = np.asarray(u, dtype=float)
     m = n + len(u) - 1
     r = B[v, :n].copy()
@@ -370,13 +369,55 @@ def duplicate_run(B: np.ndarray, n: int, v: int, lam: float, u) -> None:
     B[:m, v] = B[v, :m]
 
 
+def _runs_at_once(F: np.ndarray, runs) -> np.ndarray:
+    """F grown by runs (v, lam, k) on distinct rows v of F, copies appended
+    in run order, by one gather and one Helmert block: rows v and its
+    copies become F_v / sqrt(k+1), plus sqrt(lam) times their rows of the
+    (k+1) x k Helmert basis of 1^perp (column j: 1 / sqrt(j(j+1)) on its
+    first j rows, -j / sqrt(j(j+1)) on row j+1) in k new columns.  A run at
+    lam <= 0 takes no columns, so its copies are joined."""
+    n, c = F.shape
+    src, scale, members, lo, j, w = list(range(n)), [1.0] * n, [], [], [], []
+    for v, lam, k in runs:
+        scale[v] = 1 / math.sqrt(k + 1)
+        if lam > 0:  # members: v, then its copies; column j has rows lo..lo+j
+            lo += [len(members)] * k
+            j += range(1, k + 1)
+            w += [math.sqrt(lam / (i * (i + 1))) for i in range(1, k + 1)]
+            members += [v, *range(len(src), len(src) + k)]
+        src += [v] * k
+        scale += [scale[v]] * k
+    out = np.zeros((len(src), c + len(w)))
+    np.multiply(F[src], np.array(scale)[:, None], out=out[:, :c])
+    if w:
+        p, lo, j, w = np.arange(len(members))[:, None], np.array(lo), np.array(j), np.array(w)
+        out[members, c:] = np.where(p < lo + j, w, -j * w) * ((p >= lo) & (p <= lo + j))
+    return out
+
+
+def grow_factor(M: np.ndarray, runs) -> np.ndarray:
+    """The factor F whose F F^T is the matrix `duplicate_run` grows from
+    M M^T run by run with uniform u: runs are (v, lam, k), v a row of the
+    factor so far, and each run's block is lam I + (|F_v|^2 - lam) J / (k+1).
+    Runs on distinct rows that exist already grow in one batch: a chain
+    needs one, or two when it dups and then joins vertex 0.  IndexError for
+    a row outside the factor."""
+    F, batch = np.asarray(M, dtype=float), []
+    for run in runs:
+        if not 0 <= run[0] < len(F) or run[0] in {v for v, _, _ in batch}:
+            F, batch = _runs_at_once(F, batch), []
+            if not 0 <= run[0] < len(F):
+                raise IndexError(f"row {run[0]} is outside the {len(F)}-row factor")
+        batch.append(run)
+    return _runs_at_once(F, batch) if batch else F
+
+
 def _one_copy(A, v: int, spectrum, theta: float) -> tuple[np.ndarray, float, np.ndarray]:
     """A in a buffer with room for one copy of v, with the check scale
     max(1, max|A|) and the spectrum as an array, both read in full:
     NoConvergence on an entry that is not finite, BadAngle unless
     0 < theta < pi/2, IndexError for a vertex outside A."""
-    A = np.asarray(A, dtype=float)
-    spectrum = np.asarray(spectrum, dtype=float)
+    A, spectrum = np.asarray(A, dtype=float), np.asarray(spectrum, dtype=float)
     if not (np.isfinite(A).all() and np.isfinite(spectrum).all()):
         raise NoConvergence("seed or spectrum has an entry that is not finite")
     if not 0 < theta < math.pi / 2:
@@ -411,15 +452,12 @@ def jdup_realization(A: np.ndarray, v: int, spectrum,
                      theta: float = math.pi / 4) -> np.ndarray:
     """Duplicate vertex v of A with an edge to the copy, appending one more
     copy of the smallest eigenvalue lambda_min of `spectrum`, the
-    eigenvalues A is known to have (pass eigen_sym(A)), so q is preserved.
-
-    `duplicate_run` with u = (cos theta, -sin theta): the new off-diagonal
+    eigenvalues A is known to have (pass eigen_sym(A)), so q is preserved:
+    `duplicate_run` with u = (cos theta, -sin theta).  The new off-diagonal
     entry is sin(theta)cos(theta)(lambda_min - a_vv), so a_vv within
     DUP_TOL * max(1, max|A|) of lambda_min raises DegenerateRow.  Deleting
     the new row and column gives A with row/column v scaled by cos(theta)
-    (pattern-equal to A), and the (v, v) entry equal to
-    cos^2 a_vv + sin^2 lambda_min.
-    """
+    (pattern-equal to A), and the (v, v) entry cos^2 a_vv + sin^2 lambda_min."""
     B, scale, spectrum = _one_copy(A, v, spectrum, theta)
     lam_min = float(spectrum.min())
     if abs(B[v, v] - lam_min) <= DUP_TOL * scale:

@@ -650,6 +650,28 @@ def test_ssp_check_is_off_the_classify_and_verify_paths(monkeypatch):
     assert transfers
 
 
+def test_run_kernel_is_off_the_classify_and_verify_paths(monkeypatch):
+    # chains grow their factor, so no classification or verification of a
+    # connected sequence with n <= 10, or of a long-run sequence, calls the
+    # in-place run kernel that the public steps keep
+    kernel = bounds.gramlib.duplicate_run
+
+    def raising(*args, **kwargs):
+        raise AssertionError("duplicate_run was called")
+
+    for mod in list(sys.modules.values()):
+        if mod.__name__.startswith("threshq") and getattr(mod, "duplicate_run", None) is kernel:
+            monkeypatch.setattr(mod, "duplicate_run", raising)
+    with pytest.raises(AssertionError, match="duplicate_run"):
+        dup_realization(gram(construct_library("thm00", t=2)), 0, 3.0, [0.0, 0.0, 3.0, 7.0])
+    chains = 0
+    for g in [build_graph(seq) for n in range(2, 11) for seq in enumerate_connected(n)] + list(map(G, LONG_RUNS)):
+        qb = classify_q(g)
+        assert verify_qbound(g, qb), g.creation.text
+        chains += qb.upper_certs[0].kind == "DupChainUB"
+    assert chains
+
+
 @functools.lru_cache(maxsize=None)
 def jdup_reductions(bits):
     """Ways of writing the sequence as a joined duplication of something
@@ -1013,6 +1035,8 @@ def test_bad_plans_fail_at_the_same_step_as_the_public_steps():
          2, DiagonalNotEigenvalue, "seed's q"),
         # a jdup of a vertex whose diagonal is lambda_min = 0
         (bounds.ChainPlan(zero_row, (), (0, 1)), "0111", 2, DegenerateRow, "landed"),
+        # a negative dup lam, which no gram has: the copy lands joined
+        (bounds.ChainPlan(alternating, ((0, -1.0),), ()), "00101", 1, DiagonalNotEigenvalue, "landed"),
     ]
     for plan, text, step, error, message in bad_plans:
         assert len(run_chain(plan)[0]) == G(text).n, _chain_steps(plan)
@@ -1046,6 +1070,31 @@ def test_in_place_chains_match_step_by_step_growth_to_n11():
 @given(st.lists(st.integers(0, 1), min_size=0, max_size=62))
 def test_in_place_chains_match_step_by_step_growth_to_n64(middle):
     _grows_like_the_reference(CreationSequence((0, *middle, 1)))
+
+
+# (0, 1^t, 0^k, ...) rows whose leading merge (0^(1+k), ...) grows from a
+# seed with its slot at vertex 0, thm00(s) or a paired-column seed: the
+# chain dups vertex 0, then joins it t times, so the joined copies repeat
+# a row the dup run grew.
+NESTED_VERTEX_0 = [
+    "0111" + "0000" + "11" + "01",
+    "0" + "1" * 60 + "0" * 60 + "11" + "01" * 3,
+    "0" + "1" * 100 + "0" * 120 + "1" * 30 + "01" * 2,
+    "011" + "000" + "1" + "01" + "001" + "01",
+    "0" + "1" * 50 + "0" * 70 + "111" + "01" + "0000" + "1" + "01",
+    "0" + "1" * 90 + "0" * 100 + "1" * 20 + "0" * 30 + "1" * 5 + "01" * 3,
+]
+
+
+@pytest.mark.parametrize("text", NESTED_VERTEX_0, ids=lambda t: f"n{len(t)}")
+def test_nested_vertex_0_chains_match_the_reference(text):
+    _, merge = _source_plans(G(text).block_form)
+    assert merge.seed.construction_id in {"thm00", "ub_case1"}
+    assert merge.dup_steps[0][0] == 0 and merge.jdup_steps[-1] == 0 == merge.seed.dup_slots[0][0]
+    A, spectrum = run_chain(merge)
+    ref_A, ref_spectrum = _reference_chain(merge)
+    assert close_to(A, ref_A, ref_A) and np.array_equal(spectrum, ref_spectrum)
+    assert in_pattern(A, G(text))
 
 
 def test_first_parity_ordered_seed_always_fits():
@@ -1127,7 +1176,7 @@ def test_classify_builds_each_paired_column_seed_once(monkeypatch):
 
 @pytest.mark.parametrize("n", [128, 256])
 def test_carried_spectrum_survives_long_chains(n):
-    # hundreds of rotations in one chain stay inside the check's tolerance
+    # a chain of hundreds of copies stays inside the check's tolerance
     rng = random.Random(n)
     assert _carries_its_spectrum(_random_connected(rng, n))
 

@@ -19,6 +19,7 @@ from threshq.gram import (
     dup_realization,
     duplicate_run,
     gram,
+    grow_factor,
     jdup_realization,
     orthogonal_certificate,
     section12_factor,
@@ -395,6 +396,82 @@ def test_run_kernel_matches_the_householder_reference(k):
     assert np.isnan(B[n + k:]).all() and np.isnan(B[:, n + k:]).all()
     want = np.sort(np.append(eigen_sym(A), [lam] * k))
     assert np.abs(eigen_sym(got) - want).max() <= 1e-10
+
+
+def _runs_in_a_buffer(M, runs):
+    """M M^T grown by `duplicate_run` with uniform u, one call per run, in a
+    buffer whose copies are appended: the matrix `grow_factor` factors."""
+    M = np.asarray(M, dtype=float)
+    n = len(M)
+    B = np.zeros((n + sum(k for _, _, k in runs),) * 2)
+    B[:n, :n] = M @ M.T
+    for v, lam, k in runs:
+        duplicate_run(B, n, v, lam, np.full(k + 1, 1 / math.sqrt(k + 1)))
+        n += k
+    return B
+
+
+def _random_runs(rng, n, count):
+    """count runs (v, lam, k) on rows of the factor grown so far: a row may
+    repeat, be a copy, or take lam = 0 (a jdup at lambda_min = 0)."""
+    runs = []
+    for _ in range(count):
+        v = int(rng.integers(n))
+        lam = float(rng.choice([0.0, rng.uniform(0.1, 9.0)]))
+        k = int(rng.integers(1, 5))
+        runs.append((v, lam, k))
+        n += k
+    return runs
+
+
+def test_grow_factor_matches_the_run_kernel_run_by_run():
+    # F F^T is the buffer the in-place kernel grows, run by run, for runs
+    # that repeat a row, name a copy made earlier, or take no columns
+    rng = np.random.default_rng(23)
+    repeats = set()
+    for trial in range(200):
+        n, c = int(rng.integers(2, 7)), int(rng.integers(1, 5))
+        M = rng.normal(size=(n, c))
+        runs = _random_runs(rng, n, int(rng.integers(0, 6)))
+        F = grow_factor(M, runs)
+        want = _runs_in_a_buffer(M, runs)
+        assert F.shape[0] == len(want) and close_to(F @ F.T, want, want), (trial, runs)
+        assert F.shape[1] == c + sum(k for _, lam, k in runs if lam > 0)
+        repeats.add(len({v for v, _, _ in runs}) < len(runs))
+    assert repeats == {False, True}
+
+
+def test_grow_factor_rejects_a_row_outside_the_factor():
+    M = np.eye(3)[:, :2]
+    for runs in ([(3, 1.0, 1)], [(-1, 1.0, 1)], [(0, 1.0, 2), (5, 1.0, 1)]):
+        with pytest.raises(IndexError):
+            grow_factor(M, runs)
+    assert grow_factor(M, [(0, 1.0, 2), (4, 1.0, 1)]).shape == (6, 5)  # row 4 is a copy
+
+
+def _every_chain_seed():
+    """Every seed the planner or the transfer builds, within its ranges."""
+    yield from (construct_library("star", k=k) for k in range(1, 9))
+    yield from (construct_library("thm00", t=t) for t in range(2, 17))
+    yield from (construct_library(cid) for cid in ALL_IDS_NO_PARAMS if cid != "prop_a15a19")
+    yield from (section12_factor(s, m) for s in range(2, 13) for m in range(1, s + 1))
+    yield from (construct_library("prop_a15a19", base=base) for base in A15A19_BASES)
+
+
+def test_chain_seeds_have_what_the_grown_factor_assumes():
+    # more rows than columns, so lambda_min is 0, the value a jdup run
+    # takes no column for; and every dup slot's lam is its row's squared
+    # norm, so a dup run's copies are unjoined
+    ids = set()
+    for f in _every_chain_seed():
+        M, A = f.M, gram(f)
+        label = (f.construction_id, f.params)
+        assert M.shape[0] > M.shape[1], label
+        assert min(value for value, _ in f.expected_spectrum) == 0.0, label
+        for v, lam in f.dup_slots:
+            assert lam >= 0 and abs(M[v] @ M[v] - lam) <= DUP_TOL * max(1.0, float(np.abs(A).max())), label
+        ids.add(f.construction_id)
+    assert ids == {"star", "thm00", "ub_case1", *ALL_IDS_NO_PARAMS}
 
 
 def test_grower_rejects_values_that_are_not_finite():
