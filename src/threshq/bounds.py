@@ -7,20 +7,19 @@ combinatorial bounds, a trace below half the order, a zero-run covering the
 trace after it and a unique shortest path, each make the gate's counting
 criterion fail, so its witness covers them and they are not rules here;
 `sequences.unique_path_bound` stays public as the paper's lemma.  The upper
-side is one certificate:
-the two-eigenvalue completion the gate finds, else a spectral-transfer
-chain, else a duplication chain.  Joined duplication keeps q, so G grows
-from its own form and from its leading merge (`_sources`), and both the
-chain planner and the transfer read that one rule.  Each source
-takes the first seed that `_grow` fits from one q-ordered table per block
-count s (`_seed_table`: the star, else the alternating seed thm00(s) and
-the catalog), else the paired-column seed, and the planner keeps the
-source whose built seed has the fewest distinct eigenvalues.  The paper's
-general floor((s+9)/2) bound, `ub_section12`, comes on demand beside a
-chain certificate; it never beats the chain, so the classifier skips it.
-Every certificate re-verifies from its payload alone, under a (kind,
-provenance) pair the package issues; every upper certificate is a matrix
-whose q is its value and which lies in S(G)."""
+side is one certificate: the two-eigenvalue completion the gate finds, else
+a duplication chain.  Joined duplication keeps q, so G grows from its own
+form and from its leading merge (`_sources`).  Each source takes the first
+seed that `_grow` fits from one q-ordered table per block count s
+(`_seed_table`: the star, else the alternating seed thm00(s) and the
+prebuilt seeds, the liberated prop_a15a19 seeds among them), else the
+paired-column seed, and the planner keeps the source whose built seed has
+the fewest distinct eigenvalues.  The paper's general floor((s+9)/2) bound,
+`ub_section12`, and the SSP supergraph lemma, `transfer_certificate`, are
+stated on that one planner and come on demand; the classifier calls
+neither.  Every certificate re-verifies from its payload alone, under a
+(kind, provenance) pair the package issues; every upper certificate is a
+matrix whose q is its value and which lies in S(G)."""
 
 from __future__ import annotations
 
@@ -66,7 +65,7 @@ class Certificate:
     kinds: ConnectedLB, Compare1LB (the gate's counting witness) and
     TableCitation (the trace-two value) below; above, OrthoUB (provenance
     "column-orthogonal completion"), ConstructionUB and DupChainUB
-    ("duplication chain", spectral transfers included).  payload carries
+    ("duplication chain", liberated seeds' chains included).  payload carries
     matrices or combinatorial witnesses; verify_certificate re-validates
     without re-running any search, and rejects any other (kind,
     provenance) pair.  An upper value is the q its matrix reaches.
@@ -189,13 +188,17 @@ class ChainPlan:
     jdup_steps: tuple[int, ...]
 
 
-# The fixed catalog seeds that follow thm00(s) in `_seed_table`, by block
-# count s, in q order, as its entries; built once at import.
-_CATALOG_SEEDS = {
-    s: tuple((f.target.block_form.blocks, f.dup_slots, lambda f=f: f)
-             for f in map(gramlib.construct_library, cids))
-    for s, cids in ((2, ("thm061", "thm01", "thm10")), (3, ("thm05", "thm06", "qlt4")))
-}
+# The prebuilt seeds that follow thm00(s) in `_seed_table`, built once at
+# import from one flat tuple of (construction id, params): the fixed catalog
+# seeds and the liberated prop_a15a19 seeds, each in S(base) with q = 3 and
+# no dup slot (`gramlib._liberated`).  Grouped by their own s and stably
+# sorted by q, each group is in q order by construction.
+_PREBUILT = sorted((gramlib.construct_library(cid, **params) for cid, params in (
+    ("thm061", {}), ("thm01", {}), ("thm10", {}), ("thm05", {}), ("thm06", {}), ("qlt4", {}),
+    *(("prop_a15a19", {"base": base}) for base in gramlib.A15A19_BASES))),
+    key=lambda f: (f.target.block_form.s, len(f.expected_spectrum)))
+_CATALOG_SEEDS = {s: tuple((f.target.block_form.blocks, f.dup_slots, lambda f=f: f) for f in group)
+                  for s, group in itertools.groupby(_PREBUILT, key=lambda f: f.target.block_form.s)}
 
 
 def _grow(have: tuple, dup_slots, bf) -> tuple[tuple, tuple] | None:
@@ -263,8 +266,9 @@ def _seed_table(bf) -> tuple:
     build) entries, so a seed's fit is read before build() makes it: the
     star for s = 1; otherwise the alternating seed thm00(s), blocks (0,1)^s
     and its one dup slot, vertex 0 at `gramlib.thm00_lambda(s)`, then
-    `_CATALOG_SEEDS[s]`.  Every entry has q <= 4 and every paired-column
-    seed q >= 4, so the first entry that fits bf is its least-q seed."""
+    `_CATALOG_SEEDS[s]`, the liberated seeds among them.  Every entry has
+    q <= 4 and every paired-column seed q >= 4, so the first entry that
+    fits bf is its least-q seed."""
     s, k = bf.s, bf.ks[0]
     if s == 1:
         return ((((k, 1),), (), lambda: gramlib.construct_library("star", k=k)),)
@@ -364,30 +368,17 @@ def chain_certificate(G: ThresholdGraph) -> Certificate:
 
 
 # ---------------------------------------------------------------------------
-# upper bounds: spectral transfer across supergraphs
+# the paper's upper bounds, stated on the one planner
 # ---------------------------------------------------------------------------
-
-
-# The liberated prop_a15a19 seeds, one per base, each in S(base) with
-# spectrum 0^3, 3^3, 11^2 (`gramlib._liberated`); built once at import.
-_TRANSFER_SEEDS = tuple(gramlib.construct_library("prop_a15a19", base=base)
-                        for base in gramlib.A15A19_BASES)
 
 
 def transfer_certificate(G: ThresholdGraph) -> Certificate | None:
-    """q <= 3 when joined duplications, which keep q, grow a liberated
-    prop_a15a19 seed to G: the chain of the first seed that `_grow` fits,
-    with no dup slot, to one of G's sources, carried to G."""
-    for seed in _TRANSFER_SEEDS:
-        for src, t in _sources(G.block_form):
-            if (steps := _grow(seed.target.block_form.blocks, (), src)) is not None:
-                return _chain_cert(G, _joined(ChainPlan(seed, *steps), t))
-    return None
-
-
-# ---------------------------------------------------------------------------
-# the general upper bound
-# ---------------------------------------------------------------------------
+    """q <= 3 by the SSP supergraph lemma, when joined duplications, which
+    keep q, grow a liberated prop_a15a19 seed to G: G's chain certificate
+    when `_chain_plan` grows one of those seeds, else None.  classify_q
+    does not call this: its chain is the same."""
+    plan = _chain_plan(G.block_form)
+    return _chain_cert(G, plan) if plan.seed.construction_id == "prop_a15a19" else None
 
 
 def ub_section12(G: ThresholdGraph) -> tuple[int, Certificate]:
@@ -415,19 +406,16 @@ def classify_q(G: ThresholdGraph) -> QBound:
     """Certified interval for q(G); exact when the sides meet.
 
     The upper side is one certificate: the orthogonal completion when the
-    gate is feasible, else the transfer chain of a liberated seed that
-    reaches G, else the duplication chain.  The order is exact.  OrthoUB's
-    value 2 is the lower side's floor.  A gate with no completion leaves
-    its counting witness, so the lower side is already 3, the transfer's
-    value, and no chain can beat a transfer that applies.  The one chain
-    is realized once and lands on G by construction.  The general
-    floor((s+9)/2) bound is not built (see `ub_section12`).
+    gate is feasible, else the duplication chain, realized once and landing
+    on G by construction.  The general floor((s+9)/2) bound and the
+    spectral transfer are not built apart from it (see `ub_section12` and
+    `transfer_certificate`).
     """
     if not G.connected:
         raise ValueError("classify_q needs a connected graph")
     gate = ortho_gate(G)
     lower_certs = _lower_certificates(G, gate)
-    upper = q2_certificate(G, gate) or transfer_certificate(G) or chain_certificate(G)
+    upper = q2_certificate(G, gate) or chain_certificate(G)
     return QBound(max(c.value for c in lower_certs), upper.value,
                   tuple(lower_certs), (upper,))
 
@@ -463,9 +451,10 @@ def _upper_ok(G: ThresholdGraph, cert: Certificate) -> bool:
 
 def verify_certificate(G: ThresholdGraph, cert: Certificate) -> bool:
     """Re-validate a certificate from its payload alone; a bool, False and
-    never an error when the payload is malformed."""
-    if not (isinstance(cert.kind, str) and isinstance(cert.provenance, str)
-            and isinstance(cert.payload, dict) and is_int(cert.value)):
+    never an error when cert or its payload is malformed."""
+    if not (isinstance(cert, Certificate) and isinstance(cert.kind, str)
+            and isinstance(cert.provenance, str) and isinstance(cert.payload, dict)
+            and is_int(cert.value)):
         return False
     rule = _LOWER_CHECKS.get((cert.kind, cert.provenance))
     if rule is not None:
@@ -478,14 +467,16 @@ def verify_certificate(G: ThresholdGraph, cert: Certificate) -> bool:
 
 
 def verify_qbound(G: ThresholdGraph, qb: QBound) -> bool:
-    """Every certificate re-validates and the interval is consistent; False
-    when either side has no certificate."""
-    if not (qb.lower_certs and qb.upper_certs and 1 <= qb.lower <= qb.upper <= G.n):
+    """Every certificate re-validates and the interval is consistent; False,
+    never an error, when qb is malformed or either side has no certificate."""
+    if not (isinstance(qb, QBound) and is_int(qb.lower) and is_int(qb.upper)
+            and isinstance(qb.lower_certs, tuple) and isinstance(qb.upper_certs, tuple)
+            and qb.lower_certs and qb.upper_certs and 1 <= qb.lower <= qb.upper <= G.n):
         return False
-    certs_ok = all(verify_certificate(G, c) for c in qb.lower_certs + qb.upper_certs)
-    sides_ok = (qb.lower == max(c.value for c in qb.lower_certs)
-                and qb.upper == min(c.value for c in qb.upper_certs))
-    return certs_ok and sides_ok
+    if not all(verify_certificate(G, c) for c in qb.lower_certs + qb.upper_certs):
+        return False
+    return (qb.lower == max(c.value for c in qb.lower_certs)
+            and qb.upper == min(c.value for c in qb.upper_certs))
 
 
 def classify_text(text: str) -> QBound:

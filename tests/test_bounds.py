@@ -34,6 +34,7 @@ from threshq.bounds import (
     verify_qbound,
 )
 from threshq.gram import (
+    A15A19_BASES,
     CONSTRUCTIONS,
     DegenerateRow,
     DiagonalNotEigenvalue,
@@ -229,9 +230,24 @@ def test_forged_qbound_with_an_empty_side_rejected():
 
 ORTHO = "column-orthogonal completion"
 CHAIN = "duplication chain"
-Q2_0011 = q2_certificate(G("0011")).payload["matrix"]
-TRANSFER = transfer_certificate(G("00100101"))
-CHAIN_0001001 = chain_certificate(G("0001001"))
+
+
+# The certificates the forged cases below start from, built on first use so
+# that a fault in one layer fails the tests that reach it, not the module's
+# collection.
+@functools.lru_cache(maxsize=None)
+def q2_0011():
+    return q2_certificate(G("0011")).payload["matrix"]
+
+
+@functools.lru_cache(maxsize=None)
+def transfer_00100101():
+    return transfer_certificate(G("00100101"))
+
+
+@functools.lru_cache(maxsize=None)
+def chain_0001001():
+    return chain_certificate(G("0001001"))
 
 
 def ortho_cert(payload, value=2):
@@ -240,42 +256,79 @@ def ortho_cert(payload, value=2):
 
 def transfer_cert(**changes):
     """The transfer chain of 00100101 with some payload entries replaced."""
-    return dataclasses.replace(TRANSFER, payload={**TRANSFER.payload, **changes})
+    cert = transfer_00100101()
+    return dataclasses.replace(cert, payload={**cert.payload, **changes})
 
 
+def chain_cert(**changes):
+    """The 0001001 chain with some fields replaced."""
+    return dataclasses.replace(chain_0001001(), **changes)
+
+
+# Each case builds its certificate when it runs.
 _UPPER_FORGED = [
-    ("0011", Certificate("OrthoUB", 2, "x", {})),                   # no matrix
-    ("0011", ortho_cert({"matrix": [["a", "b"], ["c", "d"]]})),   # not numeric
-    ("0011", ortho_cert({"matrix": [[1.0, 2.0], [3.0]]})),        # ragged
-    ("0011", ortho_cert({"matrix": np.eye(3)})),                  # wrong order
-    ("0011", ortho_cert({"matrix": np.triu(np.ones((4, 4)))})),   # not symmetric
-    ("0011", ortho_cert({"matrix": np.full((4, 4), np.nan)})),    # not finite
-    ("0011", ortho_cert({"matrix": Q2_0011 + np.diag([np.nan, 0, 0, 0])})),  # NaN diagonal
-    ("0011", Certificate("DupChainUB", 2, ORTHO, {"matrix": Q2_0011})),  # an unissued pair
-    ("0011", ortho_cert({"matrix": Q2_0011}, value="2")),         # value not an int
-    ("0011", ortho_cert("not a dict")),
-    ("00100101", transfer_cert(matrix=np.eye(7))),                # matrix of another order
-    ("00100101", transfer_cert(matrix=np.triu(TRANSFER.payload["matrix"]))),  # not symmetric
-    ("0011", Certificate("OrthoUB", 2, CHAIN, {"matrix": Q2_0011})),  # an unissued pair
+    ("0011", lambda: Certificate("OrthoUB", 2, "x", {})),           # no matrix
+    ("0011", lambda: ortho_cert({"matrix": [["a", "b"], ["c", "d"]]})),  # not numeric
+    ("0011", lambda: ortho_cert({"matrix": [[1.0, 2.0], [3.0]]})),  # ragged
+    ("0011", lambda: ortho_cert({"matrix": np.eye(3)})),            # wrong order
+    ("0011", lambda: ortho_cert({"matrix": np.triu(np.ones((4, 4)))})),  # not symmetric
+    ("0011", lambda: ortho_cert({"matrix": np.full((4, 4), np.nan)})),  # not finite
+    ("0011", lambda: ortho_cert({"matrix": q2_0011() + np.diag([np.nan, 0, 0, 0])})),  # NaN diagonal
+    ("0011", lambda: Certificate("DupChainUB", 2, ORTHO, {"matrix": q2_0011()})),  # an unissued pair
+    ("0011", lambda: ortho_cert({"matrix": q2_0011()}, value="2")),  # value not an int
+    ("0011", lambda: ortho_cert("not a dict")),
+    ("00100101", lambda: transfer_cert(matrix=np.eye(7))),          # matrix of another order
+    ("00100101", lambda: transfer_cert(matrix=np.triu(transfer_00100101().payload["matrix"]))),  # not symmetric
+    ("0011", lambda: Certificate("OrthoUB", 2, CHAIN, {"matrix": q2_0011()})),  # an unissued pair
     # the true 0001001 chain payload under every other pair
-    ("0001001", dataclasses.replace(CHAIN_0001001, kind="OrthoUB")),
-    ("0001001", dataclasses.replace(CHAIN_0001001, provenance="made up")),
-    ("0001001", dataclasses.replace(CHAIN_0001001, provenance="paired-column construction")),
-    ("0001001", dataclasses.replace(CHAIN_0001001, provenance=ORTHO)),
-    ("0001001", dataclasses.replace(CHAIN_0001001, provenance=[CHAIN])),
-    ("0001001", dataclasses.replace(CHAIN_0001001, kind=["DupChainUB"])),
-    ("0011", Certificate("OrthoUB", 2, [ORTHO], {"matrix": Q2_0011})),
+    ("0001001", lambda: chain_cert(kind="OrthoUB")),
+    ("0001001", lambda: chain_cert(provenance="made up")),
+    ("0001001", lambda: chain_cert(provenance="paired-column construction")),
+    ("0001001", lambda: chain_cert(provenance=ORTHO)),
+    ("0001001", lambda: chain_cert(provenance=[CHAIN])),
+    ("0001001", lambda: chain_cert(kind=["DupChainUB"])),
+    ("0011", lambda: Certificate("OrthoUB", 2, [ORTHO], {"matrix": q2_0011()})),
+    # no Certificate at all
+    ("0011", lambda: "x"),
+    ("0011", lambda: None),
+    ("0011", lambda: {"kind": "OrthoUB", "value": 2, "provenance": ORTHO, "payload": {}}),
 ]
 # Each case keeps the id it had while the list also held nine spectral-transfer
 # citation cases (10-17 and 20), which tested a certificate kind since retired.
-_UPPER_FORGED_IDS = [*range(10), 18, 19, *range(21, 29)]
+_UPPER_FORGED_IDS = [*range(10), 18, 19, *range(21, 32)]
 
 
-@pytest.mark.parametrize("text,cert", [
-    pytest.param(text, cert, id=f"{text}-cert{i}")
-    for i, (text, cert) in zip(_UPPER_FORGED_IDS, _UPPER_FORGED, strict=True)])
-def test_upper_forged_certificate_rejected(text, cert):
-    assert verify_certificate(G(text), cert) is False
+@pytest.mark.parametrize("text,make", [
+    pytest.param(text, make, id=f"{text}-cert{i}")
+    for i, (text, make) in zip(_UPPER_FORGED_IDS, _UPPER_FORGED, strict=True)])
+def test_upper_forged_certificate_rejected(text, make):
+    assert verify_certificate(G(text), make()) is False
+
+
+# Malformed intervals: a side that is no int, certificates in a list, and a
+# side that holds something other than a Certificate.
+_MALFORMED_QBOUNDS = {
+    "lower-str": lambda qb: dataclasses.replace(qb, lower="2"),
+    "lower-none": lambda qb: dataclasses.replace(qb, lower=None),
+    "lower-float": lambda qb: dataclasses.replace(qb, lower=2.0),
+    "upper-float": lambda qb: dataclasses.replace(qb, upper=2.0),
+    "upper-bool": lambda qb: dataclasses.replace(qb, upper=True),
+    "lower-certs-list": lambda qb: dataclasses.replace(qb, lower_certs=list(qb.lower_certs)),
+    "upper-certs-list": lambda qb: dataclasses.replace(qb, upper_certs=list(qb.upper_certs)),
+    "lower-certs-str": lambda qb: dataclasses.replace(qb, lower_certs="x"),
+    "lower-side-holds-str": lambda qb: dataclasses.replace(qb, lower_certs=qb.lower_certs + ("x",)),
+    "upper-side-holds-str": lambda qb: dataclasses.replace(qb, upper_certs=("x",)),
+    "upper-side-holds-none": lambda qb: dataclasses.replace(qb, upper_certs=(None,)),
+    "not-a-qbound": lambda qb: (qb.lower, qb.upper, qb.lower_certs, qb.upper_certs),
+}
+
+
+@pytest.mark.parametrize("forge", list(_MALFORMED_QBOUNDS.values()), ids=list(_MALFORMED_QBOUNDS))
+def test_malformed_qbound_rejected(forge):
+    g = G("0011")
+    qb = classify_q(g)
+    assert (qb.lower, qb.upper) == (2, 2) and verify_qbound(g, qb)
+    assert verify_qbound(g, forge(qb)) is False
 
 
 # Anything a payload's index or int field might hold: ints of every size,
@@ -455,7 +508,7 @@ def test_gate_certifies_the_hand_made_q2_targets(text):
 
 def chain_seed_ids(qb):
     """Catalog ids whose factor seeds a chain among the upper certificates,
-    a spectral transfer's included."""
+    a liberated seed's included."""
     return {step[5:].split("{")[0] for cert in qb.upper_certs
             for step in cert.payload.get("chain", ()) if step.startswith("seed:")}
 
@@ -485,13 +538,15 @@ def test_every_catalog_entry_seeds_the_classifier():
     ("0100101", ("seed:thm06", "dup(2,3)")),
     ("01001001", ("seed:qlt4", "dup(2,2)")),
     ("0010010001", ("seed:qlt4", "dup(0,1)", "dup(2,2)", "dup(5,1)")),
-    ("001001011", ("seed:ub_case1{'s': 3, 'm': 1}", "dup(3,3)", "jdup(6)")),
+    ("001001011", ("seed:prop_a15a19{'base': '00100101'}", "jdup(7)")),
     ("0101010001", ("seed:ub_case1{'s': 4, 'm': 4}", "dup(6,1)")),
     ("0001", ("seed:star{'k': 3}",)),
     ("000111", ("seed:star{'k': 3}", "jdup(3)", "jdup(3)")),
     # zero-runs of length 1 after a longer first one: thm00(s) grows at vertex 0
     ("0001010101", ("seed:thm00{'t': 4}", "dup(0,13)", "dup(0,13)")),
     ("0010101010101", ("seed:thm00{'t': 6}", "dup(0,31)")),
+    # the s = 3, m = 1 paired-column seed
+    ("001000101", ("seed:ub_case1{'s': 3, 'm': 1}", "dup(3,3)", "dup(3,3)")),
 ])
 def test_chain_plan_takes_the_first_fitting_seed(text, steps):
     # each source form's plan is its first fitting seed
@@ -590,21 +645,42 @@ def test_chain_certificates_match_expected_values():
         assert cert is not None and cert.value == row.q_high, row.sequence
 
 
+# The two bases, a base with longer ones-runs, and one whose leading (0, 1)
+# folds into the next zero-run: each a chain of its liberated seed, a bare
+# seed at a base, grown by joined copies elsewhere.
+_TRANSFER_ROWS = (
+    ("00100101", "ConstructionUB", ("seed:prop_a15a19{'base': '00100101'}",)),
+    ("00010011", "ConstructionUB", ("seed:prop_a15a19{'base': '00010011'}",)),
+    ("001001011", "DupChainUB", ("seed:prop_a15a19{'base': '00100101'}", "jdup(7)")),
+    ("010100101", "DupChainUB", ("seed:prop_a15a19{'base': '00100101'}", "jdup(0)")))
+
+
 def test_transfer_certificates():
-    # the two bases, a base with longer ones-runs, and one whose leading
-    # (0, 1) folds into the next zero-run: each a chain of its liberated
-    # seed, a bare seed at a base, grown by joined copies elsewhere
-    for text, kind, chain in (
-            ("00100101", "ConstructionUB", ("seed:prop_a15a19{'base': '00100101'}",)),
-            ("00010011", "ConstructionUB", ("seed:prop_a15a19{'base': '00010011'}",)),
-            ("001001011", "DupChainUB", ("seed:prop_a15a19{'base': '00100101'}", "jdup(7)")),
-            ("010100101", "DupChainUB", ("seed:prop_a15a19{'base': '00100101'}", "jdup(0)"))):
+    for text, kind, chain in _TRANSFER_ROWS:
         cert = transfer_certificate(G(text))
         assert (cert.kind, cert.value, cert.provenance) == (kind, 3, CHAIN), text
         assert cert.payload["chain"] == chain, text
         assert verify_certificate(G(text), cert), text
     assert transfer_certificate(G("0101")) is None
     assert transfer_certificate(G("01010101")) is None
+
+
+def test_classify_never_calls_the_transfer(monkeypatch):
+    # the liberated seeds are seed-table entries, so the chain planner grows
+    # them: classify_q issues the transfer's chain where it applies, and
+    # every classification verifies with the transfer out of reach
+    chains = {text: transfer_certificate(G(text)).payload["chain"] for text, _, _ in _TRANSFER_ROWS}
+
+    def raising(G):
+        raise AssertionError("transfer_certificate was called")
+
+    monkeypatch.setattr(bounds, "transfer_certificate", raising)
+    graphs = [build_graph(seq) for n in range(2, 11) for seq in enumerate_connected(n)]
+    for g in graphs + [G(text) for text in chains]:
+        qb = classify_q(g)
+        assert verify_qbound(g, qb), g.creation.text
+    for text, chain in chains.items():
+        assert classify_text(text).upper_certs[0].payload["chain"] == chain, text
 
 
 # The spectral-transfer citation of 00100101 as the package once issued it:
@@ -714,8 +790,8 @@ def reaches_by_jdup_reference(base, target):
 def test_reach_closed_form_matches_reduction_search():
     # joined duplications grow a base to a target exactly when `_grow`, with
     # no dup slot, fits the base to one of the target's sources: the rule
-    # the transfer applies to its liberated seeds
-    bases = {seed.target.creation.bits for seed in bounds._TRANSFER_SEEDS}
+    # the planner applies to the liberated seeds
+    bases = {tuple(map(int, base)) for base in A15A19_BASES}
     assert len(bases) == 2
     bases |= {seq.bits for n in range(2, 7) for seq in enumerate_connected(n)}
     targets = [seq.bits for n in range(2, 15) for seq in enumerate_connected(n)]
@@ -1119,11 +1195,10 @@ def test_first_parity_ordered_seed_always_fits():
 
 def test_classify_builds_each_paired_column_seed_once(monkeypatch):
     # one classify_q builds each source's first fitting seed once and no
-    # other factor (the catalog seeds are built at import), realizes one of
-    # those seeds, and grows no chain step through the copying public step
-    # functions
+    # other factor (the catalog seeds and the liberated seeds are built at
+    # import), realizes one of those seeds, and grows no chain step through
+    # the copying public step functions
     prebuilt = {id(build()) for entries in bounds._CATALOG_SEEDS.values() for _, _, build in entries}
-    transfer_seeds = {id(seed) for seed in bounds._TRANSFER_SEEDS}
     seqs = [seq for n in range(2, 12) for seq in enumerate_connected(n)]
     seqs.append(G("0100010001100011000111000111").creation)  # `long`-shaped, s = 6
     firsts = {seq.text: [plan.seed for plan in _source_plans(block_form(seq))] for seq in seqs}
@@ -1157,9 +1232,8 @@ def test_classify_builds_each_paired_column_seed_once(monkeypatch):
         built.clear()
         realized.clear()
         classify_q(build_graph(seq))
-        if not realized or id(realized[0]) in transfer_seeds:
-            # the gate's completion, or a transfer chain of a prebuilt seed
-            assert not built and len(realized) <= 1, seq.text
+        if not realized:  # the gate's completion
+            assert not built, seq.text
             continue
         sources = firsts[seq.text]
         assert [label(f) for f in built] == [label(f) for f in sources if id(f) not in prebuilt], seq.text
