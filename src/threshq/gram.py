@@ -4,18 +4,21 @@ A factor M has rows indexed by vertices and columns by the cliques of an
 edge clique cover; arranging the entries so that row inner products are
 nonzero exactly on edges puts M M^T in S(G), and the nonzero spectrum of
 M M^T equals that of the small cogram M^T M.  The catalog below collects
-the explicit factors used by the classification engine, each stored with
-rows already permuted into creation order of its target graph.
+the explicit factors used by the classification engine, each with rows in
+creation order of its target graph.  All but the liberated prop_a15a19
+seeds, and the q = 2 certificate's factor too, are in the gate's form and
+built by its one constructor, `_gate_factor`.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .orthosearch import SupportPattern, _ssp_system, verify_feasible
+from .orthosearch import SupportPattern, _ssp_system, is_int, verify_feasible
 from .sequences import CreationSequence, ThresholdGraph, build_graph, graph_from_text
 from .spectra import NoConvergence, cluster_spectrum, eigen_sym, pattern_report
 
@@ -72,7 +75,7 @@ def cogram(f: GramFactor) -> np.ndarray:
 
 
 def _frozen(M) -> np.ndarray:
-    A = np.array(M, dtype=float)
+    A = np.asarray(M, dtype=float)
     A.setflags(write=False)
     return A
 
@@ -82,16 +85,31 @@ def _frozen(M) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
+def _gate_factor(bits, D, tails) -> np.ndarray:
+    """The n x k factor in the gate's form: the rows of D on the dominating
+    vertices of creation sequence `bits`, in creation order, and tails[j]
+    alone in column j on the j-th isolated vertex.  With nonzero tails,
+    M M^T lies in S(G) exactly when D's support is G's dominating-by-isolated
+    staircase (`SupportPattern.from_graph(G).support`) and every two rows of
+    D have a nonzero inner product; the cogram M^T M is D^T D + diag(tails^2)."""
+    dom = np.array(bits, dtype=bool)
+    M = np.zeros((len(bits), len(tails)))
+    M[dom] = D
+    M[~dom, np.arange(len(tails))] = tails
+    return _frozen(M)
+
+
 def _star(k: int) -> GramFactor:
-    """Star K_(1,k), target 0^k 1: k leaf rows e_i, then the centre's
-    all-ones row.  The cogram is I + J, so the spectrum is 0, 1^(k-1), k+1
-    (no 1 when k = 1)."""
-    if k < 1:
-        raise BadParams("star needs k >= 1")
-    M = np.vstack((np.eye(k), np.ones(k)))
+    """Star K_(1,k), target 0^k 1: the centre's D is one row of ones and
+    every tail is 1.  The cogram is I + J, so the spectrum is 0, 1^(k-1),
+    k+1 (no 1 when k = 1)."""
+    if not is_int(k) or k < 1:
+        raise BadParams("star needs an int k >= 1")
+    bits = (0,) * k + (1,)
     spec = ((0.0, 1), (1.0, k - 1), (float(k + 1), 1))
-    return GramFactor(_frozen(M), build_graph(CreationSequence((0,) * k + (1,))), "star",
-                      {"k": k}, expected_spectrum=tuple((v, m) for v, m in spec if m))
+    return GramFactor(_gate_factor(bits, np.ones((1, k)), np.ones(k)),
+                      build_graph(CreationSequence(bits)), "star", {"k": k},
+                      expected_spectrum=tuple((v, m) for v, m in spec if m))
 
 
 def thm00_lambda(t: int) -> float:
@@ -100,40 +118,19 @@ def thm00_lambda(t: int) -> float:
 
 
 def _thm00(t: int) -> GramFactor:
-    """Alternating sequence (0,1)^t: cogram is (t^2-t+1) I + t J."""
-    if t < 2:
-        raise BadParams("thm00 needs t >= 2")
-    lam = thm00_lambda(t)
-    M = np.zeros((2 * t, t))
-    M[0, 0] = math.sqrt(lam)
-    M[1, 0] = 1.0
-    for r in range(2, t + 1):  # dominating rows: ones then the run index
-        M[r, : r - 1] = 1.0
-        M[r, r - 1] = r
-    for i in range(2, t):  # isolated tails chosen to equalize column norms
-        M[t + i - 1, i - 1] = math.sqrt(t * t + 1 - i * i - (t - i))
-    M[2 * t - 1, t - 1] = 1.0
-    perm = [0] * (2 * t)
-    for i in range(1, t + 1):
-        perm[2 * i - 1] = i
-    for i in range(2, t + 1):
-        perm[2 * i - 2] = t + i - 1
-    M = M[perm]
-    spec = ((0.0, t), (lam, t - 1), (float(2 * t * t - t + 1), 1))
-    return GramFactor(
-        _frozen(M),
-        build_graph(CreationSequence((0, 1) * t)),
-        "thm00",
-        {"t": t},
-        expected_spectrum=spec,
-        dup_slots=((0, lam),),
-    )
-
-
-def _fixed(cid, rows, perm, bits, spec, dup_slots=()):
-    M = np.array(rows, dtype=float)[perm]
-    return GramFactor(_frozen(M), graph_from_text(bits), cid,
-                      expected_spectrum=spec, dup_slots=dup_slots)
+    """Alternating sequence (0,1)^t: dominating vertex i (1-based) has ones
+    before column i and the value i in column i, and tail i is
+    sqrt(t^2 + 1 - i^2 - (t - i)), which equalizes the column norms (vertex
+    0's is sqrt(t^2 - t + 1)).  The cogram is (t^2-t+1) I + t J."""
+    if not is_int(t) or t < 2:
+        raise BadParams("thm00 needs an int t >= 2")
+    lam, bits, i = thm00_lambda(t), (0, 1) * t, np.arange(1, t + 1)
+    D = np.tri(t, t, -1)
+    np.fill_diagonal(D, i)
+    return GramFactor(_gate_factor(bits, D, np.sqrt(t * t + 1 - i * i - (t - i))),
+                      build_graph(CreationSequence(bits)), "thm00", {"t": t},
+                      expected_spectrum=((0.0, t), (lam, t - 1), (float(2 * t * t - t + 1), 1)),
+                      dup_slots=((0, lam),))
 
 
 R2 = math.sqrt(2)
@@ -141,45 +138,30 @@ R3 = math.sqrt(3)
 R7 = math.sqrt(7)
 R8 = math.sqrt(8)
 
-
-def _thm061() -> GramFactor:
-    rows = [[1, 0], [1, 0], [1, 1], [0, R2]]
-    return _fixed("thm061", rows, [0, 1, 3, 2], "0101",
-                  ((0.0, 2), (2.0, 1), (4.0, 1)), dup_slots=((2, 2.0),))
-
-
-def _thm01() -> GramFactor:
-    rows = [[3, 0, 0], [1, -3, 0], [1, 1, -2], [0, 1, 0], [0, 0, R7]]
-    return _fixed("thm01", rows, [0, 3, 1, 4, 2], "00101",
-                  ((0.0, 2), (7.0, 1), (13.0, 2)), dup_slots=((3, 7.0),))
-
-
-def _thm10() -> GramFactor:
-    rows = [[1, 0, 0], [1, 0, 0], [1, 1, 1], [0, 1, 0], [0, 0, 1]]
-    return _fixed("thm10", rows, [0, 1, 3, 4, 2], "01001",
-                  ((0.0, 2), (1.0, 1), (3 - R2, 1), (3 + R2, 1)),
-                  dup_slots=((0, 1.0), (3, 1.0), (2, 1.0)))
-
-
-def _thm05() -> GramFactor:
-    rows = [[R7, 0, 0], [R2, 0, 0], [1, -3, 0], [1, 1, -2], [0, 1, 0], [0, 0, R7]]
-    return _fixed("thm05", rows, [0, 1, 4, 2, 5, 3], "010101",
-                  ((0.0, 3), (7.0, 1), (13.0, 2)), dup_slots=((0, 7.0), (4, 7.0)))
+# The paper's fixed seeds in the gate's form, by construction id: (bits, D,
+# tails, expected spectrum, dup slots).  thm06's cogram is 3I + 2J on three
+# points, so its eigenvalues are 9 and 3 (twice).
+_FIXED = {
+    "thm061": ("0101", [[1, 0], [1, 1]], [1, R2],
+               ((0.0, 2), (2.0, 1), (4.0, 1)), ((2, 2.0),)),
+    "thm01": ("00101", [[1, -3, 0], [1, 1, -2]], [3, 1, R7],
+              ((0.0, 2), (7.0, 1), (13.0, 2)), ((3, 7.0),)),
+    "thm10": ("01001", [[1, 0, 0], [1, 1, 1]], [1, 1, 1],
+              ((0.0, 2), (1.0, 1), (3 - R2, 1), (3 + R2, 1)), ((0, 1.0), (3, 1.0), (2, 1.0))),
+    "thm05": ("010101", [[R2, 0, 0], [1, -3, 0], [1, 1, -2]], [R7, 1, R7],
+              ((0.0, 3), (7.0, 1), (13.0, 2)), ((0, 7.0), (4, 7.0))),
+    "thm06": ("010101", [[1, 0, 0], [1, 1, 0], [1, 1, 2]], [R2, R3, 1],
+              ((0.0, 3), (3.0, 2), (9.0, 1)), ((2, 3.0),)),
+    "qlt4": ("0101001", [[1, 0, 0, 0], [1, 1, 0, 0], [1, 1, 1, 1]], [1, R2, 1, 1],
+             ((0.0, 3), (1.0, 1), (2.0, 2), (7.0, 1)), ((0, 1.0), (2, 2.0), (5, 1.0), (4, 1.0))),
+}
 
 
-def _thm06() -> GramFactor:
-    rows = [[R2, 0, 0], [1, 0, 0], [1, 1, 0], [1, 1, 2], [0, R3, 0], [0, 0, 1]]
-    # cogram is 3I + 2J on three points: eigenvalues 9 and 3 (twice)
-    return _fixed("thm06", rows, [0, 1, 4, 2, 5, 3], "010101",
-                  ((0.0, 3), (3.0, 2), (9.0, 1)), dup_slots=((2, 3.0),))
-
-
-def _qlt4() -> GramFactor:
-    rows = [[1, 0, 0, 0], [1, 0, 0, 0], [1, 1, 0, 0], [1, 1, 1, 1],
-            [0, R2, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]
-    return _fixed("qlt4", rows, [0, 1, 4, 2, 5, 6, 3], "0101001",
-                  ((0.0, 3), (1.0, 1), (2.0, 2), (7.0, 1)),
-                  dup_slots=((0, 1.0), (2, 2.0), (5, 1.0), (4, 1.0)))
+def _fixed(cid: str) -> GramFactor:
+    bits, D, tails, spec, dup_slots = _FIXED[cid]
+    G = graph_from_text(bits)
+    return GramFactor(_gate_factor(G.creation.bits, D, tails), G, cid,
+                      expected_spectrum=spec, dup_slots=dup_slots)
 
 
 # The edge value a liberation gives each edge of G that its donor lacks;
@@ -281,8 +263,8 @@ def _paired_columns(s: int, m: int) -> tuple[np.ndarray, np.ndarray]:
 def section12_factor(s: int, m: int) -> GramFactor:
     """Paired-column seed, the duplication chain's last resort and the
     general upper bound's witness: blocks all (0,1) except block m,
-    which is (0,0,1).  Its rows are `_paired_columns`'s, placed in creation
-    order by index arrays: run j's dominating row follows its zeros, and
+    which is (0,0,1).  It is `_paired_columns`'s D and tails in the gate's
+    form (`_gate_factor`): run j's dominating row follows its zeros, and
     the zeros take the columns' tails in column order.  q is at most 3
     plus the number of unpaired-or-pair leftovers, within floor((s+9)/2)
     for every parity.  Every isolated diagonal entry (1 or 3) is an
@@ -294,16 +276,15 @@ def section12_factor(s: int, m: int) -> GramFactor:
     construction_id, "ub_case1", though construct_library does not build
     it.
     """
+    if not (is_int(s) and is_int(m)):
+        raise BadParams("section12_factor needs int s and m")
     D, f2 = _paired_columns(s, m)
     bits = (0, 1) * (m - 1) + (0, 0, 1) + (0, 1) * (s - m)
+    M = _gate_factor(bits, D, np.sqrt(f2))
     isolated = [i for i, b in enumerate(bits) if not b]
-    cols, n = s + 1, len(bits)
-    M = np.zeros((n, cols))
-    M[[i for i, b in enumerate(bits) if b]] = D
-    M[isolated, range(cols)] = np.sqrt(f2)
-    spec = cluster_spectrum(np.concatenate((eigen_sym(M.T @ M), np.zeros(n - cols))))
+    spec = cluster_spectrum(np.concatenate((eigen_sym(M.T @ M), np.zeros(len(bits) - s - 1))))
     return GramFactor(
-        _frozen(M),
+        M,
         build_graph(CreationSequence(bits)),
         "ub_case1",
         {"s": s, "m": m},
@@ -315,12 +296,7 @@ def section12_factor(s: int, m: int) -> GramFactor:
 CONSTRUCTIONS = {
     "star": _star,
     "thm00": _thm00,
-    "thm061": _thm061,
-    "thm01": _thm01,
-    "thm10": _thm10,
-    "thm05": _thm05,
-    "thm06": _thm06,
-    "qlt4": _qlt4,
+    **{cid: functools.partial(_fixed, cid) for cid in _FIXED},
     "prop_a15a19": _prop_a15a19,
 }
 
@@ -495,16 +471,12 @@ def _repair_scales(B: np.ndarray) -> np.ndarray:
 
 
 def _certificate_factor(B: np.ndarray, G: ThresholdGraph) -> np.ndarray:
-    """The factor M with A = M M^T: the repaired block B on the dominating
-    rows and, on isolated vertex c's row, the tail sqrt(C^2 - |column c|^2)
-    in column c, so every column has squared norm C^2 = max |column|^2 + 1."""
+    """The factor M with A = M M^T in the gate's form (`_gate_factor`): D
+    is the repaired block B, and column c's tail is sqrt(C^2 - |column
+    c|^2), so every column has squared norm C^2 = max |column|^2 + 1."""
     BD = _repair_scales(np.asarray(B, dtype=float))
     norms = (BD * BD).sum(axis=0)
-    dom = np.array(G.creation.bits, dtype=bool)
-    M = np.zeros((G.n, BD.shape[1]))
-    M[dom] = BD
-    M[~dom, np.arange(BD.shape[1])] = np.sqrt(float(norms.max()) + 1.0 - norms)
-    return M
+    return _gate_factor(G.creation.bits, BD, np.sqrt(float(norms.max()) + 1.0 - norms))
 
 
 def orthogonal_certificate(B: np.ndarray, G: ThresholdGraph) -> np.ndarray:

@@ -264,7 +264,11 @@ def from_adjacency(adjacency: np.ndarray) -> tuple[ThresholdGraph, list[int]]:
 
 
 def _duplicate_adjacency(adjacency: np.ndarray, v: int, joined: bool) -> np.ndarray:
+    """adjacency with a copy of v appended.  A negative v would wrap, and
+    v = -1 would write the joined edge onto the copy's own diagonal."""
     n = adjacency.shape[0]
+    if not 0 <= v < n:
+        raise IndexError(f"vertex {v} is outside the {n}-vertex graph")
     A = np.zeros((n + 1, n + 1), dtype=bool)
     A[:n, :n] = adjacency
     A[n, :n] = adjacency[v]
@@ -281,7 +285,8 @@ def dup_graph(G: ThresholdGraph, v: int) -> ThresholdGraph:
     Duplicating an isolated-added vertex inserts a matching 0 into its run
     and always stays threshold; an unjoined copy of a dominating vertex
     leaves the class whenever two earlier non-adjacent vertices exist
-    (induced four-cycle), in which case NotThreshold is raised.
+    (induced four-cycle), in which case NotThreshold is raised.  IndexError
+    for a vertex outside G.
     """
     H, _ = from_adjacency(_duplicate_adjacency(G.adjacency, v, joined=False))
     return H
@@ -293,6 +298,7 @@ def jdup_graph(G: ThresholdGraph, v: int) -> ThresholdGraph:
     Joined copies of dominating-added vertices insert a matching 1 and stay
     threshold; a joined copy of an isolated vertex outside the leading zero
     run creates an induced pair of disjoint edges, raising NotThreshold.
+    IndexError for a vertex outside G.
     """
     H, _ = from_adjacency(_duplicate_adjacency(G.adjacency, v, joined=True))
     return H

@@ -24,6 +24,7 @@ from threshq.gram import (
     orthogonal_certificate,
     section12_factor,
 )
+from threshq.orthosearch import SupportPattern
 from threshq.sequences import creation_order_of, dup_graph, graph_from_text, jdup_graph
 from threshq.spectra import NoConvergence, assert_spectrum, eigen_sym, in_pattern, pattern_matrix, q_of_matrix
 
@@ -123,6 +124,65 @@ def test_bad_construction_params():
         construct_library("prop_a15a19", base="01010101")
     with pytest.raises(BadParams):
         construct_library("prop_a15a19", base=["00100101"])
+    # parameters must be ints, and not bools, which are ints to isinstance
+    for s, m in ((3, True), (2.0, 1), (True, 1), (3, 1.0), ("3", 1)):
+        with pytest.raises(BadParams):
+            section12_factor(s, m)
+    for cid, key in (("star", "k"), ("thm00", "t")):
+        for bad in (True, 3.0):
+            with pytest.raises(BadParams):
+                construct_library(cid, **{key: bad})
+    # a fixed seed takes no parameter, not even one named like its builder's
+    for cid in ("thm061", "thm01", "thm10", "thm05", "thm06", "qlt4"):
+        for key in ("cid", "c", "t"):
+            with pytest.raises(BadParams):
+                construct_library(cid, **{key: "thm01"})
+
+
+# ---------------------------------------------------------------- the gate's form
+
+
+def _gate_form_seeds():
+    """Every seed built in the gate's form, within the planner's ranges: the
+    catalog but the liberated seeds, and the paired-column seeds."""
+    yield from (construct_library("star", k=k) for k in range(1, 9))
+    yield from (construct_library("thm00", t=t) for t in range(2, 17))
+    yield from (construct_library(cid) for cid in ALL_IDS_NO_PARAMS if cid != "prop_a15a19")
+    yield from (section12_factor(s, m) for s in range(2, 13) for m in range(1, s + 1))
+
+
+def _dominating_block_and_tails(f):
+    dom = np.array(f.target.creation.bits, dtype=bool)
+    return f.M[dom], np.diagonal(f.M[~dom])
+
+
+def test_every_gate_form_seed_is_its_block_and_tails():
+    # M is exactly D on the dominating rows and one tail per isolated row in
+    # its own column; D's support is the staircase, every two rows of D
+    # meet, and the cogram is D^T D + diag(tails^2)
+    for f in _gate_form_seeds():
+        label = (f.construction_id, f.params)
+        D, tails = _dominating_block_and_tails(f)
+        assert np.array_equal(f.M, gramlib._gate_factor(f.target.creation.bits, D, tails)), label
+        assert np.array_equal(D != 0, SupportPattern.from_graph(f.target).support), label
+        assert np.all(tails != 0) and np.all(np.abs(D @ D.T) > 1e-9), label
+        assert np.allclose(cogram(f), D.T @ D + np.diag(tails ** 2), rtol=0, atol=1e-9), label
+
+
+def test_liberated_seeds_are_not_in_the_gate_form():
+    # the one documented exception: the liberation mixes every row
+    for base in A15A19_BASES:
+        f = construct_library("prop_a15a19", base=base)
+        D, tails = _dominating_block_and_tails(f)
+        assert not np.array_equal(f.M, gramlib._gate_factor(f.target.creation.bits, D, tails)), base
+        assert not np.array_equal(D != 0, SupportPattern.from_graph(f.target).support), base
+
+
+def test_gate_factor_places_rows_in_creation_order():
+    # thm061: 0101 with D = [[1, 0], [1, 1]] and tails (1, sqrt 2)
+    M = gramlib._gate_factor((0, 1, 0, 1), [[1, 0], [1, 1]], [1, math.sqrt(2)])
+    assert np.array_equal(M, [[1, 0], [1, 0], [0, math.sqrt(2)], [1, 1]])
+    assert np.array_equal(M, construct_library("thm061").M) and not M.flags.writeable
 
 
 # ---------------------------------------------------------------- liberation
@@ -451,10 +511,7 @@ def test_grow_factor_rejects_a_row_outside_the_factor():
 
 def _every_chain_seed():
     """Every seed the planner or the transfer builds, within its ranges."""
-    yield from (construct_library("star", k=k) for k in range(1, 9))
-    yield from (construct_library("thm00", t=t) for t in range(2, 17))
-    yield from (construct_library(cid) for cid in ALL_IDS_NO_PARAMS if cid != "prop_a15a19")
-    yield from (section12_factor(s, m) for s in range(2, 13) for m in range(1, s + 1))
+    yield from _gate_form_seeds()
     yield from (construct_library("prop_a15a19", base=base) for base in A15A19_BASES)
 
 

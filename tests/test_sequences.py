@@ -189,6 +189,16 @@ def test_jdup_can_leave_the_class():
         jdup_graph(graph_from_text("0101"), 2)
 
 
+@pytest.mark.parametrize("dup", [dup_graph, jdup_graph])
+def test_duplication_rejects_a_vertex_outside_the_graph(dup):
+    # -1 would wrap to the last vertex; for jdup it also put the joined
+    # edge on the copy's own diagonal, so the copy passed as universal
+    G = graph_from_text("0101")
+    for v in (-1, G.n):
+        with pytest.raises(IndexError, match=f"vertex {v} "):
+            dup(G, v)
+
+
 def test_from_adjacency_round_trip():
     for seq in enumerate_connected(6):
         G = build_graph(seq)
