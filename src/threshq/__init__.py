@@ -50,6 +50,7 @@ from .sequences import (
 from .spectra import (
     PatternReport,
     SpectrumSummary,
+    check_matrix,
     cluster_spectrum,
     eigen_sym,
     in_pattern,

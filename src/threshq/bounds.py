@@ -41,10 +41,8 @@ from .sequences import BlockForm, ThresholdGraph, graph_from_text
 from .spectra import (
     DimensionMismatch,
     NoConvergence,
-    eigen_sym,
-    pattern_report,
+    check_matrix,
     q_of_matrix,
-    q_of_spectrum,
     spectra_agree,
     spectrum_values,
 )
@@ -336,17 +334,17 @@ def run_chain(plan: ChainPlan) -> tuple[np.ndarray, np.ndarray]:
 
 def _checked(A: np.ndarray, spectrum: np.ndarray, G: ThresholdGraph, q: int) -> int:
     """q of a chain matrix A, once checked to lie in S(G), to have the
-    spectrum its chain carried and to keep its seed's q.  This is the
-    chain's one eigensolve, which validates A for the pattern test too.
-    Every run is an exact similarity, so the spectrum match proves the
-    factor, and the q match that every lam the plan carried was already an
-    eigenvalue, as the planner's comparison of seeds assumes."""
-    eigs = eigen_sym(A)
-    if not pattern_report(A, G):
+    spectrum its chain carried and to keep its seed's q.  `check_matrix`
+    validates A once and makes the chain's one eigensolve.  Every run is an
+    exact similarity, so the spectrum match proves the factor, and the q
+    match that every lam the plan carried was already an eigenvalue, as the
+    planner's comparison of seeds assumes."""
+    eigs, got, report = check_matrix(A, G)
+    if not report:
         raise SelfCheckError(f"chain landed on another graph than {G.creation.text}")
     if not spectra_agree(eigs, spectrum):
         raise SelfCheckError("chain lost the spectrum it carried")
-    if (got := q_of_spectrum(eigs)) != q:
+    if got != q:
         raise SelfCheckError(f"chain reached q = {got}; its seed's q is {q}")
     return q
 
@@ -440,13 +438,15 @@ _MATRIX_CERTS = {("OrthoUB", _ORTHO), ("ConstructionUB", _CHAIN), ("DupChainUB",
 def _upper_ok(G: ThresholdGraph, cert: Certificate) -> bool:
     """The check of an upper certificate under one of the three (kind,
     provenance) pairs the package issues: its matrix has q = value and lies
-    in S(G).  Its eigensolve first validates the matrix, raising
-    DimensionMismatch or NoConvergence."""
+    in S(G), both read by one `check_matrix`, which raises DimensionMismatch
+    or NoConvergence on a matrix it cannot validate."""
     if (cert.kind, cert.provenance) not in _MATRIX_CERTS:
         return False
     A = _payload_matrix(cert.payload, G.n)
-    return (A is not None and q_of_spectrum(eigen_sym(A)) == cert.value
-            and bool(pattern_report(A, G)))
+    if A is None:
+        return False
+    _, q, report = check_matrix(A, G)
+    return q == cert.value and bool(report)
 
 
 def verify_certificate(G: ThresholdGraph, cert: Certificate) -> bool:

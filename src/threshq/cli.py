@@ -18,7 +18,7 @@ from . import __version__
 from .bounds import classify_q, verify_qbound
 from .orthosearch import ssp_check
 from .sequences import SequenceError, build_graph, enumerate_connected, parse_creation_sequence
-from .spectra import NoConvergence, eigen_sym, pattern_report, q_of_spectrum
+from .spectra import NoConvergence, check_matrix
 from .spectra import read_matrix, read_rows
 from .tables import reproduce_table
 
@@ -129,9 +129,7 @@ def cmd_certify(args) -> int:
     header, A = read_rows(args.file)  # parsed once, read by its header
     if len(header) == 2:  # a 'rows cols' factor M names M M^T
         A = A @ A.T
-    eigs = eigen_sym(A)  # validates A, once, for the pattern test too
-    pat = pattern_report(A, G)
-    q = q_of_spectrum(eigs, args.tol)
+    _, q, pat = check_matrix(A, G, args.tol)
     ok = bool(pat) and q == args.q
     report = {
         "command": f"certify {args.sequence} {args.q} {args.file}",

@@ -105,6 +105,7 @@ def _star(k: int) -> GramFactor:
     k+1 (no 1 when k = 1)."""
     if not is_int(k) or k < 1:
         raise BadParams("star needs an int k >= 1")
+    k = int(k)  # a numpy k would show in the chain label
     bits = (0,) * k + (1,)
     spec = ((0.0, 1), (1.0, k - 1), (float(k + 1), 1))
     return GramFactor(_gate_factor(bits, np.ones((1, k)), np.ones(k)),
@@ -124,6 +125,7 @@ def _thm00(t: int) -> GramFactor:
     0's is sqrt(t^2 - t + 1)).  The cogram is (t^2-t+1) I + t J."""
     if not is_int(t) or t < 2:
         raise BadParams("thm00 needs an int t >= 2")
+    t = int(t)
     lam, bits, i = thm00_lambda(t), (0, 1) * t, np.arange(1, t + 1)
     D = np.tri(t, t, -1)
     np.fill_diagonal(D, i)
@@ -278,6 +280,7 @@ def section12_factor(s: int, m: int) -> GramFactor:
     """
     if not (is_int(s) and is_int(m)):
         raise BadParams("section12_factor needs int s and m")
+    s, m = int(s), int(m)
     D, f2 = _paired_columns(s, m)
     bits = (0, 1) * (m - 1) + (0, 0, 1) + (0, 1) * (s - m)
     M = _gate_factor(bits, D, np.sqrt(f2))

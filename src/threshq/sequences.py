@@ -43,16 +43,22 @@ class NotThreshold(ValueError):
 
 @dataclass(frozen=True)
 class CreationSequence:
-    """Immutable 0/1 creation sequence with b_1 = 0."""
+    """Immutable 0/1 creation sequence with b_1 = 0.  A bit is an int or a
+    numpy integer equal to 0 or 1, so neither True nor 1.0 stands in for
+    one."""
 
     bits: tuple[int, ...]
 
     def __post_init__(self):
-        if len(self.bits) == 0:
+        bits = self.bits
+        if len(bits) == 0:
             raise BadCharacter("empty sequence")
-        if any(b not in (0, 1) for b in self.bits):
-            raise BadCharacter(f"bits must be 0/1, got {self.bits}")
-        if self.bits[0] != 0:
+        # the types first: they are hashable, and a bit of another type
+        # (an unhashable one included) fails before the values are read
+        if not (all(t is int or issubclass(t, np.integer) for t in {*map(type, bits)})
+                and {*bits} <= {0, 1}):
+            raise BadCharacter(f"bits must be the integers 0 and 1, got {bits}")
+        if bits[0] != 0:
             raise FirstBitNotZero("first bit of a creation sequence is 0")
 
     @property
@@ -69,22 +75,22 @@ class CreationSequence:
 
     @property
     def text(self) -> str:
-        return "".join(str(b) for b in self.bits)
+        return "".join(map(str, self.bits))
 
     def __str__(self) -> str:
         return self.text
 
 
 def parse_creation_sequence(text: str) -> CreationSequence:
-    """Parse an ASCII '0'/'1' string into a CreationSequence."""
+    """Parse an ASCII '0'/'1' string into a CreationSequence.  One scan,
+    text.lstrip("01"), finds the first other character, if any."""
     if not text:
         raise BadCharacter("empty sequence")
-    for pos, ch in enumerate(text):
-        if ch not in "01":
-            raise BadCharacter(f"bad character {ch!r} at position {pos + 1}")
+    if rest := text.lstrip("01"):
+        raise BadCharacter(f"bad character {rest[0]!r} at position {len(text) - len(rest) + 1}")
     if text[0] != "0":
         raise FirstBitNotZero("first bit of a creation sequence is 0")
-    return CreationSequence(tuple(int(c) for c in text))
+    return CreationSequence(tuple(map(int, text)))
 
 
 @dataclass(frozen=True)
@@ -265,8 +271,11 @@ def from_adjacency(adjacency: np.ndarray) -> tuple[ThresholdGraph, list[int]]:
 
 def _duplicate_adjacency(adjacency: np.ndarray, v: int, joined: bool) -> np.ndarray:
     """adjacency with a copy of v appended.  A negative v would wrap, and
-    v = -1 would write the joined edge onto the copy's own diagonal."""
+    v = -1 would write the joined edge onto the copy's own diagonal; a bool
+    v would index the rows as a mask."""
     n = adjacency.shape[0]
+    if isinstance(v, (bool, np.bool_)):
+        raise IndexError(f"vertex {v!r} is a bool, not a vertex index")
     if not 0 <= v < n:
         raise IndexError(f"vertex {v} is outside the {n}-vertex graph")
     A = np.zeros((n + 1, n + 1), dtype=bool)

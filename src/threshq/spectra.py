@@ -31,20 +31,28 @@ ZERO_TOL = 1e-8
 SPECTRUM_ATOL = 1e-8
 
 
+def _validated(A) -> tuple[np.ndarray, np.ndarray, float]:
+    """(A, |A|, max|A|) for an A that passes `check_symmetric`: the
+    magnitudes its tests read, kept for a pattern test of the same A."""
+    A = np.asarray(A, dtype=float)
+    if A.ndim != 2 or A.shape[0] != A.shape[1]:
+        raise DimensionMismatch(f"expected a square matrix, got shape {A.shape}")
+    absA = np.abs(A)
+    peak = float(absA.max(initial=0.0))
+    if not peak < math.inf:
+        raise NoConvergence("matrix has an entry that is not finite")
+    if float(np.abs(A - A.T).max(initial=0.0)) > SYM_TOL * max(1.0, peak):
+        raise DimensionMismatch("matrix is not symmetric")
+    return A, absA, peak
+
+
 def check_symmetric(A: np.ndarray) -> None:
     """NoConvergence when an entry of A is not finite, else
     DimensionMismatch unless A is square and symmetric within
     SYM_TOL * max(1, max|A|).  max|A| is NaN or infinite exactly when an
     entry is, so the finiteness test reads the scale the symmetry test needs
     and adds no pass over A."""
-    A = np.asarray(A, dtype=float)
-    if A.ndim != 2 or A.shape[0] != A.shape[1]:
-        raise DimensionMismatch(f"expected a square matrix, got shape {A.shape}")
-    peak = float(np.abs(A).max(initial=0.0))
-    if not peak < math.inf:
-        raise NoConvergence("matrix has an entry that is not finite")
-    if float(np.abs(A - A.T).max(initial=0.0)) > SYM_TOL * max(1.0, peak):
-        raise DimensionMismatch("matrix is not symmetric")
+    _validated(A)
 
 
 def eigen_sym(A: np.ndarray) -> np.ndarray:
@@ -56,6 +64,11 @@ def eigen_sym(A: np.ndarray) -> np.ndarray:
     """
     A = np.asarray(A, dtype=float)
     check_symmetric(A)
+    return _eigvalsh(A)
+
+
+def _eigvalsh(A: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues of a validated A."""
     try:
         return np.linalg.eigvalsh(A)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
@@ -98,29 +111,35 @@ class SpectrumSummary:
         return "{" + ", ".join(parts) + "}"
 
 
+def _spread_tol(spread: float) -> float:
+    """1e-6 times max(1, spread), for the spread of an eigenvalue list."""
+    return 1e-6 * max(1.0, spread)
+
+
 def default_cluster_tol(eigs: np.ndarray) -> float:
     """1e-6 times max(1, spectral diameter); separates the catalog's
     rational/half-integer spectra from roundoff."""
     eigs = np.asarray(eigs, dtype=float)
-    spread = float(eigs.max() - eigs.min()) if eigs.size else 0.0
-    return 1e-6 * max(1.0, spread)
+    return _spread_tol(float(eigs.max() - eigs.min()) if eigs.size else 0.0)
 
 
 def _gap_rule(eigs, tol: float | None):
     """The greedy gap rule's inputs: eigs sorted (so every reading is
-    order-independent), tol (default_cluster_tol when None) and the mask of
-    sorted gaps above tol, where a new group starts.  Every eigenvalue and
-    a given tol must be finite, and tol >= 0, else ValueError: a NaN or
-    infinite one would merge eigenvalues into one group.  NaN sorts last
-    and an infinity sits at an end, so the two end entries decide."""
+    order-independent), tol and the mask of sorted gaps above tol, where a
+    new group starts.  Every eigenvalue and a given tol must be finite, and
+    tol >= 0, else ValueError: a NaN or infinite one would merge eigenvalues
+    into one group.  NaN sorts last and an infinity sits at an end, so the
+    two end entries decide; they are also the spread that the default tol,
+    `default_cluster_tol`'s, reads."""
     eigs = np.sort(np.asarray(eigs, dtype=float).ravel())
-    if eigs.size and not (math.isfinite(eigs[0]) and math.isfinite(eigs[-1])):
+    lo, hi = (float(eigs[0]), float(eigs[-1])) if eigs.size else (0.0, 0.0)
+    if not (math.isfinite(lo) and math.isfinite(hi)):
         raise ValueError("eigenvalues must be finite")
     if tol is None:
-        tol = default_cluster_tol(eigs)
+        tol = _spread_tol(hi - lo)
     elif not (math.isfinite(tol) and tol >= 0):
         raise ValueError(f"clustering tolerance must be finite and >= 0, got {tol}")
-    return eigs, tol, np.diff(eigs) > tol
+    return eigs, tol, eigs[1:] - eigs[:-1] > tol
 
 
 def cluster_spectrum(eigs, tol: float | None = None) -> SpectrumSummary:
@@ -147,13 +166,18 @@ def q_of_matrix(A: np.ndarray, tol: float | None = None) -> int:
     return q_of_spectrum(eigen_sym(A), tol)
 
 
-def pattern_matrix(A: np.ndarray) -> np.ndarray:
-    """Boolean off-diagonal support of A after scaling to unit max entry."""
-    A = np.asarray(A, dtype=float)
-    scale = float(np.abs(A).max(initial=0.0))
-    P = np.abs(A) > ZERO_TOL * max(1.0, scale)
+def _support(absA: np.ndarray, peak: float) -> np.ndarray:
+    """Boolean off-diagonal support of a matrix with entries' magnitudes
+    absA and max|A| = peak: the entries above ZERO_TOL * max(1, peak)."""
+    P = absA > ZERO_TOL * max(1.0, peak)
     np.fill_diagonal(P, False)
     return P
+
+
+def pattern_matrix(A: np.ndarray) -> np.ndarray:
+    """Boolean off-diagonal support of A after scaling to unit max entry."""
+    absA = np.abs(np.asarray(A, dtype=float))
+    return _support(absA, float(absA.max(initial=0.0)))
 
 
 @dataclass(frozen=True)
@@ -174,26 +198,44 @@ def in_pattern(A: np.ndarray, G) -> PatternReport:
     diagonal is unconstrained.  Entries are compared against
     ZERO_TOL * max(1, max|A|).
     """
-    check_symmetric(A)
-    return pattern_report(A, G)
+    _, absA, peak = _validated(A)
+    return _report(absA, peak, G)
 
 
 def pattern_report(A: np.ndarray, G) -> PatternReport:
     """The S(G) comparison of `in_pattern`, for an A that `check_symmetric`
-    has already passed, as `eigen_sym` does: a caller that eigensolves A
-    validates it once."""
-    A = np.asarray(A, dtype=float)
+    has already passed."""
+    absA = np.abs(np.asarray(A, dtype=float))
+    return _report(absA, float(absA.max(initial=0.0)), G)
+
+
+def _report(absA: np.ndarray, peak: float, G) -> PatternReport:
+    """The S(G) comparison of a validated matrix, read off its |A| and
+    max|A|; DimensionMismatch when its order is not G's."""
     adj = G.adjacency if isinstance(G, ThresholdGraph) else np.asarray(G, dtype=bool)
     n = adj.shape[0]
-    if A.shape[0] != n:
-        raise DimensionMismatch(f"matrix is {A.shape[0]}x{A.shape[0]}, graph has {n} vertices")
-    mismatch = pattern_matrix(A) != adj
+    if absA.shape[0] != n:
+        raise DimensionMismatch(f"matrix is {absA.shape[0]}x{absA.shape[0]}, graph has {n} vertices")
+    mismatch = _support(absA, peak) != adj
     if not mismatch.any():
         return PatternReport(True, ())
     rows, cols = np.nonzero(np.triu(mismatch, 1))
     violations = tuple((i, j, "edge entry is zero" if adj[i, j] else "non-edge entry is nonzero")
                        for i, j in zip(rows.tolist(), cols.tolist()))
     return PatternReport(not violations, violations)
+
+
+def check_matrix(A: np.ndarray, G, tol: float | None = None
+                 ) -> tuple[np.ndarray, int, PatternReport]:
+    """The check every upper certificate's matrix passes, in one pass: A
+    validated once (`check_symmetric`'s errors), its S(G) report read off
+    the |A| and max|A| of that validation (DimensionMismatch when A's order
+    is not G's), then its one eigensolve.  Returns the ascending
+    eigenvalues, their q at tol (`q_of_spectrum`) and the report."""
+    A, absA, peak = _validated(A)
+    report = _report(absA, peak, G)
+    eigs = _eigvalsh(A)
+    return eigs, q_of_spectrum(eigs, tol), report
 
 
 def spectrum_values(distinct) -> np.ndarray:

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from threshq import bounds
 from threshq.bounds import (
     Certificate,
+    ChainPlan,
     QBound,
     SelfCheckError,
     _chain_plan,
@@ -60,10 +61,13 @@ from threshq.sequences import (
 )
 from threshq.spectra import (
     NoConvergence,
+    check_matrix,
     cluster_spectrum,
     eigen_sym,
     in_pattern,
+    pattern_report,
     q_of_matrix,
+    q_of_spectrum,
     spectra_agree,
     spectrum_values,
 )
@@ -303,6 +307,31 @@ _UPPER_FORGED_IDS = [*range(10), 18, 19, *range(21, 32)]
     for i, (text, make) in zip(_UPPER_FORGED_IDS, _UPPER_FORGED, strict=True)])
 def test_upper_forged_certificate_rejected(text, make):
     assert verify_certificate(G(text), make()) is False
+
+
+# Forged matrices in an issued certificate's payload: each one's check_matrix
+# raises, or reads a q or a pattern other than the claim's.
+_FORGED_MATRICES = {
+    "nan": lambda A: np.full_like(A, np.nan),
+    "inf-entry": lambda A: A + np.diag([np.inf] + [0.0] * (len(A) - 1)),
+    "asymmetric": np.triu,
+    "wrong-order": lambda A: A[:-1, :-1],
+    "not-square": lambda A: A[:, :-1],
+    "off-pattern": lambda A: A[::-1, ::-1],  # the same spectrum on reversed vertices
+    "other-q": lambda A: A + np.diag(np.arange(len(A), dtype=float)),  # the same pattern
+    "zero": np.zeros_like,
+}
+
+
+@pytest.mark.parametrize("text", ["0011", "0001001", "00100101"])
+@pytest.mark.parametrize("forge", list(_FORGED_MATRICES.values()), ids=list(_FORGED_MATRICES))
+def test_verify_qbound_is_false_on_a_forged_matrix(text, forge):
+    g = G(text)
+    qb = classify_q(g)
+    (upper,) = qb.upper_certs
+    forged = dataclasses.replace(upper, payload={**upper.payload,
+                                                 "matrix": forge(upper.payload["matrix"])})
+    assert verify_qbound(g, dataclasses.replace(qb, upper_certs=(forged,))) is False
 
 
 # Malformed intervals: a side that is no int, certificates in a list, and a
@@ -551,6 +580,20 @@ def test_every_catalog_entry_seeds_the_classifier():
 def test_chain_plan_takes_the_first_fitting_seed(text, steps):
     # each source form's plan is its first fitting seed
     assert _chain_steps(_seed_plan(block_form(G(text).creation))) == steps
+
+
+@pytest.mark.parametrize("build, params", [
+    (lambda **p: construct_library("star", **p), {"k": 3}),
+    (lambda **p: construct_library("thm00", **p), {"t": 4}),
+    (section12_factor, {"s": 3, "m": 1}),
+])
+def test_chain_label_depends_on_the_seed_alone(build, params):
+    # numpy integer params are stored as ints, so a seed built from them
+    # gets the label the int-built one gets
+    plans = [ChainPlan(build(**{k: cast(v) for k, v in params.items()}), (), ())
+             for cast in (int, np.int64)]
+    assert all(type(v) is int for plan in plans for v in plan.seed.params.values())
+    assert _chain_steps(plans[0]) == _chain_steps(plans[1])
 
 
 @pytest.mark.parametrize("text,steps", [
@@ -861,11 +904,16 @@ def test_ub_section12_case1_s5():
 def test_self_checks_raise_named_error(monkeypatch):
     # explicit raises, not asserts, so `python -O` keeps the checks; every
     # eigenvalue count differs from the last, so no count matches its claim,
-    # and every chain's one eigensolve comes back shifted off the spectrum
-    # the chain carried
+    # and every chain's one check_matrix comes back with its eigenvalues
+    # shifted off the spectrum the chain carried
     counts = itertools.count(90)
+
+    def shifted(A, G, tol=None):
+        eigs, q, report = check_matrix(A, G, tol)
+        return eigs + 1.0, q, report
+
     monkeypatch.setattr(bounds, "q_of_matrix", lambda A: next(counts))
-    monkeypatch.setattr(bounds, "eigen_sym", lambda A: eigen_sym(A) + 1.0)
+    monkeypatch.setattr(bounds, "check_matrix", shifted)
     with pytest.raises(SelfCheckError):
         q2_certificate(G("0101011"))
     with pytest.raises(SelfCheckError):
@@ -1273,56 +1321,99 @@ def _is_transfer(cert):
     return cert.payload.get("chain", ("",))[0].startswith("seed:prop_a15a19")
 
 
-def test_one_classification_eigensolve_budget(monkeypatch):
-    # one classify_q eigensolves the OrthoUB completion once, the realized
-    # chain once, a transfer chain included, and each paired-column seed's
-    # cogram once, and nothing else
-    from threshq import spectra
+def test_check_matrix_matches_the_three_calls_on_every_certificate():
+    # every upper certificate of the n <= 10 census, of the `long`-shaped
+    # row and of the long runs: check_matrix reads the eigenvalues, q (at
+    # the default tol and at a given one) and the pattern verdict that the
+    # eigen_sym, q_of_spectrum and pattern_report calls it replaced read,
+    # on G and on another graph of the same order
+    graphs = [build_graph(seq) for n in range(2, 11) for seq in enumerate_connected(n)]
+    graphs += [G("0100010001100011000111000111"), *map(G, LONG_RUNS)]
+    verdicts = set()
+    for g, other in zip(graphs, graphs[1:] + graphs[:1]):
+        (upper,) = classify_q(g).upper_certs
+        A = upper.payload["matrix"]
+        eigs = eigen_sym(A)
+        for h in (g, other) if other.n == g.n else (g,):
+            for tol in (None, 0.25):
+                got_eigs, q, report = check_matrix(A, h, tol)
+                assert np.array_equal(got_eigs, eigs), g.creation.text
+                assert q == q_of_spectrum(eigs, tol), g.creation.text
+                assert report == pattern_report(A, h), g.creation.text
+            verdicts.add(bool(report))
+        assert q_of_spectrum(eigs) == upper.value, g.creation.text
+    assert verdicts == {True, False}
 
-    solves, factors = [], []
+
+def _count_eigensolves(monkeypatch, orders):
+    """Record the order of every eigensolve: `eigen_sym` and `check_matrix`
+    both end in one np.linalg.eigvalsh call."""
+    solve = np.linalg.eigvalsh
 
     def solving(A):
-        solves.append(len(A))
-        return eigen_sym(A)
+        orders.append(len(A))
+        return solve(A)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", solving)
+
+
+def _count_matrix_checks(monkeypatch, orders):
+    """Record the order of every matrix bounds passes to `check_matrix`."""
+    def checking(A, G, tol=None):
+        orders.append(len(A))
+        return check_matrix(A, G, tol)
+
+    monkeypatch.setattr(bounds, "check_matrix", checking)
+
+
+def test_one_classification_eigensolve_budget(monkeypatch):
+    # one classify_q eigensolves the OrthoUB completion once, the realized
+    # chain once, in its one check_matrix, a transfer chain included, and
+    # each paired-column seed's cogram once, and nothing else
+    solves, factors, matrix_checks = [], [], []
 
     def building(s, m):
         factors.append((s, m))
         return section12_factor(s, m)
 
-    for mod in (spectra, bounds.gramlib, bounds):
-        monkeypatch.setattr(mod, "eigen_sym", solving)
+    _count_eigensolves(monkeypatch, solves)
+    _count_matrix_checks(monkeypatch, matrix_checks)
     monkeypatch.setattr(bounds.gramlib, "section12_factor", building)
     kinds = set()
     for seq in (seq for n in range(2, 13) for seq in enumerate_connected(n)):
         solves.clear()
         factors.clear()
+        matrix_checks.clear()
         (upper,) = classify_q(build_graph(seq)).upper_certs
         chain = upper.provenance == "duplication chain"
         assert len(solves) == (upper.kind == "OrthoUB") + chain + len(factors), (seq.text, solves)
+        assert matrix_checks == [seq.n] * chain, (seq.text, matrix_checks)
         kinds.add((upper.kind, len(factors), _is_transfer(upper)))
     assert {("OrthoUB", 0, False), ("DupChainUB", 0, True), ("DupChainUB", 2, False)} <= kinds
 
 
 def test_one_symmetry_check_per_certificate_matrix(monkeypatch):
     # classify_q validates its certificate matrix once, in that matrix's one
-    # eigensolve, and each paired-column seed's cogram once;
-    # verify_certificate then validates the certificate matrix once.  A
-    # transfer chain costs what any chain does.
-    from threshq.spectra import check_symmetric
+    # eigensolve (a chain's in its check_matrix), and each paired-column
+    # seed's cogram once; verify_certificate then validates the certificate
+    # matrix once, in one check_matrix.  Every validation, check_symmetric's
+    # and check_matrix's, is one spectra._validated call.  A transfer chain
+    # costs what any chain does.
+    from threshq import spectra
 
-    checks, factors = [], []
+    checks, factors, matrix_checks = [], [], []
+    validate = spectra._validated
 
-    def checking(A):
+    def validating(A):
         checks.append(len(A))
-        check_symmetric(A)
+        return validate(A)
 
     def building(s, m):
         factors.append((s, m))
         return section12_factor(s, m)
 
-    for mod in list(sys.modules.values()):
-        if mod.__name__.startswith("threshq") and getattr(mod, "check_symmetric", None) is check_symmetric:
-            monkeypatch.setattr(mod, "check_symmetric", checking)
+    monkeypatch.setattr(spectra, "_validated", validating)
+    _count_matrix_checks(monkeypatch, matrix_checks)
     monkeypatch.setattr(bounds.gramlib, "section12_factor", building)
     kinds = set()
     for seq in (seq for n in range(2, 13) for seq in enumerate_connected(n)):
@@ -1332,8 +1423,9 @@ def test_one_symmetry_check_per_certificate_matrix(monkeypatch):
         (upper,) = classify_q(g).upper_certs
         assert checks.count(g.n) == 1 and len(checks) == 1 + len(factors), (seq.text, checks)
         checks.clear()
+        matrix_checks.clear()
         assert verify_certificate(g, upper), seq.text
-        assert checks == [g.n], (seq.text, checks)
+        assert checks == matrix_checks == [g.n], (seq.text, checks, matrix_checks)
         kinds.add((upper.kind, _is_transfer(upper)))
     assert kinds == {("OrthoUB", False), ("ConstructionUB", False), ("DupChainUB", False),
                      ("ConstructionUB", True), ("DupChainUB", True)}
@@ -1350,23 +1442,17 @@ def test_one_eigensolve_per_realized_chain(monkeypatch, text):
     s = block_form(g.creation).s
     orders, chains = [], []
 
-    def solving(A):
-        orders.append(len(A))
-        return eigen_sym(A)
-
     def realizing(plan):
         chains.append(plan)
         return run_chain(plan)
 
-    for mod in list(sys.modules.values()):
-        if mod.__name__.startswith("threshq") and getattr(mod, "eigen_sym", None) is eigen_sym:
-            monkeypatch.setattr(mod, "eigen_sym", solving)
+    _count_eigensolves(monkeypatch, orders)
     monkeypatch.setattr(bounds, "run_chain", realizing)
     qb = classify_q(g)
     monkeypatch.undo()
     assert verify_qbound(g, qb)
     seed_orders = {plan.seed.n for plan in chains}
-    assert chains and orders.count(g.n) <= len(chains), orders
+    assert chains and 1 <= orders.count(g.n) <= len(chains), orders
     assert all(k == g.n or k <= s + 1 for k in orders), orders
     assert not seed_orders & (set(orders) - {g.n}), (seed_orders, orders)
 

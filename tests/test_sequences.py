@@ -1,3 +1,4 @@
+import itertools
 import time
 
 import networkx as nx
@@ -61,6 +62,56 @@ def test_parse_errors():
         parse_creation_sequence("01a1")
     with pytest.raises(BadCharacter):
         parse_creation_sequence("")
+
+
+@pytest.mark.parametrize("text, ch, pos", [("0a1", "a", 2), ("0\u06611", "\u0661", 2),
+                                           ("01 ", " ", 3), ("x01", "x", 1)])
+def test_parse_names_the_first_bad_character(text, ch, pos):
+    # an Arabic-Indic one is a digit to int() but not a bit
+    with pytest.raises(BadCharacter, match=f"^bad character {ch!r} at position {pos}$"):
+        parse_creation_sequence(text)
+
+
+def test_parse_matches_the_character_loop():
+    # every string over a small alphabet, against the per-character loop
+    # the parser replaced: the same error type and message, or the same bits
+    def by_loop(text):
+        if not text:
+            raise BadCharacter("empty sequence")
+        for pos, ch in enumerate(text):
+            if ch not in "01":
+                raise BadCharacter(f"bad character {ch!r} at position {pos + 1}")
+        if text[0] != "0":
+            raise FirstBitNotZero("first bit of a creation sequence is 0")
+        return tuple(int(c) for c in text)
+
+    def outcome(fn, text):
+        try:
+            return fn(text)
+        except BadCharacter as exc:
+            return (type(exc), str(exc))
+        except FirstBitNotZero as exc:
+            return (type(exc), str(exc))
+
+    for n in range(5):
+        for chars in itertools.product("01a", repeat=n):
+            text = "".join(chars)
+            got = outcome(lambda t: parse_creation_sequence(t).bits, text)
+            assert got == outcome(by_loop, text), text
+
+
+@pytest.mark.parametrize("bits", [(0, 1.0), (0, True), (False, 1), (0, np.True_), (0, 2),
+                                  (0, "1"), (0, [1]), (0, {1: 1}), (0, None), ()])
+def test_creation_sequence_takes_only_integer_bits(bits):
+    # 1.0 and True equal 1 but are not bits (their text was "01.0" and
+    # "0True"); an unhashable entry fails with the same typed error
+    with pytest.raises(BadCharacter):
+        CreationSequence(bits)
+
+
+def test_creation_sequence_takes_numpy_integer_bits():
+    seq = CreationSequence(tuple(np.array([0, 1, 1])))
+    assert seq.text == "011" and seq == CreationSequence((0, 1, 1))
 
 
 def test_disconnected_flag():
@@ -197,6 +248,14 @@ def test_duplication_rejects_a_vertex_outside_the_graph(dup):
     for v in (-1, G.n):
         with pytest.raises(IndexError, match=f"vertex {v} "):
             dup(G, v)
+
+
+@pytest.mark.parametrize("dup", [dup_graph, jdup_graph])
+@pytest.mark.parametrize("v", [True, False, np.True_, np.False_])
+def test_duplication_rejects_a_bool_vertex(dup, v):
+    # a bool is an int to the range test, but indexes a row as a mask
+    with pytest.raises(IndexError, match="bool"):
+        dup(graph_from_text("0101"), v)
 
 
 def test_from_adjacency_round_trip():

@@ -10,6 +10,7 @@ from threshq.spectra import (
     DimensionMismatch,
     NoConvergence,
     assert_spectrum,
+    check_matrix,
     check_symmetric,
     cluster_spectrum,
     default_cluster_tol,
@@ -19,6 +20,7 @@ from threshq.spectra import (
     load_factor,
     load_matrix,
     pattern_matrix,
+    pattern_report,
     q_of_matrix,
     q_of_spectrum,
     save_factor,
@@ -230,7 +232,12 @@ def test_cluster_of_an_empty_spectrum():
     for empty in (np.array([]), [], np.zeros((0, 3))):
         assert _same_clusters(empty) and _same_clusters(empty, tol=1.0)
         assert cluster_spectrum(empty).q == q_of_spectrum(empty) == 0
+        assert cluster_spectrum(empty).tol == cluster_spectrum(empty, tol=1.0).tol == 0.0
+        for check in (q_of_spectrum, cluster_spectrum):  # a bad tol fails even with no gap
+            with pytest.raises(ValueError, match="tolerance"):
+                check(empty, math.nan)
     assert q_of_spectrum([4.0]) == 1
+    assert cluster_spectrum([4.0]).tol == default_cluster_tol([4.0]) == 1e-6
 
 
 @pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf, -1.0])
@@ -326,6 +333,69 @@ def test_q_of_thm00_t3():
 
 def test_q_of_scaled_identity():
     assert q_of_matrix(2.5 * np.eye(6)) == 1
+
+
+# ---------------------------------------------------------------- matrix check
+
+
+def _three_calls(A, G, tol=None):
+    """What check_matrix replaces: validate and eigensolve, compare the
+    pattern, count the eigenvalues."""
+    eigs = eigen_sym(A)
+    report = pattern_report(A, G)
+    return eigs, q_of_spectrum(eigs, tol), report
+
+
+def test_check_matrix_matches_the_three_calls():
+    # random supports around a graph's, with clustered spectra, so both
+    # verdicts and several q values come up
+    g = graph_from_text("0010110101")
+    verdicts, qs = set(), set()
+    for trial in range(60):
+        keep = rng.random((g.n, g.n)) < 0.6 if trial % 3 else g.adjacency | np.eye(g.n, dtype=bool)
+        A = rand_sym(g.n, scale=10.0 ** rng.uniform(-3, 3)) * keep
+        A = (A + A.T) / 2
+        if trial % 4 == 0:  # few distinct eigenvalues
+            Q, _ = np.linalg.qr(rng.normal(size=(g.n, g.n)))
+            A = Q @ np.diag(rng.integers(0, 3, g.n).astype(float)) @ Q.T
+            A = (A + A.T) / 2
+        for tol in (None, 1e-3, 0.0):
+            eigs, q, report = check_matrix(A, g, tol)
+            want_eigs, want_q, want_report = _three_calls(A, g, tol)
+            assert np.array_equal(eigs, want_eigs) and q == want_q and report == want_report
+        verdicts.add(bool(report))
+        qs.add(q)
+    assert verdicts == {True, False} and len(qs) > 2
+
+
+def test_check_matrix_of_an_empty_matrix():
+    eigs, q, report = check_matrix(np.zeros((0, 0)), np.zeros((0, 0), dtype=bool))
+    assert eigs.shape == (0,) and q == 0 and report
+
+
+@pytest.mark.parametrize("bad, error", [
+    (np.ones((2, 3)), DimensionMismatch),                      # not square
+    (np.zeros((0, 1)), DimensionMismatch),
+    (np.ones(4), DimensionMismatch),                           # not a matrix
+    (np.array([[0.0, 1.0], [0.5, 0.0]]), DimensionMismatch),    # not symmetric
+    (np.eye(3), DimensionMismatch),                            # not the graph's order
+    (np.full((2, 2), np.nan), NoConvergence),
+    (np.array([[1.0, np.inf], [np.inf, 1.0]]), NoConvergence),
+    (np.array([[1.0, np.nan], [0.0, 1.0]]), NoConvergence),     # NaN off the symmetry
+    (np.diag([-np.inf, 1.0]), NoConvergence),
+])
+def test_check_matrix_rejects_what_the_three_calls_reject(bad, error):
+    g = graph_from_text("01")
+    with pytest.raises(error):
+        _three_calls(bad, g)
+    with pytest.raises(error):
+        check_matrix(bad, g)
+
+
+@pytest.mark.parametrize("tol", [math.nan, -1.0])
+def test_check_matrix_rejects_a_bad_tolerance(tol):
+    with pytest.raises(ValueError, match="tolerance"):
+        check_matrix(np.eye(2), graph_from_text("00"), tol)
 
 
 # ---------------------------------------------------------------- file io
