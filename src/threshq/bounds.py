@@ -13,8 +13,11 @@ form and from its leading merge (`_sources`).  Each source takes the first
 seed that `_grow` fits from one q-ordered table per block count s
 (`_seed_table`: the star, else the alternating seed thm00(s) and the
 prebuilt seeds, the liberated prop_a15a19 seeds among them), else the
-paired-column seed, and the planner keeps the source whose built seed has
-the fewest distinct eigenvalues.  The paper's general floor((s+9)/2) bound,
+paired-column seed.  Every seed is first a descriptor, a `Seed` of its
+blocks, dup slots and q, so the planner compares the sources on data and
+keeps the one whose seed has the fewest distinct eigenvalues; it builds
+that seed, and a paired-column seed, whose q is read off the built seed,
+only when the comparison needs its q.  The paper's general floor((s+9)/2) bound,
 `ub_section12`, and the SSP supergraph lemma, `transfer_certificate`, are
 stated on that one planner and come on demand; the classifier calls
 neither.  Every certificate re-verifies from its payload alone, under a
@@ -25,6 +28,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -186,6 +190,22 @@ class ChainPlan:
     jdup_steps: tuple[int, ...]
 
 
+class Seed(NamedTuple):
+    """A seed as data: the blocks of its block form, its dup slots and its
+    q, read before build() makes it.  q is None for a paired-column seed,
+    whose q is read off the built seed and is at least _PAIRED_COLUMN_MIN_Q."""
+
+    blocks: tuple[tuple[int, int], ...]
+    dup_slots: tuple[tuple[int, float], ...]
+    q: int | None
+    build: Callable[[], gramlib.GramFactor]
+
+
+# Every paired-column seed has q >= 4 (checked for s <= 92), and every
+# seed-table seed q <= 4, so the table's first fit is its least-q seed.
+_PAIRED_COLUMN_MIN_Q = 4
+
+
 # The prebuilt seeds that follow thm00(s) in `_seed_table`, built once at
 # import from one flat tuple of (construction id, params): the fixed catalog
 # seeds and the liberated prop_a15a19 seeds, each in S(base) with q = 3 and
@@ -195,7 +215,8 @@ _PREBUILT = sorted((gramlib.construct_library(cid, **params) for cid, params in 
     ("thm061", {}), ("thm01", {}), ("thm10", {}), ("thm05", {}), ("thm06", {}), ("qlt4", {}),
     *(("prop_a15a19", {"base": base}) for base in gramlib.A15A19_BASES))),
     key=lambda f: (f.target.block_form.s, len(f.expected_spectrum)))
-_CATALOG_SEEDS = {s: tuple((f.target.block_form.blocks, f.dup_slots, lambda f=f: f) for f in group)
+_CATALOG_SEEDS = {s: tuple(Seed(f.target.block_form.blocks, f.dup_slots, len(f.expected_spectrum),
+                                lambda f=f: f) for f in group)
                   for s, group in itertools.groupby(_PREBUILT, key=lambda f: f.target.block_form.s)}
 
 
@@ -250,40 +271,55 @@ def _section12_m(bf) -> int | None:
     return min(ms, key=lambda m: ((m - 1) % 2 + (bf.s - m) % 2, m))
 
 
+def _paired_column_seed(s: int, m: int) -> Seed:
+    """section12_factor(s, m) as data (`gramlib.section12_form`), with q
+    None: its q is known only once it is built."""
+    return Seed(*gramlib.section12_form(s, m), None, lambda: gramlib.section12_factor(s, m))
+
+
 def _section12_plan(bf) -> ChainPlan | None:
     """The paired-column plan, or None when bf has no paired-column seed
     (see `_section12_m`); that seed always fits."""
     if (m := _section12_m(bf)) is None:
         return None
-    seed = gramlib.section12_factor(bf.s, m)
-    return ChainPlan(seed, *_grow(seed.target.block_form.blocks, seed.dup_slots, bf))
+    seed = _paired_column_seed(bf.s, m)
+    return ChainPlan(seed.build(), *_grow(seed.blocks, seed.dup_slots, bf))
 
 
-def _seed_table(bf) -> tuple:
-    """The prebuilt seeds with bf's s, in q order, as (blocks, dup_slots,
-    build) entries, so a seed's fit is read before build() makes it: the
-    star for s = 1; otherwise the alternating seed thm00(s), blocks (0,1)^s
-    and its one dup slot, vertex 0 at `gramlib.thm00_lambda(s)`, then
-    `_CATALOG_SEEDS[s]`, the liberated seeds among them.  Every entry has
-    q <= 4 and every paired-column seed q >= 4, so the first entry that
-    fits bf is its least-q seed."""
+def _seed_table(bf) -> tuple[Seed, ...]:
+    """The prebuilt seeds with bf's s, in q order, each a `Seed` whose form,
+    slots and q are read before build() makes it: the star for s = 1, q = 3
+    (2 when k = 1, spectrum 0, k + 1); otherwise the alternating seed
+    thm00(s), blocks (0,1)^s, q = 3 and its one dup slot, vertex 0 at
+    `gramlib.thm00_lambda(s)`, then `_CATALOG_SEEDS[s]`, each with its
+    expected spectrum's length, the liberated seeds among them.  Every
+    entry has q <= 4 and every paired-column seed q >= 4, so the first
+    entry that fits bf is its least-q seed."""
     s, k = bf.s, bf.ks[0]
     if s == 1:
-        return ((((k, 1),), (), lambda: gramlib.construct_library("star", k=k)),)
-    return ((((1, 1),) * s, ((0, gramlib.thm00_lambda(s)),),
-             lambda: gramlib.construct_library("thm00", t=s)), *_CATALOG_SEEDS.get(s, ()))
+        return (Seed(((k, 1),), (), 2 if k == 1 else 3,
+                     lambda: gramlib.construct_library("star", k=k)),)
+    return (Seed(((1, 1),) * s, ((0, gramlib.thm00_lambda(s)),), 3,
+                 lambda: gramlib.construct_library("thm00", t=s)), *_CATALOG_SEEDS.get(s, ()))
+
+
+def _first_fit(bf) -> tuple[Seed, tuple[tuple, tuple]]:
+    """bf's first fitting seed, unbuilt, with the steps that grow it to bf:
+    the first `_seed_table` entry that `_grow` fits, else the paired-column
+    seed.  One always fits: the star fits every s = 1 form, thm00(s) every
+    form whose zero-runs after the first have length 1, and any other form
+    has a later zero-run of length >= 2, so a paired-column seed."""
+    for seed in _seed_table(bf):
+        if (steps := _grow(seed.blocks, seed.dup_slots, bf)) is not None:
+            return seed, steps
+    seed = _paired_column_seed(bf.s, _section12_m(bf))
+    return seed, _grow(seed.blocks, seed.dup_slots, bf)
 
 
 def _seed_plan(bf) -> ChainPlan:
-    """The plan of bf's first fitting seed: the first `_seed_table` entry
-    that `_grow` fits to bf, else the paired-column plan.  One always fits:
-    the star fits every s = 1 form, thm00(s) every form whose zero-runs
-    after the first have length 1, and any other form has a later zero-run
-    of length >= 2, so a paired-column seed."""
-    for blocks, dup_slots, build in _seed_table(bf):
-        if (steps := _grow(blocks, dup_slots, bf)) is not None:
-            return ChainPlan(build(), *steps)
-    return _section12_plan(bf)
+    """The plan of bf's first fitting seed (`_first_fit`), built."""
+    seed, steps = _first_fit(bf)
+    return ChainPlan(seed.build(), *steps)
 
 
 def _joined(plan: ChainPlan, t: int) -> ChainPlan:
@@ -295,11 +331,24 @@ def _joined(plan: ChainPlan, t: int) -> ChainPlan:
 def _chain_plan(bf) -> ChainPlan:
     """The duplication chain's plan: the source whose first fitting seed
     has the fewest distinct eigenvalues, G's own form on a tie, carried to
-    G.  Every step keeps q, so the seed's q is the chain's.  Each source's
-    seed is built once and its q read off its expected spectrum; a
-    seed-table seed is built only once it fits."""
-    plans = [_joined(_seed_plan(src), t) for src, t in _sources(bf)]
-    return min(plans, key=lambda plan: len(plan.seed.expected_spectrum))
+    G.  Every step keeps q, so the seed's q is the chain's.  The sources
+    are compared on their `Seed` descriptors before anything is built: an
+    unbuilt paired-column seed counts at _PAIRED_COLUMN_MIN_Q, its least
+    q, and is built only while that floor leads the (q, source) order, so
+    the winner is the one a comparison of built seeds picks.  When a table
+    seed has q <= 3, or every source has a table fit, no paired-column
+    seed is built; then the winner is built, once."""
+    fits = [(*_first_fit(src), t) for src, t in _sources(bf)]
+    seeds = [seed for seed, _, _ in fits]
+    while True:
+        i = min(range(len(seeds)), key=lambda i: (
+            _PAIRED_COLUMN_MIN_Q if seeds[i].q is None else seeds[i].q, i))
+        if seeds[i].q is not None:
+            break
+        f = seeds[i].build()
+        seeds[i] = seeds[i]._replace(q=len(f.expected_spectrum), build=lambda f=f: f)
+    _, steps, t = fits[i]
+    return _joined(ChainPlan(seeds[i].build(), *steps), t)
 
 
 def _chain_steps(plan: ChainPlan) -> tuple[str, ...]:

@@ -13,6 +13,7 @@ built by its one constructor, `_gate_factor`.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -45,17 +46,20 @@ class InfeasibleRepair(RuntimeError):
 
 @dataclass(frozen=True)
 class GramFactor:
-    """Rectangular factor with its target pattern and catalog metadata.
+    """Rectangular factor with its target's creation bits and catalog
+    metadata.
 
-    expected_spectrum lists the distinct eigenvalues of M M^T with their
-    multiplicities; every catalog factor and every section12_factor seed
-    has one, so a chain starts from a known spectrum.  dup_slots lists
-    (vertex, eigenvalue) pairs valid for dup_realization; the chain planner
-    grows a zero-run from the first slot listed inside it.
+    target, the threshold graph of `bits`, is built on first access: a
+    chain reads only M, the spectrum and the slots, so no seed it grows
+    builds a graph.  expected_spectrum lists the distinct eigenvalues of
+    M M^T with their multiplicities; every catalog factor and every
+    section12_factor seed has one, so a chain starts from a known spectrum.
+    dup_slots lists (vertex, eigenvalue) pairs valid for dup_realization;
+    the chain planner grows a zero-run from the first slot listed inside it.
     """
 
     M: np.ndarray
-    target: ThresholdGraph
+    bits: tuple[int, ...]
     construction_id: str
     params: dict = field(default_factory=dict)
     expected_spectrum: tuple[tuple[float, int], ...] | None = None
@@ -64,6 +68,10 @@ class GramFactor:
     @property
     def n(self) -> int:
         return self.M.shape[0]
+
+    @functools.cached_property
+    def target(self) -> ThresholdGraph:
+        return build_graph(CreationSequence(self.bits))
 
 
 def gram(f: GramFactor) -> np.ndarray:
@@ -108,8 +116,7 @@ def _star(k: int) -> GramFactor:
     k = int(k)  # a numpy k would show in the chain label
     bits = (0,) * k + (1,)
     spec = ((0.0, 1), (1.0, k - 1), (float(k + 1), 1))
-    return GramFactor(_gate_factor(bits, np.ones((1, k)), np.ones(k)),
-                      build_graph(CreationSequence(bits)), "star", {"k": k},
+    return GramFactor(_gate_factor(bits, np.ones((1, k)), np.ones(k)), bits, "star", {"k": k},
                       expected_spectrum=tuple((v, m) for v, m in spec if m))
 
 
@@ -129,8 +136,8 @@ def _thm00(t: int) -> GramFactor:
     lam, bits, i = thm00_lambda(t), (0, 1) * t, np.arange(1, t + 1)
     D = np.tri(t, t, -1)
     np.fill_diagonal(D, i)
-    return GramFactor(_gate_factor(bits, D, np.sqrt(t * t + 1 - i * i - (t - i))),
-                      build_graph(CreationSequence(bits)), "thm00", {"t": t},
+    return GramFactor(_gate_factor(bits, D, np.sqrt(t * t + 1 - i * i - (t - i))), bits,
+                      "thm00", {"t": t},
                       expected_spectrum=((0.0, t), (lam, t - 1), (float(2 * t * t - t + 1), 1)),
                       dup_slots=((0, lam),))
 
@@ -160,9 +167,9 @@ _FIXED = {
 
 
 def _fixed(cid: str) -> GramFactor:
-    bits, D, tails, spec, dup_slots = _FIXED[cid]
-    G = graph_from_text(bits)
-    return GramFactor(_gate_factor(G.creation.bits, D, tails), G, cid,
+    text, D, tails, spec, dup_slots = _FIXED[cid]
+    bits = tuple(map(int, text))
+    return GramFactor(_gate_factor(bits, D, tails), bits, cid,
                       expected_spectrum=spec, dup_slots=dup_slots)
 
 
@@ -226,8 +233,17 @@ def _prop_a15a19(base: str = "00100101") -> GramFactor:
             [0, 0, R3, 0, 0], [0, 0, 0, R3, 0], [0, 1, 1, 1, 2], [0, 0, 0, 0, 1]]
     M = np.array(rows, dtype=float)[np.argsort(emb)]  # row i at vertex emb[i]
     G = graph_from_text(base)
-    return GramFactor(_frozen(_liberated(M, G)), G, "prop_a15a19", {"base": base},
+    return GramFactor(_frozen(_liberated(M, G)), G.creation.bits, "prop_a15a19", {"base": base},
                       expected_spectrum=((0.0, 3), (3.0, 3), (11.0, 2)))
+
+
+def _pair_starts(s: int, m: int) -> tuple[range, range]:
+    """The first column of each ordinary pair of the paired-column seed,
+    left and right of its middle pair (m - 1, m): columns pair greedily on
+    each side of it."""
+    if s < 2 or not (1 <= m <= s):
+        raise BadParams("need s >= 2 and 1 <= m <= s")
+    return range(0, m - 2, 2), range(m + 1, s, 2)
 
 
 def _paired_columns(s: int, m: int) -> tuple[np.ndarray, np.ndarray]:
@@ -248,9 +264,7 @@ def _paired_columns(s: int, m: int) -> tuple[np.ndarray, np.ndarray]:
     each ordinary pair gives eigenvalue 3 (eigenvector e_a - e_b) and the
     middle pair, whose two columns of D are equal, eigenvalue 1.
     """
-    if s < 2 or not (1 <= m <= s):
-        raise BadParams("need s >= 2 and 1 <= m <= s")
-    left, right = range(0, m - 2, 2), range(m + 1, s, 2)
+    left, right = _pair_starts(s, m)
     ends = np.arange(s)
     ends[m - 1:] += 1
     D = (np.arange(s + 1) <= ends[:, None]).astype(float)
@@ -262,38 +276,49 @@ def _paired_columns(s: int, m: int) -> tuple[np.ndarray, np.ndarray]:
     return D, f2
 
 
+def _section12_bits(s: int, m: int) -> tuple[int, ...]:
+    return (0, 1) * (m - 1) + (0, 0, 1) + (0, 1) * (s - m)
+
+
+def section12_form(s: int, m: int) -> tuple[tuple, tuple[tuple[int, float], ...]]:
+    """section12_factor(s, m)'s block form blocks, (0,1)^(m-1) (0,0,1)
+    (0,1)^(s-m), and its dup slots, read without building the seed: every
+    zero, in column order, with its column's squared tail
+    (`_paired_columns`), 3 in the first column of an ordinary pair and 1
+    elsewhere, which is its diagonal entry and an eigenvalue."""
+    firsts = set(itertools.chain(*_pair_starts(s, m)))
+    zeros = (i for i, b in enumerate(_section12_bits(s, m)) if not b)
+    blocks = ((1, 1),) * (m - 1) + ((2, 1),) + ((1, 1),) * (s - m)
+    return blocks, tuple((v, 3.0 if c in firsts else 1.0) for c, v in enumerate(zeros))
+
+
 def section12_factor(s: int, m: int) -> GramFactor:
     """Paired-column seed, the duplication chain's last resort and the
     general upper bound's witness: blocks all (0,1) except block m,
-    which is (0,0,1).  It is `_paired_columns`'s D and tails in the gate's
-    form (`_gate_factor`): run j's dominating row follows its zeros, and
-    the zeros take the columns' tails in column order.  q is at most 3
-    plus the number of unpaired-or-pair leftovers, within floor((s+9)/2)
-    for every parity.  Every isolated diagonal entry (1 or 3) is an
-    eigenvalue, so all zero blocks may be grown by duplication.
-    expected_spectrum is the clustered spectrum of the (s+1) x (s+1)
-    cogram M^T M plus n-s-1 zeros, which is Spec(M M^T) without solving the
-    n x n gram; its length is the seed's q, which the chain planner compares
-    across sources.  Chain step labels name the factor by its
-    construction_id, "ub_case1", though construct_library does not build
-    it.
+    which is (0,0,1) (`section12_form`).  It is `_paired_columns`'s D and
+    tails in the gate's form (`_gate_factor`): run j's dominating row
+    follows its zeros, and the zeros take the columns' tails in column
+    order.  q is at most 3 plus the number of unpaired-or-pair leftovers,
+    within floor((s+9)/2) for every parity.  Every isolated diagonal entry
+    (1 or 3) is an eigenvalue, so all zero blocks may be grown by
+    duplication.  expected_spectrum is the clustered spectrum of the
+    (s+1) x (s+1) cogram M^T M plus n-s-1 zeros, which is Spec(M M^T)
+    without solving the n x n gram; its length is the seed's q, which the
+    chain planner compares across sources.  Chain step labels name the
+    factor by its construction_id, "ub_case1", though construct_library
+    does not build it.  No graph is built: its `target` comes on first
+    access.
     """
     if not (is_int(s) and is_int(m)):
         raise BadParams("section12_factor needs int s and m")
     s, m = int(s), int(m)
     D, f2 = _paired_columns(s, m)
-    bits = (0, 1) * (m - 1) + (0, 0, 1) + (0, 1) * (s - m)
+    bits = _section12_bits(s, m)
     M = _gate_factor(bits, D, np.sqrt(f2))
-    isolated = [i for i, b in enumerate(bits) if not b]
     spec = cluster_spectrum(np.concatenate((eigen_sym(M.T @ M), np.zeros(len(bits) - s - 1))))
-    return GramFactor(
-        M,
-        build_graph(CreationSequence(bits)),
-        "ub_case1",
-        {"s": s, "m": m},
-        expected_spectrum=spec.distinct,
-        dup_slots=tuple(zip(isolated, f2.tolist())),
-    )
+    isolated = (i for i, b in enumerate(bits) if not b)
+    return GramFactor(M, bits, "ub_case1", {"s": s, "m": m},
+                      expected_spectrum=spec.distinct, dup_slots=tuple(zip(isolated, f2.tolist())))
 
 
 CONSTRUCTIONS = {

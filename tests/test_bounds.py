@@ -637,21 +637,34 @@ def test_chain_plan_keeps_the_source_with_the_smaller_q_everywhere():
 def test_seed_table_is_in_q_order():
     # the first fitting entry is the least-q fitting seed: within each s the
     # q of each built prebuilt seed never decreases and never exceeds 4, and
-    # every paired-column seed, always last, has q >= 4; each entry's form
-    # and dup slots, read before its seed is built, are the built seed's
+    # every paired-column seed, always last, has q >= 4, the floor the
+    # planner compares it at unbuilt; each entry's form, dup slots and q,
+    # read before its seed is built, are the built seed's
     forms = [BlockForm(((k, 1),)) for k in (1, 2, 3)]  # the star's table reads k
     forms += [BlockForm(((1, 1),) * s) for s in range(2, 9)]
     for bf in forms:
         qs = []
-        for blocks, dup_slots, build in bounds._seed_table(bf):
+        for blocks, dup_slots, q, build in bounds._seed_table(bf):
             seed = build()
             assert blocks == seed.target.block_form.blocks, bf.blocks
             assert dup_slots == seed.dup_slots, bf.blocks
-            qs.append(len(seed.expected_spectrum))
-            assert qs[-1] == q_of_matrix(gram(seed)), bf.blocks
+            assert q == len(seed.expected_spectrum) == q_of_matrix(gram(seed)), bf.blocks
+            qs.append(q)
         assert qs == sorted(qs) and max(qs) <= 4, (bf.blocks, qs)
-    for s in range(2, 41):
-        assert min(len(section12_factor(s, m).expected_spectrum) for m in range(1, s + 1)) >= 4, s
+    for s in range(2, 13):
+        for m in range(1, s + 1):
+            blocks, dup_slots, q, build = bounds._paired_column_seed(s, m)
+            seed = build()
+            assert q is None and seed.params == {"s": s, "m": m}, (s, m)
+            assert blocks == seed.target.block_form.blocks and dup_slots == seed.dup_slots, (s, m)
+            # every zero is a slot, at its diagonal entry, which is an eigenvalue
+            A, values = gram(seed), np.array([v for v, _ in seed.expected_spectrum])
+            assert [v for v, _ in dup_slots] == list(seed.target.isolated), (s, m)
+            for v, lam in dup_slots:
+                assert abs(A[v, v] - lam) < 1e-9 and np.abs(values - lam).min() < 1e-9, (s, m, v)
+    for s in range(2, 93):
+        qs = [len(section12_factor(s, m).expected_spectrum) for m in range(1, s + 1)]
+        assert min(qs) >= bounds._PAIRED_COLUMN_MIN_Q, s
 
 
 def _alternating_after_the_first_run(ks):
@@ -1147,7 +1160,7 @@ def test_bad_plans_fail_at_the_same_step_as_the_public_steps():
     # check against the graph it claims to reach, and never certifies,
     # while the public steps still raise their typed error at the bad step
     alternating = construct_library("thm00", t=2)  # diagonal 3, 1, 1, 5; spectrum 0, 3, 7
-    zero_row = GramFactor(np.array([[1.0], [0.0]]), G("01"), "zero-row",
+    zero_row = GramFactor(np.array([[1.0], [0.0]]), (0, 1), "zero-row",
                           expected_spectrum=((0.0, 1), (1.0, 1)))
     bad_plans = [
         # a dup slot whose diagonal is not its lam: a_22 = 1, lam = 3, so
@@ -1242,11 +1255,15 @@ def test_first_parity_ordered_seed_always_fits():
 
 
 def test_classify_builds_each_paired_column_seed_once(monkeypatch):
-    # one classify_q builds each source's first fitting seed once and no
-    # other factor (the catalog seeds and the liberated seeds are built at
-    # import), realizes one of those seeds, and grows no chain step through
-    # the copying public step functions
-    prebuilt = {id(build()) for entries in bounds._CATALOG_SEEDS.values() for _, _, build in entries}
+    # one classify_q builds the seed it realizes and, of the other seeds,
+    # only the paired-column seeds whose q the comparison needs: unbuilt, a
+    # source with no table fit counts at q = 4, its least possible, so its
+    # seed is built only while (4, source index) leads the (q, index)
+    # comparison.  None is built when a table fit has q <= 3 or every
+    # source has a table fit.  The catalog and liberated seeds are built at
+    # import, no seed builds its target graph, and no chain step goes
+    # through the copying public step functions
+    prebuilt = {id(seed.build()) for entries in bounds._CATALOG_SEEDS.values() for seed in entries}
     seqs = [seq for n in range(2, 12) for seq in enumerate_connected(n)]
     seqs.append(G("0100010001100011000111000111").creation)  # `long`-shaped, s = 6
     firsts = {seq.text: [plan.seed for plan in _source_plans(block_form(seq))] for seq in seqs}
@@ -1270,12 +1287,16 @@ def test_classify_builds_each_paired_column_seed_once(monkeypatch):
     def copying(*args, **kwargs):
         raise AssertionError("a chain step copied the whole matrix")
 
+    def graphing(*args, **kwargs):
+        raise AssertionError("a seed built its target graph")
+
     monkeypatch.setattr(bounds.gramlib, "section12_factor", building)
     monkeypatch.setattr(bounds.gramlib, "construct_library", constructing)
     monkeypatch.setattr(bounds, "run_chain", realizing)
     monkeypatch.setattr(bounds.gramlib, "dup_realization", copying)
     monkeypatch.setattr(bounds.gramlib, "jdup_realization", copying)
-    chains = two_built = 0
+    monkeypatch.setattr(bounds.gramlib, "build_graph", graphing)
+    chains = two_built = skipped = 0
     for seq in seqs:
         built.clear()
         realized.clear()
@@ -1284,16 +1305,45 @@ def test_classify_builds_each_paired_column_seed_once(monkeypatch):
             assert not built, seq.text
             continue
         sources = firsts[seq.text]
-        assert [label(f) for f in built] == [label(f) for f in sources if id(f) not in prebuilt], seq.text
+        qs = [len(f.expected_spectrum) for f in sources]
+        paired = [f.construction_id == "ub_case1" for f in sources]
+        w = min(range(len(sources)), key=lambda i: (qs[i], i))
+        needed = [f for i, f in enumerate(sources) if paired[i] and (4, i) <= (qs[w], w)]
+        if not (paired[w] or id(sources[w]) in prebuilt):
+            needed.append(sources[w])
+        assert [label(f) for f in built] == [label(f) for f in needed], seq.text
+        if not all(paired) and (min(q for q, p in zip(qs, paired) if not p) <= 3 or not any(paired)):
+            assert all(f.construction_id != "ub_case1" for f in built), seq.text
         candidates = built + [f for f in sources if id(f) in prebuilt]
         assert len(realized) == 1 and any(realized[0] is f for f in candidates), seq.text
+        assert label(realized[0]) == label(sources[w]), seq.text
         chains += 1
-        two_built += len(built) == 2
+        two_built += sum(f.construction_id == "ub_case1" for f in built) == 2
+        skipped += sum(paired) > sum(f.construction_id == "ub_case1" for f in built)
     # both sources build a paired-column seed, and the leading merge's
     # (5, 1) at q = 5 wins over G's own (6, 2) at q = 7
     assert [(f.params["s"], f.params["m"]) for f in built] == [(6, 2), (5, 1)]
     assert realized[0] is built[1]
-    assert chains and two_built
+    assert chains and two_built and skipped
+
+
+@pytest.mark.xfail(raises=SelfCheckError, strict=True, reason=(
+    "section12_factor(93, 1) clusters its cogram spectrum at 1e-6 of the spread, "
+    "which merges two distinct eigenvalues, so the chain's spectrum check fails"))
+def test_paired_column_row_at_s93_classifies():
+    # 001001(01)^91, n = 188, s = 93: the smallest row found whose plan
+    # grows a paired-column seed with an undercounted spectrum
+    g = G("001001" + "01" * 91)
+    assert verify_qbound(g, classify_q(g))
+
+
+def test_paired_column_row_at_s92_classifies():
+    # the control of the expected failure above: one (0,1) block fewer, the
+    # same planner path, and its seed's spectrum still clusters soundly
+    g = G("001001" + "01" * 90)
+    qb = classify_q(g)
+    assert (qb.lower, qb.upper) == (3, 49) and verify_qbound(g, qb)
+    assert qb.upper_certs[0].payload["chain"][0] == "seed:ub_case1{'s': 92, 'm': 1}"
 
 
 @pytest.mark.parametrize("n", [128, 256])

@@ -105,8 +105,10 @@ def test_thm05_cogram():
 def test_single_column_factor():
     M = np.array([[1.0], [1.0]])
     G = graph_from_text("01")
-    f = GramFactor(M, G, "adhoc")
+    f = GramFactor(M, G.creation.bits, "adhoc")
     assert np.allclose(gram(f), np.ones((2, 2)))
+    # the target graph is built from the bits on first access, then kept
+    assert "target" not in vars(f) and f.target == G and f.target is f.target
 
 
 def test_bad_construction_params():
