@@ -235,8 +235,10 @@ def _grow(have: tuple, dup_slots, bf) -> tuple[tuple, tuple] | None:
         if k0 > k or t0 > t:
             return None
         if k > k0:
-            slot = next((sl for sl in dup_slots if start <= sl[0] < start + k0), None)
-            if slot is None:
+            for slot in dup_slots:
+                if start <= slot[0] < start + k0:
+                    break
+            else:
                 return None
             dup += [slot] * (k - k0)
         jdup += [start + k0] * (t - t0)
@@ -265,10 +267,11 @@ def _section12_m(bf) -> int | None:
     length >= 2 with even parities on both sides of m (most column pairs),
     then smallest m.  That seed always fits: every other run of it has
     length 1, run m has length 2, and every zero is a dup slot."""
-    ms = [m for m in range(1, bf.s + 1) if bf.ks[m - 1] >= 2]
-    if bf.s < 2 or not ms:
+    s, ks = bf.s, bf.ks
+    ms = [m for m in range(1, s + 1) if ks[m - 1] >= 2]
+    if s < 2 or not ms:
         return None
-    return min(ms, key=lambda m: ((m - 1) % 2 + (bf.s - m) % 2, m))
+    return min(ms, key=lambda m: ((m - 1) % 2 + (s - m) % 2, m))
 
 
 def _paired_column_seed(s: int, m: int) -> Seed:

@@ -13,7 +13,6 @@ built by its one constructor, `_gate_factor`.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -64,6 +63,12 @@ class GramFactor:
     params: dict = field(default_factory=dict)
     expected_spectrum: tuple[tuple[float, int], ...] | None = None
     dup_slots: tuple[tuple[int, float], ...] = ()
+
+    def __post_init__(self):
+        # target is built from bits only on first access, so a bad bits
+        # argument fails here, when the factor is made
+        if not (isinstance(self.bits, tuple) and len(self.bits) == len(self.M)):
+            raise BadParams("GramFactor needs its target's creation bits, one per row of M")
 
     @property
     def n(self) -> int:
@@ -246,34 +251,32 @@ def _pair_starts(s: int, m: int) -> tuple[range, range]:
     return range(0, m - 2, 2), range(m + 1, s, 2)
 
 
-def _paired_columns(s: int, m: int) -> tuple[np.ndarray, np.ndarray]:
-    """The paired-column seed of block count s whose block m is the
-    (0, 0, 1) one: its s x (s+1) dominating rows D and its squared tails
-    f2, one per column.  Columns are 0-based here; the middle column is
-    m - 1.
+def _paired_columns(s: int, m: int) -> np.ndarray:
+    """The s x (s+1) dominating rows D of the paired-column seed of block
+    count s whose block m is the (0, 0, 1) one.  Columns are 0-based here;
+    the middle column is m - 1.
 
     Run i ends at column i before the middle column and at column i + 1
     from it on, so the middle column ends none.  Columns pair greedily on
-    each side of the middle pair (m - 1, m).  A run's row is ones up to
-    its end column, and ends in a 2 when that column is the second of an
-    ordinary pair.  Each column c also has a tail, one isolated row whose
-    only entry sits in column c.  The equal-norm equations of a pair
-    (a, b), |D_a|^2 + f2_a = |D_b|^2 + f2_b = D_a . D_b + 3 (+ 1 in the
-    middle pair), solve to f2 = 3 in the first column of an ordinary pair
-    and 1 everywhere else, which is also an unpaired column's tail.  So
-    each ordinary pair gives eigenvalue 3 (eigenvector e_a - e_b) and the
-    middle pair, whose two columns of D are equal, eigenvalue 1.
+    each side of the middle pair (m - 1, m) (`_pair_starts`).  A run's row
+    is ones up to its end column, and ends in a 2 when that column is the
+    second of an ordinary pair.  Each column c also has a tail, one
+    isolated row whose only entry sits in column c.  The equal-norm
+    equations of a pair (a, b), |D_a|^2 + f2_a = |D_b|^2 + f2_b = D_a . D_b
+    + 3 (+ 1 in the middle pair), solve to squared tails f2 = 3 in the
+    first column of an ordinary pair and 1 everywhere else, which is also
+    an unpaired column's tail (`section12_form`).  So each ordinary pair
+    gives eigenvalue 3 (eigenvector e_a - e_b) and the middle pair, whose
+    two columns of D are equal, eigenvalue 1.
     """
     left, right = _pair_starts(s, m)
-    ends = np.arange(s)
-    ends[m - 1:] += 1
-    D = (np.arange(s + 1) <= ends[:, None]).astype(float)
+    D = np.tri(s, s + 1, 1)  # ones through column i + 1 in row i
+    before = np.arange(m - 1)  # the runs that end before the middle column
+    D[before, before + 1] = 0.0
     # the run ending at the second column a + 1 of pair (a, a + 1) is run
     # a + 1 left of the middle pair and run a right of it
     D[[a + 1 for a in left] + list(right), [a + 1 for a in (*left, *right)]] = 2.0
-    f2 = np.ones(s + 1)
-    f2[[*left, *right]] = 3.0
-    return D, f2
+    return D
 
 
 def _section12_bits(s: int, m: int) -> tuple[int, ...]:
@@ -283,42 +286,43 @@ def _section12_bits(s: int, m: int) -> tuple[int, ...]:
 def section12_form(s: int, m: int) -> tuple[tuple, tuple[tuple[int, float], ...]]:
     """section12_factor(s, m)'s block form blocks, (0,1)^(m-1) (0,0,1)
     (0,1)^(s-m), and its dup slots, read without building the seed: every
-    zero, in column order, with its column's squared tail
+    zero, in column order, with its column's squared tail f2
     (`_paired_columns`), 3 in the first column of an ordinary pair and 1
-    elsewhere, which is its diagonal entry and an eigenvalue."""
-    firsts = set(itertools.chain(*_pair_starts(s, m)))
-    zeros = (i for i, b in enumerate(_section12_bits(s, m)) if not b)
+    elsewhere, which is its diagonal entry and an eigenvalue.  The seed
+    takes its tails from these slots, so they are its one source."""
+    left, right = _pair_starts(s, m)
+    firsts = {*left, *right}
     blocks = ((1, 1),) * (m - 1) + ((2, 1),) + ((1, 1),) * (s - m)
-    return blocks, tuple((v, 3.0 if c in firsts else 1.0) for c, v in enumerate(zeros))
+    # column c's zero is vertex 2c up to the middle column m - 1, 2c - 1 after it
+    return blocks, tuple((2 * c - (c >= m), 3.0 if c in firsts else 1.0) for c in range(s + 1))
 
 
 def section12_factor(s: int, m: int) -> GramFactor:
     """Paired-column seed, the duplication chain's last resort and the
     general upper bound's witness: blocks all (0,1) except block m,
-    which is (0,0,1) (`section12_form`).  It is `_paired_columns`'s D and
-    tails in the gate's form (`_gate_factor`): run j's dominating row
-    follows its zeros, and the zeros take the columns' tails in column
-    order.  q is at most 3 plus the number of unpaired-or-pair leftovers,
-    within floor((s+9)/2) for every parity.  Every isolated diagonal entry
-    (1 or 3) is an eigenvalue, so all zero blocks may be grown by
-    duplication.  expected_spectrum is the clustered spectrum of the
-    (s+1) x (s+1) cogram M^T M plus n-s-1 zeros, which is Spec(M M^T)
-    without solving the n x n gram; its length is the seed's q, which the
-    chain planner compares across sources.  Chain step labels name the
-    factor by its construction_id, "ub_case1", though construct_library
-    does not build it.  No graph is built: its `target` comes on first
-    access.
+    which is (0,0,1).  It is `_paired_columns`'s D in the gate's form
+    (`_gate_factor`), with the squared tails its dup slots list
+    (`section12_form`): run j's dominating row follows its zeros, and the
+    zeros take the columns' tails in column order.  q is at most 3 plus
+    the number of unpaired-or-pair leftovers, within floor((s+9)/2) for
+    every parity.  Every isolated diagonal entry (1 or 3) is an
+    eigenvalue, so all zero blocks may be grown by duplication.
+    expected_spectrum is the clustered spectrum of the (s+1) x (s+1)
+    cogram M^T M plus n-s-1 zeros, which is Spec(M M^T) without solving the
+    n x n gram; its length is the seed's q, which the chain planner
+    compares across sources.  Chain step labels name the factor by its
+    construction_id, "ub_case1", though construct_library does not build
+    it.  No graph is built: its `target` comes on first access.
     """
     if not (is_int(s) and is_int(m)):
         raise BadParams("section12_factor needs int s and m")
     s, m = int(s), int(m)
-    D, f2 = _paired_columns(s, m)
+    _, dup_slots = section12_form(s, m)
     bits = _section12_bits(s, m)
-    M = _gate_factor(bits, D, np.sqrt(f2))
-    spec = cluster_spectrum(np.concatenate((eigen_sym(M.T @ M), np.zeros(len(bits) - s - 1))))
-    isolated = (i for i, b in enumerate(bits) if not b)
+    M = _gate_factor(bits, _paired_columns(s, m), np.sqrt([f2 for _, f2 in dup_slots]))
+    spec = cluster_spectrum(np.concatenate((eigen_sym(M.T @ M), np.zeros(s))))
     return GramFactor(M, bits, "ub_case1", {"s": s, "m": m},
-                      expected_spectrum=spec.distinct, dup_slots=tuple(zip(isolated, f2.tolist())))
+                      expected_spectrum=spec.distinct, dup_slots=dup_slots)
 
 
 CONSTRUCTIONS = {

@@ -657,7 +657,8 @@ def test_seed_table_is_in_q_order():
             seed = build()
             assert q is None and seed.params == {"s": s, "m": m}, (s, m)
             assert blocks == seed.target.block_form.blocks and dup_slots == seed.dup_slots, (s, m)
-            # every zero is a slot, at its diagonal entry, which is an eigenvalue
+            # every zero is a slot, at its diagonal entry, which is an
+            # eigenvalue: the slots are where the seed takes its tails from
             A, values = gram(seed), np.array([v for v, _ in seed.expected_spectrum])
             assert [v for v, _ in dup_slots] == list(seed.target.isolated), (s, m)
             for v, lam in dup_slots:

@@ -109,6 +109,10 @@ def test_single_column_factor():
     assert np.allclose(gram(f), np.ones((2, 2)))
     # the target graph is built from the bits on first access, then kept
     assert "target" not in vars(f) and f.target == G and f.target is f.target
+    # bits that are not one creation bit per row fail when the factor is made
+    for bits in (G, G.creation, (0, 1, 1)):
+        with pytest.raises(BadParams):
+            GramFactor(M, bits, "adhoc")
 
 
 def test_bad_construction_params():
