@@ -22,6 +22,7 @@ from .gram import (
     jdup_realization,
     orthogonal_certificate,
     section12_factor,
+    section12_q,
 )
 from .orthosearch import (
     Feasible,

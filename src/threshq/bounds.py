@@ -16,8 +16,8 @@ prebuilt seeds, the liberated prop_a15a19 seeds among them), else the
 paired-column seed.  Every seed is first a descriptor, a `Seed` of its
 blocks, dup slots and q, so the planner compares the sources on data and
 keeps the one whose seed has the fewest distinct eigenvalues; it builds
-that seed, and a paired-column seed, whose q is read off the built seed,
-only when the comparison needs its q.  The paper's general floor((s+9)/2) bound,
+that seed alone, since a paired-column seed's q is a closed form
+(`gram.section12_q`).  The paper's general floor((s+9)/2) bound,
 `ub_section12`, and the SSP supergraph lemma, `transfer_certificate`, are
 stated on that one planner and come on demand; the classifier calls
 neither.  Every certificate re-verifies from its payload alone, under a
@@ -192,18 +192,13 @@ class ChainPlan:
 
 class Seed(NamedTuple):
     """A seed as data: the blocks of its block form, its dup slots and its
-    q, read before build() makes it.  q is None for a paired-column seed,
-    whose q is read off the built seed and is at least _PAIRED_COLUMN_MIN_Q."""
+    q, all read before build() makes it; a paired-column seed's q is
+    `gramlib.section12_q`'s closed form."""
 
     blocks: tuple[tuple[int, int], ...]
     dup_slots: tuple[tuple[int, float], ...]
-    q: int | None
+    q: int
     build: Callable[[], gramlib.GramFactor]
-
-
-# Every paired-column seed has q >= 4 (checked for s <= 92), and every
-# seed-table seed q <= 4, so the table's first fit is its least-q seed.
-_PAIRED_COLUMN_MIN_Q = 4
 
 
 # The prebuilt seeds that follow thm00(s) in `_seed_table`, built once at
@@ -275,9 +270,12 @@ def _section12_m(bf) -> int | None:
 
 
 def _paired_column_seed(s: int, m: int) -> Seed:
-    """section12_factor(s, m) as data (`gramlib.section12_form`), with q
-    None: its q is known only once it is built."""
-    return Seed(*gramlib.section12_form(s, m), None, lambda: gramlib.section12_factor(s, m))
+    """section12_factor(s, m) as data: its form and slots
+    (`gramlib.section12_form`) and its q (`gramlib.section12_q`); the build
+    takes its slots from here."""
+    blocks, dup_slots = gramlib.section12_form(s, m)
+    return Seed(blocks, dup_slots, gramlib.section12_q(s, m),
+                lambda: gramlib.section12_factor(s, m, dup_slots))
 
 
 def _section12_plan(bf) -> ChainPlan | None:
@@ -296,8 +294,9 @@ def _seed_table(bf) -> tuple[Seed, ...]:
     thm00(s), blocks (0,1)^s, q = 3 and its one dup slot, vertex 0 at
     `gramlib.thm00_lambda(s)`, then `_CATALOG_SEEDS[s]`, each with its
     expected spectrum's length, the liberated seeds among them.  Every
-    entry has q <= 4 and every paired-column seed q >= 4, so the first
-    entry that fits bf is its least-q seed."""
+    entry has q <= 4 and every paired-column seed q >= 4
+    (`gramlib.section12_q`), so the first entry that fits bf is its
+    least-q seed."""
     s, k = bf.s, bf.ks[0]
     if s == 1:
         return (Seed(((k, 1),), (), 2 if k == 1 else 3,
@@ -335,23 +334,11 @@ def _chain_plan(bf) -> ChainPlan:
     """The duplication chain's plan: the source whose first fitting seed
     has the fewest distinct eigenvalues, G's own form on a tie, carried to
     G.  Every step keeps q, so the seed's q is the chain's.  The sources
-    are compared on their `Seed` descriptors before anything is built: an
-    unbuilt paired-column seed counts at _PAIRED_COLUMN_MIN_Q, its least
-    q, and is built only while that floor leads the (q, source) order, so
-    the winner is the one a comparison of built seeds picks.  When a table
-    seed has q <= 3, or every source has a table fit, no paired-column
-    seed is built; then the winner is built, once."""
-    fits = [(*_first_fit(src), t) for src, t in _sources(bf)]
-    seeds = [seed for seed, _, _ in fits]
-    while True:
-        i = min(range(len(seeds)), key=lambda i: (
-            _PAIRED_COLUMN_MIN_Q if seeds[i].q is None else seeds[i].q, i))
-        if seeds[i].q is not None:
-            break
-        f = seeds[i].build()
-        seeds[i] = seeds[i]._replace(q=len(f.expected_spectrum), build=lambda f=f: f)
-    _, steps, t = fits[i]
-    return _joined(ChainPlan(seeds[i].build(), *steps), t)
+    are compared on their `Seed` descriptors, whose q is known unbuilt, so
+    only the winner is built, once."""
+    seed, steps, t = min(((*_first_fit(src), t) for src, t in _sources(bf)),
+                         key=lambda fit: fit[0].q)
+    return _joined(ChainPlan(seed.build(), *steps), t)
 
 
 def _chain_steps(plan: ChainPlan) -> tuple[str, ...]:
@@ -366,21 +353,17 @@ def run_chain(plan: ChainPlan) -> tuple[np.ndarray, np.ndarray]:
     """Realize a plan, with the spectrum it carries: the seed's values, lam
     per dup step and lambda_min per jdup step.  Each run of equal steps is
     a dup run at lam or a jdup run at lambda_min; `gramlib.grow_factor`
-    grows the seed's factor by all of them, and the matrix is one product
-    F F^T of F's rows in creation order.  Copies are appended, so plan
-    indices keep naming seed vertices, and go right after the vertex they
-    copy (a joined copy of vertex 0 opens (0, 1, ...))."""
+    grows the seed's factor by all of them, placing each run's copies right
+    after the seed vertex they copy, so F's rows are already in creation
+    order (a joined copy of vertex 0 opens (0, 1, ...)) and the matrix is
+    the one product F F^T."""
     seed = plan.seed
     carried = spectrum_values(seed.expected_spectrum).tolist() + [lam for _, lam in plan.dup_steps]
     lam_min = min(carried)
     carried += [lam_min] * len(plan.jdup_steps)
     runs = [(v, lam, len(list(steps))) for (v, lam), steps in itertools.groupby(plan.dup_steps)]
     runs += [(v, lam_min, len(list(steps))) for v, steps in itertools.groupby(plan.jdup_steps)]
-    F, order = gramlib.grow_factor(seed.M, runs), list(range(seed.n))
-    for v, _, k in runs:
-        at = order.index(v) + 1
-        order[at:at] = range(len(order), len(order) + k)
-    F = F[order]
+    F = gramlib.grow_factor(seed.M, runs)
     return F @ F.T, np.array(carried)
 
 

@@ -242,12 +242,21 @@ def _prop_a15a19(base: str = "00100101") -> GramFactor:
                       expected_spectrum=((0.0, 3), (3.0, 3), (11.0, 2)))
 
 
+def _section12_params(s, m) -> tuple[int, int]:
+    """s and m of a paired-column seed as ints: BadParams unless both are
+    ints, not bools, with s >= 2 and 1 <= m <= s."""
+    if not (is_int(s) and is_int(m)):
+        raise BadParams("the paired-column seed needs int s and m")
+    s, m = int(s), int(m)
+    if s < 2 or not (1 <= m <= s):
+        raise BadParams("the paired-column seed needs s >= 2 and 1 <= m <= s")
+    return s, m
+
+
 def _pair_starts(s: int, m: int) -> tuple[range, range]:
     """The first column of each ordinary pair of the paired-column seed,
     left and right of its middle pair (m - 1, m): columns pair greedily on
     each side of it."""
-    if s < 2 or not (1 <= m <= s):
-        raise BadParams("need s >= 2 and 1 <= m <= s")
     return range(0, m - 2, 2), range(m + 1, s, 2)
 
 
@@ -289,7 +298,9 @@ def section12_form(s: int, m: int) -> tuple[tuple, tuple[tuple[int, float], ...]
     zero, in column order, with its column's squared tail f2
     (`_paired_columns`), 3 in the first column of an ordinary pair and 1
     elsewhere, which is its diagonal entry and an eigenvalue.  The seed
-    takes its tails from these slots, so they are its one source."""
+    takes its tails from these slots, so they are its one source.
+    BadParams unless s and m are ints with s >= 2 and 1 <= m <= s."""
+    s, m = _section12_params(s, m)
     left, right = _pair_starts(s, m)
     firsts = {*left, *right}
     blocks = ((1, 1),) * (m - 1) + ((2, 1),) + ((1, 1),) * (s - m)
@@ -297,27 +308,56 @@ def section12_form(s: int, m: int) -> tuple[tuple, tuple[tuple[int, float], ...]
     return blocks, tuple((2 * c - (c >= m), 3.0 if c in firsts else 1.0) for c in range(s + 1))
 
 
-def section12_factor(s: int, m: int) -> GramFactor:
+# The two (s, m) where `section12_q` leaves its rule.
+_SECTION12_Q_EXCEPTIONS = {(2, 2): 4, (3, 2): 5}
+
+
+def section12_q(s: int, m: int) -> int:
+    """q of the paired-column seed section12_factor(s, m) in closed form,
+    with nothing built.  With b = s // 2 + 3: for even s, b when m = 1 or m
+    is even and >= 4, else b + 1; for odd s, b when m = 1, b + 2 when m is
+    2 or s - 1, else b + 1; except (2, 2) and (3, 2), which read 4 and 5.
+    So q >= 4, with b the least over m, and q <= floor((s+9)/2), the
+    paper's general bound, which the largest reaches for s >= 4.
+
+    Checked, not derived: it is the length of the built seed's
+    expected_spectrum for every m and s <= 57, and the count of the
+    cogram's eigenvalues plus zeros clustered at 1e-10 of their spread,
+    with every gap between clusters at least 150 times that and none inside
+    one above 1e-5 times it, for every m and s <= 129 (tests/test_gram.py).
+    The chain planner compares it across sources; the chain check still
+    compares the realized matrix with the built seed's spectrum and q, so
+    a wrong value here could change which source is planned, never a
+    certified value.  BadParams as for `section12_form`."""
+    s, m = _section12_params(s, m)
+    if (s, m) in _SECTION12_Q_EXCEPTIONS:
+        return _SECTION12_Q_EXCEPTIONS[s, m]
+    b = s // 2 + 3
+    if s % 2 == 0:
+        return b if m == 1 or (m >= 4 and m % 2 == 0) else b + 1
+    return b if m == 1 else b + 2 if m in (2, s - 1) else b + 1
+
+
+def section12_factor(s: int, m: int, dup_slots=None) -> GramFactor:
     """Paired-column seed, the duplication chain's last resort and the
     general upper bound's witness: blocks all (0,1) except block m,
     which is (0,0,1).  It is `_paired_columns`'s D in the gate's form
     (`_gate_factor`), with the squared tails its dup slots list
-    (`section12_form`): run j's dominating row follows its zeros, and the
-    zeros take the columns' tails in column order.  q is at most 3 plus
-    the number of unpaired-or-pair leftovers, within floor((s+9)/2) for
-    every parity.  Every isolated diagonal entry (1 or 3) is an
-    eigenvalue, so all zero blocks may be grown by duplication.
-    expected_spectrum is the clustered spectrum of the (s+1) x (s+1)
-    cogram M^T M plus n-s-1 zeros, which is Spec(M M^T) without solving the
-    n x n gram; its length is the seed's q, which the chain planner
-    compares across sources.  Chain step labels name the factor by its
-    construction_id, "ub_case1", though construct_library does not build
-    it.  No graph is built: its `target` comes on first access.
+    (`section12_form`; a caller that has read them already passes them as
+    dup_slots, so they are derived once): run j's dominating row follows
+    its zeros, and the zeros take the columns' tails in column order.
+    Every isolated diagonal entry (1 or 3) is an eigenvalue, so all zero
+    blocks may be grown by duplication.  expected_spectrum is the
+    clustered spectrum of the (s+1) x (s+1) cogram M^T M plus n-s-1 zeros,
+    which is Spec(M M^T) without solving the n x n gram; its length is the
+    q a chain of the seed is checked against, and `section12_q` gives it
+    unbuilt.  Chain step labels name the factor by its construction_id,
+    "ub_case1", though construct_library does not build it.  No graph is
+    built: its `target` comes on first access.
     """
-    if not (is_int(s) and is_int(m)):
-        raise BadParams("section12_factor needs int s and m")
-    s, m = int(s), int(m)
-    _, dup_slots = section12_form(s, m)
+    s, m = _section12_params(s, m)
+    if dup_slots is None:
+        _, dup_slots = section12_form(s, m)
     bits = _section12_bits(s, m)
     M = _gate_factor(bits, _paired_columns(s, m), np.sqrt([f2 for _, f2 in dup_slots]))
     spec = cluster_spectrum(np.concatenate((eigen_sym(M.T @ M), np.zeros(s))))
@@ -377,46 +417,52 @@ def duplicate_run(B: np.ndarray, n: int, v: int, lam: float, u) -> None:
     B[:m, v] = B[v, :m]
 
 
-def _runs_at_once(F: np.ndarray, runs) -> np.ndarray:
-    """F grown by runs (v, lam, k) on distinct rows v of F, copies appended
-    in run order, by one gather and one Helmert block: rows v and its
+def _runs_at_once(F: np.ndarray, runs: dict) -> np.ndarray:
+    """F grown by runs {v: (lam, k)} on rows v of F, each run's k copies
+    right after row v, by one gather and one Helmert block: row v and its
     copies become F_v / sqrt(k+1), plus sqrt(lam) times their rows of the
     (k+1) x k Helmert basis of 1^perp (column j: 1 / sqrt(j(j+1)) on its
     first j rows, -j / sqrt(j(j+1)) on row j+1) in k new columns.  A run at
     lam <= 0 takes no columns, so its copies are joined."""
     n, c = F.shape
-    src, scale, members, lo, j, w = list(range(n)), [1.0] * n, [], [], [], []
-    for v, lam, k in runs:
-        scale[v] = 1 / math.sqrt(k + 1)
-        if lam > 0:  # members: v, then its copies; column j has rows lo..lo+j
-            lo += [len(members)] * k
+    reps, scale = [1] * n, [1.0] * n
+    lo, j, lams, shift = [], [], [], 0  # column j of a run has rows lo..lo+j
+    for v, (lam, k) in sorted(runs.items()):
+        reps[v], scale[v] = k + 1, 1 / math.sqrt(k + 1)
+        if lam > 0:
+            lo += [v + shift] * k
             j += range(1, k + 1)
-            w += [math.sqrt(lam / (i * (i + 1))) for i in range(1, k + 1)]
-            members += [v, *range(len(src), len(src) + k)]
-        src += [v] * k
-        scale += [scale[v]] * k
-    out = np.zeros((len(src), c + len(w)))
-    np.multiply(F[src], np.array(scale)[:, None], out=out[:, :c])
-    if w:
-        p, lo, j, w = np.arange(len(members))[:, None], np.array(lo), np.array(j), np.array(w)
-        out[members, c:] = np.where(p < lo + j, w, -j * w) * ((p >= lo) & (p <= lo + j))
+            lams += [lam] * k
+        shift += k
+    out = np.zeros((n + shift, c + len(j)))
+    out[:, :c] = np.repeat(F * np.array(scale)[:, None], reps, axis=0)
+    if j:
+        j = np.array(j)
+        w = np.sqrt(np.array(lams) / (j * (j + 1)))
+        p = np.arange(n + shift)[:, None] - lo
+        out[:, c:] = np.where(p < j, w, -j * w) * ((p >= 0) & (p <= j))
     return out
 
 
 def grow_factor(M: np.ndarray, runs) -> np.ndarray:
     """The factor F whose F F^T is the matrix `duplicate_run` grows from
-    M M^T run by run with uniform u: runs are (v, lam, k), v a row of the
-    factor so far, and each run's block is lam I + (|F_v|^2 - lam) J / (k+1).
-    Runs on distinct rows that exist already grow in one batch: a chain
-    needs one, or two when it dups and then joins vertex 0.  IndexError for
-    a row outside the factor."""
-    F, batch = np.asarray(M, dtype=float), []
-    for run in runs:
-        if not 0 <= run[0] < len(F) or run[0] in {v for v, _, _ in batch}:
-            F, batch = _runs_at_once(F, batch), []
-            if not 0 <= run[0] < len(F):
-                raise IndexError(f"row {run[0]} is outside the {len(F)}-row factor")
-        batch.append(run)
+    M M^T run by run with uniform u, its rows in creation order: runs are
+    (v, lam, k), v a row of M, each run's block is
+    lam I + (|F_v|^2 - lam) J / (k+1), and its k copies go right after row
+    v, ahead of any an earlier run made of v.  Runs on distinct rows grow
+    in one batch; a row that repeats, as when a chain dups and then joins
+    vertex 0, starts the next batch, which grows the row as the first left
+    it.  IndexError for a row outside M."""
+    F = np.asarray(M, dtype=float)
+    at, batch = list(range(len(F))), {}  # at[v]: where row v of M is in F
+    for v, lam, k in runs:
+        if not 0 <= v < len(at):
+            raise IndexError(f"row {v} is outside the {len(at)}-row factor")
+        if at[v] in batch:
+            F = _runs_at_once(F, batch)
+            at = [a + sum(bk for b, (_, bk) in batch.items() if b < a) for a in at]
+            batch = {}
+        batch[at[v]] = (lam, int(k))
     return _runs_at_once(F, batch) if batch else F
 
 

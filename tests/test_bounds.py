@@ -637,9 +637,10 @@ def test_chain_plan_keeps_the_source_with_the_smaller_q_everywhere():
 def test_seed_table_is_in_q_order():
     # the first fitting entry is the least-q fitting seed: within each s the
     # q of each built prebuilt seed never decreases and never exceeds 4, and
-    # every paired-column seed, always last, has q >= 4, the floor the
-    # planner compares it at unbuilt; each entry's form, dup slots and q,
-    # read before its seed is built, are the built seed's
+    # every paired-column seed, always last, has q >= 4 (its closed form,
+    # section12_q, is checked against the built seed in test_gram); each
+    # entry's form, dup slots and q, read before its seed is built, are the
+    # built seed's
     forms = [BlockForm(((k, 1),)) for k in (1, 2, 3)]  # the star's table reads k
     forms += [BlockForm(((1, 1),) * s) for s in range(2, 9)]
     for bf in forms:
@@ -655,7 +656,8 @@ def test_seed_table_is_in_q_order():
         for m in range(1, s + 1):
             blocks, dup_slots, q, build = bounds._paired_column_seed(s, m)
             seed = build()
-            assert q is None and seed.params == {"s": s, "m": m}, (s, m)
+            assert seed.params == {"s": s, "m": m}, (s, m)
+            assert q == len(seed.expected_spectrum) == q_of_matrix(gram(seed)) >= 4, (s, m)
             assert blocks == seed.target.block_form.blocks and dup_slots == seed.dup_slots, (s, m)
             # every zero is a slot, at its diagonal entry, which is an
             # eigenvalue: the slots are where the seed takes its tails from
@@ -663,9 +665,6 @@ def test_seed_table_is_in_q_order():
             assert [v for v, _ in dup_slots] == list(seed.target.isolated), (s, m)
             for v, lam in dup_slots:
                 assert abs(A[v, v] - lam) < 1e-9 and np.abs(values - lam).min() < 1e-9, (s, m, v)
-    for s in range(2, 93):
-        qs = [len(section12_factor(s, m).expected_spectrum) for m in range(1, s + 1)]
-        assert min(qs) >= bounds._PAIRED_COLUMN_MIN_Q, s
 
 
 def _alternating_after_the_first_run(ks):
@@ -1256,14 +1255,13 @@ def test_first_parity_ordered_seed_always_fits():
 
 
 def test_classify_builds_each_paired_column_seed_once(monkeypatch):
-    # one classify_q builds the seed it realizes and, of the other seeds,
-    # only the paired-column seeds whose q the comparison needs: unbuilt, a
-    # source with no table fit counts at q = 4, its least possible, so its
-    # seed is built only while (4, source index) leads the (q, index)
-    # comparison.  None is built when a table fit has q <= 3 or every
-    # source has a table fit.  The catalog and liberated seeds are built at
-    # import, no seed builds its target graph, and no chain step goes
-    # through the copying public step functions
+    # one classify_q builds exactly the seed it realizes, or nothing when
+    # that seed is prebuilt: a paired-column seed's q is a closed form, so
+    # no source's seed is built only to be compared.  The realized seed is
+    # the winner of the comparison of built seeds (fewest distinct
+    # eigenvalues, G's own form on a tie).  The catalog and liberated seeds
+    # are built at import, no seed builds its target graph, and no chain
+    # step goes through the copying public step functions
     prebuilt = {id(seed.build()) for entries in bounds._CATALOG_SEEDS.values() for seed in entries}
     seqs = [seq for n in range(2, 12) for seq in enumerate_connected(n)]
     seqs.append(G("0100010001100011000111000111").creation)  # `long`-shaped, s = 6
@@ -1273,8 +1271,8 @@ def test_classify_builds_each_paired_column_seed_once(monkeypatch):
     def label(f):
         return f.construction_id, f.params
 
-    def building(s, m):
-        built.append(section12_factor(s, m))
+    def building(s, m, dup_slots=None):
+        built.append(section12_factor(s, m, dup_slots))
         return built[-1]
 
     def constructing(construction_id, **params):
@@ -1297,7 +1295,7 @@ def test_classify_builds_each_paired_column_seed_once(monkeypatch):
     monkeypatch.setattr(bounds.gramlib, "dup_realization", copying)
     monkeypatch.setattr(bounds.gramlib, "jdup_realization", copying)
     monkeypatch.setattr(bounds.gramlib, "build_graph", graphing)
-    chains = two_built = skipped = 0
+    chains = two_paired = 0
     for seq in seqs:
         built.clear()
         realized.clear()
@@ -1305,35 +1303,46 @@ def test_classify_builds_each_paired_column_seed_once(monkeypatch):
         if not realized:  # the gate's completion
             assert not built, seq.text
             continue
+        (seed,) = realized
+        assert [id(f) for f in built] == ([] if id(seed) in prebuilt else [id(seed)]), seq.text
         sources = firsts[seq.text]
         qs = [len(f.expected_spectrum) for f in sources]
-        paired = [f.construction_id == "ub_case1" for f in sources]
-        w = min(range(len(sources)), key=lambda i: (qs[i], i))
-        needed = [f for i, f in enumerate(sources) if paired[i] and (4, i) <= (qs[w], w)]
-        if not (paired[w] or id(sources[w]) in prebuilt):
-            needed.append(sources[w])
-        assert [label(f) for f in built] == [label(f) for f in needed], seq.text
-        if not all(paired) and (min(q for q, p in zip(qs, paired) if not p) <= 3 or not any(paired)):
-            assert all(f.construction_id != "ub_case1" for f in built), seq.text
-        candidates = built + [f for f in sources if id(f) in prebuilt]
-        assert len(realized) == 1 and any(realized[0] is f for f in candidates), seq.text
-        assert label(realized[0]) == label(sources[w]), seq.text
+        assert label(seed) == label(sources[qs.index(min(qs))]), seq.text
         chains += 1
-        two_built += sum(f.construction_id == "ub_case1" for f in built) == 2
-        skipped += sum(paired) > sum(f.construction_id == "ub_case1" for f in built)
-    # both sources build a paired-column seed, and the leading merge's
-    # (5, 1) at q = 5 wins over G's own (6, 2) at q = 7
-    assert [(f.params["s"], f.params["m"]) for f in built] == [(6, 2), (5, 1)]
-    assert realized[0] is built[1]
-    assert chains and two_built and skipped
+        two_paired += [f.construction_id for f in sources] == ["ub_case1"] * 2
+    # both sources' first fits are paired-column seeds, G's own (6, 2) at
+    # q = 7 and the leading merge's (5, 1) at q = 5: only (5, 1) is built
+    assert [(f.params["s"], f.params["m"]) for f in built] == [(5, 1)]
+    assert chains and two_paired
+
+
+def test_planned_seed_has_the_least_built_q_of_the_first_fits():
+    # the comparison of built seeds, the planner's before section12_q: build
+    # every source's first fit, keep the least len(expected_spectrum), G's
+    # own form on a tie; the planner, which builds only the winner, keeps
+    # the same plan, and every descriptor's q is its built seed's
+    compared = 0
+    for n in range(2, 13):
+        for seq in enumerate_connected(n):
+            bf = block_form(seq)
+            fits = [bounds._first_fit(src)[0] for src, _ in _sources(bf)]
+            plans = _source_plans(bf)
+            qs = [len(plan.seed.expected_spectrum) for plan in plans]
+            assert [seed.q for seed in fits] == qs, seq.text
+            assert _chain_steps(_chain_plan(bf)) == _chain_steps(plans[qs.index(min(qs))]), seq.text
+            compared += len(plans) == 2
+    assert compared > 500
 
 
 @pytest.mark.xfail(raises=SelfCheckError, strict=True, reason=(
     "section12_factor(93, 1) clusters its cogram spectrum at 1e-6 of the spread, "
     "which merges two distinct eigenvalues, so the chain's spectrum check fails"))
 def test_paired_column_row_at_s93_classifies():
-    # 001001(01)^91, n = 188, s = 93: the smallest row found whose plan
-    # grows a paired-column seed with an undercounted spectrum
+    # 001001(01)^91, n = 188, s = 93: a row whose planned seed, the least q
+    # of its sources, has an undercounted spectrum, so the chain check
+    # fails.  Undercounts start at s = 58 for middle m (see the mid-m rows
+    # below, whose undercounted seeds are no longer planned), at s = 93 for
+    # m = 1
     g = G("001001" + "01" * 91)
     assert verify_qbound(g, classify_q(g))
 
@@ -1345,6 +1354,25 @@ def test_paired_column_row_at_s92_classifies():
     qb = classify_q(g)
     assert (qb.lower, qb.upper) == (3, 49) and verify_qbound(g, qb)
     assert qb.upper_certs[0].payload["chain"][0] == "seed:ub_case1{'s': 92, 'm': 1}"
+
+
+@pytest.mark.parametrize("text, upper", [
+    ("01" * 29 + "001" + "01" * 28, 31),  # n = 117, s = 58, m = 30
+    ("01" * 31 + "001" + "01" * 32, 34),  # n = 129, s = 64, m = 32
+    ("01" * 35 + "001" + "01" * 34, 37),  # n = 141, s = 70, m = 36
+], ids=lambda x: f"n{len(x)}" if isinstance(x, str) else str(x))
+def test_mid_m_paired_column_rows_classify(text, upper):
+    # G's own paired-column seed clusters its spectrum at 1e-6 of the
+    # spread into one value fewer than it has (section12_factor(58, 30)
+    # reads 31 where section12_q gives 32), which tied the leading merge's
+    # q and kept the undercounted seed, so the chain check raised.  With
+    # the closed form the leading merge's seed wins outright
+    g = G(text)
+    s = block_form(g.creation).s
+    qb = classify_q(g)
+    assert (qb.lower, qb.upper) == (3, upper) and verify_qbound(g, qb)
+    assert qb.upper_certs[0].payload["chain"][0] == f"seed:ub_case1{{'s': {s - 1}, 'm': 1}}"
+    assert qb.upper_certs[0].payload["chain"][-1] == "jdup(0)"
 
 
 @pytest.mark.parametrize("n", [128, 256])
@@ -1420,12 +1448,13 @@ def _count_matrix_checks(monkeypatch, orders):
 def test_one_classification_eigensolve_budget(monkeypatch):
     # one classify_q eigensolves the OrthoUB completion once, the realized
     # chain once, in its one check_matrix, a transfer chain included, and
-    # each paired-column seed's cogram once, and nothing else
+    # the cogram of the one paired-column seed it builds, the realized one,
+    # once, and nothing else
     solves, factors, matrix_checks = [], [], []
 
-    def building(s, m):
+    def building(s, m, dup_slots=None):
         factors.append((s, m))
-        return section12_factor(s, m)
+        return section12_factor(s, m, dup_slots)
 
     _count_eigensolves(monkeypatch, solves)
     _count_matrix_checks(monkeypatch, matrix_checks)
@@ -1439,17 +1468,18 @@ def test_one_classification_eigensolve_budget(monkeypatch):
         chain = upper.provenance == "duplication chain"
         assert len(solves) == (upper.kind == "OrthoUB") + chain + len(factors), (seq.text, solves)
         assert matrix_checks == [seq.n] * chain, (seq.text, matrix_checks)
+        assert len(factors) == (upper.payload.get("chain", ("",))[0].startswith("seed:ub_case1"))
         kinds.add((upper.kind, len(factors), _is_transfer(upper)))
-    assert {("OrthoUB", 0, False), ("DupChainUB", 0, True), ("DupChainUB", 2, False)} <= kinds
+    assert {("OrthoUB", 0, False), ("DupChainUB", 0, True), ("DupChainUB", 1, False)} <= kinds
 
 
 def test_one_symmetry_check_per_certificate_matrix(monkeypatch):
     # classify_q validates its certificate matrix once, in that matrix's one
-    # eigensolve (a chain's in its check_matrix), and each paired-column
-    # seed's cogram once; verify_certificate then validates the certificate
-    # matrix once, in one check_matrix.  Every validation, check_symmetric's
-    # and check_matrix's, is one spectra._validated call.  A transfer chain
-    # costs what any chain does.
+    # eigensolve (a chain's in its check_matrix), and the realized
+    # paired-column seed's cogram once; verify_certificate then validates
+    # the certificate matrix once, in one check_matrix.  Every validation,
+    # check_symmetric's and check_matrix's, is one spectra._validated call.
+    # A transfer chain costs what any chain does.
     from threshq import spectra
 
     checks, factors, matrix_checks = [], [], []
@@ -1459,9 +1489,9 @@ def test_one_symmetry_check_per_certificate_matrix(monkeypatch):
         checks.append(len(A))
         return validate(A)
 
-    def building(s, m):
+    def building(s, m, dup_slots=None):
         factors.append((s, m))
-        return section12_factor(s, m)
+        return section12_factor(s, m, dup_slots)
 
     monkeypatch.setattr(spectra, "_validated", validating)
     _count_matrix_checks(monkeypatch, matrix_checks)

@@ -23,6 +23,8 @@ from threshq.gram import (
     jdup_realization,
     orthogonal_certificate,
     section12_factor,
+    section12_form,
+    section12_q,
 )
 from threshq.orthosearch import SupportPattern
 from threshq.sequences import creation_order_of, dup_graph, graph_from_text, jdup_graph
@@ -130,10 +132,13 @@ def test_bad_construction_params():
         construct_library("prop_a15a19", base="01010101")
     with pytest.raises(BadParams):
         construct_library("prop_a15a19", base=["00100101"])
-    # parameters must be ints, and not bools, which are ints to isinstance
-    for s, m in ((3, True), (2.0, 1), (True, 1), (3, 1.0), ("3", 1)):
-        with pytest.raises(BadParams):
-            section12_factor(s, m)
+    # parameters must be ints, and not bools, which are ints to isinstance,
+    # with s >= 2 and 1 <= m <= s, whether the seed is built, read as a
+    # form or counted in closed form
+    for s, m in ((3, True), (2.0, 1), (True, 1), (3, 1.0), ("3", 1), (1, 1), (3, 0), (3, 4)):
+        for paired_column in (section12_factor, section12_form, section12_q):
+            with pytest.raises(BadParams):
+                paired_column(s, m)
     for cid, key in (("star", "k"), ("thm00", "t")):
         for bad in (True, 3.0):
             with pytest.raises(BadParams):
@@ -251,6 +256,43 @@ def test_section12_all_parities():
             for v, lam in f.dup_slots:
                 assert abs(A[v, v] - lam) < 1e-9
                 assert np.min(np.abs(w - lam)) < 1e-8
+
+
+def test_section12_q_is_the_built_seeds_q():
+    # the closed form is the length of the built seed's expected spectrum
+    # for every m and s <= 57, at least s // 2 + 3 >= 4 and at most the
+    # paper's floor((s+9)/2), which the largest reaches from s = 4 on
+    for s in range(2, 58):
+        qs = [section12_q(s, m) for m in range(1, s + 1)]
+        assert qs == [len(section12_factor(s, m).expected_spectrum) for m in range(1, s + 1)], s
+        assert min(qs) == s // 2 + 3 and max(qs) <= (s + 9) // 2, s
+        assert s < 4 or max(qs) == (s + 9) // 2, s
+    assert type(section12_q(np.int64(6), np.int64(2))) is int
+
+
+def _paired_column_cogram(s, m):
+    """section12_factor(s, m)'s cogram D^T D + diag(tails^2), unbuilt."""
+    D = gramlib._paired_columns(s, m)
+    return D.T @ D + np.diag([f2 for _, f2 in section12_form(s, m)[1]])
+
+
+def test_section12_q_counts_the_cogram_spectrum_at_a_tight_tolerance():
+    # for every m and s <= 129 the closed form is the count of the cogram's
+    # eigenvalues plus the gram's s other zeros clustered at tol = 1e-10 of
+    # their spread, and that count is unambiguous: every gap between
+    # clusters is at least 150 tol, and no gap inside one exceeds 1e-5 tol
+    for s in range(2, 13):
+        for m in range(1, s + 1):
+            assert close_to(_paired_column_cogram(s, m), cogram(section12_factor(s, m)), 1.0)
+    for s in range(2, 130):
+        for m in range(1, s + 1):
+            eigs = np.sort(np.concatenate((np.linalg.eigvalsh(_paired_column_cogram(s, m)),
+                                           np.zeros(s))))
+            gaps, tol = np.diff(eigs), 1e-10 * (eigs[-1] - eigs[0])
+            split = gaps > tol
+            assert 1 + np.count_nonzero(split) == section12_q(s, m), (s, m)
+            assert gaps[split].min() >= 150 * tol, (s, m)
+            assert gaps[~split].max(initial=0.0) <= 1e-5 * tol, (s, m)
 
 
 # ---------------------------------------------------------------- dup
@@ -466,33 +508,32 @@ def test_run_kernel_matches_the_householder_reference(k):
 
 def _runs_in_a_buffer(M, runs):
     """M M^T grown by `duplicate_run` with uniform u, one call per run, in a
-    buffer whose copies are appended: the matrix `grow_factor` factors."""
+    buffer whose copies are appended, then permuted into creation order,
+    each run's copies right after the row they copy and ahead of any an
+    earlier run made of it: the matrix `grow_factor` factors."""
     M = np.asarray(M, dtype=float)
     n = len(M)
     B = np.zeros((n + sum(k for _, _, k in runs),) * 2)
     B[:n, :n] = M @ M.T
+    order = list(range(n))
     for v, lam, k in runs:
         duplicate_run(B, n, v, lam, np.full(k + 1, 1 / math.sqrt(k + 1)))
+        at = order.index(v) + 1
+        order[at:at] = range(n, n + k)
         n += k
-    return B
+    return B[np.ix_(order, order)]
 
 
 def _random_runs(rng, n, count):
-    """count runs (v, lam, k) on rows of the factor grown so far: a row may
-    repeat, be a copy, or take lam = 0 (a jdup at lambda_min = 0)."""
-    runs = []
-    for _ in range(count):
-        v = int(rng.integers(n))
-        lam = float(rng.choice([0.0, rng.uniform(0.1, 9.0)]))
-        k = int(rng.integers(1, 5))
-        runs.append((v, lam, k))
-        n += k
-    return runs
+    """count runs (v, lam, k) on the n rows of the factor: a row may repeat
+    or take lam = 0 (a jdup at lambda_min = 0)."""
+    return [(int(rng.integers(n)), float(rng.choice([0.0, rng.uniform(0.1, 9.0)])),
+             int(rng.integers(1, 5))) for _ in range(count)]
 
 
 def test_grow_factor_matches_the_run_kernel_run_by_run():
-    # F F^T is the buffer the in-place kernel grows, run by run, for runs
-    # that repeat a row, name a copy made earlier, or take no columns
+    # F F^T is the buffer the in-place kernel grows, run by run, permuted
+    # into creation order, for runs that repeat a row or take no columns
     rng = np.random.default_rng(23)
     repeats = set()
     for trial in range(200):
@@ -508,11 +549,12 @@ def test_grow_factor_matches_the_run_kernel_run_by_run():
 
 
 def test_grow_factor_rejects_a_row_outside_the_factor():
+    # runs name rows of M; a copy has no index of its own
     M = np.eye(3)[:, :2]
-    for runs in ([(3, 1.0, 1)], [(-1, 1.0, 1)], [(0, 1.0, 2), (5, 1.0, 1)]):
+    for runs in ([(3, 1.0, 1)], [(-1, 1.0, 1)], [(0, 1.0, 2), (3, 1.0, 1)]):
         with pytest.raises(IndexError):
             grow_factor(M, runs)
-    assert grow_factor(M, [(0, 1.0, 2), (4, 1.0, 1)]).shape == (6, 5)  # row 4 is a copy
+    assert grow_factor(M, [(0, 1.0, 2), (0, 1.0, 1)]).shape == (6, 5)
 
 
 def _every_chain_seed():
