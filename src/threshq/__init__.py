@@ -22,7 +22,6 @@ from .gram import (
     jdup_realization,
     orthogonal_certificate,
     section12_factor,
-    section12_q,
 )
 from .orthosearch import (
     Feasible,

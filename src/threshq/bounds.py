@@ -271,11 +271,9 @@ def _section12_m(bf) -> int | None:
 
 def _paired_column_seed(s: int, m: int) -> Seed:
     """section12_factor(s, m) as data: its form and slots
-    (`gramlib.section12_form`) and its q (`gramlib.section12_q`); the build
-    takes its slots from here."""
+    (`gramlib.section12_form`) and its q (`gramlib.section12_q`)."""
     blocks, dup_slots = gramlib.section12_form(s, m)
-    return Seed(blocks, dup_slots, gramlib.section12_q(s, m),
-                lambda: gramlib.section12_factor(s, m, dup_slots))
+    return Seed(blocks, dup_slots, gramlib.section12_q(s, m), lambda: gramlib.section12_factor(s, m))
 
 
 def _section12_plan(bf) -> ChainPlan | None:

@@ -338,13 +338,12 @@ def section12_q(s: int, m: int) -> int:
     return b if m == 1 else b + 2 if m in (2, s - 1) else b + 1
 
 
-def section12_factor(s: int, m: int, dup_slots=None) -> GramFactor:
+def section12_factor(s: int, m: int) -> GramFactor:
     """Paired-column seed, the duplication chain's last resort and the
     general upper bound's witness: blocks all (0,1) except block m,
     which is (0,0,1).  It is `_paired_columns`'s D in the gate's form
     (`_gate_factor`), with the squared tails its dup slots list
-    (`section12_form`; a caller that has read them already passes them as
-    dup_slots, so they are derived once): run j's dominating row follows
+    (`section12_form`): run j's dominating row follows
     its zeros, and the zeros take the columns' tails in column order.
     Every isolated diagonal entry (1 or 3) is an eigenvalue, so all zero
     blocks may be grown by duplication.  expected_spectrum is the
@@ -356,8 +355,7 @@ def section12_factor(s: int, m: int, dup_slots=None) -> GramFactor:
     built: its `target` comes on first access.
     """
     s, m = _section12_params(s, m)
-    if dup_slots is None:
-        _, dup_slots = section12_form(s, m)
+    _, dup_slots = section12_form(s, m)
     bits = _section12_bits(s, m)
     M = _gate_factor(bits, _paired_columns(s, m), np.sqrt([f2 for _, f2 in dup_slots]))
     spec = cluster_spectrum(np.concatenate((eigen_sym(M.T @ M), np.zeros(s))))
