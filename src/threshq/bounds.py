@@ -48,7 +48,6 @@ from .spectra import (
     check_matrix,
     q_of_matrix,
     spectra_agree,
-    spectrum_values,
 )
 
 
@@ -271,9 +270,11 @@ def _section12_m(bf) -> int | None:
 
 def _paired_column_seed(s: int, m: int) -> Seed:
     """section12_factor(s, m) as data: its form and slots
-    (`gramlib.section12_form`) and its q (`gramlib.section12_q`)."""
+    (`gramlib.section12_form`) and its q (`gramlib.section12_q`); build()
+    makes the seed from these slots, so the form is read once."""
     blocks, dup_slots = gramlib.section12_form(s, m)
-    return Seed(blocks, dup_slots, gramlib.section12_q(s, m), lambda: gramlib.section12_factor(s, m))
+    return Seed(blocks, dup_slots, gramlib.section12_q(s, m),
+                lambda: gramlib._section12_seed(s, m, dup_slots))
 
 
 def _section12_plan(bf) -> ChainPlan | None:
@@ -356,13 +357,14 @@ def run_chain(plan: ChainPlan) -> tuple[np.ndarray, np.ndarray]:
     order (a joined copy of vertex 0 opens (0, 1, ...)) and the matrix is
     the one product F F^T."""
     seed = plan.seed
-    carried = spectrum_values(seed.expected_spectrum).tolist() + [lam for _, lam in plan.dup_steps]
+    carried = [v for v, mult in seed.expected_spectrum for _ in range(mult)]
+    carried += [lam for _, lam in plan.dup_steps]
     lam_min = min(carried)
     carried += [lam_min] * len(plan.jdup_steps)
     runs = [(v, lam, len(list(steps))) for (v, lam), steps in itertools.groupby(plan.dup_steps)]
     runs += [(v, lam_min, len(list(steps))) for v, steps in itertools.groupby(plan.jdup_steps)]
     F = gramlib.grow_factor(seed.M, runs)
-    return F @ F.T, np.array(carried)
+    return F @ F.T, np.array(carried, dtype=float)
 
 
 def _checked(A: np.ndarray, spectrum: np.ndarray, G: ThresholdGraph, q: int) -> int:

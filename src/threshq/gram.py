@@ -278,13 +278,13 @@ def _paired_columns(s: int, m: int) -> np.ndarray:
     gives eigenvalue 3 (eigenvector e_a - e_b) and the middle pair, whose
     two columns of D are equal, eigenvalue 1.
     """
-    left, right = _pair_starts(s, m)
     D = np.tri(s, s + 1, 1)  # ones through column i + 1 in row i
-    before = np.arange(m - 1)  # the runs that end before the middle column
-    D[before, before + 1] = 0.0
+    d, w = D.reshape(-1), s + 2  # a view of D; w steps from (i, i) to (i + 1, i + 1)
+    d[1:(m - 1) * w:w] = 0.0  # (i, i + 1) for the runs i < m - 1
     # the run ending at the second column a + 1 of pair (a, a + 1) is run
     # a + 1 left of the middle pair and run a right of it
-    D[[a + 1 for a in left] + list(right), [a + 1 for a in (*left, *right)]] = 2.0
+    d[w:(m - 1) * w:2 * w] = 2.0  # (a + 1, a + 1), a in left
+    d[(m + 1) * w + 1:s * w:2 * w] = 2.0  # (a, a + 1), a in right
     return D
 
 
@@ -355,9 +355,15 @@ def section12_factor(s: int, m: int) -> GramFactor:
     built: its `target` comes on first access.
     """
     s, m = _section12_params(s, m)
-    _, dup_slots = section12_form(s, m)
+    return _section12_seed(s, m, section12_form(s, m)[1])
+
+
+def _section12_seed(s: int, m: int, dup_slots) -> GramFactor:
+    """section12_factor(s, m) built from its dup slots, `section12_form(s,
+    m)`'s, which the chain planner already holds in the seed's descriptor;
+    s and m must be checked ints."""
     bits = _section12_bits(s, m)
-    M = _gate_factor(bits, _paired_columns(s, m), np.sqrt([f2 for _, f2 in dup_slots]))
+    M = _gate_factor(bits, _paired_columns(s, m), [math.sqrt(f2) for _, f2 in dup_slots])
     spec = cluster_spectrum(np.concatenate((eigen_sym(M.T @ M), np.zeros(s))))
     return GramFactor(M, bits, "ub_case1", {"s": s, "m": m},
                       expected_spectrum=spec.distinct, dup_slots=dup_slots)
@@ -417,28 +423,25 @@ def duplicate_run(B: np.ndarray, n: int, v: int, lam: float, u) -> None:
 
 def _runs_at_once(F: np.ndarray, runs: dict) -> np.ndarray:
     """F grown by runs {v: (lam, k)} on rows v of F, each run's k copies
-    right after row v, by one gather and one Helmert block: row v and its
-    copies become F_v / sqrt(k+1), plus sqrt(lam) times their rows of the
-    (k+1) x k Helmert basis of 1^perp (column j: 1 / sqrt(j(j+1)) on its
-    first j rows, -j / sqrt(j(j+1)) on row j+1) in k new columns.  A run at
-    lam <= 0 takes no columns, so its copies are joined."""
+    right after row v, by one gather and the run's Helmert columns: row v
+    and its copies become F_v / sqrt(k+1), plus sqrt(lam) times their rows
+    of the (k+1) x k Helmert basis of 1^perp (column j: 1 / sqrt(j(j+1)) on
+    its first j rows, -j / sqrt(j(j+1)) on row j+1) in k new columns, each
+    written into the run's own rows, so the cost is the entries written.  A
+    run at lam <= 0 takes no columns, so its copies are joined."""
     n, c = F.shape
     reps, scale = [1] * n, [1.0] * n
-    lo, j, lams, shift = [], [], [], 0  # column j of a run has rows lo..lo+j
+    cols, shift = [], 0  # (lo, j, w): w on rows lo..lo+j-1, -j w on row lo+j
     for v, (lam, k) in sorted(runs.items()):
         reps[v], scale[v] = k + 1, 1 / math.sqrt(k + 1)
         if lam > 0:
-            lo += [v + shift] * k
-            j += range(1, k + 1)
-            lams += [lam] * k
+            cols += [(v + shift, j, math.sqrt(lam / (j * (j + 1)))) for j in range(1, k + 1)]
         shift += k
-    out = np.zeros((n + shift, c + len(j)))
+    out = np.zeros((n + shift, c + len(cols)))
     out[:, :c] = np.repeat(F * np.array(scale)[:, None], reps, axis=0)
-    if j:
-        j = np.array(j)
-        w = np.sqrt(np.array(lams) / (j * (j + 1)))
-        p = np.arange(n + shift)[:, None] - lo
-        out[:, c:] = np.where(p < j, w, -j * w) * ((p >= 0) & (p <= j))
+    for col, (lo, j, w) in enumerate(cols, c):
+        out[lo:lo + j, col] = w
+        out[lo + j, col] = -j * w
     return out
 
 

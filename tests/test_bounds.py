@@ -73,7 +73,7 @@ from threshq.spectra import (
 )
 from threshq.tables import TABLES
 
-from test_gram import close_to, householder_run
+from test_gram import chain_growths, close_to, grows_as_masked, householder_run
 
 
 def G(text):
@@ -1264,18 +1264,28 @@ def test_classify_builds_each_paired_column_seed_once(monkeypatch):
     # eigenvalues, G's own form on a tie).  The catalog and liberated seeds
     # are built at import, no seed builds its target graph, and no chain
     # step goes through the copying public step functions
+    # The seed is built from the dup slots its descriptor read, so
+    # section12_form runs once per paired-column descriptor and never again
+    # inside the build
     prebuilt = {id(seed.build()) for entries in bounds._CATALOG_SEEDS.values() for seed in entries}
     seqs = [seq for n in range(2, 12) for seq in enumerate_connected(n)]
     seqs.append(G("0100010001100011000111000111").creation)  # `long`-shaped, s = 6
     firsts = {seq.text: [plan.seed for plan in _source_plans(block_form(seq))] for seq in seqs}
-    built, realized = [], []
+    built, realized, forms = [], [], []
+    build, form = bounds.gramlib._section12_seed, bounds.gramlib.section12_form
 
     def label(f):
         return f.construction_id, f.params
 
-    def building(s, m):
-        built.append(section12_factor(s, m))
+    def building(s, m, dup_slots):
+        before = len(forms)
+        built.append(build(s, m, dup_slots))
+        assert len(forms) == before, (s, m)
         return built[-1]
+
+    def reading(s, m):
+        forms.append((s, m))
+        return form(s, m)
 
     def constructing(construction_id, **params):
         built.append(construct_library(construction_id, **params))
@@ -1291,7 +1301,8 @@ def test_classify_builds_each_paired_column_seed_once(monkeypatch):
     def graphing(*args, **kwargs):
         raise AssertionError("a seed built its target graph")
 
-    monkeypatch.setattr(bounds.gramlib, "section12_factor", building)
+    monkeypatch.setattr(bounds.gramlib, "_section12_seed", building)
+    monkeypatch.setattr(bounds.gramlib, "section12_form", reading)
     monkeypatch.setattr(bounds.gramlib, "construct_library", constructing)
     monkeypatch.setattr(bounds, "run_chain", realizing)
     monkeypatch.setattr(bounds.gramlib, "dup_realization", copying)
@@ -1301,21 +1312,39 @@ def test_classify_builds_each_paired_column_seed_once(monkeypatch):
     for seq in seqs:
         built.clear()
         realized.clear()
+        forms.clear()
         classify_q(build_graph(seq))
         if not realized:  # the gate's completion
-            assert not built, seq.text
+            assert not built and not forms, seq.text
             continue
         (seed,) = realized
         assert [id(f) for f in built] == ([] if id(seed) in prebuilt else [id(seed)]), seq.text
         sources = firsts[seq.text]
+        assert len(forms) == [f.construction_id for f in sources].count("ub_case1"), seq.text
         qs = [len(f.expected_spectrum) for f in sources]
         assert label(seed) == label(sources[qs.index(min(qs))]), seq.text
         chains += 1
         two_paired += [f.construction_id for f in sources] == ["ub_case1"] * 2
     # both sources' first fits are paired-column seeds, G's own (6, 2) at
-    # q = 7 and the leading merge's (5, 1) at q = 5: only (5, 1) is built
+    # q = 7 and the leading merge's (5, 1) at q = 5: only (5, 1) is built,
+    # and each form is read once
     assert [(f.params["s"], f.params["m"]) for f in built] == [(5, 1)]
+    assert forms == [(6, 2), (5, 1)]
     assert chains and two_paired
+
+
+def test_grow_factor_writes_the_masked_factor_on_every_plan(monkeypatch):
+    # every plan of every connected row with n <= 11, the chain's, each
+    # source's and the paired-column one, grows the factor the former
+    # masked writer grew, byte for byte (test_gram.grows_as_masked)
+    plans = []
+    for seq in (seq for n in range(2, 12) for seq in enumerate_connected(n)):
+        bf = block_form(seq)
+        plans += [_chain_plan(bf), *_source_plans(bf)]
+        plans += [plan] if (plan := _section12_plan(bf)) else []
+    growths = chain_growths(monkeypatch, plans)
+    batches = [grows_as_masked(monkeypatch, M, runs) for M, runs in growths]
+    assert len(growths) == len(plans) and set(batches) == {0, 1, 2}
 
 
 @pytest.mark.xfail(raises=SelfCheckError, strict=True, reason=(
@@ -1329,6 +1358,33 @@ def test_paired_column_row_at_s93_classifies():
     # m = 1
     g = G("001001" + "01" * 91)
     assert verify_qbound(g, classify_q(g))
+
+
+@pytest.mark.xfail(raises=SelfCheckError, strict=True, reason=(
+    "section12_factor(58, 30) clusters its cogram spectrum at 1e-6 of the spread "
+    "into 31 values where section12_q gives 32, so the chain's spectrum check fails"))
+def test_mid_m_paired_column_seed_bounds_its_own_row():
+    # (01)^29 001 (01)^28, n = 117, s = 58: ub_section12 grows G's own
+    # seed section12_factor(58, 30), whose q is 32 by the closed form;
+    # the undercounted spectrum makes the chain check raise
+    g = G("01" * 29 + "001" + "01" * 28)
+    bound, cert = ub_section12(g)
+    assert (bound, cert.value) == (33, bounds.gramlib.section12_q(58, 30))
+    assert verify_certificate(g, cert)
+
+
+@pytest.mark.xfail(raises=pytest.fail.Exception, strict=True, reason=(
+    "section12_factor(58, 30)'s gram has 32 distinct eigenvalues, but "
+    "check_matrix clusters them at 1e-6 of the spread into 31"))
+def test_mid_m_paired_column_gram_verifies_its_q():
+    # a ConstructionUB on section12_factor(58, 30)'s gram must verify at
+    # its q, 32, and not at 31; pytest.fail, not assert, so that the check
+    # also stands under python -O
+    f = section12_factor(58, 30)
+    accepted = [value for value in (31, 32) if verify_certificate(
+        f.target, Certificate("ConstructionUB", value, CHAIN, {"matrix": gram(f)}))]
+    if accepted != [32]:
+        pytest.fail(f"verify_certificate accepts {accepted}, not [32]")
 
 
 def test_paired_column_row_at_s92_classifies():
@@ -1435,14 +1491,15 @@ def test_one_classification_eigensolve_budget(monkeypatch):
     # the cogram of the one paired-column seed it builds, the realized one,
     # once, and nothing else
     solves, factors, matrix_checks = [], [], []
+    build = bounds.gramlib._section12_seed
 
-    def building(s, m):
+    def building(s, m, dup_slots):
         factors.append((s, m))
-        return section12_factor(s, m)
+        return build(s, m, dup_slots)
 
     _count_eigensolves(monkeypatch, solves)
     _count_matrix_checks(monkeypatch, matrix_checks)
-    monkeypatch.setattr(bounds.gramlib, "section12_factor", building)
+    monkeypatch.setattr(bounds.gramlib, "_section12_seed", building)
     kinds = set()
     for seq in (seq for n in range(2, 13) for seq in enumerate_connected(n)):
         solves.clear()
@@ -1467,19 +1524,19 @@ def test_one_symmetry_check_per_certificate_matrix(monkeypatch):
     from threshq import spectra
 
     checks, factors, matrix_checks = [], [], []
-    validate = spectra._validated
+    validate, build = spectra._validated, bounds.gramlib._section12_seed
 
     def validating(A):
         checks.append(len(A))
         return validate(A)
 
-    def building(s, m):
+    def building(s, m, dup_slots):
         factors.append((s, m))
-        return section12_factor(s, m)
+        return build(s, m, dup_slots)
 
     monkeypatch.setattr(spectra, "_validated", validating)
     _count_matrix_checks(monkeypatch, matrix_checks)
-    monkeypatch.setattr(bounds.gramlib, "section12_factor", building)
+    monkeypatch.setattr(bounds.gramlib, "_section12_seed", building)
     kinds = set()
     for seq in (seq for n in range(2, 13) for seq in enumerate_connected(n)):
         g = build_graph(seq)

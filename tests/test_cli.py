@@ -40,6 +40,19 @@ def test_bounds_disconnected(capsys):
     assert code == 2 and "not connected" in err
 
 
+def test_bounds_reports_a_failed_self_check(capsys, monkeypatch):
+    # a certificate that fails the re-check made where it is built is a
+    # verification failure: one error line and exit code 1, no traceback
+    from threshq import bounds
+
+    def failing(*args):
+        raise bounds.SelfCheckError("chain lost the spectrum it carried")
+
+    monkeypatch.setattr(bounds, "_checked", failing)
+    code, out, err = run(capsys, "bounds", "0001001")
+    assert (code, out, err) == (1, "", "error: chain lost the spectrum it carried\n")
+
+
 def test_bounds_json_round_trip(capsys):
     code, out, _ = run(capsys, "bounds", "0101011", "--format", "json")
     assert code == 0

@@ -1,10 +1,11 @@
 import importlib
 import math
+import random
 
 import numpy as np
 import pytest
 
-from threshq.bounds import q2_certificate
+from threshq.bounds import _chain_plan, q2_certificate, run_chain
 from threshq.gram import (
     A15A19_BASES,
     DUP_TOL,
@@ -28,7 +29,8 @@ from threshq.gram import (
 )
 from threshq.orthosearch import SupportPattern
 from threshq.sequences import creation_order_of, dup_graph, graph_from_text, jdup_graph
-from threshq.spectra import NoConvergence, assert_spectrum, eigen_sym, in_pattern, pattern_matrix, q_of_matrix
+from threshq.spectra import (NoConvergence, assert_spectrum, cluster_spectrum, eigen_sym, in_pattern,
+                             pattern_matrix, q_of_matrix)
 
 # the module itself: the package's `gram` attribute is the function
 gramlib = importlib.import_module("threshq.gram")
@@ -555,6 +557,128 @@ def test_grow_factor_rejects_a_row_outside_the_factor():
         with pytest.raises(IndexError):
             grow_factor(M, runs)
     assert grow_factor(M, [(0, 1.0, 2), (0, 1.0, 1)]).shape == (6, 5)
+
+
+def _masked_runs(F, runs):
+    """The former `gram._runs_at_once`, kept as the reference of its slice
+    writes: the same gather, then every Helmert entry written through one
+    np.where mask over all rows of the grown factor."""
+    n, c = F.shape
+    reps, scale = [1] * n, [1.0] * n
+    lo, j, lams, shift = [], [], [], 0
+    for v, (lam, k) in sorted(runs.items()):
+        reps[v], scale[v] = k + 1, 1 / math.sqrt(k + 1)
+        if lam > 0:
+            lo += [v + shift] * k
+            j += range(1, k + 1)
+            lams += [lam] * k
+        shift += k
+    out = np.zeros((n + shift, c + len(j)))
+    out[:, :c] = np.repeat(F * np.array(scale)[:, None], reps, axis=0)
+    if j:
+        j = np.array(j)
+        w = np.sqrt(np.array(lams) / (j * (j + 1)))
+        p = np.arange(n + shift)[:, None] - lo
+        out[:, c:] = np.where(p < j, w, -j * w) * ((p >= 0) & (p <= j))
+    return out
+
+
+def grows_as_masked(monkeypatch, M, runs) -> int:
+    """Assert that grow_factor's F is byte-identical to the one it grows
+    with the masked writer, and F F^T too; return the batch count.  The
+    mask leaves -0.0 (-j w times False) below each Helmert column, so the
+    reference is read with 0.0 added, which turns -0.0 into 0.0 and keeps
+    every other entry's bytes."""
+    F = grow_factor(M, runs)
+    batches = []
+
+    def masked(F, runs):
+        batches.append(runs)
+        return _masked_runs(F, runs)
+
+    with monkeypatch.context() as patched:
+        patched.setattr(gramlib, "_runs_at_once", masked)
+        want = grow_factor(M, runs)
+    assert F.shape == want.shape and F.tobytes() == (want + 0.0).tobytes(), runs
+    assert (F @ F.T).tobytes() == (want @ want.T).tobytes(), runs
+    return len(batches)
+
+
+def chain_growths(monkeypatch, plans):
+    """The (M, runs) that `run_chain` hands grow_factor for each plan."""
+    calls, grow = [], gramlib.grow_factor
+
+    def recording(M, runs):
+        calls.append((M, runs))
+        return grow(M, runs)
+
+    with monkeypatch.context() as patched:
+        patched.setattr(gramlib, "grow_factor", recording)
+        for plan in plans:
+            run_chain(plan)
+    return calls
+
+
+def test_grow_factor_writes_the_masked_factor_on_random_rows(monkeypatch):
+    # seeded rows up to n = 400, three in four bits 0, so most chains grow a
+    # paired-column seed by long runs
+    rows = []
+    for n in (16, 64, 128, 256, 400):
+        rng = random.Random(n)
+        for _ in range(3 if n <= 128 else 1):
+            rows.append("0" + "".join("1" if rng.random() < 0.25 else "0" for _ in range(n - 2)) + "1")
+    plans = [_chain_plan(graph_from_text(text).block_form) for text in rows]
+    growths = chain_growths(monkeypatch, plans)
+    assert len(growths) == len(rows)
+    for M, runs in growths:
+        assert grows_as_masked(monkeypatch, M, runs) >= 1
+    assert max(len(runs) for _, runs in growths) > 50
+
+
+def test_grow_factor_gives_a_run_at_lam_le_0_no_column(monkeypatch):
+    # a run at lam <= 0 adds rows and no column: its copies are joined
+    M = np.random.default_rng(5).normal(size=(4, 3))
+    for runs, cols in (([(0, 0.0, 2), (2, -1.0, 3)], 3), ([(0, 0.0, 2), (1, 2.0, 2)], 5),
+                       ([(3, -0.5, 1), (3, 0.0, 2)], 3)):
+        F = grow_factor(M, runs)
+        assert F.shape == (4 + sum(k for _, _, k in runs), cols), runs
+        grows_as_masked(monkeypatch, M, runs)
+
+
+def test_grow_factor_writes_the_masked_factor_on_a_two_batch_plan(monkeypatch):
+    # the leading-merge plan of a `long`-shaped row dups vertex 0 of its
+    # paired-column seed and then joins it, so vertex 0 opens a second batch
+    plan = _chain_plan(graph_from_text("0100010001100011000111000111").block_form)
+    assert plan.dup_steps[0][0] == 0 and plan.jdup_steps[-1] == 0
+    ((M, runs),) = chain_growths(monkeypatch, [plan])
+    assert grows_as_masked(monkeypatch, M, runs) == 2
+
+
+def _section12_factor_as_before(s, m):
+    """section12_factor(s, m) as it was built before its one-pass builder:
+    D's patched entries set by fancy indexing, the tails by np.sqrt."""
+    left, right = gramlib._pair_starts(s, m)
+    D = np.tri(s, s + 1, 1)
+    before = np.arange(m - 1)
+    D[before, before + 1] = 0.0
+    D[[a + 1 for a in left] + list(right), [a + 1 for a in (*left, *right)]] = 2.0
+    _, dup_slots = section12_form(s, m)
+    bits = gramlib._section12_bits(s, m)
+    M = gramlib._gate_factor(bits, D, np.sqrt([f2 for _, f2 in dup_slots]))
+    return M, cluster_spectrum(np.concatenate((eigen_sym(M.T @ M), np.zeros(s)))).distinct
+
+
+def test_section12_factor_builds_the_seed_as_before():
+    # the same M and expected spectrum, to the byte, for every m and s <= 57
+    def spectrum_bytes(spec):
+        return np.array([v for v, _ in spec]).tobytes(), [mult for _, mult in spec]
+
+    for s in range(2, 58):
+        for m in range(1, s + 1):
+            M, spec = _section12_factor_as_before(s, m)
+            f = section12_factor(s, m)
+            assert f.M.tobytes() == M.tobytes() and f.M.shape == M.shape, (s, m)
+            assert spectrum_bytes(f.expected_spectrum) == spectrum_bytes(spec), (s, m)
 
 
 def _every_chain_seed():
