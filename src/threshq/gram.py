@@ -20,7 +20,7 @@ import numpy as np
 
 from .orthosearch import SupportPattern, _ssp_system, is_int, verify_feasible
 from .sequences import CreationSequence, ThresholdGraph, build_graph, graph_from_text
-from .spectra import NoConvergence, cluster_spectrum, eigen_sym, pattern_report
+from .spectra import DimensionMismatch, NoConvergence, cluster_spectrum, eigen_sym, pattern_report
 
 
 class BadParams(ValueError):
@@ -398,29 +398,6 @@ def construct_library(construction_id: str, **params) -> GramFactor:
 DUP_TOL = 1e-8
 
 
-def duplicate_run(B: np.ndarray, n: int, v: int, lam: float, u) -> None:
-    """Replace vertex v of B's leading n x n block A by v and k = len(u) - 1
-    copies, written in place to rows and columns v, n, ..., n + k - 1 of B:
-    with r row v of A, each of those rows i becomes u_i r off the run, and
-    the run's own block lam I + (a_vv - lam) u u^T.  For a unit vector u and
-    any orthogonal Q whose first column is u this is Q diag(A, lam I_k) Q^T,
-    so the spectrum gains exactly k copies of lam.  Copies are unjoined when
-    a_vv = lam, and joined when lam is lambda_min and a_vv is not.  The
-    kernel of the public steps; a chain grows its factor (`grow_factor`)."""
-    u = np.asarray(u, dtype=float)
-    m = n + len(u) - 1
-    r = B[v, :n].copy()
-    block = (r[v] - lam) * np.multiply.outer(u, u)
-    block.flat[::len(u) + 1] += lam
-    np.multiply.outer(u[1:], r, out=B[n:m, :n])
-    B[:n, n:m] = B[n:m, :n].T
-    np.multiply(u[0], r, out=B[v, :n])
-    B[v, v] = block[0, 0]
-    B[v, n:m] = block[0, 1:]
-    B[n:m, n:m] = block[1:, 1:]
-    B[:m, v] = B[v, :m]
-
-
 def _runs_at_once(F: np.ndarray, runs: dict) -> np.ndarray:
     """F grown by runs {v: (lam, k)} on rows v of F, each run's k copies
     right after row v, by one gather and the run's Helmert columns: row v
@@ -446,19 +423,23 @@ def _runs_at_once(F: np.ndarray, runs: dict) -> np.ndarray:
 
 
 def grow_factor(M: np.ndarray, runs) -> np.ndarray:
-    """The factor F whose F F^T is the matrix `duplicate_run` grows from
-    M M^T run by run with uniform u, its rows in creation order: runs are
-    (v, lam, k), v a row of M, each run's block is
-    lam I + (|F_v|^2 - lam) J / (k+1), and its k copies go right after row
-    v, ahead of any an earlier run made of v.  Runs on distinct rows grow
-    in one batch; a row that repeats, as when a chain dups and then joins
-    vertex 0, starts the next batch, which grows the row as the first left
-    it.  IndexError for a row outside M."""
+    """The factor F whose F F^T is M M^T grown run by run, its rows in
+    creation order: runs are (v, lam, k), v a row of M, and each run turns
+    vertex v into v and k copies whose rows off the run are r / sqrt(k+1),
+    r row v, and whose block is lam I + (|F_v|^2 - lam) J / (k+1), so the
+    spectrum gains k copies of lam.  The copies go right after row v, ahead
+    of any an earlier run made of v.  Runs on distinct rows grow in one
+    batch; a row that repeats, as when a chain dups and then joins vertex 0,
+    starts the next batch, which grows the row as the first left it.
+    IndexError for a row that is not an int row of M (a bool included),
+    BadParams unless k is an int >= 1."""
     F = np.asarray(M, dtype=float)
     at, batch = list(range(len(F))), {}  # at[v]: where row v of M is in F
-    for v, lam, k in runs:
-        if not 0 <= v < len(at):
-            raise IndexError(f"row {v} is outside the {len(at)}-row factor")
+    for v, lam, k in runs:  # a chain's runs hold exact ints, which skip is_int
+        if not ((type(v) is int or is_int(v)) and 0 <= v < len(at)):
+            raise IndexError(f"row {v!r} is not a row of the {len(at)}-row factor")
+        if not ((type(k) is int or is_int(k)) and k >= 1):
+            raise BadParams(f"a run needs an int count k >= 1, not {k!r}")
         if at[v] in batch:
             F = _runs_at_once(F, batch)
             at = [a + sum(bk for b, (_, bk) in batch.items() if b < a) for a in at]
@@ -467,22 +448,45 @@ def grow_factor(M: np.ndarray, runs) -> np.ndarray:
     return _runs_at_once(F, batch) if batch else F
 
 
-def _one_copy(A, v: int, spectrum, theta: float) -> tuple[np.ndarray, float, np.ndarray]:
-    """A in a buffer with room for one copy of v, with the check scale
-    max(1, max|A|) and the spectrum as an array, both read in full:
-    NoConvergence on an entry that is not finite, BadAngle unless
-    0 < theta < pi/2, IndexError for a vertex outside A."""
+def _rotated_copy(A, v: int, lam, spectrum, theta: float) -> np.ndarray:
+    """A with one copy of vertex v, unjoined at lam or, lam None, joined at
+    the spectrum's lambda_min: Q diag(A, lam) Q^T for the (v, new)-plane
+    rotation Q with first column u = (cos theta, -sin theta), so rows v and
+    new are u_0 r and u_1 r off the pair, r row v of A, and the pair's block
+    is lam I + (a_vv - lam) u u^T, exactly symmetric.  Checks, each within
+    DUP_TOL * max(1, max|A|) of a full read, in order: NoConvergence,
+    BadAngle, IndexError for a v that is not an int vertex (a bool
+    included), DimensionMismatch for an empty spectrum, then DegenerateRow
+    or DiagonalNotEigenvalue as the public steps document."""
     A, spectrum = np.asarray(A, dtype=float), np.asarray(spectrum, dtype=float)
     if not (np.isfinite(A).all() and np.isfinite(spectrum).all()):
         raise NoConvergence("seed or spectrum has an entry that is not finite")
     if not 0 < theta < math.pi / 2:
         raise BadAngle("theta must lie strictly between 0 and pi/2")
     n = len(A)
-    if not 0 <= v < n:
-        raise IndexError(f"vertex {v} is outside the {n} x {n} matrix")
+    if not (is_int(v) and 0 <= v < n):
+        raise IndexError(f"vertex {v!r} is not a vertex of the {n} x {n} matrix")
+    if not spectrum.size:
+        raise DimensionMismatch("the spectrum A is known to have is empty")
+    r, tol = A[v], DUP_TOL * max(1.0, float(np.abs(A).max()))
+    a = float(r[v])
+    if lam is None:
+        lam = float(spectrum.min())
+        if abs(a - lam) <= tol:
+            raise DegenerateRow("a_vv equals the smallest eigenvalue; joined copy would vanish")
+    else:
+        lam = float(lam)
+        if not math.isfinite(lam) or abs(a - lam) > tol:
+            raise DiagonalNotEigenvalue(f"a_vv = {a} != {lam}")
+        if np.abs(spectrum - lam).min() > tol:
+            raise DiagonalNotEigenvalue(f"{lam} is not an eigenvalue")
+    u, pair = np.array([math.cos(theta), -math.sin(theta)]), [v, n]
     B = np.empty((n + 1, n + 1))
     B[:n, :n] = A
-    return B, max(1.0, float(np.abs(A).max())), spectrum
+    B[pair, :n] = np.multiply.outer(u, r)
+    B[:n, pair] = B[pair, :n].T
+    B[np.ix_(pair, pair)] = (a - lam) * np.multiply.outer(u, u) + lam * np.eye(2)
+    return B
 
 
 def dup_realization(A: np.ndarray, v: int, lam: float, spectrum,
@@ -491,16 +495,9 @@ def dup_realization(A: np.ndarray, v: int, lam: float, spectrum,
     in `spectrum`, the eigenvalues A is known to have (pass eigen_sym(A)),
     each within DUP_TOL * max(1, max|A|), else DiagonalNotEigenvalue.  The
     result has that spectrum plus one extra lam, the new vertex adjacent
-    exactly to N(v), and a zero (v, new) entry: `duplicate_run` with
-    u = (cos theta, -sin theta), the (v, new)-plane rotation of A + [lam]."""
-    B, scale, spectrum = _one_copy(A, v, spectrum, theta)
-    a, lam = float(B[v, v]), float(lam)
-    if not math.isfinite(lam) or abs(a - lam) > DUP_TOL * scale:
-        raise DiagonalNotEigenvalue(f"a_vv = {a} != {lam}")
-    if np.abs(spectrum - lam).min() > DUP_TOL * scale:
-        raise DiagonalNotEigenvalue(f"{lam} is not an eigenvalue")
-    duplicate_run(B, len(B) - 1, v, lam, (math.cos(theta), -math.sin(theta)))
-    return B
+    exactly to N(v), and a zero (v, new) entry: the (v, new)-plane rotation
+    of A + [lam] (`_rotated_copy`, which lists every check)."""
+    return _rotated_copy(A, v, lam, spectrum, theta)
 
 
 def jdup_realization(A: np.ndarray, v: int, spectrum,
@@ -508,17 +505,13 @@ def jdup_realization(A: np.ndarray, v: int, spectrum,
     """Duplicate vertex v of A with an edge to the copy, appending one more
     copy of the smallest eigenvalue lambda_min of `spectrum`, the
     eigenvalues A is known to have (pass eigen_sym(A)), so q is preserved:
-    `duplicate_run` with u = (cos theta, -sin theta).  The new off-diagonal
-    entry is sin(theta)cos(theta)(lambda_min - a_vv), so a_vv within
+    the (v, new)-plane rotation of A + [lambda_min] (`_rotated_copy`, which
+    lists every check).  The new off-diagonal entry is
+    sin(theta)cos(theta)(lambda_min - a_vv), so a_vv within
     DUP_TOL * max(1, max|A|) of lambda_min raises DegenerateRow.  Deleting
     the new row and column gives A with row/column v scaled by cos(theta)
     (pattern-equal to A), and the (v, v) entry cos^2 a_vv + sin^2 lambda_min."""
-    B, scale, spectrum = _one_copy(A, v, spectrum, theta)
-    lam_min = float(spectrum.min())
-    if abs(B[v, v] - lam_min) <= DUP_TOL * scale:
-        raise DegenerateRow("a_vv equals the smallest eigenvalue; joined copy would vanish")
-    duplicate_run(B, len(B) - 1, v, lam_min, (math.cos(theta), -math.sin(theta)))
-    return B
+    return _rotated_copy(A, v, None, spectrum, theta)
 
 
 # ---------------------------------------------------------------------------

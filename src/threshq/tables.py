@@ -29,19 +29,8 @@ class TableRow:
     source: str
     printed_q: int | None = None  # set only when the catalog value is corrected
 
-    @property
-    def exact(self) -> bool:
-        return self.q_low == self.q_high
 
-
-def _rows(entries) -> tuple[TableRow, ...]:
-    out = []
-    for e in entries:
-        out.append(TableRow(*e))
-    return tuple(out)
-
-
-TABLE7 = _rows([
+TABLE7 = tuple(TableRow(*e) for e in [
     (1, "0000001", 3, 3, "star"),
     (2, "0100001", 3, 3, "t2"),
     (3, "0010001", 3, 3, "t2"),
@@ -75,7 +64,7 @@ TABLE7 = _rows([
     (31, "0111111", 2, 2, "complete"),
 ])
 
-TABLE8 = _rows([
+TABLE8 = tuple(TableRow(*e) for e in [
     (1, "00000001", 3, 3, "star"),
     (2, "01000001", 3, 3, "pa"),
     (3, "00100001", 3, 3, "t2"),

@@ -787,16 +787,16 @@ def test_ssp_check_is_off_the_classify_and_verify_paths(monkeypatch):
 def test_run_kernel_is_off_the_classify_and_verify_paths(monkeypatch):
     # chains grow their factor, so no classification or verification of a
     # connected sequence with n <= 10, or of a long-run sequence, calls the
-    # in-place run kernel that the public steps keep
-    kernel = bounds.gramlib.duplicate_run
+    # checked plane rotation that the public one-copy steps are
+    kernel = bounds.gramlib._rotated_copy
 
     def raising(*args, **kwargs):
-        raise AssertionError("duplicate_run was called")
+        raise AssertionError("_rotated_copy was called")
 
     for mod in list(sys.modules.values()):
-        if mod.__name__.startswith("threshq") and getattr(mod, "duplicate_run", None) is kernel:
-            monkeypatch.setattr(mod, "duplicate_run", raising)
-    with pytest.raises(AssertionError, match="duplicate_run"):
+        if mod.__name__.startswith("threshq") and getattr(mod, "_rotated_copy", None) is kernel:
+            monkeypatch.setattr(mod, "_rotated_copy", raising)
+    with pytest.raises(AssertionError, match="_rotated_copy"):
         dup_realization(gram(construct_library("thm00", t=2)), 0, 3.0, [0.0, 0.0, 3.0, 7.0])
     chains = 0
     for g in [build_graph(seq) for n in range(2, 11) for seq in enumerate_connected(n)] + list(map(G, LONG_RUNS)):
@@ -1126,7 +1126,7 @@ def _reference_chain(plan):
     """A chain grown run by run through the dense Householder reference,
     Q diag(A, lam I_k) Q^T with Q taking e_1 to the uniform unit vector of
     the run, each run a fresh matrix, then permuted into creation order:
-    the reference for the in-place chain."""
+    the reference for `run_chain`'s product."""
     A = gram(plan.seed)
     spectrum = np.append(spectrum_values(plan.seed.expected_spectrum), [lam for _, lam in plan.dup_steps])
     lam_min = spectrum.min()

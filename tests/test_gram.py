@@ -18,7 +18,6 @@ from threshq.gram import (
     cogram,
     construct_library,
     dup_realization,
-    duplicate_run,
     gram,
     grow_factor,
     jdup_realization,
@@ -29,8 +28,8 @@ from threshq.gram import (
 )
 from threshq.orthosearch import SupportPattern
 from threshq.sequences import creation_order_of, dup_graph, graph_from_text, jdup_graph
-from threshq.spectra import (NoConvergence, assert_spectrum, cluster_spectrum, eigen_sym, in_pattern,
-                             pattern_matrix, q_of_matrix)
+from threshq.spectra import (DimensionMismatch, NoConvergence, assert_spectrum, cluster_spectrum, eigen_sym,
+                             in_pattern, pattern_matrix, q_of_matrix)
 
 # the module itself: the package's `gram` attribute is the function
 gramlib = importlib.import_module("threshq.gram")
@@ -384,20 +383,22 @@ def test_jdup_degenerate_row():
         jdup_realization(A, 0, eigen_sym(A))
 
 
-# ---------------------------------------------------------------- the kernel
+# ---------------------------------------------------------------- the reference
 
 
 def householder_run(A, v, lam, u):
     """The dense reference for one run: A bordered by lam I_k, then
     conjugated by Q, the Householder reflection taking e_1 to the unit
-    vector u = (u_0, ..., u_k), acting on coordinates v, n, ..., n + k - 1."""
+    vector u = (u_0, ..., u_k), acting on coordinates v, n, ..., n + k - 1.
+    Its vector w = e_1 - u has w_0 = 1 - u_0 = |u_1..k|^2 / (1 + u_0),
+    which the second form gives without cancellation when u_0 is near 1."""
     A, u = np.asarray(A, dtype=float), np.asarray(u, dtype=float)
     n, k = len(A), len(u) - 1
     big = np.zeros((n + k, n + k))
     big[:n, :n] = A
     big[range(n, n + k), range(n, n + k)] = lam
     w = -u
-    w[0] += 1.0
+    w[0] = u[1:] @ u[1:] / (1.0 + u[0]) if u[0] > 0 else 1.0 - u[0]
     H = np.eye(k + 1) - 2.0 * np.outer(w, w) / (w @ w) if w.any() else np.eye(k + 1)
     Q = np.eye(n + k)
     run = [v, *range(n, n + k)]
@@ -487,43 +488,42 @@ def test_grower_checks_decide_as_a_full_read():
     assert seen.count("grown") > 100
 
 
-@pytest.mark.parametrize("k", [1, 2, 5, 64])
-def test_run_kernel_matches_the_householder_reference(k):
-    # one run of k copies along a random unit u, written in place to a
-    # buffer, is Q diag(A, lam I_k) Q^T; its spectrum gains k copies of lam
-    rng = np.random.default_rng(k)
-    n = 6
-    A = rng.normal(size=(n, n))
-    A = (A + A.T) / 2
-    u = rng.normal(size=k + 1)
-    u /= np.linalg.norm(u)
-    lam, v = -3.0, 2
-    B = np.full((n + k + 3, n + k + 3), np.nan)
-    B[:n, :n] = A
-    duplicate_run(B, n, v, lam, u)
-    got = B[:n + k, :n + k]
-    assert close_to(got, householder_run(A, v, lam, u), A) and np.array_equal(got, got.T)
-    assert np.isnan(B[n + k:]).all() and np.isnan(B[:, n + k:]).all()
-    want = np.sort(np.append(eigen_sym(A), [lam] * k))
-    assert np.abs(eigen_sym(got) - want).max() <= 1e-10
+def test_public_steps_match_the_reference_near_the_ends_of_theta():
+    # at theta near 0 and near pi/2 the rotation is nearly the identity or
+    # nearly the swap of v and its copy; each step still is the reference
+    # to 1e-12 of its scale, and exactly symmetric
+    rng = np.random.default_rng(31)
+    for theta in (1e-6, math.pi / 2 - 1e-6):
+        for _ in range(20):
+            n = int(rng.integers(2, 7))  # so a_vv is above lambda_min
+            A = rng.normal(size=(n, n)) * 10.0 ** float(rng.integers(-2, 4))
+            A = (A + A.T) / 2
+            v = int(rng.integers(n))
+            spectrum = np.append(eigen_sym(A), A[v, v])
+            for lam in (A[v, v], None):
+                if lam is None:
+                    got = jdup_realization(A, v, spectrum, theta)
+                    want = householder_run(A, v, spectrum.min(), (math.cos(theta), -math.sin(theta)))
+                else:
+                    got = dup_realization(A, v, lam, spectrum, theta)
+                    want = householder_run(A, v, lam, (math.cos(theta), -math.sin(theta)))
+                assert got.shape == want.shape and close_to(got, want, A), (theta, n, v, lam)
+                assert np.array_equal(got, got.T)
 
 
 def _runs_in_a_buffer(M, runs):
-    """M M^T grown by `duplicate_run` with uniform u, one call per run, in a
-    buffer whose copies are appended, then permuted into creation order,
+    """M M^T grown by `householder_run` with uniform u, one fresh matrix
+    per run with its copies appended, then permuted into creation order,
     each run's copies right after the row they copy and ahead of any an
     earlier run made of it: the matrix `grow_factor` factors."""
     M = np.asarray(M, dtype=float)
-    n = len(M)
-    B = np.zeros((n + sum(k for _, _, k in runs),) * 2)
-    B[:n, :n] = M @ M.T
-    order = list(range(n))
+    A, order = M @ M.T, list(range(len(M)))
     for v, lam, k in runs:
-        duplicate_run(B, n, v, lam, np.full(k + 1, 1 / math.sqrt(k + 1)))
+        n = len(A)
+        A = householder_run(A, v, lam, np.full(k + 1, 1 / math.sqrt(k + 1)))
         at = order.index(v) + 1
         order[at:at] = range(n, n + k)
-        n += k
-    return B[np.ix_(order, order)]
+    return A[np.ix_(order, order)]
 
 
 def _random_runs(rng, n, count):
@@ -533,8 +533,8 @@ def _random_runs(rng, n, count):
              int(rng.integers(1, 5))) for _ in range(count)]
 
 
-def test_grow_factor_matches_the_run_kernel_run_by_run():
-    # F F^T is the buffer the in-place kernel grows, run by run, permuted
+def test_grow_factor_matches_the_householder_reference_run_by_run():
+    # F F^T is the matrix the dense reference grows, run by run, permuted
     # into creation order, for runs that repeat a row or take no columns
     rng = np.random.default_rng(23)
     repeats = set()
@@ -551,11 +551,17 @@ def test_grow_factor_matches_the_run_kernel_run_by_run():
 
 
 def test_grow_factor_rejects_a_row_outside_the_factor():
-    # runs name rows of M; a copy has no index of its own
+    # runs name rows of M; a copy has no index of its own, and a bool or a
+    # float is no row.  A run's count k is an int >= 1
     M = np.eye(3)[:, :2]
-    for runs in ([(3, 1.0, 1)], [(-1, 1.0, 1)], [(0, 1.0, 2), (3, 1.0, 1)]):
+    for runs in ([(3, 1.0, 1)], [(-1, 1.0, 1)], [(0, 1.0, 2), (3, 1.0, 1)], [(True, 1.0, 1)],
+                 [(1.0, 1.0, 1)], [(0, 1.0, 2), (False, 1.0, 1)]):
         with pytest.raises(IndexError):
             grow_factor(M, runs)
+    for k in (-1, 0, 1.5, 2.0, True, None):
+        with pytest.raises(BadParams):
+            grow_factor(M, [(0, 1.0, 1), (1, 1.0, k)])
+    assert grow_factor(M, [(np.int64(1), 1.0, np.int64(2))]).shape == (5, 4)
     assert grow_factor(M, [(0, 1.0, 2), (0, 1.0, 1)]).shape == (6, 5)
 
 
@@ -724,6 +730,27 @@ def test_grower_rejects_a_vertex_outside_the_active_block():
             dup_realization(np.eye(2), v, 1.0, [1.0, 1.0])
         with pytest.raises(IndexError):
             jdup_realization(np.eye(2), v, [1.0, 1.0])
+
+
+def test_grower_rejects_a_vertex_that_is_not_an_int():
+    # a bool indexes rows as a mask and a float fails inside numpy: both
+    # are IndexError, as for a vertex out of range; a numpy int is a vertex
+    for v in (True, False, 1.0, np.float64(0.0), "0", None):
+        with pytest.raises(IndexError):
+            dup_realization(np.eye(2), v, 1.0, [1.0, 1.0])
+        with pytest.raises(IndexError):
+            jdup_realization(np.diag([1.0, 2.0]), v, [1.0, 2.0])
+    assert dup_realization(np.eye(2), np.int64(1), 1.0, [1.0, 1.0]).shape == (3, 3)
+
+
+def test_grower_rejects_an_empty_spectrum():
+    # a step needs the spectrum A is known to have; an empty one holds no
+    # lam and no lambda_min
+    for spectrum in ([], np.zeros(0), ()):
+        with pytest.raises(DimensionMismatch):
+            dup_realization(np.eye(2), 0, 1.0, spectrum)
+        with pytest.raises(DimensionMismatch):
+            jdup_realization(np.diag([1.0, 2.0]), 1, spectrum)
 
 
 def test_jdup_submatrix_recovery():
