@@ -34,12 +34,17 @@ for text in EXAMPLES:
               f"in rows {out.rows} ({len(out.columns)} > {len(out.rows)})")
 
 print()
-print("The Hadamard-order complete split graph 00001111 needs the diagonal")
-print("repair step: equal column scales make the dominating rows orthogonal")
-print("to each other, which would knock the Gram out of S(G); rescaling the")
-print("columns fixes every dominating product while preserving orthogonality.")
+print("The complete split graph 00001111 has a square completion: its")
+print("dominating rows come out orthogonal to each other, which would knock")
+print("the Gram out of S(G).  One column weight fixes every product at once:")
+print("column 0 goes to sqrt(2) on every row, so each product of two")
+print("dominating rows is 2 plus a share of size at most 1.")
 
 G = graph_from_text("00001111")
 out = decide_column_orthogonal(SupportPattern.from_graph(G))
-A = orthogonal_certificate(out.matrix, G)
+B = out.matrix
+print("dominating products before the weight:", np.round((B @ B.T)[0, 1:], 6))
+A = orthogonal_certificate(B, G)
+dom = list(G.dominating)
+print("dominating products in the certificate:", np.round(A[dom[0], dom[1:]], 6))
 print("certificate spectrum:", np.round(np.linalg.eigvalsh(A), 6))

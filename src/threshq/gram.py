@@ -20,7 +20,8 @@ import numpy as np
 
 from .orthosearch import SupportPattern, _ssp_system, is_int, verify_feasible
 from .sequences import CreationSequence, ThresholdGraph, build_graph, graph_from_text
-from .spectra import DimensionMismatch, NoConvergence, cluster_spectrum, eigen_sym, pattern_report
+from .spectra import DimensionMismatch, NoConvergence, _validated, cluster_spectrum, eigen_sym
+from .spectra import pattern_report
 
 
 class BadParams(ValueError):
@@ -40,7 +41,10 @@ class DegenerateRow(ValueError):
 
 
 class InfeasibleRepair(RuntimeError):
-    pass
+    """An orthogonality certificate left G's pattern.  Every dominating
+    product of the certificate has size at least 1, and every support entry
+    of the gate's completion at least 1/(4 m^2 H_m) for support size m, so
+    only rounding at very large orders can raise it."""
 
 
 @dataclass(frozen=True)
@@ -432,7 +436,7 @@ def grow_factor(M: np.ndarray, runs) -> np.ndarray:
     batch; a row that repeats, as when a chain dups and then joins vertex 0,
     starts the next batch, which grows the row as the first left it.
     IndexError for a row that is not an int row of M (a bool included),
-    BadParams unless k is an int >= 1."""
+    BadParams unless k is an int >= 1 and lam is finite."""
     F = np.asarray(M, dtype=float)
     at, batch = list(range(len(F))), {}  # at[v]: where row v of M is in F
     for v, lam, k in runs:  # a chain's runs hold exact ints, which skip is_int
@@ -440,6 +444,8 @@ def grow_factor(M: np.ndarray, runs) -> np.ndarray:
             raise IndexError(f"row {v!r} is not a row of the {len(at)}-row factor")
         if not ((type(k) is int or is_int(k)) and k >= 1):
             raise BadParams(f"a run needs an int count k >= 1, not {k!r}")
+        if not math.isfinite(lam):
+            raise BadParams(f"a run needs a finite lam, not {lam!r}")
         if at[v] in batch:
             F = _runs_at_once(F, batch)
             at = [a + sum(bk for b, (_, bk) in batch.items() if b < a) for a in at]
@@ -453,14 +459,18 @@ def _rotated_copy(A, v: int, lam, spectrum, theta: float) -> np.ndarray:
     the spectrum's lambda_min: Q diag(A, lam) Q^T for the (v, new)-plane
     rotation Q with first column u = (cos theta, -sin theta), so rows v and
     new are u_0 r and u_1 r off the pair, r row v of A, and the pair's block
-    is lam I + (a_vv - lam) u u^T, exactly symmetric.  Checks, each within
-    DUP_TOL * max(1, max|A|) of a full read, in order: NoConvergence,
-    BadAngle, IndexError for a v that is not an int vertex (a bool
-    included), DimensionMismatch for an empty spectrum, then DegenerateRow
-    or DiagonalNotEigenvalue as the public steps document."""
-    A, spectrum = np.asarray(A, dtype=float), np.asarray(spectrum, dtype=float)
-    if not (np.isfinite(A).all() and np.isfinite(spectrum).all()):
-        raise NoConvergence("seed or spectrum has an entry that is not finite")
+    is lam I + (a_vv - lam) u u^T, exactly symmetric.  Checks, in order:
+    `check_symmetric`'s on A (DimensionMismatch unless A is square and
+    symmetric, NoConvergence for an entry that is not finite), NoConvergence
+    for a spectrum entry that is not finite, BadAngle, IndexError for a v
+    that is not an int vertex (a bool included), DimensionMismatch for an
+    empty spectrum, then DegenerateRow or DiagonalNotEigenvalue as the
+    public steps document, each within DUP_TOL * max(1, max|A|) of a full
+    read."""
+    A, _, peak = _validated(A)
+    spectrum = np.asarray(spectrum, dtype=float)
+    if not np.isfinite(spectrum).all():
+        raise NoConvergence("spectrum has an entry that is not finite")
     if not 0 < theta < math.pi / 2:
         raise BadAngle("theta must lie strictly between 0 and pi/2")
     n = len(A)
@@ -468,7 +478,7 @@ def _rotated_copy(A, v: int, lam, spectrum, theta: float) -> np.ndarray:
         raise IndexError(f"vertex {v!r} is not a vertex of the {n} x {n} matrix")
     if not spectrum.size:
         raise DimensionMismatch("the spectrum A is known to have is empty")
-    r, tol = A[v], DUP_TOL * max(1.0, float(np.abs(A).max()))
+    r, tol = A[v], DUP_TOL * max(1.0, peak)
     a = float(r[v])
     if lam is None:
         lam = float(spectrum.min())
@@ -520,32 +530,24 @@ def jdup_realization(A: np.ndarray, v: int, spectrum,
 
 
 def _repair_scales(B: np.ndarray) -> np.ndarray:
-    """Column rescaling making every dominating pair product nonzero.
-
-    Scaling columns keeps them orthogonal.  Column 0 (the first vertex of
-    the creation sequence) meets every dominating row, so scaling it by
-    sqrt(1 + a) turns the product of rows p, q into alpha + a c with
-    c = B[p, 0] B[q, 0] != 0: it vanishes for at most one a.  Of the
-    T(T-1)/2 + 1 values a = 0, 1, ... one therefore repairs every pair;
-    InfeasibleRepair is raised only if rounding defeats them all.
-    """
-    T, k = B.shape
-    if T <= 1:
-        return B
-    off = ~np.eye(T, dtype=bool)
-    for a in range(T * (T - 1) // 2 + 1):
-        BD = B.copy()
-        BD[:, 0] *= math.sqrt(1.0 + a)
-        Gd = BD @ BD.T
-        if np.abs(Gd[off]).min() > 1e-6 * max(1.0, float(np.abs(Gd).max())):
-            return BD
-    raise InfeasibleRepair("no diagonal rescaling repaired the dominating products")
+    """B with unit columns, then column 0 times sqrt(2) / min|column 0|.
+    Scaling keeps the columns orthogonal.  Column 0, the first vertex of
+    the creation sequence, meets every dominating row, so each off-diagonal
+    dominating product is a column-0 term of size at least 2 plus the rest
+    of the two rows, which for orthonormal columns has size at most 1:
+    every product has |.| >= 1.  For the gate's own block, whose column 0
+    is h_1, the column-0 term is exactly 2 and the products lie in [1, 3]."""
+    BD = B / np.linalg.norm(B, axis=0)
+    BD[:, 0] *= math.sqrt(2) / np.abs(BD[:, 0]).min()
+    return BD
 
 
 def _certificate_factor(B: np.ndarray, G: ThresholdGraph) -> np.ndarray:
     """The factor M with A = M M^T in the gate's form (`_gate_factor`): D
-    is the repaired block B, and column c's tail is sqrt(C^2 - |column
-    c|^2), so every column has squared norm C^2 = max |column|^2 + 1."""
+    is the repaired block B (`_repair_scales`, every off-diagonal
+    dominating product at least 1 in size), and column c's tail is
+    sqrt(C^2 - |column c|^2), so every column has squared norm C^2 = max
+    |column|^2 + 1."""
     BD = _repair_scales(np.asarray(B, dtype=float))
     norms = (BD * BD).sum(axis=0)
     return _gate_factor(G.creation.bits, BD, np.sqrt(float(norms.max()) + 1.0 - norms))
@@ -556,10 +558,13 @@ def orthogonal_certificate(B: np.ndarray, G: ThresholdGraph) -> np.ndarray:
     dominating-by-isolated block B.
 
     B's support must match the dominating-by-isolated staircase of G and its
-    columns must be pairwise orthogonal to 1e-8.  Column rescaling repairs
-    zero dominating products, isolated tails equalize all column norms to a
-    common C^2, and the returned Gram has spectrum {C^2 with multiplicity
-    n-T, 0 with multiplicity T}.
+    columns must be pairwise orthogonal to 1e-8.  One closed-form column
+    weight (`_repair_scales`) makes every dominating product at least 1 in
+    size, less the orthogonality slack, and at most 3 for the gate's own
+    block; isolated tails equalize all column norms to a common C^2, and
+    the returned Gram has spectrum {C^2 with multiplicity n-T, 0 with
+    multiplicity T}.  A pattern check guards against rounding:
+    InfeasibleRepair if an entry still lands off G's pattern.
     """
     B = np.asarray(B, dtype=float)
     if not verify_feasible(SupportPattern.from_graph(G), B, tol=1e-8):

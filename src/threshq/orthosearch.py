@@ -118,93 +118,60 @@ def decide_column_orthogonal(P: SupportPattern):
                 witness_cols.append(groups[idx + 1][1][0])
             rows = tuple(range(T - size, T))
             return Infeasible(tuple(witness_cols), rows)
-    return Feasible(_complete_orthogonal(groups, T)[0])
+    return Feasible(_complete_orthogonal(groups, T))
 
 
-_ENTRY_FLOOR = 1e-3  # smallest support entry a completion column should keep
-_MIX_STEPS = 64
-
-
-def _reflected(H: np.ndarray, group: np.ndarray, rank: np.ndarray, a: int) -> np.ndarray:
-    """H with each column group mixed by its reflection I - 2uu^T/u^Tu,
-    u = rank + a over the group's columns: H - H P in one product, with P
-    block diagonal, 2uu^T/u^Tu on each group."""
-    u = rank + a
-    P = np.outer(u, 2 * u / np.bincount(group, u * u)[group])
-    P *= group[:, None] == group
-    return H - H @ P
-
-
-def _group_lows(V: np.ndarray, on: np.ndarray, starts: np.ndarray) -> np.ndarray:
-    """Per group, the smallest |entry| of its columns on their support
-    rows `on` (the last m rows for a group of support size m)."""
-    return np.minimum.reduceat(np.where(on, np.abs(V), np.inf).min(axis=0), starts)
-
-
-def _complete_orthogonal(groups: list[tuple[int, list[int]]],
-                         T: int) -> tuple[np.ndarray, np.ndarray]:
-    """Column-orthogonal completion B and the reflection offset a chosen
-    per group.
+def _complete_orthogonal(groups: list[tuple[int, list[int]]], T: int) -> np.ndarray:
+    """Column-orthogonal completion B, unit columns, in closed form.
 
     B comes from the reversed Helmert basis of the widest support's W
     rows: h_1 is 1/sqrt(W) on every row, and h_p (p >= 2) is 1 - p on row
     W - p and 1 on the p - 1 rows below it, over sqrt(p(p - 1)), so it
-    lives on exactly the last p rows.  A group of c columns of support size
-    m takes h_m and the c-1 largest unused smaller indices (h_1 only when
-    m = W): the counting criterion is exactly the condition that they
+    lives on exactly the last p rows.  The widest group's first column
+    (column 0 of a graph's block) is h_1, unmixed.  Every other group of c
+    columns of support size m takes h_m and the c-1 largest unused indices
+    in [2, m): the counting criterion is exactly the condition that they
     exist, so every staircase that passes it is completed.  No index is
-    shared between groups.  The picks form one closed-form W x k block.
+    shared.
 
-    Every group is mixed at a = 1 by one block-diagonal reflection
-    product; the groups whose smallest support entry is still under the
-    floor go on to a = 2, 3, ... together, each keeping the first a that
-    clears the floor, else the a whose smallest such entry is largest (the
-    first of equals).  The reflection has no zero entry, so every column
-    keeps a share of its h_m."""
+    Each such group is mixed by one fixed reflection I - 2uu^T/u^Tu, u =
+    (-1, e, ..., e) with e = 1/(2 m H_m), H_m = 1 + 1/2 + ... + 1/m, which
+    makes every support entry at least e/(2m) = 1/(4 m^2 H_m): above a
+    column's own top row its h_m share dominates the e-weighted others,
+    whose sum is at most H_m on every row, and at and below that row its
+    own Helmert vector dominates.  The groups mix in one product, O(W k)."""
     k = sum(len(cols) for _, cols in groups)
     B = np.zeros((T, k))
     if not groups:
-        return B, np.zeros(0, dtype=int)
-    W = groups[-1][0]
+        return B
+    W, widest = groups[-1]
+    B[T - W:, widest[0]] = 1 / math.sqrt(W)
     used: set[int] = set()
-    order, picks, sizes = [], [], []
-    for m, cols in groups:
-        lowest = 1 if m == W else 2
-        mine = [m] + [i for i in range(m - 1, lowest - 1, -1) if i not in used][: len(cols) - 1]
+    order, picks, sizes, supports = [], [], [], []
+    for m, cols in groups[:-1] + [(W, widest[1:])]:
+        if not cols:
+            continue
+        mine = [m] + [i for i in range(m - 1, 1, -1) if i not in used][: len(cols) - 1]
         used.update(mine)
         order += cols
         picks += mine
         sizes.append(len(cols))
-    # h_1's top row is row 0, where the head value 1.0 keeps it all ones
-    tops = [W - p if p > 1 else 0 for p in picks]
-    rows = np.arange(W)[:, None]
-    H = (rows >= tops).astype(float)
-    H[tops, np.arange(k)] = [1.0 - p if p > 1 else 1.0 for p in picks]
-    H /= [math.sqrt(p * (p - 1) if p > 1 else W) for p in picks]
-    sizes = np.array(sizes)
+        supports.append(m)
+    if not order:
+        return B
+    tops = W - np.array(picks)
+    H = (np.arange(W)[:, None] >= tops).astype(float)
+    H[tops, np.arange(len(picks))] = [1.0 - p for p in picks]
+    H /= [math.sqrt(p * (p - 1)) for p in picks]
+    sizes, supports = np.array(sizes), np.array(supports)
+    eps = 1 / (2 * supports * np.cumsum(1 / np.arange(1, W + 1))[supports - 1])
     starts = np.cumsum(sizes) - sizes
-    group = np.repeat(np.arange(len(groups)), sizes)
-    rank = np.arange(1.0, k + 1) - starts[group]
-    on = rows >= np.repeat([W - m for m, _ in groups], sizes)
-
-    V = _reflected(H, group, rank, 1)
-    low = _group_lows(V, on, starts)
-    chosen = np.ones(len(groups), dtype=int)
-    pending = np.flatnonzero(low <= _ENTRY_FLOOR)
-    for a in range(2, _MIX_STEPS + 1):
-        if not pending.size:
-            break
-        idx = np.flatnonzero(np.isin(group, pending))
-        Va = _reflected(H[:, idx], group[idx], rank[idx], a)
-        la = _group_lows(Va, on[:, idx], np.cumsum(sizes[pending]) - sizes[pending])
-        better = la > low[pending]
-        take = np.isin(group[idx], pending[better])
-        V[:, idx[take]] = Va[:, take]
-        low[pending[better]] = la[better]
-        chosen[pending[better]] = a
-        pending = pending[la <= _ENTRY_FLOOR]
-    B[T - W:, order] = V
-    return B, chosen
+    group = np.repeat(np.arange(len(sizes)), sizes)
+    u = eps[group]
+    u[starts] = -1.0
+    w = 2 * u / (1 + (sizes - 1) * eps ** 2)[group]  # 2u / u^T u
+    B[T - W:, order] = H - np.add.reduceat(H * u, starts, axis=1)[:, group] * w
+    return B
 
 
 def verify_feasible(P: SupportPattern, B: np.ndarray, tol: float = 1e-9) -> bool:

@@ -8,7 +8,7 @@ import time
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from threshq import bounds
@@ -533,6 +533,53 @@ def test_gate_certifies_the_hand_made_q2_targets(text):
     (cert,) = qb.upper_certs
     assert cert.kind == "OrthoUB" and verify_certificate(G(text), cert)
     assert cluster_spectrum(eigen_sym(cert.payload["matrix"])).q == 2
+
+
+def _certifies_q2(text):
+    g = G(text)
+    qb = classify_q(g)
+    assert (qb.lower, qb.upper) == (2, 2) and verify_qbound(g, qb), text
+
+
+# Large gate-feasible rows, where support entries of the completion and
+# the products of two of them get small: the smallest such row, n = 62,
+# and two rows whose columns form one large equal-support group.
+LARGE_Q2 = ["0" * 27 + "1" * 15 + "0" * 4 + "1" * 16, "0" * 128 + "1" * 128,
+            "0" * 256 + "1" * 256]
+
+
+@pytest.mark.parametrize("text", LARGE_Q2, ids=lambda t: f"n{len(t)}")
+def test_large_gate_feasible_rows_certify_q2(text):
+    _certifies_q2(text)
+
+
+def test_zeros_then_ones_rows_to_300_certify_q2():
+    # 0^k 1^t is gate-feasible exactly when k <= t
+    for k in range(20, 301, 40):
+        for t in range(k, 301, 40):
+            _certifies_q2("0" * k + "1" * t)
+
+
+@st.composite
+def _gate_feasible_blocks(draw):
+    """Block forms (k_1, t_1) ... (k_s, t_s) of 0^k1 1^t1 ... 0^ks 1^ts,
+    s <= 4, with t_s raised just enough for the counting criterion:
+    counting from the last block, zeros never outnumber ones, and only the
+    first block may match them exactly."""
+    s = draw(st.integers(1, 4))
+    size = st.integers(1, 255 // s)
+    blocks = [[draw(size), draw(size)] for _ in range(s)]
+    blocks[-1][1] += max(0, *(sum(k - t for k, t in blocks[j:]) + (j > 0) for j in range(s)))
+    return blocks
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(_gate_feasible_blocks())
+def test_gate_feasible_rows_to_n512_certify_q2(blocks):
+    text = "".join("0" * k + "1" * t for k, t in blocks)
+    assume(len(text) <= 512)
+    assert isinstance(ortho_gate(G(text)), Feasible), text
+    _certifies_q2(text)
 
 
 def chain_seed_ids(qb):

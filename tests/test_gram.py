@@ -820,12 +820,15 @@ def test_orthogonal_certificate_rejects_bad_block():
 
 
 def _factor_by_rows(B, G):
-    """The row-by-row placement, kept as the reference for
-    _certificate_factor: repaired block rows on the dominating vertices,
+    """The column-by-column repair and row-by-row placement, kept as the
+    reference for _certificate_factor: unit columns, column 0 weighted to
+    sqrt(2) at its smallest entry, block rows on the dominating vertices,
     one equalizing tail per isolated vertex."""
-    from threshq.gram import _repair_scales
-
-    BD = _repair_scales(np.asarray(B, dtype=float))
+    B = np.asarray(B, dtype=float)
+    BD = np.zeros_like(B)
+    for c, norm in enumerate(np.linalg.norm(B, axis=0)):
+        BD[:, c] = B[:, c] / norm
+    BD[:, 0] *= math.sqrt(2) / np.abs(BD[:, 0]).min()
     norms = (BD * BD).sum(axis=0)
     y = np.sqrt(float(norms.max()) + 1.0 - norms)
     M = np.zeros((G.n, len(G.isolated)))

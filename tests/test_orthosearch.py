@@ -1,12 +1,13 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from threshq.gram import A15A19_BASES, CONSTRUCTIONS, construct_library, dup_realization, gram
+from threshq.gram import _repair_scales
 from threshq.orthosearch import (
-    _ENTRY_FLOOR,
-    _MIX_STEPS,
     Feasible,
     Infeasible,
     SupportPattern,
@@ -187,48 +188,43 @@ def _helmert(W, m):
 
 
 def _mix(H, m):
-    """H's columns mixed by the reflection with u = (1..c) + a, for the
-    first a that clears the floor on the last m rows, else the best a;
-    returns the mixed block and its a."""
-    best, best_low, best_a = H, -1.0, 0
-    for a in range(1, _MIX_STEPS + 1):
-        u = np.arange(1.0, H.shape[1] + 1) + a
-        V = H - np.outer(H @ u, 2 * u / (u @ u))
-        low = float(np.abs(V[-m:]).min())
-        if low > best_low:
-            best, best_low, best_a = V, low, a
-        if low > _ENTRY_FLOOR:
-            break
-    return best, best_a
+    """H's columns mixed by the reflection with u = (-1, e, ..., e), e =
+    1/(2 m H_m)."""
+    u = np.full(H.shape[1], 1 / (2 * m * sum(1 / p for p in range(1, m + 1))))
+    u[0] = -1.0
+    return H - np.outer(H @ u, 2 * u / (u @ u))
 
 
 def _complete_orthogonal_by_groups(groups, T):
-    """The group-by-group completion (one Helmert stack and one _mix per
-    group), kept as the reference; returns B and the a chosen per group."""
+    """The group-by-group completion (h_1 on the widest group's first
+    column, then one Helmert stack and one _mix per group), kept as the
+    reference."""
     W = groups[-1][0] if groups else 0
     B = np.zeros((T, sum(len(cols) for _, cols in groups)))
-    used, chosen = set(), []
+    used = set()
     for m, cols in groups:
-        lowest = 1 if m == W else 2
-        picks = [m] + [i for i in range(m - 1, lowest - 1, -1) if i not in used][: len(cols) - 1]
-        used.update(picks)
-        H = np.stack([_helmert(W, i) for i in picks], axis=1)
-        B[T - W:, cols], a = _mix(H, m)
-        chosen.append(a)
-    return B, chosen
+        if m == W:
+            B[T - W:, cols[0]] = _helmert(W, 1)
+            cols = cols[1:]
+        if cols:
+            picks = [m] + [i for i in range(m - 1, 1, -1) if i not in used][: len(cols) - 1]
+            used.update(picks)
+            H = np.stack([_helmert(W, i) for i in picks], axis=1)
+            B[T - W:, cols] = _mix(H, m)
+    return B
 
 
 def _feasible_patterns():
     """Every gate-feasible connected sequence with n <= 13, seeded random
     feasible ones with n = 16..256, and the large equal-support groups
-    0^32 1^32 and 0^64 1^64, whose mix falls back to the best a."""
+    0^k 1^k for k = 32, 64 and 128."""
     texts = [seq.text for n in range(2, 14) for seq in enumerate_connected(n)]
     gen = np.random.default_rng(15)
     for n in (16, 24, 32, 48, 64, 96, 128, 192, 256):
         for p_one in (0.6, 0.7, 0.8):
             texts += ["0" + "".join(np.where(gen.random(n - 2) < p_one, "1", "0")) + "1"
                       for _ in range(6)]
-    texts += ["0" * 32 + "1" * 32, "0" * 64 + "1" * 64]
+    texts += ["0" * k + "1" * k for k in (32, 64, 128)]
     for text in texts:
         P = SupportPattern.from_graph(graph_from_text(text))
         if isinstance(decide_column_orthogonal(P), Feasible):
@@ -236,28 +232,27 @@ def _feasible_patterns():
 
 
 def test_completion_matches_the_group_loop():
-    # the block-diagonal completion picks the same a per group as the
-    # group-by-group loop and agrees with it entry by entry
-    seen, advanced, together, lows = 0, 0, 0, {}
+    # the one-product completion agrees with the group-by-group loop entry
+    # by entry, column 0 is exactly h_1, every support entry of a column of
+    # support size m is at least the docstring's 1/(4 m^2 H_m), and the
+    # repaired dominating rows have products between 1 and 3
+    seen = 0
     for text, P in _feasible_patterns():
         groups = _column_groups(P)
-        want, want_a = _complete_orthogonal_by_groups(groups, P.rows)
-        B, chosen = _complete_orthogonal(groups, P.rows)
+        B = _complete_orthogonal(groups, P.rows)
         assert np.array_equal(np.abs(B) > 1e-12, P.support), text
         assert verify_feasible(P, B), text
-        assert chosen.tolist() == want_a, text
-        assert np.abs(B - want).max(initial=0.0) <= 1e-12, text
+        assert np.abs(B - _complete_orthogonal_by_groups(groups, P.rows)).max() <= 1e-12, text
         assert np.array_equal(decide_column_orthogonal(P).matrix, B), text
+        assert np.array_equal(B[:, 0], np.full(P.rows, 1 / math.sqrt(P.rows))), text
+        m = P.support.sum(axis=0)  # support size per column
+        floor = 1 / (4 * m * m * np.cumsum(1 / np.arange(1, P.rows + 1))[m - 1])
+        assert np.all(np.abs(B) >= np.where(P.support, floor, 0.0)), text
+        BD = _repair_scales(B)
+        off = (BD @ BD.T)[~np.eye(P.rows, dtype=bool)]
+        assert np.all((1 <= off) & (off <= 3)), text
         seen += 1
-        advanced += max(want_a) > 1
-        together += sum(a > 1 for a in want_a) > 1
-        lows[text] = float(np.abs(B[P.support]).min())
-    # the a-search runs on more than 20 inputs, some with several groups
-    # pending at once
-    assert seen > 1000 and advanced > 20 and together > 2, (seen, advanced, together)
-    # the mix floor at the large equal-support groups stays where it was
-    assert round(lows["0" * 32 + "1" * 32], 5) == 6.9e-4
-    assert round(lows["0" * 64 + "1" * 64], 5) == 1.2e-4
+    assert seen > 1000, seen
 
 
 @pytest.mark.parametrize("xs,ok", [
