@@ -9,20 +9,24 @@ criterion fail, so its witness covers them and they are not rules here;
 `sequences.unique_path_bound` stays public as the paper's lemma.  The upper
 side is one certificate: the two-eigenvalue completion the gate finds, else
 a duplication chain.  Joined duplication keeps q, so G grows from its own
-form and from its leading merge (`_sources`).  Each source takes the first
-seed that `_grow` fits from one q-ordered table per block count s
+form and from its leading merge (`_sources`).  A plan is a seed and its
+runs (v, lam, k), k copies of seed vertex v at lam, or joined when lam is
+None: one per zero-run or ones-run that grows, and one joined run of
+vertex 0 from a leading merge.  `_fit` takes the first seed that `_grow`
+fits: for each source, from one q-ordered table per block count s
 (`_seed_table`: the star, else the alternating seed thm00(s) and the
-prebuilt seeds, the liberated prop_a15a19 seeds among them), else the
+prebuilt seeds, the liberated prop_a15a19 seeds among them), then the
 paired-column seed.  Every seed is first a descriptor, a `Seed` of its
 blocks, dup slots and q, so the planner compares the sources on data and
 keeps the one whose seed has the fewest distinct eigenvalues; it builds
 that seed alone, since a paired-column seed's q is a closed form
 (`gram.section12_q`).  The paper's general floor((s+9)/2) bound,
-`ub_section12`, and the SSP supergraph lemma, `transfer_certificate`, are
-stated on that one planner and come on demand; the classifier calls
-neither.  Every certificate re-verifies from its payload alone, under a
-(kind, provenance) pair the package issues; every upper certificate is a
-matrix whose q is its value and which lies in S(G)."""
+`ub_section12`, which tries the paired-column seed first, and the SSP
+supergraph lemma, `transfer_certificate`, are stated on that one planner
+and come on demand; the classifier calls neither.  Every certificate
+re-verifies from its payload alone, under a (kind, provenance) pair the
+package issues; every upper certificate is a matrix whose q is its value
+and which lies in S(G)."""
 
 from __future__ import annotations
 
@@ -177,16 +181,16 @@ def q2_certificate(G: ThresholdGraph, gate_result=None) -> Certificate | None:
 
 @dataclass(frozen=True)
 class ChainPlan:
-    """Seed factor plus duplication schedule reaching a target sequence.
+    """Seed factor plus the runs that grow it to a target sequence.
 
-    dup_steps: (vertex index in the seed matrix, eigenvalue) repeated per
-    extra zero; jdup_steps: seed index repeated per joined copy, of a
-    ones-run's dominating vertex, or of vertex 0 in a leading-merge plan.
+    runs: (v, lam, k), k copies of seed vertex v, unjoined at the eigenvalue
+    lam, or, lam None, joined at the carried lambda_min.  Dup runs come
+    first, one per zero-run that grows, then jdup runs, one per ones-run
+    that grows and one of vertex 0 in a leading-merge plan.
     """
 
     seed: gramlib.GramFactor
-    dup_steps: tuple[tuple[int, float], ...]
-    jdup_steps: tuple[int, ...]
+    runs: tuple[tuple[int, float | None, int], ...]
 
 
 class Seed(NamedTuple):
@@ -214,30 +218,30 @@ _CATALOG_SEEDS = {s: tuple(Seed(f.target.block_form.blocks, f.dup_slots, len(f.e
                   for s, group in itertools.groupby(_PREBUILT, key=lambda f: f.target.block_form.s)}
 
 
-def _grow(have: tuple, dup_slots, bf) -> tuple[tuple, tuple] | None:
-    """The dup and jdup steps growing the form with blocks `have` to block
-    form bf, or None when there are none: `have` must have bf's s, no run
-    longer than bf's, and one of `dup_slots` inside every zero-run that has
-    to grow.  A zero-run grows by copies of its first listed slot, a
-    ones-run by joined copies of its first dominating vertex."""
+def _grow(have: tuple, dup_slots, bf) -> tuple | None:
+    """The runs growing the form with blocks `have` to block form bf, or
+    None when there are none: `have` must have bf's s, no run longer than
+    bf's, and one of `dup_slots` inside every zero-run that has to grow.  A
+    zero-run grows by copies of its first listed slot, a ones-run by joined
+    copies of its first dominating vertex."""
     if len(have) != bf.s:
         return None
-    dup: list[tuple[int, float]] = []
-    jdup: list[int] = []
+    dup, jdup = [], []
     start = 0
     for (k0, t0), (k, t) in zip(have, bf.blocks):
         if k0 > k or t0 > t:
             return None
         if k > k0:
-            for slot in dup_slots:
-                if start <= slot[0] < start + k0:
+            for v, lam in dup_slots:
+                if start <= v < start + k0:
                     break
             else:
                 return None
-            dup += [slot] * (k - k0)
-        jdup += [start + k0] * (t - t0)
+            dup.append((v, lam, k - k0))
+        if t > t0:
+            jdup.append((start + k0, None, t - t0))
         start += k0 + t0
-    return tuple(dup), tuple(jdup)
+    return (*dup, *jdup)
 
 
 def _sources(bf) -> tuple[tuple[BlockForm, int], ...]:
@@ -255,35 +259,21 @@ def _sources(bf) -> tuple[tuple[BlockForm, int], ...]:
     return (bf, 0), (BlockForm(((1 + k, t2),) + bf.blocks[2:]), t)
 
 
-def _section12_m(bf) -> int | None:
-    """The zero-run m of bf's paired-column seed section12_factor(s, m), or
-    None when bf has s < 2 or no zero-run of length >= 2: the zero-run of
-    length >= 2 with even parities on both sides of m (most column pairs),
-    then smallest m.  That seed always fits: every other run of it has
+def _paired_column(bf):
+    """Yield bf's paired-column seed section12_factor(s, m) as data, when
+    bf has s >= 2 and a zero-run of length >= 2: m is such a zero-run with
+    even parities on both sides of it (most column pairs), then the
+    smallest.  Its form and slots (`gramlib.section12_form`) are read only
+    once the seed is reached, and build() makes it from these slots; its q
+    is `gramlib.section12_q`.  It always fits: every other run of it has
     length 1, run m has length 2, and every zero is a dup slot."""
     s, ks = bf.s, bf.ks
     ms = [m for m in range(1, s + 1) if ks[m - 1] >= 2]
-    if s < 2 or not ms:
-        return None
-    return min(ms, key=lambda m: ((m - 1) % 2 + (s - m) % 2, m))
-
-
-def _paired_column_seed(s: int, m: int) -> Seed:
-    """section12_factor(s, m) as data: its form and slots
-    (`gramlib.section12_form`) and its q (`gramlib.section12_q`); build()
-    makes the seed from these slots, so the form is read once."""
-    blocks, dup_slots = gramlib.section12_form(s, m)
-    return Seed(blocks, dup_slots, gramlib.section12_q(s, m),
-                lambda: gramlib._section12_seed(s, m, dup_slots))
-
-
-def _section12_plan(bf) -> ChainPlan | None:
-    """The paired-column plan, or None when bf has no paired-column seed
-    (see `_section12_m`); that seed always fits."""
-    if (m := _section12_m(bf)) is None:
-        return None
-    seed = _paired_column_seed(bf.s, m)
-    return ChainPlan(seed.build(), *_grow(seed.blocks, seed.dup_slots, bf))
+    if s >= 2 and ms:
+        m = min(ms, key=lambda m: ((m - 1) % 2 + (s - m) % 2, m))
+        blocks, dup_slots = gramlib.section12_form(s, m)
+        yield Seed(blocks, dup_slots, gramlib.section12_q(s, m),
+                   lambda: gramlib._section12_seed(s, m, dup_slots))
 
 
 def _seed_table(bf) -> tuple[Seed, ...]:
@@ -304,65 +294,57 @@ def _seed_table(bf) -> tuple[Seed, ...]:
                  lambda: gramlib.construct_library("thm00", t=s)), *_CATALOG_SEEDS.get(s, ()))
 
 
-def _first_fit(bf) -> tuple[Seed, tuple[tuple, tuple]]:
-    """bf's first fitting seed, unbuilt, with the steps that grow it to bf:
-    the first `_seed_table` entry that `_grow` fits, else the paired-column
-    seed.  One always fits: the star fits every s = 1 form, thm00(s) every
-    form whose zero-runs after the first have length 1, and any other form
-    has a later zero-run of length >= 2, so a paired-column seed."""
-    for seed in _seed_table(bf):
-        if (steps := _grow(seed.blocks, seed.dup_slots, bf)) is not None:
-            return seed, steps
-    seed = _paired_column_seed(bf.s, _section12_m(bf))
-    return seed, _grow(seed.blocks, seed.dup_slots, bf)
+def _fit(bf, seeds) -> tuple[Seed, tuple] | None:
+    """The first of `seeds` that `_grow` fits to bf, unbuilt, with the runs
+    that grow it to bf, or None when none fits."""
+    for seed in seeds:
+        if (runs := _grow(seed.blocks, seed.dup_slots, bf)) is not None:
+            return seed, runs
+    return None
 
 
-def _seed_plan(bf) -> ChainPlan:
-    """The plan of bf's first fitting seed (`_first_fit`), built."""
-    seed, steps = _first_fit(bf)
-    return ChainPlan(seed.build(), *steps)
-
-
-def _joined(plan: ChainPlan, t: int) -> ChainPlan:
-    """plan followed by t joined copies of vertex 0: a source's plan
-    carried to G (see `_sources`)."""
-    return ChainPlan(plan.seed, plan.dup_steps, plan.jdup_steps + (0,) * t)
+def _first_fit(bf) -> tuple[Seed, tuple]:
+    """bf's first fitting seed, unbuilt, with its runs: the first
+    `_seed_table` entry that fits, else the paired-column seed.  One always
+    fits: the star fits every s = 1 form, thm00(s) every form whose
+    zero-runs after the first have length 1, and any other form has a later
+    zero-run of length >= 2, so a paired-column seed."""
+    return _fit(bf, itertools.chain(_seed_table(bf), _paired_column(bf)))
 
 
 def _chain_plan(bf) -> ChainPlan:
     """The duplication chain's plan: the source whose first fitting seed
     has the fewest distinct eigenvalues, G's own form on a tie, carried to
-    G.  Every step keeps q, so the seed's q is the chain's.  The sources
-    are compared on their `Seed` descriptors, whose q is known unbuilt, so
-    only the winner is built, once."""
-    seed, steps, t = min(((*_first_fit(src), t) for src, t in _sources(bf)),
-                         key=lambda fit: fit[0].q)
-    return _joined(ChainPlan(seed.build(), *steps), t)
+    G by a run of joined copies of vertex 0.  Every run keeps q, so the
+    seed's q is the chain's.  The sources are compared on their `Seed`
+    descriptors, whose q is known unbuilt, so only the winner is built,
+    once."""
+    seed, runs, t = min(((*_first_fit(src), t) for src, t in _sources(bf)),
+                        key=lambda fit: fit[0].q)
+    return ChainPlan(seed.build(), runs + ((0, None, t),) if t else runs)
 
 
 def _chain_steps(plan: ChainPlan) -> tuple[str, ...]:
-    """A plan's step labels, as a certificate's `chain` records them; they
-    name the seed and every duplication, so they determine the matrix."""
-    return ((f"seed:{plan.seed.construction_id}{plan.seed.params or ''}",)
-            + tuple(f"dup({v},{lam:g})" for v, lam in plan.dup_steps)
-            + tuple(f"jdup({v})" for v in plan.jdup_steps))
+    """A plan's step labels, as a certificate's `chain` records them: the
+    seed's, then one per copy, so they determine the matrix."""
+    steps = [f"seed:{plan.seed.construction_id}{plan.seed.params or ''}"]
+    for v, lam, k in plan.runs:
+        steps += [f"jdup({v})" if lam is None else f"dup({v},{lam:g})"] * k
+    return tuple(steps)
 
 
 def run_chain(plan: ChainPlan) -> tuple[np.ndarray, np.ndarray]:
     """Realize a plan, with the spectrum it carries: the seed's values, lam
-    per dup step and lambda_min per jdup step.  Each run of equal steps is
-    a dup run at lam or a jdup run at lambda_min; `gramlib.grow_factor`
-    grows the seed's factor by all of them, placing each run's copies right
-    after the seed vertex they copy, so F's rows are already in creation
-    order (a joined copy of vertex 0 opens (0, 1, ...)) and the matrix is
-    the one product F F^T."""
+    per dup copy and lambda_min per joined copy.  `gramlib.grow_factor`
+    grows the seed's factor by the plan's runs, a joined run at lambda_min,
+    placing each run's copies right after the seed vertex they copy, so F's
+    rows are already in creation order (a joined copy of vertex 0 opens
+    (0, 1, ...)) and the matrix is the one product F F^T."""
     seed = plan.seed
     carried = [v for v, mult in seed.expected_spectrum for _ in range(mult)]
-    carried += [lam for _, lam in plan.dup_steps]
-    lam_min = min(carried)
-    carried += [lam_min] * len(plan.jdup_steps)
-    runs = [(v, lam, len(list(steps))) for (v, lam), steps in itertools.groupby(plan.dup_steps)]
-    runs += [(v, lam_min, len(list(steps))) for v, steps in itertools.groupby(plan.jdup_steps)]
+    lam_min = min(carried + [lam for _, lam, _ in plan.runs if lam is not None])
+    runs = [(v, lam_min if lam is None else lam, k) for v, lam, k in plan.runs]
+    carried += [lam for _, lam, k in runs for _ in range(k)]
     F = gramlib.grow_factor(seed.M, runs)
     return F @ F.T, np.array(carried, dtype=float)
 
@@ -424,7 +406,8 @@ def ub_section12(G: ThresholdGraph) -> tuple[int, Certificate]:
     one less, so it never exceeds this bound, which is at least 5."""
     bf = G.block_form
     bound = (bf.s + 9) // 2
-    cert = _chain_cert(G, _section12_plan(bf) or _seed_plan(bf))
+    seed, runs = _fit(bf, itertools.chain(_paired_column(bf), _seed_table(bf)))
+    cert = _chain_cert(G, ChainPlan(seed.build(), runs))
     if cert.value > bound:
         raise SelfCheckError(f"chain reached q = {cert.value} > {bound}")
     return bound, cert

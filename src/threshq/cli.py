@@ -16,6 +16,7 @@ import numpy as np
 
 from . import __version__
 from .bounds import SelfCheckError, classify_q, verify_qbound
+from .gram import InfeasibleRepair
 from .orthosearch import ssp_check
 from .sequences import SequenceError, build_graph, enumerate_connected, parse_creation_sequence
 from .spectra import NoConvergence, check_matrix
@@ -212,7 +213,7 @@ def main(argv=None) -> int:
     except SequenceError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 2
-    except SelfCheckError as exc:  # a certificate failed its own re-check
+    except (SelfCheckError, InfeasibleRepair) as exc:  # a certificate failed where it is built
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (OSError, ValueError, NoConvergence) as exc:

@@ -44,7 +44,10 @@ class InfeasibleRepair(RuntimeError):
     """An orthogonality certificate left G's pattern.  Every dominating
     product of the certificate has size at least 1, and every support entry
     of the gate's completion at least 1/(4 m^2 H_m) for support size m, so
-    only rounding at very large orders can raise it."""
+    it is raised only at large orders, where such an entry falls under
+    ZERO_TOL of the largest, which grows like n.  Measured on 0^k 1^k:
+    every k <= 547 certifies, and k = 548 (n = 1096) and every tenth k from
+    there to 698 raise."""
 
 
 @dataclass(frozen=True)
@@ -573,5 +576,5 @@ def orthogonal_certificate(B: np.ndarray, G: ThresholdGraph) -> np.ndarray:
     A = M @ M.T
     A = (A + A.T) / 2  # symmetric, and finite with B: the caller's eigensolve validates it
     if not pattern_report(A, G):
-        raise InfeasibleRepair("certificate left the pattern")  # pragma: no cover
+        raise InfeasibleRepair("certificate left the pattern")
     return A

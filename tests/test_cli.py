@@ -53,6 +53,21 @@ def test_bounds_reports_a_failed_self_check(capsys, monkeypatch):
     assert (code, out, err) == (1, "", "error: chain lost the spectrum it carried\n")
 
 
+def test_bounds_reports_a_completion_that_left_the_pattern(capsys, monkeypatch):
+    # a q = 2 completion that leaves G's pattern, as on 0^548 1^548, where
+    # its smallest support entry falls under the pattern test's tolerance:
+    # the same one error line and exit code 1, no traceback
+    from threshq import bounds
+    from threshq.gram import InfeasibleRepair
+
+    def leaving(*args):
+        raise InfeasibleRepair("certificate left the pattern")
+
+    monkeypatch.setattr(bounds.gramlib, "orthogonal_certificate", leaving)
+    code, out, err = run(capsys, "bounds", "0101011")
+    assert (code, out, err) == (1, "", "error: certificate left the pattern\n")
+
+
 def test_bounds_json_round_trip(capsys):
     code, out, _ = run(capsys, "bounds", "0101011", "--format", "json")
     assert code == 0

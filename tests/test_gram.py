@@ -655,7 +655,8 @@ def test_grow_factor_writes_the_masked_factor_on_a_two_batch_plan(monkeypatch):
     # the leading-merge plan of a `long`-shaped row dups vertex 0 of its
     # paired-column seed and then joins it, so vertex 0 opens a second batch
     plan = _chain_plan(graph_from_text("0100010001100011000111000111").block_form)
-    assert plan.dup_steps[0][0] == 0 and plan.jdup_steps[-1] == 0
+    (v, lam, _), (w, joined, _) = plan.runs[0], plan.runs[-1]
+    assert lam is not None and joined is None and v == w == 0
     ((M, runs),) = chain_growths(monkeypatch, [plan])
     assert grows_as_masked(monkeypatch, M, runs) == 2
 
